@@ -18,7 +18,7 @@ import pytest
 from repro.core.costs import PAPER_TABLE2, CostModel
 from repro.esmacs.protocol import CG, FG
 from repro.rct.cluster import Cluster
-from repro.rct.executor import SimExecutor
+from repro.rct.backends import SimExecutor
 from repro.rct.pilot import Pilot
 
 

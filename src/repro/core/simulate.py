@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 
 from repro.core.costs import CostModel
+from repro.rct.backends import SimExecutor
 from repro.rct.cluster import Allocation, Cluster
 from repro.rct.entk import Pipeline, Stage
-from repro.rct.executor import SimExecutor
 from repro.rct.pilot import Pilot
 from repro.rct.task import TaskSpec
 from repro.util.config import FrozenConfig, validate_positive

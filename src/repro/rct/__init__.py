@@ -33,7 +33,6 @@ from repro.rct.flops import (
 )
 from repro.rct.pilot import Pilot, Placement
 from repro.rct.raptor import RaptorConfig, RaptorResult, run_raptor, simulate_raptor
-from repro.rct.sched import PLACEMENT_POLICIES, make_placer
 from repro.rct.task import TaskRecord, TaskSpec, TaskState
 from repro.rct.tasklog import TaskLog
 from repro.rct.utilization import UtilizationSeries, UtilizationTracker
@@ -48,7 +47,6 @@ __all__ = [
     "FaultModel",
     "FaultOutcome",
     "NodeSpec",
-    "PLACEMENT_POLICIES",
     "Pilot",
     "ProcessExecutor",
     "RetryPolicy",
@@ -69,7 +67,6 @@ __all__ = [
     "UtilizationTracker",
     "available_backends",
     "create_executor",
-    "make_placer",
     "register_backend",
     "aae_training_step_flops",
     "chamfer_flops",

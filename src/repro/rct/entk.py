@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.rct.pilot import Pilot
+from repro.rct.pilot import Pilot, QueueSource
 from repro.rct.task import TaskRecord, TaskSpec, TaskState
 
 __all__ = ["Stage", "Pipeline", "AppManager"]
@@ -61,12 +61,73 @@ class Pipeline:
 
 
 @dataclass
-class _PipelineState:
+class _Frontier:
+    """One pipeline's run state: its open stage and what is still out."""
+
     pipeline: Pipeline
-    stage_index: int = 0
+    name: str
+    stage: Stage
+    next_index: int = 1  # into pipeline.stages; past the end → generator
     outstanding: set[int] = field(default_factory=set)  # task uids in flight
     stage_records: list[TaskRecord] = field(default_factory=list)
-    done: bool = False
+
+
+class _PSTSource(QueueSource):
+    """Pipelines as a task source: every pipeline's frontier stage is in
+    the backlog at once, and a stage's last final record opens the next.
+
+    Generated stages live here, never in the caller's ``Pipeline``, so a
+    pipeline object can be run again.
+    """
+
+    def __init__(
+        self, pilot: Pilot, pipelines: list[Pipeline], names: list[str]
+    ) -> None:
+        super().__init__()
+        self.pilot = pilot
+        self.results: dict[str, list[TaskRecord]] = {n: [] for n in names}
+        self._owner: dict[int, _Frontier] = {}  # task uid → its pipeline
+        for pipeline, name in zip(pipelines, names):
+            self._open(_Frontier(pipeline, name, pipeline.stages[0]))
+
+    def _open(self, frontier: _Frontier) -> None:
+        frontier.stage_records = []
+        for task in frontier.stage.tasks:
+            self.pilot.validate_fits(task)
+            self._owner[task.uid] = frontier
+            frontier.outstanding.add(task.uid)
+            self.queue.push(task)
+
+    def completed(self, record: TaskRecord) -> None:
+        if record.state is TaskState.RETRYING:
+            # the attempt was re-queued: the task stays outstanding,
+            # its stage barrier stays closed
+            return
+        frontier = self._owner[record.spec.uid]
+        frontier.outstanding.discard(record.spec.uid)
+        frontier.stage_records.append(record)
+        self.results[frontier.name].append(record)
+        if frontier.outstanding:
+            return
+        if (
+            record.state is TaskState.FAILED
+            and self.pilot.failure_policy == "fail_fast"
+        ):
+            return  # the pilot raises next; no callbacks on an aborting run
+        # the frontier stage completed: fire the callback, then advance
+        # (or consult the generator once the static stages run out)
+        if frontier.stage.on_complete is not None:
+            frontier.stage.on_complete(frontier.stage_records)
+        pipeline = frontier.pipeline
+        following: Stage | None = None
+        if frontier.next_index < len(pipeline.stages):
+            following = pipeline.stages[frontier.next_index]
+            frontier.next_index += 1
+        elif pipeline.stage_generator is not None:
+            following = pipeline.stage_generator(frontier.stage_records)
+        if following is not None:
+            frontier.stage = following
+            self._open(frontier)
 
 
 class AppManager:
@@ -92,66 +153,6 @@ class AppManager:
         names = [p.name or f"pipeline-{i}" for i, p in enumerate(pipelines)]
         if len(set(names)) != len(names):
             raise ValueError(f"pipeline names must be unique, got {names}")
-        states = [_PipelineState(pipeline=p) for p in pipelines]
-        results: dict[str, list[TaskRecord]] = {n: [] for n in names}
-        task_owner: dict[int, int] = {}  # task uid → pipeline index
-        pending: list[TaskSpec] = []
-
-        def launch_stage(idx: int) -> None:
-            state = states[idx]
-            stage = state.pipeline.stages[state.stage_index]
-            state.stage_records = []
-            for task in stage.tasks:
-                self.pilot.validate_fits(task)
-                task_owner[task.uid] = idx
-                state.outstanding.add(task.uid)
-                pending.append(task)
-
-        for i in range(len(states)):
-            launch_stage(i)
-
-        while pending or self.pilot.n_running or self.pilot.n_waiting_retry:
-            remaining = self.pilot.submit_ready(pending)
-            pending.clear()
-            pending.extend(remaining)
-            if self.pilot.n_running == 0:
-                if self.pilot.n_waiting_retry:
-                    # all in-flight work is failed tasks waiting out their
-                    # backoff; idle the clock to the earliest retry
-                    self.pilot.advance_to_next_retry()
-                    continue
-                raise RuntimeError(
-                    "deadlock: pipelines blocked but nothing is running"
-                )
-            record = self.pilot.wait_one()
-            if record.state is TaskState.RETRYING:
-                # the attempt was re-queued: the task stays outstanding,
-                # its stage barrier stays closed
-                continue
-            idx = task_owner[record.spec.uid]
-            state = states[idx]
-            state.outstanding.discard(record.spec.uid)
-            state.stage_records.append(record)
-            results[names[idx]].append(record)
-
-            if not state.outstanding and not state.done:
-                # the pipeline's frontier stage completed: fire the
-                # callback, then advance (or consult the generator)
-                stage = state.pipeline.stages[state.stage_index]
-                if stage.on_complete is not None:
-                    stage.on_complete(state.stage_records)
-                state.stage_index += 1
-                if state.stage_index >= len(state.pipeline.stages):
-                    generated = None
-                    if state.pipeline.stage_generator is not None:
-                        generated = state.pipeline.stage_generator(
-                            state.stage_records
-                        )
-                    if generated is not None:
-                        state.pipeline.stages.append(generated)
-                        launch_stage(idx)
-                    else:
-                        state.done = True
-                else:
-                    launch_stage(idx)
-        return results
+        source = _PSTSource(self.pilot, pipelines, names)
+        self.pilot.drive(source)
+        return source.results

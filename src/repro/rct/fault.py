@@ -70,7 +70,7 @@ class FaultOutcome:
 
 @dataclass(frozen=True)
 class FaultModel(FrozenConfig):
-    """Seeded per-attempt fault injection for :class:`~repro.rct.executor.SimExecutor`.
+    """Seeded per-attempt fault injection for :class:`~repro.rct.backends.SimExecutor`.
 
     Each execution attempt of each task draws independently from a stream
     keyed on ``(seed, task uid, attempt)`` — so a retried task re-rolls the

@@ -1,24 +1,31 @@
-"""RADICAL-Pilot analogue: pilot jobs, slot scheduling, workload runs.
+"""RADICAL-Pilot analogue: pilot jobs, slot scheduling, the drive loop.
 
 The pilot paradigm (§5.2.2): submit one batch job that acquires nodes,
 then schedule arbitrarily many heterogeneous tasks onto those nodes
 directly — "given 10,000 single-node tasks and 1000 nodes, a pilot
 system will execute 1000 tasks concurrently and … the remaining 9000
 sequentially, whenever a node becomes available."  :class:`Pilot` owns
-the allocation and slot bookkeeping; :meth:`Pilot.run` is exactly that
-greedy backfilling loop, over any registered executor backend.
+the allocation and slot bookkeeping, and :meth:`Pilot.step` is exactly
+that greedy backfilling round, over any registered executor backend.
 
-Placement is a pluggable policy (see :mod:`repro.rct.sched`).  The
-default ``first_fit`` produces decisions bit-identical to the reference
-``first_fit_scan`` O(nodes) scan while costing O(log nodes) amortized,
-and :meth:`Pilot.run` drives it through an indexed pending queue whose
+There is one drive loop.  What differs between a flat task list
+(:meth:`Pilot.run`), EnTK pipelines (:class:`~repro.rct.entk.AppManager`)
+and the multi-tenant service
+(:class:`~repro.service.manager.CampaignManager`) is only *where tasks
+come from*, so each is a :class:`TaskSource` handed to the same
+:meth:`Pilot.step`; the retry, idle and deadlock rules live here and
+nowhere else.
+
+Placement is first-fit-lowest-index from
+:class:`~repro.rct.sched.IndexedPlacer` (O(log nodes) amortized), and
+backlogs sit in a shape-keyed :class:`~repro.rct.sched.PendingQueue` whose
 submission pass is O(placed + shapes) instead of O(backlog) — together
 these are what let a Summit-scale (4,608-node, 10⁶-task) campaign
-simulate in minutes (``benchmarks/perf_scheduler.py`` measures it and
-checks the bit-identity contract).  Every completed attempt is also
-appended to a columnar :class:`~repro.rct.tasklog.TaskLog`, so campaigns
-too large to keep per-task objects (``keep_records=False``) still get
-exact accounting and a sha256 determinism witness.
+simulate in minutes (``benchmarks/perf_scheduler.py`` measures it).
+Every completed attempt is also appended to a columnar
+:class:`~repro.rct.tasklog.TaskLog`, so campaigns too large to keep
+per-task objects (``keep_records=False``) still get exact accounting and
+a sha256 determinism witness.
 
 Failure handling is first-class: a :class:`~repro.rct.fault.RetryPolicy`
 re-queues failed attempts after (jittered, exponential) backoff on the
@@ -31,20 +38,90 @@ silently.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from repro.rct.backends import ExecutorBackend
 from repro.rct.cluster import Allocation, NodeSpec
 from repro.rct.fault import FAILURE_POLICIES, FailureSummary, RetryPolicy, TaskFailedError
-from repro.rct.sched import PendingQueue, Placement, make_placer
+from repro.rct.sched import IndexedPlacer, PendingQueue, Placement
 from repro.rct.task import TaskRecord, TaskSpec, TaskState
 from repro.rct.tasklog import TaskLog
 from repro.rct.utilization import UtilizationTracker
 from repro.telemetry import ExecutorClock, Span, Tracer
 
-__all__ = ["Pilot", "Placement"]
+__all__ = ["Pilot", "Placement", "QueueSource", "StartFn", "TaskSource"]
+
+#: ``start(task) -> bool``: place and launch one first attempt
+StartFn = Callable[[TaskSpec], bool]
+
+
+class TaskSource:
+    """Where :meth:`Pilot.step` gets tasks and reports attempts.
+
+    What a source may assume of every round: backoff-expired retries
+    were re-driven before :meth:`place` (they have waited longest and
+    hold the completion tail); free slots only shrink while
+    :meth:`place` runs, so a shape that failed to start cannot start
+    later in the same call; and :meth:`completed` sees every finished
+    attempt exactly once — ``DONE``, ``RETRYING`` (re-queued by the
+    pilot, not final), ``FAILED`` (dropped), including the one a
+    ``fail_fast`` pilot is about to raise for.
+    """
+
+    def place(self, start: StartFn) -> None:
+        """Start whatever fits: call ``start(task)`` per candidate."""
+        raise NotImplementedError
+
+    def completed(self, record: TaskRecord) -> None:
+        """Account one finished attempt."""
+
+    def has_pending(self) -> bool:
+        """Whether unplaced work remains (idle + pending = deadlock)."""
+        raise NotImplementedError
+
+    def next_wakeup(self) -> float | None:
+        """Clock time at which new work appears with nothing running."""
+        return None
+
+
+class QueueSource(TaskSource):
+    """A backlog placed greedily in submission order."""
+
+    def __init__(self) -> None:
+        self.queue = PendingQueue()
+
+    def place(self, start: StartFn) -> None:
+        self.queue.submit_pass(start)
+
+    def has_pending(self) -> bool:
+        return len(self.queue) > 0
+
+
+class _FlatSource(QueueSource):
+    """A fixed task list; collects each task's final record."""
+
+    def __init__(self, tasks: list[TaskSpec], keep_records: bool) -> None:
+        super().__init__()
+        for task in tasks:
+            self.queue.push(task)
+        self.keep_records = keep_records
+        self.finished: list[TaskRecord] = []
+
+    def completed(self, record: TaskRecord) -> None:
+        if self.keep_records and record.state is not TaskState.RETRYING:
+            self.finished.append(record)
+
+
+def _span_attrs(task: TaskSpec, attempt: int, **extra: object) -> dict:
+    """Span attributes every pilot span carries; ``tenant`` only when set."""
+    attrs = {"stage": task.stage, "uid": task.uid, "attempt": attempt, **extra}
+    if task.tenant:
+        attrs["tenant"] = task.tenant
+    return attrs
 
 
 class Pilot:
-    """A resource pilot: slot accounting + the task scheduling loop."""
+    """A resource pilot: slot accounting + the one drive loop."""
 
     def __init__(
         self,
@@ -54,7 +131,6 @@ class Pilot:
         failure_policy: str = "drop_and_continue",
         failure_budget: int | None = None,
         tracer: Tracer | None = None,
-        policy: str = "first_fit",
         keep_records: bool = True,
     ) -> None:
         if failure_policy not in FAILURE_POLICIES:
@@ -70,22 +146,17 @@ class Pilot:
         self.failure_policy = failure_policy
         self.failure_budget = failure_budget
         self.failures = FailureSummary()
-        self.policy = policy
         self.keep_records = keep_records
-        spec = allocation.spec
-        n = allocation.n_nodes
-        self._placer = make_placer(policy, n, spec)
+        self._placer = IndexedPlacer(allocation.n_nodes, allocation.spec)
+        #: slots held by each in-flight attempt, by task uid
         self._placements: dict[int, Placement] = {}
         # retry backlog: (eligible_time, task, attempt), unordered
         self._retry_queue: list[tuple[float, TaskSpec, int]] = []
-        self._n_running = 0
         #: per-attempt TaskRecord objects (empty when ``keep_records=False``)
         self.records: list[TaskRecord] = []
         #: columnar log of every completed attempt — always maintained,
         #: O(bytes) per attempt, carries the determinism digest
         self.log = TaskLog()
-        self._total_gpus = n * spec.gpus
-        self._total_cpus = n * spec.cpus
         # The pilot is traced by default: every placement becomes a
         # "pilot.task" span (explicit executor times, so the same code
         # path is deterministic under simulation) and the utilization
@@ -103,14 +174,7 @@ class Pilot:
         """Node shape of the underlying allocation."""
         return self.allocation.spec
 
-    def try_place(self, task: TaskSpec) -> Placement | None:
-        """Placement under this pilot's policy; ``None`` when busy."""
-        return self._placer.try_place(task)
-
-    def _release(self, task_uid: int) -> None:
-        self._placer.release(self._placements.pop(task_uid))
-
-    # ------------------------------------------------- incremental protocol
+    # ----------------------------------------------------------- primitives
     def validate_fits(self, task: TaskSpec) -> None:
         """Raise if ``task`` can never be placed on this pilot.
 
@@ -134,8 +198,12 @@ class Pilot:
                 f"{self.allocation.n_nodes}"
             )
 
-    def _start(self, task: TaskSpec, attempt: int = 0) -> bool:
-        """Place and launch one attempt; ``False`` when nothing fits."""
+    def start_task(self, task: TaskSpec, attempt: int = 0) -> bool:
+        """Place and launch one attempt; ``False`` when nothing fits.
+
+        The primitive under every :meth:`TaskSource.place`; also the
+        entry point for callers that grant placements one at a time.
+        """
         if task.uid in self._placements:
             # Slot bookkeeping is keyed by uid: silently overwriting the
             # placement of an in-flight task would leak its slots on
@@ -160,35 +228,19 @@ class Pilot:
         if self.keep_records:
             self.records.append(record)
         if self.tracer.enabled:
-            attrs = {
-                "stage": task.stage,
-                "uid": task.uid,
-                "attempt": attempt,
-                "gpus": placement.gpus,
-                "cpus": placement.cpus,
-                "nodes": len(placement.node_ids),
-            }
-            if task.tenant:
-                attrs["tenant"] = task.tenant
             self._task_spans[(task.uid, attempt)] = self.tracer.start_span(
                 task.name,
                 category="pilot.task",
-                attrs=attrs,
+                attrs=_span_attrs(
+                    task,
+                    attempt,
+                    gpus=placement.gpus,
+                    cpus=placement.cpus,
+                    nodes=len(placement.node_ids),
+                ),
                 start=self.executor.now,
             )
-        self._n_running += 1
         return True
-
-    def start_task(self, task: TaskSpec, attempt: int = 0) -> bool:
-        """Public single-task launch for external schedulers.
-
-        The multi-tenant service picks which tenant's task goes next and
-        grants placements one at a time; this is the sanctioned entry
-        point for that (``_start`` semantics: place + launch, ``False``
-        when nothing fits, :class:`ValueError` on an in-flight uid
-        collision).
-        """
-        return self._start(task, attempt)
 
     def cancel_pending(self, pred) -> list[TaskSpec]:
         """Drop queued-not-running retry attempts matching ``pred``.
@@ -215,28 +267,9 @@ class Pilot:
         now = self.executor.now
         still_waiting: list[tuple[float, TaskSpec, int]] = []
         for eligible, task, attempt in self._retry_queue:
-            if eligible > now or not self._start(task, attempt):
+            if eligible > now or not self.start_task(task, attempt):
                 still_waiting.append((eligible, task, attempt))
         self._retry_queue = still_waiting
-
-    def submit_ready(self, pending: list[TaskSpec]) -> list[TaskSpec]:
-        """Greedy pass: start everything that fits; return what's left.
-
-        Backoff-expired retries are re-driven first — they have waited
-        longest and hold the workload's completion tail.
-
-        This is the reference O(backlog) pass (every call re-tries every
-        pending task); :meth:`run` under any policy but
-        ``first_fit_scan`` drives an indexed
-        :class:`~repro.rct.sched.PendingQueue` instead, which makes the
-        same placement decisions while visiting only placeable tasks.
-        """
-        self._submit_retries()
-        still_pending: list[TaskSpec] = []
-        for task in pending:
-            if not self._start(task):
-                still_pending.append(task)
-        return still_pending
 
     def wait_one(self) -> TaskRecord:
         """Block/advance until some running task finishes.
@@ -246,10 +279,18 @@ class Pilot:
         exhausted one is dropped or, under ``fail_fast``, raises
         :class:`TaskFailedError`.
         """
+        record, error = self._complete_one()
+        if error is not None:
+            raise error
+        return record
+
+    def _complete_one(self) -> tuple[TaskRecord, TaskFailedError | None]:
+        """Account the next completion; the error, if any, is returned
+        rather than raised so :meth:`step` can report the attempt first."""
         record = self.executor.next_completion()
+        error: TaskFailedError | None = None
         span = self._task_spans.pop((record.spec.uid, record.attempt), None)
-        self._release(record.spec.uid)
-        self._n_running -= 1
+        self._placer.release(self._placements.pop(record.spec.uid))
         if record.state is TaskState.FAILED:
             if span is not None:
                 span.set_error(record.error or "failed")
@@ -266,20 +307,12 @@ class Pilot:
                     # the backoff interval is itself a span, carrying the
                     # exact policy-drawn seconds (end-start would
                     # reintroduce float round-off into reconciliation)
-                    attrs = {
-                        "stage": record.spec.stage,
-                        "uid": record.spec.uid,
-                        "attempt": record.attempt,
-                        "seconds": backoff,
-                    }
-                    if record.spec.tenant:
-                        attrs["tenant"] = record.spec.tenant
                     self.tracer.record_span(
                         f"backoff:{record.spec.name}",
                         start=self.executor.now,
                         end=self.executor.now + backoff,
                         category="pilot.backoff",
-                        attrs=attrs,
+                        attrs=_span_attrs(record.spec, record.attempt, seconds=backoff),
                     )
                 self._retry_queue.append(
                     (self.executor.now + backoff, record.spec, record.attempt + 1)
@@ -291,49 +324,66 @@ class Pilot:
                     span.finish(end=self.executor.now)
                 self.failures.record_drop(record.spec.stage)
                 if self.failure_policy == "fail_fast":
-                    self.log.append(record)
-                    raise TaskFailedError(
+                    error = TaskFailedError(
                         f"task {record.spec.name} failed on attempt "
                         f"{record.attempt} ({record.error}); fail_fast policy",
                         record,
                     )
-                if (
+                elif (
                     self.failure_budget is not None
                     and self.failures.n_dropped > self.failure_budget
                 ):
-                    self.log.append(record)
-                    raise TaskFailedError(
+                    error = TaskFailedError(
                         f"failure budget exceeded: {self.failures.n_dropped} "
                         f"tasks dropped, budget {self.failure_budget}",
                         record,
                     )
-        elif record.state is TaskState.DONE:
-            if span is not None:
-                span.finish(end=self.executor.now)
-            self.failures.record_success(record.attempt)
         else:
             if span is not None:
                 span.finish(end=self.executor.now)
+            if record.state is TaskState.DONE:
+                self.failures.record_success(record.attempt)
         self.log.append(record)
-        return record
-
-    @property
-    def n_running(self) -> int:
-        """Number of tasks currently executing."""
-        return self._n_running
-
-    @property
-    def n_waiting_retry(self) -> int:
-        """Failed tasks waiting out their backoff before re-submission."""
-        return len(self._retry_queue)
-
-    def advance_to_next_retry(self) -> None:
-        """Idle the clock to the earliest retry-eligibility time."""
-        if not self._retry_queue:
-            raise RuntimeError("no retries waiting")
-        self.executor.wait_until(min(e for e, _, _ in self._retry_queue))
+        return record, error
 
     # ------------------------------------------------------------- the loop
+    def step(self, source: TaskSource) -> bool:
+        """One drive round; ``False`` once the source is drained and idle.
+
+        Re-drives expired retries, lets the source place, then does
+        exactly one of: account one completion (and hand it to
+        ``source.completed``), idle the clock to the earliest retry, idle
+        it to the source's next wake-up, or report quiescence — which is
+        a deadlock if the source still holds work.
+        """
+        self._submit_retries()
+        source.place(self.start_task)
+        if self._placements:
+            record, error = self._complete_one()
+            source.completed(record)
+            if error is not None:
+                raise error
+            return True
+        if self._retry_queue:
+            # everything idle until some backoff expires
+            self.executor.wait_until(min(e for e, _, _ in self._retry_queue))
+            return True
+        wakeup = source.next_wakeup()
+        if wakeup is not None:
+            self.executor.wait_until(wakeup)
+            return True
+        if source.has_pending():
+            raise RuntimeError(
+                "deadlock: tasks pending but nothing is running and "
+                "nothing can be placed"
+            )
+        return False
+
+    def drive(self, source: TaskSource) -> None:
+        """Step ``source`` to quiescence."""
+        while self.step(source):
+            pass
+
     def run(self, tasks: list[TaskSpec]) -> list[TaskRecord]:
         """Run a workload to completion; returns records in finish order.
 
@@ -346,63 +396,17 @@ class Pilot:
         """
         for t in tasks:
             self.validate_fits(t)
-        if self.policy == "first_fit_scan":
-            return self._run_scan(tasks)
-        return self._run_indexed(tasks)
-
-    def _run_scan(self, tasks: list[TaskSpec]) -> list[TaskRecord]:
-        """Reference loop: re-scan the whole backlog after every event."""
-        pending: list[TaskSpec] = list(tasks)
-        finished: list[TaskRecord] = []
-        while pending or self.n_running or self._retry_queue:
-            pending = self.submit_ready(pending)
-            if self.n_running == 0:
-                if self._retry_queue:
-                    # everything idle until some backoff expires
-                    self.advance_to_next_retry()
-                    continue
-                raise RuntimeError(
-                    "deadlock: tasks pending but nothing can be placed"
-                )
-            record = self.wait_one()
-            if record.state is not TaskState.RETRYING and self.keep_records:
-                finished.append(record)
-        return finished
-
-    def _run_indexed(self, tasks: list[TaskSpec]) -> list[TaskRecord]:
-        """Indexed loop: shape-keyed backlog, O(placed + shapes) passes.
-
-        Makes placement decisions identical to :meth:`_run_scan` (same
-        tasks started in the same order at every event — see
-        :class:`~repro.rct.sched.PendingQueue` for the argument), so for
-        a fixed seed/backend/policy the task log digest, failure
-        summary and exported trace are bit-identical to the reference.
-        """
-        queue = PendingQueue()
-        for t in tasks:
-            queue.push(t)
-        finished: list[TaskRecord] = []
-        while len(queue) or self.n_running or self._retry_queue:
-            self._submit_retries()
-            queue.submit_pass(self._start)
-            if self.n_running == 0:
-                if self._retry_queue:
-                    self.advance_to_next_retry()
-                    continue
-                raise RuntimeError(
-                    "deadlock: tasks pending but nothing can be placed"
-                )
-            record = self.wait_one()
-            if record.state is not TaskState.RETRYING and self.keep_records:
-                finished.append(record)
-        return finished
+        source = _FlatSource(tasks, self.keep_records)
+        self.drive(source)
+        return source.finished
 
     # ----------------------------------------------------------- accounting
     @property
     def utilization(self) -> UtilizationTracker:
         """Fig 7 utilization, reconstructed as a view over the trace."""
+        n, spec = self.allocation.n_nodes, self.spec
         return UtilizationTracker.from_trace(
-            self.tracer, total_gpus=self._total_gpus, total_cpus=self._total_cpus
+            self.tracer, total_gpus=n * spec.gpus, total_cpus=n * spec.cpus
         )
 
     def node_hours(self) -> float:

@@ -62,10 +62,6 @@ class RaptorConfig(FrozenConfig):
     n_masters: int = 1
     bulk_size: int = 16
     dispatch_overhead: float = 0.05  # seconds of master time per bulk
-    #: dynamic load balancing: an idle worker whose master has drained may
-    #: steal bulks from the most-loaded other master.  Off, workers serve
-    #: only their own master — the policy shootout's ablation arm.
-    steal: bool = True
 
     def __post_init__(self) -> None:
         validate_positive("n_workers", self.n_workers)
@@ -186,20 +182,16 @@ def simulate_raptor(
         master = int(worker_master[worker])
         bulk = next_bulk(master)
         if not bulk:
-            # dynamic load balancing (cfg.steal): an idle worker steals
-            # from the most-loaded other master (the paper's "dynamic
-            # load distribution which depends on the load of the
-            # individual workers")
-            donor = -1
-            if cfg.steal:
-                remaining = [
-                    len(master_queues[m]) - master_next[m]
-                    for m in range(cfg.n_masters)
-                ]
-                donor = int(np.argmax(remaining))
-                if remaining[donor] <= 0:
-                    donor = -1
-            if donor >= 0:
+            # dynamic load balancing: an idle worker steals from the
+            # most-loaded other master (the paper's "dynamic load
+            # distribution which depends on the load of the individual
+            # workers")
+            remaining = [
+                len(master_queues[m]) - master_next[m]
+                for m in range(cfg.n_masters)
+            ]
+            donor = int(np.argmax(remaining))
+            if remaining[donor] > 0:
                 master = donor
                 bulk = next_bulk(master)
             else:

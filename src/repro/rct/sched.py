@@ -1,26 +1,22 @@
-"""Slot placement policies and the indexed pending queue.
+"""Slot placement and the indexed pending queue.
 
 At Summit scale the *simulator* is the hot path: a 4,608-node ×
 10⁶-task campaign makes one placement decision and one release per task
 attempt, and the seed implementation paid an O(nodes) NumPy scan for
 every one of them — plus an O(pending) sweep of the whole backlog after
 every completion.  This module replaces both with indexed structures
-while keeping the *placement decisions bit-identical* to the reference
-scan (the hard contract ``benchmarks/perf_scheduler.py`` enforces):
+whose *decisions are bit-identical* to that scan (the seed placer
+survives as the test-side oracle ``tests/rct/oracle.py``, and
+``tests/rct/test_sched.py`` fuzzes one against the other):
 
-* :class:`ScanPlacer` — the pre-optimization first-fit scan, kept as
-  the oracle and as the ``first_fit_scan`` policy;
-* :class:`IndexedPlacer` — the same first-fit decisions from lazy
-  per-shape min-heaps of candidate nodes: O(log nodes) amortized per
+* :class:`IndexedPlacer` — first-fit-lowest-index from lazy per-shape
+  min-heaps of candidate nodes: O(log nodes) amortized per
   placement/release instead of O(nodes);
-* :class:`HeteroPlacer` — heterogeneous CPU/GPU-aware packing for the
-  policy shootout: CPU-only tasks steer to GPU-poor nodes so GPU slots
-  stay placeable;
 * :class:`PendingQueue` — shape-keyed FIFOs whose submission pass
   visits O(placed + shapes) tasks instead of the whole backlog, while
-  reproducing the reference "try every pending task in submission
-  order" semantics exactly (resources only shrink within a pass, so
-  once a shape fails every later task of that shape fails too).
+  reproducing the "try every pending task in submission order"
+  semantics exactly (resources only shrink within a pass, so once a
+  shape fails every later task of that shape fails too).
 """
 
 from __future__ import annotations
@@ -36,15 +32,7 @@ import numpy as np
 from repro.rct.cluster import NodeSpec
 from repro.rct.task import TaskSpec
 
-__all__ = [
-    "Placement",
-    "ScanPlacer",
-    "IndexedPlacer",
-    "HeteroPlacer",
-    "PendingQueue",
-    "PLACEMENT_POLICIES",
-    "make_placer",
-]
+__all__ = ["Placement", "IndexedPlacer", "PendingQueue"]
 
 
 @dataclass
@@ -54,72 +42,6 @@ class Placement:
     node_ids: list[int]
     cpus: int
     gpus: int
-
-
-class ScanPlacer:
-    """Reference first-fit placement: O(nodes) NumPy scan per decision.
-
-    This is the seed ``Pilot.try_place`` verbatim — kept both as the
-    ``first_fit_scan`` policy (the benchmark's pre-optimization
-    baseline) and as the oracle the indexed placer is fuzzed against.
-    """
-
-    def __init__(self, n_nodes: int, spec: NodeSpec) -> None:
-        self.spec = spec
-        self.n_nodes = n_nodes
-        self._free_cpus = np.full(n_nodes, spec.cpus)
-        self._free_gpus = np.full(n_nodes, spec.gpus)
-
-    def try_place(self, task: TaskSpec) -> Placement | None:
-        """First-fit placement; ``None`` when resources are busy.
-
-        Multi-node tasks take whole (fully free) nodes; sub-node tasks
-        pack into partially used nodes.
-        """
-        spec = self.spec
-        if task.nodes > 1:
-            if task.cpus > spec.cpus or task.gpus > spec.gpus:
-                return None
-            fully_free = np.where(
-                (self._free_cpus == spec.cpus) & (self._free_gpus == spec.gpus)
-            )[0]
-            if len(fully_free) < task.nodes:
-                return None
-            chosen = fully_free[: task.nodes]
-            self._free_cpus[chosen] = 0
-            self._free_gpus[chosen] = 0
-            return Placement(
-                node_ids=chosen.tolist(),
-                cpus=spec.cpus * task.nodes,
-                gpus=spec.gpus * task.nodes,
-            )
-        fits = np.where(
-            (self._free_cpus >= task.cpus) & (self._free_gpus >= task.gpus)
-        )[0]
-        if not len(fits):
-            return None
-        node = int(fits[0])
-        self._free_cpus[node] -= task.cpus
-        self._free_gpus[node] -= task.gpus
-        return Placement(node_ids=[node], cpus=task.cpus, gpus=task.gpus)
-
-    def release(self, placement: Placement) -> None:
-        """Return a placement's slots to the free pool."""
-        spec = self.spec
-        n_nodes = len(placement.node_ids)
-        for node in placement.node_ids:
-            self._free_cpus[node] += placement.cpus // n_nodes
-            self._free_gpus[node] += placement.gpus // n_nodes
-        np.minimum(self._free_cpus, spec.cpus, out=self._free_cpus)
-        np.minimum(self._free_gpus, spec.gpus, out=self._free_gpus)
-
-    def free_cpus(self) -> np.ndarray:
-        """Per-node free CPU slots (a copy; for inspection/tests)."""
-        return np.asarray(self._free_cpus).copy()
-
-    def free_gpus(self) -> np.ndarray:
-        """Per-node free GPU slots (a copy; for inspection/tests)."""
-        return np.asarray(self._free_gpus).copy()
 
 
 class IndexedPlacer:
@@ -134,9 +56,10 @@ class IndexedPlacer:
     per node, so a full-cluster miss costs one amortized drain rather
     than unbounded growth.
 
-    Placement decisions are bit-identical to :class:`ScanPlacer` —
-    same node, same order, for any interleaving of placements and
-    releases (fuzzed in ``tests/rct/test_sched.py``).
+    Placement decisions are bit-identical to the O(nodes) reference scan
+    (``tests/rct/oracle.py``) — same node, same order, for any
+    interleaving of placements and releases (fuzzed in
+    ``tests/rct/test_sched.py``).
     """
 
     def __init__(self, n_nodes: int, spec: NodeSpec) -> None:
@@ -242,58 +165,15 @@ class IndexedPlacer:
         return np.array(self._free_gpus)
 
 
-class HeteroPlacer(ScanPlacer):
-    """Heterogeneous CPU/GPU-aware packing (policy-shootout entrant).
-
-    GPU-requesting and multi-node tasks place first-fit exactly like the
-    reference.  CPU-only tasks instead steer to the fitting node with
-    the *fewest* free GPUs (lowest id on ties): CPU work soaks up the
-    CPU slack of nodes whose GPUs are already committed, keeping
-    GPU-rich nodes placeable for the docking/MD streams — the mixed
-    CPU+GPU workload shape of the paper's integrated Fig 7 run.
-    """
-
-    def try_place(self, task: TaskSpec) -> Placement | None:
-        """GPU-aware placement; ``None`` when resources are busy."""
-        if task.nodes > 1 or task.gpus > 0:
-            return super().try_place(task)
-        fits = np.where(self._free_cpus >= task.cpus)[0]
-        if not len(fits):
-            return None
-        node = int(fits[np.argmin(self._free_gpus[fits])])
-        self._free_cpus[node] -= task.cpus
-        return Placement(node_ids=[node], cpus=task.cpus, gpus=0)
-
-
-#: placement policies the pilot accepts (the shootout sweeps them)
-PLACEMENT_POLICIES = {
-    "first_fit": IndexedPlacer,
-    "first_fit_scan": ScanPlacer,
-    "hetero": HeteroPlacer,
-}
-
-
-def make_placer(policy: str, n_nodes: int, spec: NodeSpec):
-    """Build the placer registered for ``policy``."""
-    try:
-        cls = PLACEMENT_POLICIES[policy]
-    except KeyError:
-        raise ValueError(
-            f"unknown placement policy {policy!r}; "
-            f"available: {sorted(PLACEMENT_POLICIES)}"
-        ) from None
-    return cls(n_nodes, spec)
-
-
 class PendingQueue:
     """Shape-indexed task backlog with an O(placed + shapes) submit pass.
 
-    The reference scheduling loop re-scans the *entire* pending list
-    after every completion — O(backlog) per event, quadratic over a
-    campaign.  This queue keys the backlog by placement shape
+    A list backlog has to be re-scanned *entirely* after every
+    completion — O(backlog) per event, quadratic over a campaign.  This
+    queue keys the backlog by placement shape
     ``(cpus, gpus, nodes)`` and merges the per-shape FIFO heads by
     global submission order.  One pass pops tasks in exactly the order
-    the reference scan would have placed them: within a pass resources
+    that re-scan would have placed them: within a pass resources
     only shrink, so the first placement failure of a shape proves every
     later task of that shape would fail too, and the shape drops out of
     the pass instead of being re-tried task by task.

@@ -11,10 +11,11 @@ state counts) is a vectorized reduction instead of a Python loop.
 The log doubles as the determinism witness: :meth:`TaskLog.digest` is a
 sha256 over every column — uid, attempt, start/end times, final state,
 timeout flag, resource shape, and the exact node ids of the placement.
-Two runs with the same seed/backend/policy must produce byte-identical
-digests; ``benchmarks/perf_scheduler.py`` compares the digest of the
-optimized scheduler against the reference scan, which makes "identical
-placements and timings" an O(1)-memory check at any campaign size.
+Two runs with the same seed and backend must produce byte-identical
+digests; ``benchmarks/perf_scheduler.py`` and
+``tests/rct/test_golden_schedule.py`` compare it with recorded golden
+values, which makes "identical placements and timings" an O(1)-memory
+check at any campaign size.
 """
 
 from __future__ import annotations

@@ -7,22 +7,26 @@ clock with deterministic fair-share scheduling
 (:mod:`repro.service.sched`), per-tenant quotas, and live
 submit/cancel.
 
-The drive loop is the single-campaign
-:class:`~repro.rct.entk.AppManager` loop generalized across tenants:
+There is no drive loop here: the manager is a
+:class:`~repro.rct.pilot.TaskSource` — the tenant-aware sibling of the
+flat list under ``Pilot.run`` and the pipelines under
+:class:`~repro.rct.entk.AppManager` — and every round is one
+:meth:`Pilot.step <repro.rct.pilot.Pilot.step>`, which owns retries,
+idling and the deadlock rule.  The manager
 
-1. apply due commands (scripted events at virtual times, or live
-   asyncio submits/cancels drained in arrival order at loop boundaries);
-2. advance every submission whose current unit's tasks all finished —
-   run its science, checkpoint, build the next unit;
-3. placement pass: repeatedly pick the fair-share winner among tenants
-   with backlog and quota headroom, grant one placement, charge its
+1. applies due commands at the round boundary (scripted events at
+   virtual times, or live asyncio submits/cancels in arrival order);
+2. ``place``: advances every submission whose current unit's tasks all
+   finished — run its science, checkpoint, build the next unit — then
+   repeatedly picks the fair-share winner among tenants with backlog
+   and quota headroom, grants one placement and charges its
    node-seconds to the tenant's stride pass; a tenant whose head task
    doesn't fit is set aside for the rest of the pass (resources only
    shrink within a pass);
-4. wait for the next completion (or idle the clock to the next retry
-   eligibility / scripted event) and attribute the finished attempt to
-   its tenant: per-tenant :class:`~repro.rct.tasklog.TaskLog`,
-   :class:`~repro.rct.fault.FailureSummary`, node-second accounting.
+3. ``completed``: attributes the finished attempt to its tenant —
+   per-tenant :class:`~repro.rct.tasklog.TaskLog`,
+   :class:`~repro.rct.fault.FailureSummary`, node-second accounting;
+4. ``next_wakeup``: names the next scripted event for an idle clock.
 
 **Determinism contract.**  A fixed submission script + seed yields
 bit-identical per-tenant results and byte-identical exported traces,
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.rct.fault import FailureSummary, TaskFailedError
-from repro.rct.pilot import Pilot
+from repro.rct.pilot import Pilot, StartFn, TaskSource
 from repro.rct.sched import PendingQueue
 from repro.rct.task import TaskRecord, TaskSpec, TaskState
 from repro.rct.tasklog import TaskLog
@@ -96,12 +100,8 @@ class Submission:
         """Still producing or awaiting work (not in a terminal state)."""
         return self.state in ("queued", "running")
 
-    def owns_uid(self, uid: int) -> bool:
-        """Whether ``uid`` falls in this submission's namespace."""
-        return self._uid_base <= uid < self._uid_base + _UID_SPACE
 
-
-class CampaignManager:
+class CampaignManager(TaskSource):
     """Drive many tenants' campaigns over one shared pilot."""
 
     def __init__(self, pilot: Pilot, preempt_bound: int = 8) -> None:
@@ -160,8 +160,7 @@ class CampaignManager:
         if not sub.active:
             return
         n_queued = len(sub._pending)
-        sub._pending.drop_where(lambda _t: True)
-        self.pilot.cancel_pending(lambda t: sub.owns_uid(t.uid))
+        self._drop_unstarted(sub)
         sub.state = "cancelled"
         sub.error = None
         self._retire_tenant_if_idle(sub.tenant.name)
@@ -244,7 +243,7 @@ class CampaignManager:
             op, payload = self._commands.popleft()
             self._apply(op, payload)
 
-    # ------------------------------------------------------- the drive loop
+    # ------------------------------------------------------------ advancing
     def _start_iterating(self, sub: Submission) -> None:
         ctx = WorkContext(
             tenant=sub.tenant.name,
@@ -261,11 +260,18 @@ class CampaignManager:
             raise RuntimeError(f"submission {sub.sid} exhausted its uid space")
         return uid
 
+    def _drop_unstarted(self, sub: Submission) -> None:
+        """Drop a submission's backlog and its retries still in backoff
+        (those will never complete, so they stop counting as in flight);
+        running attempts drain on their own."""
+        sub._pending.drop_where(lambda _t: True)
+        for task in self.pilot.cancel_pending(lambda t: self._owner(t.uid) is sub):
+            sub._inflight.discard(task.uid)
+
     def _fail(self, sub: Submission, exc: Exception) -> None:
         sub.state = "failed"
         sub.error = f"{type(exc).__name__}: {exc}"
-        sub._pending.drop_where(lambda _t: True)
-        self.pilot.cancel_pending(lambda t: sub.owns_uid(t.uid))
+        self._drop_unstarted(sub)
         self._retire_tenant_if_idle(sub.tenant.name)
         _log.warning("submission %s failed: %s", sub.sid, sub.error)
 
@@ -342,13 +348,17 @@ class CampaignManager:
             return True
         return self._tenant_inflight(sub.tenant.name) < quota
 
-    def _placement_pass(self) -> None:
-        """Fair-share grants until nothing eligible fits."""
-        # retries first: they have waited longest and hold the tail.
-        # They bypass the share ledger and the concurrency quota — a
-        # retried task is the same work item; its claim was charged
-        # when it first started.
-        self.pilot.submit_ready([])
+    def place(self, start: StartFn) -> None:
+        """Advance submissions, then fair-share grants until nothing
+        eligible fits.
+
+        The retries the pilot re-drove just before bypass the share
+        ledger and the concurrency quota — a retried task is the same
+        work item; its claim was charged when it first started.
+        """
+        for sub in sorted(self._subs.values(), key=lambda s: s.join_seq):
+            if sub.active:
+                self._advance(sub)
         blocked: set[str] = set()
         while True:
             candidates: dict[str, list[Submission]] = {}
@@ -364,7 +374,7 @@ class CampaignManager:
                 return
             started: TaskSpec | None = None
             for sub in candidates[winner]:
-                started = sub._pending.try_start_one(self.pilot.start_task)
+                started = sub._pending.try_start_one(start)
                 if started is not None:
                     sub._inflight.add(started.uid)
                     break
@@ -380,7 +390,7 @@ class CampaignManager:
         sid = self._by_base.get((uid // _UID_SPACE) * _UID_SPACE)
         return self._subs.get(sid) if sid is not None else None
 
-    def _attribute(self, record: TaskRecord) -> None:
+    def completed(self, record: TaskRecord) -> None:
         """Charge one finished attempt to its owning submission."""
         sub = self._owner(record.spec.uid)
         if sub is None:  # pragma: no cover - foreign task on shared pilot
@@ -421,52 +431,33 @@ class CampaignManager:
                 sub.error = (
                     f"node-seconds budget exhausted: {used:.0f} >= {budget:.0f}"
                 )
-                sub._pending.drop_where(lambda _t: True)
-                self.pilot.cancel_pending(lambda t, s=sub: s.owns_uid(t.uid))
+                self._drop_unstarted(sub)
                 _log.warning("submission %s hit its budget", sub.sid)
         self._retire_tenant_if_idle(tenant_name)
 
     # -- the loop ----------------------------------------------------------
+    def has_pending(self) -> bool:
+        """An active submission with nothing running is a deadlock."""
+        return any(s.active for s in self._subs.values())
+
+    def next_wakeup(self) -> float | None:
+        """Virtual time of the next scripted event, if any."""
+        return self._events[0][0] if self._events else None
+
     def _step(self) -> bool:
         """One scheduling round; returns False when fully quiescent."""
         self._drain_due()
-        for sub in sorted(self._subs.values(), key=lambda s: s.join_seq):
-            if sub.active:
-                self._advance(sub)
-        self._placement_pass()
-        if self.pilot.n_running:
-            try:
-                self._attribute(self.pilot.wait_one())
-            except TaskFailedError as exc:
-                # fail_fast pilots surface the record; isolate the blast
-                # radius to the owning tenant and keep serving the rest
-                if exc.record is not None:
-                    sub = self._owner(exc.record.spec.uid)
-                    if sub is not None:
-                        sub.failures.record_failure(
-                            exc.record.wall_time, exc.record.timed_out
-                        )
-                        sub.failures.record_drop(exc.record.spec.stage)
-                        self._fail(sub, exc)
-                        return True
+        try:
+            return self.pilot.step(self)
+        except TaskFailedError as exc:
+            # a fail_fast pilot (or an exceeded failure budget) raises
+            # after the attempt was attributed; isolate the blast radius
+            # to the owning tenant and keep serving the rest
+            sub = None if exc.record is None else self._owner(exc.record.spec.uid)
+            if sub is None:
                 raise
+            self._fail(sub, exc)
             return True
-        if self.pilot.n_waiting_retry:
-            self.pilot.advance_to_next_retry()
-            return True
-        if self._events:
-            self.pilot.executor.wait_until(self._events[0][0])
-            return True
-        if self._commands:
-            return True
-        # quiescent: every submission must be terminal, else we deadlocked
-        stuck = [s.sid for s in self._subs.values() if s.active]
-        if stuck:
-            raise RuntimeError(
-                f"service deadlock: submissions {stuck} have work but "
-                "nothing can be placed"
-            )
-        return False
 
     def run_until_idle(self) -> dict:
         """Drive everything to a terminal state; returns :meth:`status`."""

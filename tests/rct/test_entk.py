@@ -4,7 +4,7 @@ import pytest
 
 from repro.rct.cluster import Cluster, NodeSpec
 from repro.rct.entk import AppManager, Pipeline, Stage
-from repro.rct.executor import SimExecutor
+from repro.rct.backends import SimExecutor
 from repro.rct.pilot import Pilot
 from repro.rct.task import TaskSpec
 
@@ -78,6 +78,12 @@ def test_adaptive_stage_generator_extends_pipeline():
     assert len(rounds) == 2
     stages_seen = {r.spec.stage for r in out["p"]}
     assert stages_seen == {"seed", "gen-1", "gen-2"}
+    # generated stages belong to the run, not to the caller's pipeline:
+    # a second run starts from the seed stage again
+    assert len(p.stages) == 1
+    rounds.clear()
+    again = AppManager(_pilot()).run([p])
+    assert [r.spec.stage for r in again["p"]] == [r.spec.stage for r in out["p"]]
 
 
 def test_heterogeneous_tasks_intermix():

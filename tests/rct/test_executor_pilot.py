@@ -3,7 +3,7 @@
 import pytest
 
 from repro.rct.cluster import Cluster, NodeSpec
-from repro.rct.executor import SimExecutor, ThreadExecutor
+from repro.rct.backends import SimExecutor, ThreadExecutor
 from repro.rct.pilot import Pilot
 from repro.rct.task import TaskRecord, TaskSpec, TaskState
 

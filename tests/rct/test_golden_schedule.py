@@ -1,0 +1,156 @@
+"""Golden schedules: stored digests the drive loop must keep reproducing.
+
+Every other bit-identity gate in the tree is relative (two paths, or two
+runs, agree).  These are absolute: ``TaskLog.digest()``, the
+``FailureSummary`` counters and the sha256 of the exported Chrome trace,
+recorded at commit ``675e21b`` — the last one with four hand-written drive
+loops — for one workload per task source (flat ``Pilot.run``, PST
+``AppManager``, the multi-tenant service) plus the all-layers traced demo.
+A change to the retry/idle/placement protocol that moves any schedule
+shows here even when both sides of a relative check move together.
+
+Re-record (only for an intended schedule change) with
+``PYTHONPATH=src python -m tests.rct.test_golden_schedule``.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.core.simulate import SimulatedCampaignConfig, simulate_integrated_run
+from repro.core.tracedemo import run_traced_demo
+from repro.rct.backends import SimExecutor
+from repro.rct.cluster import Allocation, NodeSpec
+from repro.rct.fault import FaultModel, RetryPolicy
+from repro.rct.pilot import Pilot
+from repro.rct.task import reset_uid_counter
+from repro.service.scenario import demo_scenario, run_scenario
+from repro.telemetry import ExecutorClock, Tracer
+from repro.telemetry.export import chrome_trace_json
+
+from tests.rct.oracle import mixed_tasks
+
+SPEC = NodeSpec(cpus=8, gpus=4)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _pilot_witness(pilot: Pilot) -> dict:
+    f = pilot.failures
+    return {
+        "log": pilot.log.digest(),
+        "trace": _sha(chrome_trace_json(pilot.tracer)),
+        "failures": [f.n_failures, f.n_retries, f.n_dropped, f.n_timeouts],
+    }
+
+
+def flat_witness() -> dict:
+    """``Pilot.run`` over a mixed-shape workload with crashes and hangs."""
+    reset_uid_counter()
+    tasks = mixed_tasks(400, 5, SPEC)
+    executor = SimExecutor(
+        launch_overhead=0.1,
+        fault_model=FaultModel(
+            seed=5, failure_rate=0.08, straggler_rate=0.05, hang_rate=0.02
+        ),
+    )
+    pilot = Pilot(
+        Allocation(node_ids=list(range(6)), spec=SPEC, granted_at=0.0),
+        executor,
+        retry=RetryPolicy(max_retries=2, backoff_base=1.0, timeout=300.0),
+        tracer=Tracer(clock=ExecutorClock(executor)),
+    )
+    pilot.run(tasks)
+    return _pilot_witness(pilot)
+
+
+def pst_witness(seed: int) -> dict:
+    """The Fig 7 integrated run on a cluster small enough to contend."""
+    reset_uid_counter()
+    pilot = simulate_integrated_run(
+        SimulatedCampaignConfig(
+            n_nodes=24, cg_compounds=192, s2_compounds=40, fg_compounds=60,
+            cohorts=6, seed=seed,
+        ),
+        fault_model=FaultModel(
+            seed=seed, failure_rate=0.08, straggler_rate=0.05, hang_rate=0.02
+        ),
+        retry=RetryPolicy(max_retries=3, backoff_base=2.0, timeout=50000.0),
+    )
+    return _pilot_witness(pilot)
+
+
+def service_witness() -> dict:
+    """The scripted three-tenant demo: late join, live cancel, a budget."""
+    report = run_scenario(demo_scenario())
+    return {
+        "digests": report.digests,
+        "trace": _sha(report.trace_jsonl),
+        "makespan": report.makespan,
+        "states": report.tenant_states(),
+    }
+
+
+def tracedemo_witness() -> dict:
+    """``repro trace``: every instrumented layer on one tick clock."""
+    return {"trace": _sha(chrome_trace_json(run_traced_demo(seed=0)))}
+
+
+WITNESSES = {
+    "flat": flat_witness,
+    "pst-0": lambda: pst_witness(0),
+    "pst-1": lambda: pst_witness(1),
+    "pst-2": lambda: pst_witness(2),
+    "service": service_witness,
+    "tracedemo": tracedemo_witness,
+}
+
+#: failures = [n_failures, n_retries, n_dropped, n_timeouts]
+GOLDEN = {
+    "flat": {
+        "log": "6ed5cbed613c22253688bda128a9885e8e3597fea1da4cdd21f710aa16e3c7d5",
+        "trace": "2d15aab6117ad6e7b7964a975ec980a48774e6f283cc3cb7fe133e381964b37f",
+        "failures": [60, 57, 3, 15],
+    },
+    "pst-0": {
+        "log": "286caefdb163af8abe6e883f4e1c80cefb4fd53d2795b1c8b7855ed65d184acb",
+        "trace": "f2f919d02118ccd1392295d9e98058a3f98ab73ddd4cc962233ac772f7969955",
+        "failures": [20, 20, 0, 6],
+    },
+    "pst-1": {
+        "log": "70817c6f9a16d06207f444539a6fcf33aaad15eb18b816ae2e799339c228b4f7",
+        "trace": "57801fa8265f55d09bf4f4e267e0eab5abc0fd55e6188f627218697b55663ce7",
+        "failures": [27, 27, 0, 5],
+    },
+    "pst-2": {
+        "log": "264e3caf58038bcb4514e7dd754566b03269748f9ec75ed7c68cb872baca531a",
+        "trace": "ea1b4ed5f44f9a5f978481072aa67a098b015853f4b6fbb0203cf045db17dcaa",
+        "failures": [28, 28, 0, 7],
+    },
+    "service": {
+        "digests": {"gold/alpha": "0f52b3de50df23f2", "silver/beta": "d9bda02f475d7370"},
+        "trace": "13ad5e8a4eeb9d11a3615c72b28136fd12066bff6ce221e7188eed48140dc315",
+        "makespan": 5357.701700930504,
+        "states": {
+            "bronze": {"delta": "quota_exhausted"},
+            "gold": {"alpha": "done"},
+            "silver": {"beta": "done", "gamma": "cancelled"},
+        },
+    },
+    "tracedemo": {
+        "trace": "91b7e11be647899a676bfb2d5db1f7da989fc6175da3e32e3b3ca3033fc6b9f0",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESSES))
+def test_schedule_matches_golden(name):
+    assert WITNESSES[name]() == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import pprint
+
+    pprint.pprint({name: WITNESSES[name]() for name in sorted(WITNESSES)})

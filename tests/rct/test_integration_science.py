@@ -17,7 +17,7 @@ from repro.docking.receptor import make_receptor
 from repro.esmacs.protocol import EsmacsConfig, EsmacsRunner
 from repro.rct.cluster import Cluster, NodeSpec
 from repro.rct.entk import AppManager, Pipeline, Stage
-from repro.rct.executor import ThreadExecutor
+from repro.rct.backends import ThreadExecutor
 from repro.rct.pilot import Pilot
 from repro.rct.raptor import RaptorConfig, run_raptor
 from repro.rct.task import TaskSpec

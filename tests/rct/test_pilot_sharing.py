@@ -12,7 +12,7 @@ import pytest
 from repro.rct.backends import create_executor
 from repro.rct.cluster import Cluster, SUMMIT_NODE
 from repro.rct.fault import FaultModel, RetryPolicy
-from repro.rct.pilot import Pilot
+from repro.rct.pilot import Pilot, QueueSource
 from repro.rct.sched import PendingQueue
 from repro.rct.task import TaskSpec
 from repro.rct.utilization import UtilizationTracker
@@ -56,16 +56,19 @@ def test_cancel_pending_filters_by_owner():
     pilot.start_task(task(uid=200, tenant="b"))
     pilot.wait_one()
     pilot.wait_one()  # both attempts fail → both parked in backoff
-    assert pilot.n_waiting_retry == 2
+    assert [t.uid for _, t, _ in pilot._retry_queue] == [100, 200]
 
     cancelled = pilot.cancel_pending(lambda t: t.tenant == "a")
     assert [t.uid for t in cancelled] == [100]
-    assert pilot.n_waiting_retry == 1
+    assert [t.uid for _, t, _ in pilot._retry_queue] == [200]
     assert pilot.failures.n_dropped == 1
-    # the survivor's retry is untouched and still re-drivable
-    pilot.advance_to_next_retry()
-    pilot.submit_ready([])
-    assert pilot.n_running == 1
+    # the survivor's retry is untouched and still re-drivable: one step
+    # idles the clock to its eligibility, the next one starts it
+    idle = QueueSource()
+    assert pilot.step(idle) and executor.n_running == 0
+    assert executor.now >= 1000.0
+    assert pilot.step(idle)
+    assert [(r.spec.uid, r.attempt) for r in pilot.records[2:]] == [(200, 1)]
 
 
 def test_pending_queue_drop_where_keeps_order():
@@ -115,8 +118,8 @@ def test_utilization_from_trace_filters_by_tenant():
     # per-tenant busy fractions partition the whole-pilot one exactly
     pilot.start_task(task(uid=1, tenant="a", duration=100.0, gpus=2))
     pilot.start_task(task(uid=2, tenant="b", duration=100.0, gpus=1))
-    while pilot.n_running:
-        pilot.wait_one()
+    pilot.wait_one()
+    pilot.wait_one()
     spec = pilot.spec
     whole = UtilizationTracker.from_trace(pilot.tracer, spec.gpus, spec.cpus)
     only_a = UtilizationTracker.from_trace(

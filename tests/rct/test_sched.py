@@ -1,5 +1,6 @@
-"""Tests for placement policies, the pending queue, the task log and
-the determinism contract between the indexed and reference schedulers."""
+"""Tests for the placer, the pending queue, the task log and the
+determinism contract between the indexed scheduler and its test-side
+reference (``tests/rct/oracle.py``)."""
 
 import numpy as np
 import pytest
@@ -8,21 +9,14 @@ from repro.rct.backends import SimExecutor
 from repro.rct.cluster import Allocation, Cluster, NodeSpec
 from repro.rct.fault import FaultModel, RetryPolicy
 from repro.rct.pilot import Pilot
-from repro.rct.raptor import RaptorConfig, simulate_raptor
-from repro.rct.sched import (
-    HeteroPlacer,
-    IndexedPlacer,
-    PendingQueue,
-    PLACEMENT_POLICIES,
-    ScanPlacer,
-    make_placer,
-)
-from repro.rct.shootout import mixed_workload, run_shootout
+from repro.rct.sched import IndexedPlacer, PendingQueue
 from repro.rct.task import TaskSpec, reset_uid_counter
 from repro.rct.tasklog import TaskLog
 from repro.telemetry import ExecutorClock, Tracer
 from repro.telemetry.export import chrome_trace_json
 from repro.util.rng import rng_stream
+
+from tests.rct.oracle import RescanSource, ScanPlacer, mixed_tasks
 
 SPEC = NodeSpec(cpus=8, gpus=4)
 
@@ -95,26 +89,6 @@ def test_indexed_placer_multi_node_takes_fully_free_nodes():
         TaskSpec(nodes=4, cpus=SPEC.cpus, gpus=SPEC.gpus, duration=1.0)
     )
     assert again.node_ids == [0, 1, 2, 3]
-
-
-def test_hetero_placer_steers_cpu_tasks_off_gpu_nodes():
-    """CPU-only work should pack onto the node with the fewest free
-    GPUs, keeping GPU-rich nodes available for GPU tasks."""
-    placer = HeteroPlacer(2, SPEC)
-    gpu_task = placer.try_place(TaskSpec(cpus=1, gpus=4, duration=1.0))
-    assert gpu_task.node_ids == [0]  # node 0 now has 0 free gpus
-    cpu_task = placer.try_place(TaskSpec(cpus=2, gpus=0, duration=1.0))
-    assert cpu_task.node_ids == [0]  # steered to the GPU-poor node
-    # blind first-fit would also pick node 0 here; tie-break check:
-    placer.release(gpu_task)
-    gpu_on_1 = placer.try_place(TaskSpec(cpus=1, gpus=4, duration=1.0))
-    assert gpu_on_1.node_ids == [0]
-
-
-def test_make_placer_rejects_unknown_policy():
-    assert set(PLACEMENT_POLICIES) == {"first_fit", "first_fit_scan", "hetero"}
-    with pytest.raises(ValueError, match="unknown placement policy"):
-        make_placer("round_robin", 4, SPEC)
 
 
 # ------------------------------------------------------------- pending queue
@@ -209,94 +183,38 @@ def test_keep_records_false_still_accounts():
 # ------------------------------------------------- the determinism contract
 
 
-def _run_policy(policy: str, seed: int = 3, n_tasks: int = 250):
-    reset_uid_counter()
-    tasks = mixed_workload(n_tasks, seed, SPEC)
+def _faulty_pilot(seed: int = 3) -> Pilot:
     executor = SimExecutor(
         launch_overhead=0.1,
         fault_model=FaultModel(
             seed=seed, failure_rate=0.08, straggler_rate=0.05, hang_rate=0.02
         ),
     )
-    tracer = Tracer(clock=ExecutorClock(executor))
-    allocation = Allocation(node_ids=list(range(6)), spec=SPEC, granted_at=0.0)
-    pilot = Pilot(
-        allocation,
+    return Pilot(
+        Allocation(node_ids=list(range(6)), spec=SPEC, granted_at=0.0),
         executor,
         retry=RetryPolicy(max_retries=2, backoff_base=1.0, timeout=300.0),
-        tracer=tracer,
-        policy=policy,
+        tracer=Tracer(clock=ExecutorClock(executor)),
     )
-    pilot.run(tasks)
-    return pilot
 
 
 def test_indexed_loop_bit_identical_to_scan_loop():
-    """Same seed ⇒ the optimized scheduler reproduces the reference's
-    placements, per-task timings, failure counters and exported trace
-    byte for byte — under faults, retries and timeouts."""
-    ref = _run_policy("first_fit_scan")
-    opt = _run_policy("first_fit")
+    """Same seed ⇒ ``IndexedPlacer`` + ``PendingQueue`` start the same
+    tasks on the same nodes in the same order as the O(nodes) scan placer
+    fed by a whole-backlog re-scan: per-task timings, failure counters and
+    the exported trace agree byte for byte — under faults, retries and
+    timeouts."""
+    reset_uid_counter()
+    ref = _faulty_pilot()
+    ref._placer = ScanPlacer(ref.allocation.n_nodes, SPEC)
+    ref.drive(RescanSource(mixed_tasks(250, 3, SPEC)))
+    reset_uid_counter()
+    opt = _faulty_pilot()
+    opt.run(mixed_tasks(250, 3, SPEC))
     assert ref.failures.n_failures > 0  # the workload actually faulted
+    assert [(r.spec.uid, r.attempt, r.node_ids) for r in ref.records] == [
+        (r.spec.uid, r.attempt, r.node_ids) for r in opt.records
+    ]
     assert ref.log.digest() == opt.log.digest()
     assert vars(ref.failures) == vars(opt.failures)
     assert chrome_trace_json(ref.tracer) == chrome_trace_json(opt.tracer)
-
-
-def test_hetero_policy_completes_same_workload():
-    """Hetero placement makes different decisions but loses no tasks."""
-    ref = _run_policy("first_fit")
-    het = _run_policy("hetero")
-    assert len(het.log) >= len(ref.log) - ref.failures.n_dropped
-    assert vars(het.failures).keys() == vars(ref.failures).keys()
-    assert het.failures.reconciles()
-
-
-# -------------------------------------------------------- raptor steal knob
-
-
-def test_raptor_steal_flag_gates_work_stealing():
-    """With stealing off, a worker pool whose master drains early idles;
-    stealing on finishes no later and both complete every item."""
-    rng = rng_stream(5, "test.raptor-steal")
-    durations = np.concatenate([rng.uniform(0.5, 1.0, 40),
-                                rng.uniform(8.0, 10.0, 8)])
-    steal = simulate_raptor(
-        durations, RaptorConfig(n_workers=8, n_masters=4, bulk_size=4)
-    )
-    no_steal = simulate_raptor(
-        durations,
-        RaptorConfig(n_workers=8, n_masters=4, bulk_size=4, steal=False),
-    )
-    assert steal.n_failed == no_steal.n_failed == 0
-    assert steal.makespan <= no_steal.makespan
-    assert steal.worker_utilization >= no_steal.worker_utilization
-
-
-# ----------------------------------------------------------------- shootout
-
-
-def test_shootout_scores_are_trace_pure_and_reproducible():
-    def arms():
-        reset_uid_counter()
-        return [
-            s.as_dict()
-            for s in run_shootout(
-                n_tasks=120, n_nodes=4, seed=1,
-                n_raptor_items=200, n_raptor_workers=16,
-            )
-        ]
-
-    first, second = arms(), arms()
-    assert first == second  # trace-derived, seeded: byte-identical scores
-    families = {a["family"] for a in first}
-    assert families == {"pilot", "raptor"}
-    by_arm = {a["arm"]: a for a in first}
-    assert set(PLACEMENT_POLICIES) == {
-        a.split("/", 1)[1] for a in by_arm if a.startswith("pilot/")
-    }
-    # the identity contract shows up in the scores too
-    assert by_arm["pilot/first_fit"]["makespan"] == pytest.approx(
-        by_arm["pilot/first_fit_scan"]["makespan"]
-    )
-    assert all(a["makespan"] > 0 and a["n_spans"] > 0 for a in first)

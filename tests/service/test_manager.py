@@ -12,6 +12,7 @@ import pytest
 
 from repro.rct.backends import create_executor
 from repro.rct.cluster import Cluster, SUMMIT_NODE
+from repro.rct.fault import FaultModel
 from repro.service.manager import CampaignManager
 from repro.service.tenant import Quota, Tenant
 from repro.service.work import CampaignWork, SyntheticWork
@@ -230,6 +231,44 @@ def test_oversized_task_fails_only_its_tenant():
     assert manager._subs[big].state == "failed"
     assert "ValueError" in manager._subs[big].error
     assert manager._subs[ok].state == "done"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_fail_fast_attempt_is_attributed_and_frees_its_quota_slot(seed):
+    """On a fail_fast pilot the failing attempt still reaches the owner's
+    ledger: its uid leaves ``_inflight`` (else a one-task quota is held
+    forever and the tenant's next submission deadlocks), and it shows in
+    the submission's tasklog, node-seconds and failure summary."""
+    executor = create_executor(
+        "sim", launch_overhead=0.5,
+        fault_model=FaultModel(seed=seed, failure_rate=0.3),
+    )
+    allocation = Cluster(2, spec=SUMMIT_NODE).allocate(2, now=0.0)
+    manager = CampaignManager(
+        Pilot(allocation, executor, failure_policy="fail_fast")
+    )
+    tenant = Tenant(name="a", quota=Quota(max_concurrent_tasks=1))
+    sids = [
+        manager.submit(tenant, name, synthetic(seed=seed + i))
+        for i, name in enumerate(("one", "two"))
+    ]
+    manager.run_until_idle()
+    assert manager._tenant_inflight("a") == 0
+    failed = [manager._subs[sid] for sid in sids if manager._subs[sid].state == "failed"]
+    assert failed  # 36 tasks at 30 %: some attempt did fail
+    for sid in sids:
+        sub = manager._subs[sid]
+        assert sub.state in ("done", "failed")
+        assert manager.status(sid)["n_inflight"] == 0
+        assert sub.failures.reconciles()
+        assert sub.tasklog.state_counts().get("FAILED", 0) == sub.failures.n_dropped
+    for sub in failed:
+        assert "TaskFailedError" in sub.error
+        assert sub.failures.n_dropped == 1
+    spec = manager.pilot.spec
+    assert sum(manager._subs[s].node_seconds for s in sids) == pytest.approx(
+        manager.pilot.log.node_seconds_total(spec.gpus, spec.cpus)
+    )
 
 
 # ---------------------------------------------------------------- asyncio

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.rct.cluster import Cluster, NodeSpec
-from repro.rct.executor import SimExecutor
+from repro.rct.backends import SimExecutor
 from repro.rct.fault import FaultModel, RetryPolicy
 from repro.rct.pilot import Pilot
 from repro.rct.raptor import RaptorConfig, simulate_raptor
