@@ -56,16 +56,19 @@ class BindingEstimator(FrozenConfig):
     ) -> float:
         """ΔG estimate for one frame (kcal/mol, lower = tighter binding)."""
         e_inter = forcefield.interaction_energy(topology, positions)
+        return self.interaction_scale * e_inter + self.solvation(topology, positions)
+
+    def solvation(self, topology: Topology, positions: np.ndarray) -> float:
+        """Burial (implicit-solvent) term of one frame's ΔG."""
         buried = self.burial(topology, positions)
         q = np.abs(topology.charges[topology.ligand_atoms])
         h = topology.hydro[topology.ligand_atoms]
-        solv = float(
+        return float(
             (
                 buried
                 * (self.polar_burial_cost * q - self.hydrophobic_burial_gain * h)
             ).sum()
         )
-        return self.interaction_scale * e_inter + solv
 
     def estimate_trajectory(
         self,
@@ -77,3 +80,18 @@ class BindingEstimator(FrozenConfig):
         return np.array(
             [self.estimate_frame(forcefield, topology, f) for f in frames]
         )
+
+    def estimate_recorded(
+        self,
+        topology: Topology,
+        frames: np.ndarray,
+        interaction_energies: np.ndarray,
+    ) -> np.ndarray:
+        """Per-frame ΔG from interaction energies recorded with the frames.
+
+        Equal to :meth:`estimate_trajectory` on the same frames, without
+        evaluating ``E_inter`` a second time (``simulate`` already stores
+        it in ``Trajectory.interaction_energies``).
+        """
+        solv = np.array([self.solvation(topology, f) for f in frames])
+        return self.interaction_scale * np.asarray(interaction_energies) + solv

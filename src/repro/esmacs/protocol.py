@@ -145,8 +145,8 @@ class EsmacsRunner:
             rng,
             record_every=cfg.record_every,
         )
-        dgs = self.estimator.estimate_trajectory(
-            self.forcefield, system.topology, traj.frames
+        dgs = self.estimator.estimate_recorded(
+            system.topology, traj.frames, traj.interaction_energies
         )
         steps = cfg.equilibration_steps + cfg.production_steps
         return (

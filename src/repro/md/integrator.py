@@ -36,12 +36,12 @@ class VelocityVerlet(FrozenConfig):
         """Advance ``n_steps`` in place."""
         dt = self.timestep
         m = system.topology.masses[:, None]
-        forces, _ = forcefield.compute(system.topology, system.positions)
+        forces = forcefield.forces(system.topology, system.positions)
         acc = forces * _FORCE_CONV / m
         for _ in range(n_steps):
             system.velocities += 0.5 * dt * acc
             system.positions += dt * system.velocities
-            forces, _ = forcefield.compute(system.topology, system.positions)
+            forces = forcefield.forces(system.topology, system.positions)
             acc = forces * _FORCE_CONV / m
             system.velocities += 0.5 * dt * acc
 
@@ -75,36 +75,62 @@ class Langevin(FrozenConfig):
         n_steps: int,
         rng: np.random.Generator,
     ) -> None:
-        """Advance ``n_steps`` in place, coupling to the heat bath."""
+        """Advance ``n_steps`` in place, coupling to the heat bath.
+
+        ``system.positions`` and ``system.velocities`` are updated through
+        ``out=`` on two scratch arrays, so the step's own arithmetic
+        allocates nothing.
+        """
         dt = self.timestep
-        m = system.topology.masses[:, None]
+        topology = system.topology
+        x, v = system.positions, system.velocities
+        m = topology.masses[:, None]
         kt = BOLTZMANN_KCAL * self.temperature * _FORCE_CONV  # amu A²/ps²
         c1 = np.exp(-self.friction * dt)
         c2 = np.sqrt(kt * (1 - c1 * c1)) / np.sqrt(m)
-
         max_half_step = self.max_displacement / (0.5 * dt)
+        half_dt = 0.5 * dt
 
-        def clamp(v: np.ndarray) -> np.ndarray:
-            speed = np.linalg.norm(v, axis=1, keepdims=True)
-            scale = np.minimum(1.0, max_half_step / np.maximum(speed, 1e-12))
-            return v * scale
+        step = np.empty(v.shape)  # scratch: squares, drifts, noise
+        speed = np.empty((len(v), 1))
 
-        forces, _ = forcefield.compute(system.topology, system.positions)
-        acc = forces * _FORCE_CONV / m
+        def clamp() -> None:
+            # |v| as np.linalg.norm(v, axis=1) computes it
+            np.multiply(v, v, out=step)
+            np.add.reduce(step, axis=1, keepdims=True, out=speed)
+            np.sqrt(speed, out=speed)
+            np.maximum(speed, 1e-12, out=speed)
+            np.divide(max_half_step, speed, out=speed)
+            np.minimum(speed, 1.0, out=speed)
+            np.multiply(v, speed, out=v)
+
+        def half_kick() -> np.ndarray:
+            # 0.5·dt·F/m at the current positions; the kernel's force
+            # array is fresh, so it is scaled in place
+            acc = forcefield.forces(topology, x)
+            np.multiply(acc, _FORCE_CONV, out=acc)
+            np.divide(acc, m, out=acc)
+            return np.multiply(acc, half_dt, out=acc)
+
+        def drift() -> None:
+            np.multiply(v, half_dt, out=step)
+            np.add(x, step, out=x)
+
+        kick = half_kick()
         for _ in range(n_steps):
             # B: half kick
-            system.velocities += 0.5 * dt * acc
+            np.add(v, kick, out=v)
             # A: half drift (displacement-capped)
-            system.velocities = clamp(system.velocities)
-            system.positions += 0.5 * dt * system.velocities
+            clamp()
+            drift()
             # O: Ornstein-Uhlenbeck velocity refresh
-            system.velocities = c1 * system.velocities + c2 * rng.normal(
-                size=system.velocities.shape
-            )
+            np.multiply(v, c1, out=v)
+            rng.standard_normal(out=step)
+            np.multiply(step, c2, out=step)
+            np.add(v, step, out=v)
             # A: half drift
-            system.velocities = clamp(system.velocities)
-            system.positions += 0.5 * dt * system.velocities
-            # B: half kick with fresh forces
-            forces, _ = forcefield.compute(system.topology, system.positions)
-            acc = forces * _FORCE_CONV / m
-            system.velocities += 0.5 * dt * acc
+            clamp()
+            drift()
+            # B: half kick with fresh forces (reused by the next step's opener)
+            kick = half_kick()
+            np.add(v, kick, out=v)

@@ -239,8 +239,8 @@ class TiesRunner:
             )
             dudls = []
             for frame in traj.frames:
-                _, e_hi = self.forcefield.compute(topo_hi, frame)
-                _, e_lo = self.forcefield.compute(topo_lo, frame)
+                e_hi = self.forcefield.energies(topo_hi, frame)
+                e_lo = self.forcefield.energies(topo_lo, frame)
                 dudls.append((e_hi.total - e_lo.total) / denom)
             samples.append(float(np.mean(dudls)))
             if rep == 0:

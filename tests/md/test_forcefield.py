@@ -165,3 +165,23 @@ def test_config_validation():
         ForceField(lj_epsilon=0)
     with pytest.raises(ValueError):
         ForceField(min_distance=-1)
+
+
+def test_pair_tables_follow_parameter_values_not_object_identity():
+    """A collected force field hands its ``id`` to a later one; the tables
+    cached on the topology must not come with it."""
+    topo = _random_topology()
+    pos = rng_stream(5, "t/ffstale").normal(scale=6.0, size=(30, 3))
+    ff = ForceField(lj_epsilon=0.15)
+    weak = ff.compute(topo, pos)[1].lj
+    stale_id = id(ff)
+    del ff
+    held = []  # keep the misses alive so the freed slot stays on offer
+    for _ in range(64):
+        ff = ForceField(lj_epsilon=1.5)
+        if id(ff) == stale_id:
+            break
+        held.append(ff)
+    strong = ff.compute(topo, pos)[1].lj
+    assert weak != 0.0
+    assert strong == pytest.approx(10.0 * weak)
