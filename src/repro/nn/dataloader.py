@@ -115,29 +115,36 @@ class ShardReader:
 
 
 class PrefetchLoader:
-    """Two-stage threaded prefetcher: decompress thread → batch thread.
+    """Threaded prefetcher: one producer thread → bounded batch queue.
 
-    Stage 1 (IO thread) reads and decompresses shards into a bounded
-    record queue.  Stage 2 (this iterator) assembles fixed-size batches,
-    applying ``transform`` per record (e.g. SMILES → image featurization)
-    so featurization overlaps IO — the §6.1.1 design.
+    The producer thread reads and decompresses shards, assembles
+    fixed-size batches and applies ``transform`` to each whole batch
+    (e.g. a list of records → records plus their featurized images)
+    before queueing it, so IO *and* featurization overlap whatever the
+    consumer does with the previous batch — the §6.1.1 design.  This
+    iterator only hands the finished batches over.  ``queue_depth``
+    bounds the batches waiting in the queue; counting the one the
+    producer is building and the one the consumer holds, at most
+    ``queue_depth + 2`` batches exist at a time — the ring size a
+    ``transform`` that writes into reused buffers needs.
 
     Concurrency contract:
 
     * Abandoning iteration early (``break``) releases the producer: its
       queue puts poll the stop flag instead of blocking forever on a
       full queue, so ``worker.join`` always succeeds and no thread leaks.
-    * A producer-side exception (e.g. a corrupt shard under
-      ``strict=True``) is captured and re-raised in the consumer — a
-      truncated stream is an error, never a clean end-of-data.
+    * A producer-side exception — a corrupt shard under ``strict=True``,
+      or ``transform`` raising — is captured and re-raised in the
+      consumer: a truncated stream is an error, never a clean
+      end-of-data.
     """
 
     def __init__(
         self,
         reader: ShardReader,
         batch_size: int,
-        transform: Callable | None = None,
-        queue_depth: int = 64,
+        transform: Callable[[list], object] | None = None,
+        queue_depth: int = 4,
     ) -> None:
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
@@ -163,16 +170,25 @@ class PrefetchLoader:
                     continue
             return False
 
+        def finish(batch: list) -> bool:
+            return offer(self.transform(batch) if self.transform else batch)
+
         try:
+            batch: list = []
             for rec in self.reader:
-                if not offer(rec):
-                    return
+                batch.append(rec)
+                if len(batch) == self.batch_size:
+                    if not finish(batch):
+                        return
+                    batch = []
+            if batch:
+                finish(batch)
         except Exception as exc:  # noqa: BLE001 - relayed to the consumer
             errors.append(exc)
         finally:
             offer(_END)
 
-    def __iter__(self) -> Iterator[list]:
+    def __iter__(self) -> Iterator:
         q: queue.Queue = queue.Queue(maxsize=self.queue_depth)
         stop = threading.Event()
         errors: list[BaseException] = []
@@ -184,19 +200,13 @@ class PrefetchLoader:
         )
         worker.start()
         try:
-            batch: list = []
             while True:
-                rec = q.get()
-                if rec is _END:
+                batch = q.get()
+                if batch is _END:
                     break
-                batch.append(self.transform(rec) if self.transform else rec)
-                if len(batch) == self.batch_size:
-                    yield batch
-                    batch = []
+                yield batch
             if errors:
                 raise errors[0]
-            if batch:
-                yield batch
         finally:
             stop.set()
             worker.join(timeout=5.0)

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.chem.depict import N_CHANNELS, depict
+from repro.chem.depict import N_CHANNELS, depict, depict_batch
 from repro.chem.smiles import parse_smiles
 
 __all__ = ["featurize_smiles", "featurize_batch", "ScoreNormalizer", "IMAGE_SIZE"]
@@ -32,24 +32,23 @@ def featurize_batch(
 ) -> np.ndarray:
     """Stacked image features: (batch, N_CHANNELS, size, size).
 
-    With ``out`` (e.g. a slice of the inference engine's persistent batch
-    buffer), features are written in place and no batch-sized temporary
-    is allocated; the filled ``out`` is returned.  Layout is inherently
-    per-molecule (ragged graphs), so the batch dimension is a loop while
-    the per-molecule rasterization is vectorized in
-    :mod:`repro.chem.depict`.
+    With ``out`` (e.g. a slice of one of the inference engine's feature
+    buffers), features are written in place and no batch-sized temporary
+    is allocated; the filled ``out`` is returned.  The whole batch goes
+    through one layout + raster kernel
+    (:func:`repro.chem.depict.depict_batch`), which parses and depicts a
+    fixed-size chunk at a time, so memory does not grow with the batch.
     """
     if out is None:
         out = np.empty(
             (len(smiles_list), N_CHANNELS, size, size), dtype=np.float32
         )
-    if out.shape[0] != len(smiles_list):
+    if out.shape != (len(smiles_list), N_CHANNELS, size, size):
         raise ValueError(
-            f"out has room for {out.shape[0]} records, got {len(smiles_list)}"
+            f"out has shape {out.shape}, need "
+            f"{(len(smiles_list), N_CHANNELS, size, size)}"
         )
-    for i, smiles in enumerate(smiles_list):  # repro: disable=vectorization — ragged molecule graphs
-        out[i] = featurize_smiles(smiles, size)
-    return out
+    return depict_batch(map(parse_smiles, smiles_list), out)
 
 
 @dataclass

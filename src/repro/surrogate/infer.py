@@ -2,9 +2,10 @@
 
 §6.1.1's deployment path: the library arrives as gzip-pickle shards,
 shards are distributed round-robin across ranks (one per GPU), each rank
-streams its shard set through prefetch threads into the FP16-compiled
-network, and rank 0 gathers (id, SMILES, score) triples into a single
-ranked table that feeds S1.  This module reproduces that flow on one
+streams its shard set through a prefetch thread — which also featurizes,
+a whole batch at a time — into the FP16-compiled network, and rank 0
+gathers (id, SMILES, score) triples into a single ranked table that
+feeds S1.  This module reproduces that flow on one
 machine: "ranks" are loop iterations (or caller-managed workers), the
 compiled model is the TensorRT analogue, and the output is the same
 ranked table.
@@ -13,6 +14,7 @@ ranked table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -21,7 +23,7 @@ import numpy as np
 from repro.chem.depict import N_CHANNELS
 from repro.nn.dataloader import PrefetchLoader, ShardReader, partition_shards
 from repro.nn.inference import compile_model
-from repro.surrogate.featurize import featurize_batch, featurize_smiles
+from repro.surrogate.featurize import featurize_batch
 from repro.surrogate.train import TrainedSurrogate
 from repro.telemetry import NULL_TRACER
 from repro.util.checkpoint import (
@@ -33,6 +35,9 @@ from repro.util.checkpoint import (
 from repro.util.shardio import read_shard
 
 __all__ = ["InferenceEngine", "ScoredCompound"]
+
+#: featurized batches the prefetch thread may run ahead of the network
+_QUEUE_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -64,16 +69,25 @@ class InferenceEngine:
         self.engine = engine
         self.records_scored = 0
         self.shards_resumed = 0
-        # persistent feature buffer: every batch — including the padded
+        # persistent feature buffers: every batch — including the padded
         # final one — runs at exactly ``batch_size``, so the graph engine
-        # binds a single arena plan and no per-batch stacking allocates
-        self._feat_buf = np.zeros(
-            (batch_size, N_CHANNELS, surrogate.image_size, surrogate.image_size),
+        # binds a single arena plan and no per-batch stacking allocates.
+        # A ring of them, so the prefetch thread featurizes the next
+        # batches while the network reads this one: one being filled,
+        # ``_QUEUE_DEPTH`` queued, one being scored.
+        self._ring = np.zeros(
+            (
+                _QUEUE_DEPTH + 2,
+                batch_size,
+                N_CHANNELS,
+                surrogate.image_size,
+                surrogate.image_size,
+            ),
             dtype=np.float32,
         )
 
-    def _score_batch(self, feats_filled: int) -> np.ndarray:
-        """Run the (possibly zero-padded) persistent buffer; drop padding.
+    def _score_batch(self, feats: np.ndarray, filled: int) -> np.ndarray:
+        """Run one (possibly zero-padded) feature buffer; drop padding.
 
         Padding to a fixed batch size keeps one compiled plan hot *and*
         keeps scores reproducible regardless of how records split into
@@ -81,30 +95,42 @@ class InferenceEngine:
         final batch would score the same compound differently depending
         on its shard's length.
         """
-        if feats_filled < self.batch_size:
-            self._feat_buf[feats_filled:] = 0.0
-        return self.compiled(self._feat_buf).reshape(-1)[:feats_filled]
+        if filled < self.batch_size:
+            feats[filled:] = 0.0
+        return self.compiled(feats).reshape(-1)[:filled]
 
     # ------------------------------------------------------------- shards
     def _score_one_shard(self, path: Path) -> list[ScoredCompound]:
-        """Stream one shard file through prefetch + padded batches."""
+        """Stream one shard file through prefetch + padded batches.
+
+        §6.1.1's "prefetch threads → queue handoff → engine": the loader's
+        producer thread reads the shard and featurizes each whole batch
+        straight into the next buffer of the ring; this thread only runs
+        the compiled network over the buffers as they arrive.
+        """
+        slots = cycle(self._ring)
+
+        def featurize(records: list) -> tuple[list, np.ndarray]:
+            feats = next(slots)
+            featurize_batch(
+                [rec[1] for rec in records],
+                size=self.surrogate.image_size,
+                out=feats[: len(records)],
+            )
+            return records, feats
+
         scored: list[ScoredCompound] = []
         loader = PrefetchLoader(
             ShardReader([path]),
             batch_size=self.batch_size,
-            transform=lambda rec: (
-                rec[0],
-                rec[1],
-                featurize_smiles(rec[1], size=self.surrogate.image_size),
-            ),
+            transform=featurize,
+            queue_depth=_QUEUE_DEPTH,
         )
-        for batch in loader:
-            ids, smiles, feats = zip(*batch)
-            np.stack(feats, out=self._feat_buf[: len(feats)])
-            preds = self._score_batch(len(feats))
+        for records, feats in loader:
+            preds = self._score_batch(feats, len(records))
             scored.extend(
-                ScoredCompound(i, s, float(p))
-                for i, s, p in zip(ids, smiles, preds)
+                ScoredCompound(rec[0], rec[1], float(p))
+                for rec, p in zip(records, preds)
             )
         return scored
 
@@ -197,19 +223,30 @@ class InferenceEngine:
 
         ``world`` splits the shard list into rank-partitions that are
         processed independently and gathered at the end — the single-node
-        equivalent of the paper's MPI distribution; results are identical
-        for any ``world`` (fixed-size padded batches make scores
-        split-invariant).  ``checkpoint``/``artifact_dir`` enable
-        per-shard resume via :meth:`iter_score_shards`.
+        equivalent of the paper's MPI distribution; the returned table —
+        rows and their order — is identical for any ``world`` (fixed-size
+        padded batches make scores split-invariant, and rows are gathered
+        in shard order, not rank order).  ``checkpoint``/``artifact_dir``
+        enable per-shard resume via :meth:`iter_score_shards`.
         """
-        gathered: list[ScoredCompound] = []
-        for rank in range(world):
-            mine = partition_shards(paths, rank, world)
-            for _shard_id, scored in self.iter_score_shards(
-                mine, checkpoint=checkpoint, artifact_dir=artifact_dir
-            ):
-                gathered.extend(scored)
-        return gathered
+        per_rank = [
+            [
+                scored
+                for _shard_id, scored in self.iter_score_shards(
+                    partition_shards(paths, rank, world),
+                    checkpoint=checkpoint,
+                    artifact_dir=artifact_dir,
+                )
+            ]
+            for rank in range(world)
+        ]
+        # gather in library order: shard i was rank (i % world)'s
+        # (i // world)-th shard
+        return [
+            row
+            for i in range(len(paths))
+            for row in per_rank[i % world][i // world]
+        ]
 
     # -------------------------------------------------------------- lists
     def score_smiles(
@@ -224,13 +261,12 @@ class InferenceEngine:
             (list(smiles_list[s : s + self.batch_size]), ids[s : s + self.batch_size])
             for s in range(0, len(smiles_list), self.batch_size)
         ]
+        feats = self._ring[0]
         for chunk, chunk_ids in chunks:
             featurize_batch(
-                chunk,
-                size=self.surrogate.image_size,
-                out=self._feat_buf[: len(chunk)],
+                chunk, size=self.surrogate.image_size, out=feats[: len(chunk)]
             )
-            preds = self._score_batch(len(chunk))
+            preds = self._score_batch(feats, len(chunk))
             out.extend(
                 ScoredCompound(i, s, float(p))
                 for i, s, p in zip(chunk_ids, chunk, preds)

@@ -85,12 +85,55 @@ def test_prefetch_loader_batches(tmp_path):
 
 
 def test_prefetch_loader_transform(tmp_path):
+    """``transform`` sees whole batches, on the producer thread — that is
+    what lets featurization overlap the consumer's forward pass."""
     paths = _write_shards(tmp_path, n_shards=1, per_shard=5)
+    threads = set()
+
+    def transform(batch):
+        threads.add(threading.current_thread().name)
+        return [len(rec[1]) for rec in batch]
+
+    loader = PrefetchLoader(ShardReader(paths), batch_size=2, transform=transform)
+    assert list(loader) == [[1, 2], [3, 4], [5]]
+    assert threads == {"shard-prefetch"}
+
+
+def test_transform_error_reraised_not_silent_eof(tmp_path):
+    """A ``transform`` that raises on the producer thread surfaces in the
+    consumer as that exception — never as a clean, short stream."""
+    paths = _write_shards(tmp_path, n_shards=1, per_shard=10)
+    calls = []
+
+    def transform(batch):
+        calls.append(len(batch))
+        if len(calls) == 2:
+            raise KeyError("unparseable record")
+        return batch
+
+    loader = PrefetchLoader(ShardReader(paths), batch_size=4, transform=transform)
+    seen = []
+    with pytest.raises(KeyError, match="unparseable record"):
+        for batch in loader:
+            seen.append(batch)
+    assert len(seen) == 1  # the batch before the failure, nothing after it
+    assert _no_prefetch_threads()
+
+
+def test_early_break_with_transform_joins_producer(tmp_path):
+    """Abandoning iteration while the producer sits in ``transform`` or in
+    a full queue still ends the thread."""
+    paths = _write_shards(tmp_path, n_shards=4, per_shard=50)
     loader = PrefetchLoader(
-        ShardReader(paths), batch_size=2, transform=lambda rec: len(rec[1])
+        ShardReader(paths),
+        batch_size=5,
+        transform=lambda batch: (time.sleep(0.01), batch)[1],
+        queue_depth=1,
     )
-    flat = [x for b in loader for x in b]
-    assert flat == [1, 2, 3, 4, 5]
+    for _ in range(3):
+        for _batch in loader:
+            break
+    assert _no_prefetch_threads(), "producer thread leaked after early break"
 
 
 def test_prefetch_loader_reiterable(tmp_path):

@@ -110,3 +110,35 @@ def test_featurize_batch_rejects_bad_buffer(dataset):
     bad = np.zeros((2, 1, 24, 24), dtype=np.float32)
     with pytest.raises(ValueError):
         featurize_batch(lib.smiles()[:3], size=24, out=bad)
+
+
+def test_prefetch_ring_is_never_overwritten_under_a_slow_network(
+    tmp_path, dataset, surrogate
+):
+    """The prefetch thread featurizes ahead into a ring of buffers the
+    network reads in place.  A slow forward pass over many more batches
+    than the ring holds, with the threads switching as often as they
+    can: a buffer refilled before it was scored would change a score."""
+    import sys
+    import time
+
+    lib, _ = dataset
+    paths = lib.to_shards(tmp_path, shard_size=len(lib))  # one shard, 48 records
+    engine = InferenceEngine(surrogate, batch_size=3)  # 16 batches, ring of 4
+    want = engine.score_smiles(lib.smiles(), [e.compound_id for e in lib])
+    fast = engine.compiled
+
+    def slow(feats):
+        time.sleep(0.02)  # let the producer run as far ahead as it may
+        return fast(feats)
+
+    engine.compiled = slow
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        started = time.monotonic()
+        got = engine.score_shards(paths)
+    finally:
+        sys.setswitchinterval(interval)
+    assert time.monotonic() - started < 30
+    assert got == want
