@@ -6,7 +6,7 @@ analysis notebooks can consume any benchmark uniformly:
 ```json
 {
   "schema": "repro-bench/1",
-  "name": "docking",
+  "name": "scheduler",
   "seed": 11,
   "host": {"hostname": ..., "platform": ..., "python": ..., "numpy": ...},
   "git_rev": "1d1f1e7",

@@ -101,9 +101,6 @@ class CampaignConfig(FrozenConfig):
     iterations: int = 2
     ml1_keep_fraction: float = 0.25  # top predicted fraction docked per iter
     ml1_explore_fraction: float = 0.15  # §7.1.1: sample below the top too
-    #: inference engine for the ML1 ranking stage: "graph" (fused,
-    #: arena-planned — the TensorRT analogue) or "eager" (reference)
-    ml1_engine: str = "graph"
     cg_compounds: int = 6  # diversity-picked for S3-CG per iteration
     s2_top_compounds: int = 3
     s2_outliers_per_compound: int = 3
@@ -141,10 +138,6 @@ class CampaignConfig(FrozenConfig):
         validate_positive("iterations", self.iterations)
         validate_range("ml1_keep_fraction", self.ml1_keep_fraction, 0.0, 1.0)
         validate_range("ml1_explore_fraction", self.ml1_explore_fraction, 0.0, 1.0)
-        if self.ml1_engine not in ("graph", "eager"):
-            raise ValueError(
-                f"ml1_engine must be 'graph' or 'eager', got {self.ml1_engine!r}"
-            )
         validate_positive("cg_compounds", self.cg_compounds)
         if self.seed_train_size >= self.library_size:
             raise ValueError("seed_train_size must be below library_size")
@@ -366,9 +359,7 @@ class ImpeccableCampaign:
         ]
         if not undocked:
             return []
-        inference = InferenceEngine(
-            surrogate, engine=cfg.ml1_engine, tracer=self.tracer
-        )
+        inference = InferenceEngine(surrogate, tracer=self.tracer)
         scored = inference.score_smiles(
             [self.library[i].smiles for i in undocked],
             ids=[str(i) for i in undocked],

@@ -101,7 +101,6 @@ def run_streamed_screen(
     checkpoint_dir: Path | str | None = None,
     dock_shard_size: int = 16,
     batch_size: int = 64,
-    ml1_engine: str = "graph",
     tracer: Tracer | None = None,
     on_shard: Callable[[str, str], None] | None = None,
 ) -> StreamedScreenResult:
@@ -144,9 +143,7 @@ def run_streamed_screen(
         s1_ckpt = CheckpointManifest(checkpoint_dir / "s1-manifest.jsonl")
 
     # ---------------------------------------------------------------- ML1
-    inference = InferenceEngine(
-        surrogate, batch_size=batch_size, engine=ml1_engine, tracer=tracer
-    )
+    inference = InferenceEngine(surrogate, batch_size=batch_size, tracer=tracer)
     top = _TopK(keep_top)
     with tracer.span("stage:ML1-stream", category="campaign.stage"):
         for shard_id, scored in inference.iter_score_shards(

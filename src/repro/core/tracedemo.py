@@ -6,13 +6,12 @@ One small, seeded pass through every instrumented subsystem on a shared
 
 1. a tiny :class:`~repro.core.campaign.ImpeccableCampaign` iteration —
    stage boundaries (``campaign.stage``), per-ligand docking
-   (``docking``) and graph-executor op profiles (``nn.op``);
-2. one fused multi-ligand docking window — per-kernel-phase spans
-   (``docking.kernel``);
-3. a fault-injected RAPTOR simulation — master dispatch, item attempts
+   (``docking``) with its per-kernel-phase spans (``docking.kernel``)
+   and graph-executor op profiles (``nn.op``);
+2. a fault-injected RAPTOR simulation — master dispatch, item attempts
    and retry backoffs (``raptor.dispatch`` / ``raptor.exec`` /
    ``raptor.backoff``);
-4. an integrated run on the simulated cluster — pilot placement and
+3. an integrated run on the simulated cluster — pilot placement and
    backoff spans (``pilot.task`` / ``pilot.backoff``).
 
 Every clock read comes from the tick clock and every decision from the
@@ -77,11 +76,7 @@ def run_traced_demo(seed: int = 0, tracer: Tracer | None = None) -> Tracer:
     )
     campaign.run()
 
-    # -- 2. fused shard window: docking.kernel phase spans ---------------
-    entries = [(e.smiles, e.compound_id) for e in campaign.library][:4]
-    campaign.engine.dock_entries(entries, batched=True)
-
-    # -- 3. fault-injected RAPTOR: dispatch / exec / backoff spans -------
+    # -- 2. fault-injected RAPTOR: dispatch / exec / backoff spans -------
     durations = rng_stream(seed, "tracedemo/durations").uniform(1.0, 5.0, size=24)
     simulate_raptor(
         durations,
@@ -91,7 +86,7 @@ def run_traced_demo(seed: int = 0, tracer: Tracer | None = None) -> Tracer:
         tracer=tracer,
     )
 
-    # -- 4. simulated cluster: pilot.task / pilot.backoff spans ----------
+    # -- 3. simulated cluster: pilot.task / pilot.backoff spans ----------
     simulate_integrated_run(
         SimulatedCampaignConfig(
             n_nodes=8,

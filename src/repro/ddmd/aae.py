@@ -13,12 +13,11 @@ The architecture of §5.1.4/§7.1.3, scaled to laptop width:
   posterior toward the prior;
 * optimized with **RMSprop**, the paper's optimizer.
 
-Training runs on one of two engines: ``engine="graph"`` (default)
-compiles the critic step (including double backward through the
-gradient penalty) and the autoencoder step each into a replayed
-:class:`~repro.nn.graph.train.TrainStep`; ``engine="eager"`` keeps the
-interpreter loop as the oracle.  Both produce bitwise-identical weights,
-losses and optimizer state at the same seed.
+The critic step (including double backward through the gradient
+penalty) and the autoencoder step each run as one replayed
+:class:`~repro.nn.graph.train.TrainStep`, bitwise identical (weights,
+losses, optimizer state) to the interpreted ``EagerStep`` in
+``tests/nn/oracle.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from repro.nn.layers import (
     Tanh,
 )
 from repro.nn.losses import chamfer_distance, gradient_penalty_at
-from repro.nn.optim import RMSprop, grad_norm
+from repro.nn.optim import RMSprop
 from repro.telemetry import NULL_TRACER
 from repro.util.config import FrozenConfig, validate_positive, validate_range
 from repro.util.rng import RngFactory
@@ -62,13 +61,8 @@ class AAEConfig(FrozenConfig):
     batch_size: int = 32  # paper: 64
     critic_steps: int = 1
     validation_fraction: float = 0.2  # paper: 80/20 split
-    engine: str = "graph"
 
     def __post_init__(self) -> None:
-        if self.engine not in ("graph", "eager"):
-            raise ValueError(
-                f"engine must be 'graph' or 'eager', got {self.engine!r}"
-            )
         validate_positive("latent_dim", self.latent_dim)
         validate_positive("hidden", self.hidden)
         validate_positive("prior_std", self.prior_std)
@@ -196,9 +190,8 @@ class AAE:
 
         The interpolation coefficients of the gradient penalty are drawn
         *before* the critic loss is evaluated (same rng stream, same draw
-        order as the classic formulation), so the eager and compiled
-        engines see the identical sequence of minibatches, priors and
-        interpolates.
+        order as the classic formulation) and handed to the compiled step
+        as a plain input.
         """
         cfg = self.config
         tracer = tracer if tracer is not None else NULL_TRACER
@@ -233,12 +226,10 @@ class AAE:
             loss = cfg.reconstruction_scale * rec + cfg.adversarial_scale * adv
             return loss, rec, adv
 
-        critic_step = ae_step = None
-        if cfg.engine == "graph":
-            critic_step = TrainStep(
-                critic_fn, opt_critic, input_requires_grad=(False, False, True)
-            )
-            ae_step = TrainStep(ae_fn, opt_ae)
+        critic_step = TrainStep(
+            critic_fn, opt_critic, input_requires_grad=(False, False, True)
+        )
+        ae_step = TrainStep(ae_fn, opt_ae)
 
         for epoch in range(epochs):
             order = self._rng.permutation(train_idx)
@@ -264,42 +255,17 @@ class AAE:
                             interp_arr = (
                                 alpha * z_real_arr + (1 - alpha) * z_fake.data
                             )
-                            if critic_step is not None:
-                                critic_loss_val = critic_step(
-                                    z_real_arr, z_fake.data, interp_arr
-                                )
-                            else:
-                                critic_loss = critic_fn(
-                                    Tensor(z_real_arr),
-                                    Tensor(z_fake.data),
-                                    Tensor(interp_arr, requires_grad=True),
-                                )
-                                self.critic.zero_grad()
-                                critic_loss.backward()
-                                opt_critic.step()
-                                critic_loss_val = critic_loss.item()
+                            critic_loss_val = critic_step(
+                                z_real_arr, z_fake.data, interp_arr
+                            )
 
                         # --- autoencoder update: reconstruct + fool critic
-                        if ae_step is not None:
-                            loss_val, rec_val, adv_val = ae_step(x_arr)
-                        else:
-                            loss, rec, adv = ae_fn(Tensor(x_arr))
-                            self.encoder.zero_grad()
-                            self.decoder.zero_grad()
-                            loss.backward()
-                            opt_ae.step()
-                            loss_val = loss.item()
-                            rec_val, adv_val = rec.item(), adv.item()
+                        loss_val, rec_val, adv_val = ae_step(x_arr)
                     if tracer.enabled:
                         tracer.metrics.counter("train.steps").inc()
                         tracer.metrics.gauge("train.loss").set(loss_val)
                         tracer.metrics.gauge("train.critic_loss").set(critic_loss_val)
-                        gnorm = (
-                            ae_step.grad_norm()
-                            if ae_step is not None
-                            else grad_norm(opt_ae.params)
-                        )
-                        tracer.metrics.gauge("train.grad_norm").set(gnorm)
+                        tracer.metrics.gauge("train.grad_norm").set(ae_step.grad_norm())
                     rec_losses.append(rec_val)
                     adv_losses.append(adv_val)
 

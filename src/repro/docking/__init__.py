@@ -6,7 +6,7 @@ Solis–Wets and gradient-based ADADELTA local search (§5.1.1).
 
 from repro.docking.engine import DockingEngine, DockingResult
 from repro.docking.ensemble import EnsembleDockingResult, dock_against_ensemble
-from repro.docking.lga import DockingRun, LamarckianGA, LGAConfig
+from repro.docking.lga import DockingRun, LGAConfig
 from repro.docking.ligand import (
     LigandBeads,
     Pose,
@@ -26,7 +26,6 @@ __all__ = [
     "EnsembleDockingResult",
     "dock_against_ensemble",
     "LGAConfig",
-    "LamarckianGA",
     "LigandBeads",
     "LocalSearchResult",
     "PocketSite",

@@ -1,27 +1,28 @@
 """Fused multi-ligand docking: one LGA over a whole library shard.
 
 AutoDock-GPU gets its throughput by evaluating many ligand–receptor poses
-"in parallel over multiple compute units" (§5.1.1); the sequential path
-here batches only within one ligand (``population`` poses per kernel
-call), so a library screen pays full NumPy dispatch overhead per ligand
-per generation.  :func:`dock_shard` removes that overhead: it packs a
-shard of prepared ligands into padded struct-of-arrays
+"in parallel over multiple compute units" (§5.1.1); batching only within
+one ligand (``population`` poses per kernel call) would make a library
+screen pay full NumPy dispatch overhead per ligand per generation.
+:func:`dock_shard` — the only LGA loop in the package — packs a shard of
+prepared ligands into padded struct-of-arrays
 (:func:`~repro.docking.ligand.pack_ligands`) and runs the *entire* LGA —
 initialization, generation scoring, selection/crossover/mutation, and
-both local searches — over ``(n_ligands × population)`` poses per kernel
-call.
+either local search — over ``(n_ligands × population)`` poses per kernel
+call.  Docking one compound is a shard of one.
 
 Determinism contract (the correctness spine): every ligand's randomness
-comes from its own generator, fed through the exact helper functions the
-sequential path uses (:func:`~repro.docking.lga.draw_initial_genes`,
+comes from its own generator, drawn per stream in a fixed order
+(:func:`~repro.docking.lga.draw_initial_genes`,
 :func:`~repro.docking.lga.draw_generation`,
 :func:`~repro.docking.local_search.draw_solis_wets`), and all arithmetic
-runs through the same packed kernels with per-ligand reductions over
-intrinsic widths.  Batched and sequential docking of the same compound
-therefore produce bit-identical poses, scores, histories and ``n_evals``
-— equal draws in, equal arithmetic through.  Only per-stream draw loops
-and per-ligand result assembly remain Python loops; everything on the
-pose axis is vectorized.
+runs through the packed kernels with per-ligand reductions over
+intrinsic widths.  A compound therefore gets bit-identical poses, scores,
+histories and ``n_evals`` whatever shard it is docked in — alone, fused or
+reordered — and the per-ligand reference in ``tests/docking/oracle.py``
+reproduces them bit for bit.  Only per-stream draw loops and per-ligand
+result assembly remain Python loops; everything on the pose axis is
+vectorized.
 """
 
 from __future__ import annotations
@@ -36,24 +37,10 @@ from repro.docking.lga import (
     draw_generation,
     draw_initial_genes,
 )
-from repro.docking.ligand import (
-    LigandBeads,
-    PackedLigands,
-    PackPlan,
-    Pose,
-    pack_ligands,
-)
-from repro.docking.local_search import (
-    AdadeltaConfig,
-    SolisWetsConfig,
-    draw_solis_wets,
-)
+from repro.docking.ligand import LigandBeads, Pose, pack_ligands
+from repro.docking.local_search import Adadelta, SolisWets, local_search_named
 from repro.docking.receptor import Receptor
-from repro.docking.scoring import (
-    apply_rigid_steps_batch,
-    packed_score_and_gradient_batch,
-    packed_score_batch,
-)
+from repro.docking.scoring import packed_score_batch
 from repro.telemetry import NULL_TRACER, Tracer
 from repro.util.checkpoint import (
     CheckpointManifest,
@@ -115,181 +102,6 @@ def _stack_draws(
     )
 
 
-def _fused_adadelta(
-    receptor: Receptor,
-    pack: PackedLigands,
-    plan: PackPlan,
-    cfg: AdadeltaConfig,
-    conformer_idx: np.ndarray,
-    translations: np.ndarray,
-    quaternions: np.ndarray,
-    torsion_angles: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-    """ADADELTA refinement fused across the shard (gradient descent
-    consumes no RNG, so rows advance in lock-step; padded torsion columns
-    see zero gradient and stay exactly zero).
-
-    Returns ``(best_t, best_q, best_s, best_a, per_ligand_evals)``.
-    """
-    t_max = pack.max_torsions
-    n_ls = len(conformer_idx) // pack.n_ligands
-    cur_t, cur_q = translations.copy(), quaternions.copy()
-    cur_a = torsion_angles.copy() if t_max else None
-    scores, g_t, g_r, g_a = packed_score_and_gradient_batch(
-        receptor, pack, plan, conformer_idx, cur_t, cur_q, cur_a
-    )
-    best_t, best_q, best_s = cur_t.copy(), cur_q.copy(), scores.copy()
-    best_a = None if cur_a is None else cur_a.copy()
-
-    k = len(conformer_idx)
-    dim = 6 + t_max
-    eg2 = np.zeros((k, dim))
-    ex2 = np.zeros((k, dim))
-    for _ in range(cfg.max_iters):
-        g = np.concatenate([g_t, g_r] + ([g_a] if t_max else []), axis=1)
-        eg2 = cfg.rho * eg2 + (1 - cfg.rho) * g * g
-        step = -np.sqrt(ex2 + cfg.eps) / np.sqrt(eg2 + cfg.eps) * g
-        step = np.clip(step, -cfg.clip, cfg.clip)
-        ex2 = cfg.rho * ex2 + (1 - cfg.rho) * step * step
-        cur_t, cur_q = apply_rigid_steps_batch(
-            cur_t, cur_q, step[:, :3], step[:, 3:6]
-        )
-        if t_max:
-            cur_a = cur_a + step[:, 6:]
-        scores, g_t, g_r, g_a = packed_score_and_gradient_batch(
-            receptor, pack, plan, conformer_idx, cur_t, cur_q, cur_a
-        )
-        better = scores < best_s
-        best_t[better], best_q[better] = cur_t[better], cur_q[better]
-        best_s[better] = scores[better]
-        if best_a is not None:
-            best_a[better] = cur_a[better]
-    evals = np.full(pack.n_ligands, n_ls * (1 + cfg.max_iters), dtype=np.int64)
-    return best_t, best_q, best_s, best_a, evals
-
-
-def _fused_solis_wets(
-    receptor: Receptor,
-    pack: PackedLigands,
-    plan: PackPlan,
-    cfg: SolisWetsConfig,
-    conformer_idx: np.ndarray,
-    translations: np.ndarray,
-    quaternions: np.ndarray,
-    torsion_angles: np.ndarray | None,
-    rngs: list[np.random.Generator],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
-    """Solis–Wets refinement fused across the shard.
-
-    The hill-climber's iteration count is score-dependent (each ligand
-    stops once all its step sizes shrink below ``rho_min``), so ligands
-    carry an ``active`` flag: a retired ligand draws no further
-    randomness, accrues no evaluations and keeps its state frozen via
-    row masks, exactly matching where its sequential run broke out.
-
-    Returns ``(best_t, best_q, best_s, best_a, per_ligand_evals)``.
-    """
-    n_lig = pack.n_ligands
-    t_max = pack.max_torsions
-    k = len(conformer_idx)
-    n_ls = k // n_lig
-    n_tor = pack.n_torsions
-
-    best_t = translations.copy()
-    best_q = quaternions.copy()
-    best_a = torsion_angles.copy() if t_max else None
-    best_s = packed_score_batch(
-        receptor, pack, plan, conformer_idx, best_t, best_q, best_a
-    )
-    evals = np.full(n_lig, n_ls, dtype=np.int64)
-
-    rho_t = np.full(k, cfg.rho_trans)
-    rho_r = np.full(k, cfg.rho_rot)
-    rho_a = np.full(k, cfg.rho_torsion)
-    bias_t = np.zeros((k, 3))
-    bias_r = np.zeros((k, 3))
-    bias_a = np.zeros((k, t_max))
-    succ = np.zeros(k, dtype=int)
-    fail = np.zeros(k, dtype=int)
-    active = np.ones(n_lig, dtype=bool)
-
-    for _ in range(cfg.max_iters):
-        if not active.any():
-            break
-        raw_t = np.zeros((k, 3))
-        raw_r = np.zeros((k, 3))
-        raw_a = np.zeros((k, t_max)) if t_max else None
-        # per-stream draws: each active ligand consumes its own generator
-        # in the sequential per-iteration order
-        for li in np.flatnonzero(active):
-            rt, rr, ra = draw_solis_wets(rngs[li], n_ls, int(n_tor[li]))
-            rows = slice(li * n_ls, (li + 1) * n_ls)
-            raw_t[rows] = rt
-            raw_r[rows] = rr
-            if ra is not None:
-                raw_a[rows, : ra.shape[1]] = ra
-        act_rows = np.repeat(active, n_ls)
-
-        dt = raw_t * rho_t[:, None] + bias_t
-        dr = raw_r * rho_r[:, None] + bias_r
-        da = raw_a * rho_a[:, None] + bias_a if t_max else None
-
-        t1, q1 = apply_rigid_steps_batch(best_t, best_q, dt, dr)
-        a1 = None if best_a is None else best_a + da
-        s1 = packed_score_batch(
-            receptor, pack, plan, conformer_idx, t1, q1, a1
-        )
-        t2, q2 = apply_rigid_steps_batch(best_t, best_q, -dt, -dr)
-        a2 = None if best_a is None else best_a - da
-        s2 = packed_score_batch(
-            receptor, pack, plan, conformer_idx, t2, q2, a2
-        )
-        evals[active] += 2 * n_ls
-
-        fwd = (s1 < best_s) & act_rows
-        back = (~fwd) & (s2 < best_s) & act_rows
-        neither = act_rows & ~(fwd | back)
-
-        best_t[fwd], best_q[fwd], best_s[fwd] = t1[fwd], q1[fwd], s1[fwd]
-        best_t[back], best_q[back], best_s[back] = t2[back], q2[back], s2[back]
-        if best_a is not None:
-            best_a[fwd] = a1[fwd]
-            best_a[back] = a2[back]
-
-        bias_t[fwd] = 0.4 * bias_t[fwd] + 0.2 * dt[fwd]
-        bias_r[fwd] = 0.4 * bias_r[fwd] + 0.2 * dr[fwd]
-        bias_t[back] = bias_t[back] - 0.4 * dt[back]
-        bias_r[back] = bias_r[back] - 0.4 * dr[back]
-        bias_t[neither] *= 0.5
-        bias_r[neither] *= 0.5
-        if t_max:
-            bias_a[fwd] = 0.4 * bias_a[fwd] + 0.2 * da[fwd]
-            bias_a[back] = bias_a[back] - 0.4 * da[back]
-            bias_a[neither] *= 0.5
-
-        improved = fwd | back
-        succ = np.where(act_rows, np.where(improved, succ + 1, 0), succ)
-        fail = np.where(act_rows, np.where(improved, 0, fail + 1), fail)
-
-        expand = (succ >= cfg.success_expand) & act_rows
-        contract = (fail >= cfg.failure_contract) & act_rows
-        scale = np.where(expand, 2.0, np.where(contract, 0.5, 1.0))
-        rho_t *= scale
-        rho_r *= scale
-        rho_a *= scale
-        succ[expand] = 0
-        fail[contract] = 0
-
-        # a ligand retires when all its rows' steps have converged —
-        # the point its sequential run would break
-        done = (
-            (rho_t < cfg.rho_min).reshape(n_lig, n_ls).all(axis=1)
-            & (rho_r < cfg.rho_min).reshape(n_lig, n_ls).all(axis=1)
-        )
-        active &= ~done
-    return best_t, best_q, best_s, best_a, evals
-
-
 def _partition_by_size(beads_list: list[LigandBeads]) -> list[list[int]]:
     """Bucket ligand indices so padded widths hug the intrinsic sizes.
 
@@ -341,10 +153,9 @@ def dock_shard(
 ) -> list[DockingRun]:
     """Dock a shard of prepared ligands with one fused LGA.
 
-    ``rngs[i]`` must be ligand ``i``'s own stream (the one the sequential
-    path would use), which is what keeps results independent of shard
-    composition and ordering.  Returns one :class:`DockingRun` per
-    ligand, bit-identical to ``LamarckianGA.dock`` run per ligand.
+    ``rngs[i]`` must be ligand ``i``'s own stream, which is what keeps
+    results independent of shard composition and ordering.  Returns one
+    :class:`DockingRun` per ligand.
 
     Internally the shard is partitioned into size buckets
     (:func:`_partition_by_size`) and each bucket runs its own fused LGA;
@@ -358,20 +169,10 @@ def dock_shard(
     if tracer is None:
         tracer = NULL_TRACER
     cfg = config or LGAConfig()
-    if local_search == "adadelta":
-        refine_cfg: AdadeltaConfig | SolisWetsConfig = AdadeltaConfig()
-    elif local_search == "solis-wets":
-        refine_cfg = SolisWetsConfig()
-    else:
-        raise ValueError(
-            f"unknown local search {local_search!r} "
-            "(expected 'adadelta' or 'solis-wets')"
-        )
+    refiner = local_search_named(local_search)
     buckets = _partition_by_size(beads_list)
     if len(buckets) == 1:
-        return _dock_packed(
-            receptor, beads_list, rngs, cfg, refine_cfg, local_search, tracer
-        )
+        return _dock_packed(receptor, beads_list, rngs, cfg, refiner, tracer)
     runs: list[DockingRun | None] = [None] * len(beads_list)
     for bucket in buckets:
         sub = _dock_packed(
@@ -379,8 +180,7 @@ def dock_shard(
             [beads_list[i] for i in bucket],
             [rngs[i] for i in bucket],
             cfg,
-            refine_cfg,
-            local_search,
+            refiner,
             tracer,
         )
         for i, run in zip(bucket, sub):
@@ -393,8 +193,7 @@ def _dock_packed(
     beads_list: list[LigandBeads],
     rngs: list[np.random.Generator],
     cfg: LGAConfig,
-    refine_cfg: AdadeltaConfig | SolisWetsConfig,
-    local_search: str,
+    refiner: Adadelta | SolisWets,
     tracer: Tracer = NULL_TRACER,
 ) -> list[DockingRun]:
     """One fused LGA over an (ideally size-homogeneous) ligand bucket."""
@@ -482,16 +281,10 @@ def _dock_packed(
         with tracer.span("local-search", category="docking.kernel", gen=gen):
             chosen = d.chosen
             chosen_a = None if tors is None else tors[chosen]
-            if local_search == "adadelta":
-                ref_t, ref_q, ref_s, ref_a, ref_evals = _fused_adadelta(
-                    receptor, pack, plan_ls, refine_cfg,
-                    conf[chosen], trans[chosen], quat[chosen], chosen_a,
-                )
-            else:
-                ref_t, ref_q, ref_s, ref_a, ref_evals = _fused_solis_wets(
-                    receptor, pack, plan_ls, refine_cfg,
-                    conf[chosen], trans[chosen], quat[chosen], chosen_a, rngs,
-                )
+            ref_t, ref_q, ref_s, ref_a, ref_evals = refiner.refine_packed(
+                receptor, pack, plan_ls,
+                conf[chosen], trans[chosen], quat[chosen], chosen_a, rngs,
+            )
             n_evals += ref_evals
             better = ref_s < scores[chosen]
             idx = chosen[better]
@@ -570,8 +363,7 @@ def dock_stream(
 
     ``shards`` yields lists of ``(smiles, compound_id)`` pairs; each
     shard runs as one :func:`dock_shard` call via
-    ``engine.dock_entries(shard, batched=True)`` (the LigandPack path),
-    and the generator yields ``(shard_id, [DockingResult, ...])`` as
+    ``engine.dock_entries(shard)``, and the generator yields ``(shard_id, [DockingResult, ...])`` as
     shards complete — so only one shard of ligands is ever packed in
     memory.  Shard ids are positional (``dock-00000``, ``dock-00001``,
     …).
@@ -616,9 +408,8 @@ def dock_stream(
             f"shard:{shard_id}", category="stream.shard",
             shard=shard_id, n_ligands=len(shard), resumed=False,
         ):
-            results = engine.dock_entries(list(shard), batched=True)
-        engine.total_evals += sum(r.n_evals for r in results)
-        engine.total_ligands += len(results)
+            results = engine.dock_entries(list(shard))
+        engine._account(results)
         tracer.metrics.counter("stream.dock_shards_scored").inc()
         if checkpoint is not None:
             save_artifact(

@@ -6,12 +6,12 @@ receptor reuse (§5.1.1's "receptor-reuse functionality for docking many
 ligands to a single receptor").  Evaluation counts are surfaced so the
 cost model can convert work into simulated node-hours.
 
-Library docking defaults to the fused multi-ligand path
+Every entry point docks through the fused multi-ligand LGA
 (:mod:`repro.docking.batch`): the shard's ligands are packed into padded
 struct-of-arrays and the whole LGA runs over ``n_ligands × population``
-poses per kernel call.  Because every ligand's randomness still comes
-from its own per-compound stream, ``batched=True`` and ``batched=False``
-produce bit-identical results — the flag only changes throughput.
+poses per kernel call; one SMILES is a shard of one.  Because every
+ligand's randomness comes from its own per-compound stream, a compound's
+result does not depend on the shard it is docked in.
 Ligand preparation is cached per compound (prep is deterministic given
 the compound's stream), shared by docking and :meth:`pose_coordinates`.
 """
@@ -24,8 +24,9 @@ import numpy as np
 
 from repro.chem.library import CompoundLibrary
 from repro.chem.smiles import parse_smiles
-from repro.docking.lga import DockingRun, LamarckianGA, LGAConfig
+from repro.docking.lga import DockingRun, LGAConfig
 from repro.docking.ligand import LigandBeads, prepare_ligand
+from repro.docking.local_search import local_search_named
 from repro.docking.receptor import Receptor
 from repro.telemetry import NULL_TRACER, Tracer
 from repro.util.rng import RngFactory
@@ -76,8 +77,9 @@ class DockingEngine:
         self.rng_factory = RngFactory(
             seed, prefix=f"docking/{receptor.target}/{receptor.pdb_id}"
         )
-        self.ga = LamarckianGA(config=config, local_search=local_search)
-        self._local_search = local_search
+        self.config = config or LGAConfig()
+        # looked up now so an unknown name fails here, not mid-screen
+        self._local_search = local_search_named(local_search).name
         self.n_conformers = n_conformers
         self.total_evals = 0
         self.total_ligands = 0
@@ -121,45 +123,37 @@ class DockingEngine:
 
     # --------------------------------------------------------------- docking
 
-    def dock_smiles(self, smiles: str, compound_id: str = "") -> DockingResult:
-        """Dock a single compound given as SMILES."""
-        key = compound_id or smiles
-        beads = self._prepared(smiles, compound_id)
-        with self.tracer.span(f"dock:{key}", category="docking", compound=key):
-            run: DockingRun = self.ga.dock(
-                self.receptor, beads, self.rng_factory.stream(f"lga/{key}")
-            )
-        self.total_evals += run.n_evals
-        self.total_ligands += 1
-        self.tracer.metrics.counter("docking.evals").inc(run.n_evals)
-        self.tracer.metrics.counter("docking.ligands").inc()
-        return self._to_result(smiles, compound_id, run)
+    def _account(self, results: list[DockingResult]) -> None:
+        """Charge docked results to the engine totals and trace counters."""
+        if not results:
+            return
+        n_evals = sum(r.n_evals for r in results)
+        self.total_evals += n_evals
+        self.total_ligands += len(results)
+        self.tracer.metrics.counter("docking.evals").inc(n_evals)
+        self.tracer.metrics.counter("docking.ligands").inc(len(results))
 
-    def dock_entries(
-        self, entries: list[tuple[str, str]], batched: bool = True
-    ) -> list[DockingResult]:
+    def dock_smiles(self, smiles: str, compound_id: str = "") -> DockingResult:
+        """Dock a single compound given as SMILES — a shard of one."""
+        key = compound_id or smiles
+        with self.tracer.span(f"dock:{key}", category="docking", compound=key):
+            (result,) = self.dock_entries([(smiles, compound_id)])
+        self._account([result])
+        return result
+
+    def dock_entries(self, entries: list[tuple[str, str]]) -> list[DockingResult]:
         """Dock ``(smiles, compound_id)`` pairs; pure, counters untouched.
 
-        This is the worker-safe core shared by :meth:`dock_library` and
-        the RAPTOR shard path (:func:`repro.rct.raptor.dock_library_raptor`):
-        it never mutates engine counters, so shards may run concurrently
-        and be merged by the caller.  With ``batched=True`` the whole
-        shard runs through one fused LGA
-        (:func:`repro.docking.batch.dock_shard`); results are
-        bit-identical either way.
+        This is the worker-safe core shared by :meth:`dock_smiles`,
+        :meth:`dock_library` and the shard paths
+        (:func:`repro.docking.batch.dock_stream`,
+        :func:`repro.rct.raptor.dock_library_raptor`): it never mutates
+        engine counters, so shards may run concurrently and be merged by
+        the caller.  The whole shard runs through one fused LGA
+        (:func:`repro.docking.batch.dock_shard`).
         """
         if not entries:
             return []
-        if not batched:
-            results = []
-            for smiles, compound_id in entries:
-                key = compound_id or smiles
-                beads = self._prepared(smiles, compound_id)
-                run = self.ga.dock(
-                    self.receptor, beads, self.rng_factory.stream(f"lga/{key}")
-                )
-                results.append(self._to_result(smiles, compound_id, run))
-            return results
         from repro.docking.batch import dock_shard
 
         beads_list = [self._prepared(s, cid) for s, cid in entries]
@@ -170,7 +164,7 @@ class DockingEngine:
             self.receptor,
             beads_list,
             rngs,
-            config=self.ga.config,
+            config=self.config,
             local_search=self._local_search,
             tracer=self.tracer,
         )
@@ -180,33 +174,19 @@ class DockingEngine:
         ]
 
     def dock_library(
-        self,
-        library: CompoundLibrary,
-        limit: int | None = None,
-        batched: bool = True,
+        self, library: CompoundLibrary, limit: int | None = None
     ) -> list[DockingResult]:
-        """Dock every library member (or the first ``limit``).
+        """Dock every library member (or the first ``limit``) as one shard.
 
-        ``batched=True`` (default) fuses the shard through one
-        multi-ligand LGA; ``batched=False`` keeps the sequential
-        per-ligand loop.  Results and ``n_evals`` are bit-identical
-        across both.  The RAPTOR overlay (``repro.rct.raptor``)
-        parallelizes this same call by sharding the library across
-        workers.
+        The RAPTOR overlay (``repro.rct.raptor``) parallelizes this same
+        call by sharding the library across workers.
         """
         n = len(library) if limit is None else min(limit, len(library))
         entries = [
             (library[i].smiles, library[i].compound_id) for i in range(n)
         ]
-        results = self.dock_entries(entries, batched=batched)
-        for r in results:
-            self.total_evals += r.n_evals
-            self.total_ligands += 1
-        if results:
-            self.tracer.metrics.counter("docking.evals").inc(
-                sum(r.n_evals for r in results)
-            )
-            self.tracer.metrics.counter("docking.ligands").inc(len(results))
+        results = self.dock_entries(entries)
+        self._account(results)
         return results
 
     def pose_coordinates(self, result: DockingResult) -> np.ndarray:

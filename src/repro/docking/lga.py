@@ -9,12 +9,12 @@ population as struct-of-arrays and scores whole generations in one batched
 kernel call.  Evaluation counts are surfaced so throughput/FLOP accounting
 (Tables 2/3) can charge docking cost honestly.
 
-The stochastic part of the loop is factored into :func:`draw_initial_genes`
-and :func:`draw_generation`, and the deterministic genetics arithmetic into
-:func:`apply_genetics`.  The fused multi-ligand path
-(:mod:`repro.docking.batch`) calls the *same* helpers per ligand stream and
-the same packed kernels, which is what makes batched and sequential docking
-of one compound bit-identical: equal draws in, equal arithmetic through.
+This module holds the loop's parts: the stochastic part is factored into
+:func:`draw_initial_genes` and :func:`draw_generation`, the deterministic
+genetics arithmetic into :func:`apply_genetics`.  The loop itself — fused
+over a whole shard of ligands, one compound being a shard of one — is
+:func:`repro.docking.batch.dock_shard`, which draws per ligand stream and
+stacks, so a compound's result is independent of the shard it rides in.
 """
 
 from __future__ import annotations
@@ -23,15 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.docking.ligand import LigandBeads, Pose
-from repro.docking.local_search import Adadelta, SolisWets
-from repro.docking.receptor import Receptor
-from repro.docking.scoring import apply_rigid_steps_batch, score_poses_batch
+from repro.docking.ligand import Pose
+from repro.docking.scoring import apply_rigid_steps_batch
 from repro.util.config import FrozenConfig, validate_positive, validate_range
 
 __all__ = [
     "LGAConfig",
-    "LamarckianGA",
     "DockingRun",
     "GenerationDraws",
     "draw_initial_genes",
@@ -109,7 +106,7 @@ def draw_initial_genes(
 
     Returns ``(conf (p,), trans (p, 3), quat (p, 4), tors (p, T) or
     None)``.  Draw order is part of the determinism contract — the fused
-    path replays exactly this sequence per ligand stream.
+    loop draws exactly this sequence from each ligand's stream.
     """
     conf = rng.integers(n_conformers, size=p)
     trans = rng.uniform(-half * 0.7, half * 0.7, size=(p, 3))
@@ -153,9 +150,9 @@ def draw_generation(
     """Draw one generation's GA randomness from one ligand's stream.
 
     The sequence (selection candidates, crossover coins, mutation coins
-    and jolts, local-search subset) matches the historical inline draw
-    order of :meth:`LamarckianGA.dock`; none of these draws depend on
-    scores, so the whole generation can be drawn up front.
+    and jolts, local-search subset) is part of the determinism contract;
+    none of these draws depend on scores, so the whole generation can be
+    drawn up front.
     """
     p = cfg.population
     n_children = cfg.n_children
@@ -214,7 +211,7 @@ def apply_genetics(
     draws into the stacked population; one ligand at a time they are the
     identity).  ``n_conf_rows`` carries each child row's ligand conformer
     count so the conformer-swap mutation gates per row.  Pure arithmetic,
-    no RNG — the shared genetics kernel of both docking paths.
+    no RNG.
     """
     n_rows = len(d.do_cross)
     rows = np.arange(n_rows)
@@ -256,93 +253,3 @@ def apply_genetics(
     if tors is not None and d.mut_a is not None:
         new_tors = new_tors + np.where(d.mut_a[:, None], d.jolt_a, 0.0)
     return new_conf, new_trans, new_quat, new_tors
-
-
-class LamarckianGA:
-    """LGA engine bound to a local-search method ("solis-wets"/"adadelta")."""
-
-    def __init__(
-        self,
-        config: LGAConfig | None = None,
-        local_search: str = "adadelta",
-    ) -> None:
-        self.config = config or LGAConfig()
-        if local_search == "adadelta":
-            self.local_search = Adadelta()
-        elif local_search == "solis-wets":
-            self.local_search = SolisWets()
-        else:
-            raise ValueError(
-                f"unknown local search {local_search!r} "
-                "(expected 'adadelta' or 'solis-wets')"
-            )
-
-    def dock(
-        self,
-        receptor: Receptor,
-        beads: LigandBeads,
-        rng: np.random.Generator,
-    ) -> DockingRun:
-        """Run the LGA; returns best pose, score and evaluation count."""
-        cfg = self.config
-        p = cfg.population
-        half = receptor.box_size / 2.0
-        n_tor = beads.n_torsions
-
-        conf, trans, quat, tors = draw_initial_genes(
-            rng, p, half, beads.n_conformers, n_tor
-        )
-        scores = score_poses_batch(receptor, beads, conf, trans, quat, tors)
-        n_evals = p
-        history: list[float] = [float(scores.min())]
-        n_conf_rows = np.full(cfg.n_children, beads.n_conformers)
-
-        for _ in range(cfg.generations):
-            d = draw_generation(rng, cfg, beads.n_conformers, n_tor)
-            order = np.argsort(scores)
-            elite = order[: cfg.elitism]
-            new_conf, new_trans, new_quat, new_tors = apply_genetics(
-                cfg, scores, conf, trans, quat, tors, n_conf_rows, d
-            )
-
-            conf = np.concatenate([conf[elite], new_conf])
-            trans = np.concatenate([trans[elite], new_trans])
-            quat = np.concatenate([quat[elite], new_quat])
-            if n_tor:
-                tors = np.concatenate([tors[elite], new_tors])
-            scores = score_poses_batch(receptor, beads, conf, trans, quat, tors)
-            n_evals += p
-
-            # Lamarckian step: refine a random subset, write back the genes
-            chosen = d.chosen
-            refined = self.local_search.refine_batch(
-                receptor,
-                beads,
-                conf[chosen],
-                trans[chosen],
-                quat[chosen],
-                rng,
-                None if tors is None else tors[chosen],
-            )
-            n_evals += refined.n_evals
-            better = refined.scores < scores[chosen]
-            idx = chosen[better]
-            trans[idx] = refined.translations[better]
-            quat[idx] = refined.quaternions[better]
-            if n_tor and refined.torsion_angles is not None:
-                tors[idx] = refined.torsion_angles[better]
-            scores[idx] = refined.scores[better]
-            history.append(float(scores.min()))
-
-        best = int(np.argmin(scores))
-        return DockingRun(
-            best_pose=Pose(
-                int(conf[best]),
-                trans[best].copy(),
-                quat[best].copy(),
-                None if tors is None else tors[best].copy(),
-            ),
-            best_score=float(scores[best]),
-            n_evals=n_evals,
-            history=history,
-        )

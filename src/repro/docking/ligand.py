@@ -29,8 +29,6 @@ __all__ = [
     "pack_ligands",
     "packed_single",
     "prepare_ligand",
-    "quaternion_to_matrix",
-    "random_quaternion",
 ]
 
 #: intra-ligand clash stiffness (kcal/mol/A^2) and contact-distance scale.
@@ -315,9 +313,9 @@ def pack_ligands(beads_list: list[LigandBeads]) -> PackedLigands:
 def packed_single(beads: LigandBeads) -> PackedLigands:
     """Pack-of-one view of ``beads``, cached on the instance.
 
-    The single-ligand scoring API routes through the same packed kernels
-    as the fused shard path; caching the trivial pack keeps the wrapper
-    overhead off the sequential hot path.
+    The single-ligand scoring and local-search API routes through the
+    same packed kernels as the fused shard path; caching the trivial pack
+    keeps the wrapper overhead off repeated calls.
     """
     pack = beads.__dict__.get("_packed1")
     if pack is None:
@@ -354,7 +352,7 @@ class PackPlan:
         self.row_ids = np.arange(k)
         self.row_col = self.row_ids[:, None]
         # per-row parameter gathers; a pack-of-one keeps the (1, A)
-        # broadcast row so the sequential path pays no gather at all
+        # broadcast row so a single-ligand call pays no gather at all
         sel = slice(0, 1) if lcount == 1 else self.lig_idx
         self.charges = pack.charges[sel]
         self.hydro = pack.hydro[sel]
@@ -516,76 +514,3 @@ class PackPlan:
                 rows = (slots[:, None] * r + np.arange(r)).ravel()
             groups.append((w, rows))
         return groups
-
-
-def random_quaternion(rng: np.random.Generator) -> np.ndarray:
-    """Uniform random unit quaternion (Shoemake's method)."""
-    u1, u2, u3 = rng.random(3)
-    q = np.array(
-        [
-            np.sqrt(1 - u1) * np.sin(2 * np.pi * u2),
-            np.sqrt(1 - u1) * np.cos(2 * np.pi * u2),
-            np.sqrt(u1) * np.sin(2 * np.pi * u3),
-            np.sqrt(u1) * np.cos(2 * np.pi * u3),
-        ]
-    )
-    return q
-
-
-def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (x, y, z, w convention)."""
-    q = q / np.linalg.norm(q)
-    x, y, z, w = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
-def apply_torsions_batch(
-    coords: np.ndarray, torsions: list[Torsion], angles: np.ndarray
-) -> np.ndarray:
-    """Rotate each torsion's moving atoms about its bond axis (batched).
-
-    ``coords`` is (k, n, 3) local conformer coordinates, ``angles`` is
-    (k, n_torsions) radians.  Torsions apply sequentially in definition
-    order (the torsion-tree convention); Rodrigues rotation per pose.
-    """
-    if not torsions or angles is None or angles.shape[-1] == 0:
-        return coords
-    if angles.shape != (len(coords), len(torsions)):
-        raise ValueError(
-            f"angles shape {angles.shape} != ({len(coords)}, {len(torsions)})"
-        )
-    out = coords.copy()
-    # torsions form a tree: rotation t moves the atoms downstream of
-    # bond t, so applications are order-dependent — sequential over the
-    # (short) torsion axis, batched over the (long) pose axis
-    for t, tor in enumerate(torsions):  # repro: disable=vectorization -- order-dependent tree
-        origin = out[:, tor.a]  # (k, 3)
-        axis = out[:, tor.b] - origin
-        axis = axis / (np.linalg.norm(axis, axis=1, keepdims=True) + 1e-12)
-        theta = angles[:, t]
-        cos = np.cos(theta)[:, None, None]
-        sin = np.sin(theta)[:, None, None]
-        v = out[:, tor.moving] - origin[:, None, :]  # (k, m, 3)
-        k_vec = axis[:, None, :]  # (k, 1, 3)
-        cross = np.cross(k_vec, v)
-        dot = (k_vec * v).sum(-1, keepdims=True)
-        rotated = v * cos + cross * sin + k_vec * dot * (1.0 - cos)
-        out[:, tor.moving] = rotated + origin[:, None, :]
-    return out
-
-
-def pose_coordinates(beads: LigandBeads, pose: Pose) -> np.ndarray:
-    """World coordinates of the ligand atoms under ``pose``."""
-    conf = beads.conformers[pose.conformer][None]
-    if pose.torsion_angles is not None and beads.n_torsions:
-        conf = apply_torsions_batch(
-            conf, beads.torsions, pose.torsion_angles[None]
-        )
-    rot = quaternion_to_matrix(pose.quaternion)
-    return conf[0] @ rot.T + pose.translation[None, :]

@@ -8,6 +8,12 @@ rotatable-bond torsions** — so the ablation bench can compare them
 like-for-like, and both refine a whole *batch* of poses at once (the
 GPU-parallelism analogue), using masked updates where poses diverge in
 control flow.
+
+Each method lives once, as ``refine_packed`` over a
+:class:`~repro.docking.ligand.PackedLigands` shard — the call the fused
+LGA (:mod:`repro.docking.batch`) makes with ``n_local_search`` rows per
+ligand.  ``refine_batch``/``refine`` are the pack-of-one call into it, the
+same convention the single-ligand scoring wrappers use.
 """
 
 from __future__ import annotations
@@ -16,12 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.docking.ligand import LigandBeads, Pose
+from repro.docking.ligand import (
+    LigandBeads,
+    PackedLigands,
+    PackPlan,
+    Pose,
+    packed_single,
+)
 from repro.docking.receptor import Receptor
 from repro.docking.scoring import (
     apply_rigid_steps_batch,
-    score_and_gradient_batch,
-    score_poses_batch,
+    packed_score_and_gradient_batch,
+    packed_score_batch,
 )
 from repro.util.config import FrozenConfig, validate_positive
 
@@ -33,6 +45,7 @@ __all__ = [
     "SolisWetsConfig",
     "AdadeltaConfig",
     "draw_solis_wets",
+    "local_search_named",
 ]
 
 
@@ -43,8 +56,8 @@ def draw_solis_wets(
 
     Returns unit-scale normals ``(dt (k, 3), dr (k, 3), da (k, T) or
     None)``; the caller applies its per-pose step sizes and biases.
-    Factored out so the fused multi-ligand path replays exactly this
-    per-iteration draw sequence from each ligand's own stream.
+    One call per active ligand per iteration, from that ligand's own
+    stream — the draw order is part of the determinism contract.
     """
     dt = rng.normal(size=(k, 3))
     dr = rng.normal(size=(k, 3))
@@ -72,18 +85,8 @@ class BatchRefinement:
     torsion_angles: np.ndarray | None = None  # (k, T) when the ligand flexes
 
 
-def _angles_or_zeros(
-    beads: LigandBeads, k: int, torsion_angles: np.ndarray | None
-) -> np.ndarray | None:
-    if beads.n_torsions == 0:
-        return None
-    if torsion_angles is None:
-        return np.zeros((k, beads.n_torsions))
-    return torsion_angles.copy()
-
-
 class _LocalSearch:
-    """Shared single-pose wrapper over the batched implementations."""
+    """Single-ligand wrappers over the packed implementations."""
 
     def refine(
         self,
@@ -111,8 +114,41 @@ class _LocalSearch:
             n_evals=out.n_evals,
         )
 
-    def refine_batch(self, *args, **kwargs) -> BatchRefinement:  # pragma: no cover
-        """Refine a batch of poses; see the class docstring."""
+    def refine_batch(
+        self,
+        receptor: Receptor,
+        beads: LigandBeads,
+        conformer_idx: np.ndarray,
+        translations: np.ndarray,
+        quaternions: np.ndarray,
+        rng: np.random.Generator,
+        torsion_angles: np.ndarray | None = None,
+    ) -> BatchRefinement:
+        """Refine ``k`` poses of one ligand: a pack of one, ``k`` rows.
+
+        A flexible ligand given no ``torsion_angles`` starts from zeros; a
+        rigid one ignores them.
+        """
+        k = len(conformer_idx)
+        if beads.n_torsions == 0:
+            torsion_angles = None
+        elif torsion_angles is None:
+            torsion_angles = np.zeros((k, beads.n_torsions))
+        pack = packed_single(beads)
+        best_t, best_q, best_s, best_a, evals = self.refine_packed(
+            receptor,
+            pack,
+            pack.plan(k),
+            conformer_idx,
+            translations,
+            quaternions,
+            torsion_angles,
+            [rng],
+        )
+        return BatchRefinement(best_t, best_q, best_s, int(evals[0]), best_a)
+
+    def refine_packed(self, *args, **kwargs):  # pragma: no cover
+        """Refine a fused multi-ligand pose batch; see the subclasses."""
         raise NotImplementedError
 
 
@@ -149,54 +185,88 @@ class SolisWets(_LocalSearch):
     def __init__(self, config: SolisWetsConfig | None = None) -> None:
         self.config = config or SolisWetsConfig()
 
-    def refine_batch(
+    def refine_packed(
         self,
         receptor: Receptor,
-        beads: LigandBeads,
+        pack: PackedLigands,
+        plan: PackPlan,
         conformer_idx: np.ndarray,
         translations: np.ndarray,
         quaternions: np.ndarray,
-        rng: np.random.Generator,
-        torsion_angles: np.ndarray | None = None,
-    ) -> BatchRefinement:
-        """Refine a batch of poses; see the class docstring."""
+        torsion_angles: np.ndarray | None,
+        rngs: list[np.random.Generator],
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+        """Solis–Wets refinement fused across the shard.
+
+        The hill-climber's iteration count is score-dependent (each ligand
+        stops once all its step sizes shrink below ``rho_min``), so ligands
+        carry an ``active`` flag: a retired ligand draws no further
+        randomness, accrues no evaluations and keeps its state frozen via
+        row masks — exactly where docking it alone would break out.
+
+        Returns ``(best_t, best_q, best_s, best_a, per_ligand_evals)``.
+        """
         cfg = self.config
+        n_lig = pack.n_ligands
+        t_max = pack.max_torsions
         k = len(conformer_idx)
-        n_tor = beads.n_torsions
+        n_ls = k // n_lig
+        n_tor = pack.n_torsions
+
         best_t = translations.copy()
         best_q = quaternions.copy()
-        best_a = _angles_or_zeros(beads, k, torsion_angles)
-        best_s = score_poses_batch(
-            receptor, beads, conformer_idx, best_t, best_q, best_a
+        best_a = torsion_angles.copy() if t_max else None
+        best_s = packed_score_batch(
+            receptor, pack, plan, conformer_idx, best_t, best_q, best_a
         )
-        n_evals = k
+        evals = np.full(n_lig, n_ls, dtype=np.int64)
 
         rho_t = np.full(k, cfg.rho_trans)
         rho_r = np.full(k, cfg.rho_rot)
         rho_a = np.full(k, cfg.rho_torsion)
         bias_t = np.zeros((k, 3))
         bias_r = np.zeros((k, 3))
-        bias_a = np.zeros((k, n_tor))
+        bias_a = np.zeros((k, t_max))
         succ = np.zeros(k, dtype=int)
         fail = np.zeros(k, dtype=int)
+        active = np.ones(n_lig, dtype=bool)
 
         for _ in range(cfg.max_iters):
-            raw_t, raw_r, raw_a = draw_solis_wets(rng, k, n_tor)
+            if not active.any():
+                break
+            raw_t = np.zeros((k, 3))
+            raw_r = np.zeros((k, 3))
+            raw_a = np.zeros((k, t_max)) if t_max else None
+            # per-stream draws: each active ligand consumes its own generator,
+            # one iteration's worth at a time
+            for li in np.flatnonzero(active):
+                rt, rr, ra = draw_solis_wets(rngs[li], n_ls, int(n_tor[li]))
+                rows = slice(li * n_ls, (li + 1) * n_ls)
+                raw_t[rows] = rt
+                raw_r[rows] = rr
+                if ra is not None:
+                    raw_a[rows, : ra.shape[1]] = ra
+            act_rows = np.repeat(active, n_ls)
+
             dt = raw_t * rho_t[:, None] + bias_t
             dr = raw_r * rho_r[:, None] + bias_r
-            da = raw_a * rho_a[:, None] + bias_a if n_tor else None
+            da = raw_a * rho_a[:, None] + bias_a if t_max else None
 
             t1, q1 = apply_rigid_steps_batch(best_t, best_q, dt, dr)
             a1 = None if best_a is None else best_a + da
-            s1 = score_poses_batch(receptor, beads, conformer_idx, t1, q1, a1)
+            s1 = packed_score_batch(
+                receptor, pack, plan, conformer_idx, t1, q1, a1
+            )
             t2, q2 = apply_rigid_steps_batch(best_t, best_q, -dt, -dr)
             a2 = None if best_a is None else best_a - da
-            s2 = score_poses_batch(receptor, beads, conformer_idx, t2, q2, a2)
-            n_evals += 2 * k
+            s2 = packed_score_batch(
+                receptor, pack, plan, conformer_idx, t2, q2, a2
+            )
+            evals[active] += 2 * n_ls
 
-            fwd = s1 < best_s
-            back = (~fwd) & (s2 < best_s)
-            neither = ~(fwd | back)
+            fwd = (s1 < best_s) & act_rows
+            back = (~fwd) & (s2 < best_s) & act_rows
+            neither = act_rows & ~(fwd | back)
 
             best_t[fwd], best_q[fwd], best_s[fwd] = t1[fwd], q1[fwd], s1[fwd]
             best_t[back], best_q[back], best_s[back] = t2[back], q2[back], s2[back]
@@ -210,17 +280,17 @@ class SolisWets(_LocalSearch):
             bias_r[back] = bias_r[back] - 0.4 * dr[back]
             bias_t[neither] *= 0.5
             bias_r[neither] *= 0.5
-            if n_tor:
+            if t_max:
                 bias_a[fwd] = 0.4 * bias_a[fwd] + 0.2 * da[fwd]
                 bias_a[back] = bias_a[back] - 0.4 * da[back]
                 bias_a[neither] *= 0.5
 
             improved = fwd | back
-            succ = np.where(improved, succ + 1, 0)
-            fail = np.where(improved, 0, fail + 1)
+            succ = np.where(act_rows, np.where(improved, succ + 1, 0), succ)
+            fail = np.where(act_rows, np.where(improved, 0, fail + 1), fail)
 
-            expand = succ >= cfg.success_expand
-            contract = fail >= cfg.failure_contract
+            expand = (succ >= cfg.success_expand) & act_rows
+            contract = (fail >= cfg.failure_contract) & act_rows
             scale = np.where(expand, 2.0, np.where(contract, 0.5, 1.0))
             rho_t *= scale
             rho_r *= scale
@@ -228,9 +298,13 @@ class SolisWets(_LocalSearch):
             succ[expand] = 0
             fail[contract] = 0
 
-            if (rho_t < cfg.rho_min).all() and (rho_r < cfg.rho_min).all():
-                break
-        return BatchRefinement(best_t, best_q, best_s, n_evals, best_a)
+            # a ligand retires when all its rows' steps have converged
+            done = (
+                (rho_t < cfg.rho_min).reshape(n_lig, n_ls).all(axis=1)
+                & (rho_r < cfg.rho_min).reshape(n_lig, n_ls).all(axis=1)
+            )
+            active &= ~done
+        return best_t, best_q, best_s, best_a, evals
 
 
 @dataclass(frozen=True)
@@ -260,36 +334,40 @@ class Adadelta(_LocalSearch):
     def __init__(self, config: AdadeltaConfig | None = None) -> None:
         self.config = config or AdadeltaConfig()
 
-    def refine_batch(
+    def refine_packed(
         self,
         receptor: Receptor,
-        beads: LigandBeads,
+        pack: PackedLigands,
+        plan: PackPlan,
         conformer_idx: np.ndarray,
         translations: np.ndarray,
         quaternions: np.ndarray,
-        rng: np.random.Generator,  # unused; interface parity with SolisWets
-        torsion_angles: np.ndarray | None = None,
-    ) -> BatchRefinement:
-        """Refine a batch of poses; see the class docstring."""
+        torsion_angles: np.ndarray | None,
+        rngs: list[np.random.Generator],  # unused; interface parity with SolisWets
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray]:
+        """ADADELTA refinement fused across the shard (gradient descent
+        consumes no RNG, so rows advance in lock-step; padded torsion columns
+        see zero gradient and stay exactly zero).
+
+        Returns ``(best_t, best_q, best_s, best_a, per_ligand_evals)``.
+        """
         cfg = self.config
-        k = len(conformer_idx)
-        n_tor = beads.n_torsions
+        t_max = pack.max_torsions
+        n_ls = len(conformer_idx) // pack.n_ligands
         cur_t, cur_q = translations.copy(), quaternions.copy()
-        cur_a = _angles_or_zeros(beads, k, torsion_angles)
-        scores, g_t, g_r, g_a = score_and_gradient_batch(
-            receptor, beads, conformer_idx, cur_t, cur_q, cur_a
+        cur_a = torsion_angles.copy() if t_max else None
+        scores, g_t, g_r, g_a = packed_score_and_gradient_batch(
+            receptor, pack, plan, conformer_idx, cur_t, cur_q, cur_a
         )
-        n_evals = k
         best_t, best_q, best_s = cur_t.copy(), cur_q.copy(), scores.copy()
         best_a = None if cur_a is None else cur_a.copy()
 
-        dim = 6 + n_tor
+        k = len(conformer_idx)
+        dim = 6 + t_max
         eg2 = np.zeros((k, dim))
         ex2 = np.zeros((k, dim))
         for _ in range(cfg.max_iters):
-            g = np.concatenate(
-                [g_t, g_r] + ([g_a] if n_tor else []), axis=1
-            )
+            g = np.concatenate([g_t, g_r] + ([g_a] if t_max else []), axis=1)
             eg2 = cfg.rho * eg2 + (1 - cfg.rho) * g * g
             step = -np.sqrt(ex2 + cfg.eps) / np.sqrt(eg2 + cfg.eps) * g
             step = np.clip(step, -cfg.clip, cfg.clip)
@@ -297,15 +375,26 @@ class Adadelta(_LocalSearch):
             cur_t, cur_q = apply_rigid_steps_batch(
                 cur_t, cur_q, step[:, :3], step[:, 3:6]
             )
-            if n_tor:
+            if t_max:
                 cur_a = cur_a + step[:, 6:]
-            scores, g_t, g_r, g_a = score_and_gradient_batch(
-                receptor, beads, conformer_idx, cur_t, cur_q, cur_a
+            scores, g_t, g_r, g_a = packed_score_and_gradient_batch(
+                receptor, pack, plan, conformer_idx, cur_t, cur_q, cur_a
             )
-            n_evals += k
             better = scores < best_s
             best_t[better], best_q[better] = cur_t[better], cur_q[better]
             best_s[better] = scores[better]
             if best_a is not None:
                 best_a[better] = cur_a[better]
-        return BatchRefinement(best_t, best_q, best_s, n_evals, best_a)
+        evals = np.full(pack.n_ligands, n_ls * (1 + cfg.max_iters), dtype=np.int64)
+        return best_t, best_q, best_s, best_a, evals
+
+
+def local_search_named(name: str) -> SolisWets | Adadelta:
+    """The default-configured local search AutoDock-GPU calls ``name``."""
+    for method in (Adadelta, SolisWets):
+        if method.name == name:
+            return method()
+    raise ValueError(
+        f"unknown local search {name!r} "
+        "(expected 'adadelta' or 'solis-wets')"
+    )

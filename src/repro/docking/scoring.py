@@ -40,7 +40,6 @@ from repro.docking.ligand import (
     PackPlan,
     Pose,
     packed_single,
-    pose_coordinates,
 )
 from repro.docking.receptor import Receptor
 
@@ -53,15 +52,12 @@ __all__ = [
     "batch_pose_coordinates",
     "apply_rigid_step",
     "apply_rigid_steps_batch",
-    "interpolate",
     "interpolate_stacked",
     "packed_pose_coordinates",
     "apply_packed_torsions",
     "packed_atom_energies",
     "packed_score_batch",
     "packed_score_and_gradient_batch",
-    "kernel_calls",
-    "reset_kernel_calls",
 ]
 
 #: penalty per angstrom^2 for atoms escaping the box
@@ -71,22 +67,6 @@ _WALL_K = 10.0
 #: precomputes the pair contact distances)
 _INTRA_K = INTRA_K
 _INTRA_SCALE = INTRA_SCALE
-
-#: fused-kernel invocation counter — one packed_atom_energies call is one
-#: "kernel launch"; the perf harness uses it to show how batching
-#: amortizes launches across the shard
-_KERNEL_CALLS = 0
-
-
-def kernel_calls() -> int:
-    """Number of fused scoring-kernel invocations since the last reset."""
-    return _KERNEL_CALLS
-
-
-def reset_kernel_calls() -> None:
-    """Reset the kernel invocation counter (perf harness bookkeeping)."""
-    global _KERNEL_CALLS
-    _KERNEL_CALLS = 0
 
 
 @dataclass(frozen=True)
@@ -102,19 +82,6 @@ class ScoreBreakdown:
     def total(self) -> float:
         """Sum of all components."""
         return self.electrostatic + self.hydrophobic + self.steric + self.wall
-
-
-def interpolate(
-    grid: np.ndarray, receptor: Receptor, coords: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Trilinear interpolation of ``grid`` at ``coords`` (…, 3).
-
-    Returns ``(values, gradients)`` with shapes ``coords.shape[:-1]`` and
-    ``coords.shape``; gradients are w.r.t. world coordinates (per angstrom).
-    Single-grid convenience wrapper over :func:`interpolate_stacked`.
-    """
-    value, grad = interpolate_stacked(grid[None], receptor, coords)
-    return value[0], grad[0]
 
 
 def interpolate_stacked(
@@ -357,8 +324,6 @@ def packed_atom_energies(
     width, batched across same-width ligands via the plan's width
     groups (the determinism spine — see the module docstring).
     """
-    global _KERNEL_CALLS
-    _KERNEL_CALLS += 1
     k_total, a_max = coords.shape[:2]
 
     flat_view = coords.reshape(-1, 3)
@@ -586,18 +551,6 @@ def batch_pose_coordinates(
     )
 
 
-def _batch_atom_energies(
-    receptor: Receptor, beads: LigandBeads, coords: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Single-ligand energies + per-atom gradients (pack-of-one wrapper).
-
-    Parameters: ``coords`` (k, n, 3).  Returns ``(totals (k,),
-    components (k, 4), atom_grad (k, n, 3))``.
-    """
-    pack, plan = _single_call(beads, len(coords))
-    return packed_atom_energies(receptor, pack, plan, coords, want_grad=True)
-
-
 def score_poses_batch(
     receptor: Receptor,
     beads: LigandBeads,
@@ -645,9 +598,23 @@ def score_and_gradient_batch(
 
 
 def score_pose(receptor: Receptor, beads: LigandBeads, pose: Pose) -> ScoreBreakdown:
-    """Energy breakdown of one pose (lower total = better)."""
-    coords = pose_coordinates(beads, pose)[None]
-    _, components, _ = _batch_atom_energies(receptor, beads, coords)
+    """Energy breakdown of one pose (lower total = better).
+
+    Same packed geometry and kernel as the batch scorers, so ``total``
+    equals the score a docking run reports for the pose, bit for bit.
+    """
+    pack, plan = _single_call(beads, 1)
+    coords = packed_pose_coordinates(
+        pack,
+        plan,
+        np.array([pose.conformer]),
+        pose.translation[None],
+        pose.quaternion[None],
+        None if pose.torsion_angles is None else pose.torsion_angles[None],
+    )
+    _, components, _ = packed_atom_energies(
+        receptor, pack, plan, coords, want_grad=False
+    )
     e = components[0]
     return ScoreBreakdown(float(e[0]), float(e[1]), float(e[2]), float(e[3]))
 
@@ -707,8 +674,9 @@ def apply_rigid_steps_batch(
 
 
 def apply_rigid_step(pose: Pose, d_trans: np.ndarray, d_rot: np.ndarray) -> Pose:
-    """Single-pose wrapper over :func:`apply_rigid_steps_batch`."""
+    """Single-pose wrapper over :func:`apply_rigid_steps_batch`; the
+    conformer and torsion genes carry through unchanged."""
     t, q = apply_rigid_steps_batch(
         pose.translation[None], pose.quaternion[None], d_trans[None], d_rot[None]
     )
-    return Pose(pose.conformer, t[0], q[0])
+    return Pose(pose.conformer, t[0], q[0], pose.torsion_angles)

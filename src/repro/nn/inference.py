@@ -6,18 +6,12 @@ frozen into plain arrays) and run the whole forward pass in half
 precision.  :class:`CompiledModel` plays the role of the torch2trt export
 — same predictions (to FP16 tolerance), a fraction of the cost.
 
-Two engines share that contract:
-
-``"graph"`` (default)
-    the :mod:`repro.nn.graph` path — trace to an op graph, fuse, plan a
-    buffer arena, execute with ``out=`` kernels.  The TensorRT-style
-    build; several times faster at batch sizes the campaign uses.
-
-``"eager"``
-    the original closure-per-layer interpreter, kept verbatim below as
-    the reference oracle.  Graph execution is bit-identical to it at the
-    same batch size and precision — enforced by probe-gated kernel
-    selection and asserted by the test suite.
+There is one engine, the :mod:`repro.nn.graph` path — trace to an op
+graph, fuse, plan a buffer arena, execute with ``out=`` kernels: the
+TensorRT-style build.  Its reference, the closure-per-layer interpreter
+it replaced, lives in ``tests/nn/oracle.py``; graph execution is
+bit-identical to it at the same batch size and precision — enforced by
+probe-gated kernel selection and asserted by the test suite.
 """
 
 from __future__ import annotations
@@ -27,22 +21,7 @@ import numpy as np
 from repro.nn.graph.executor import GraphExecutor
 from repro.nn.graph.ir import freeze_module, resolve_precision, trace_frozen
 from repro.nn.graph.passes import optimize
-from repro.nn.layers import (
-    BatchNorm,
-    Conv2d,
-    Dense,
-    Flatten,
-    GlobalAvgPool2d,
-    LeakyReLU,
-    MaxPool2d,
-    Module,
-    PointwiseDense,
-    ReLU,
-    ResidualBlock,
-    Sequential,
-    Sigmoid,
-    Tanh,
-)
+from repro.nn.layers import Module
 
 __all__ = ["CompiledModel", "compile_model"]
 
@@ -54,15 +33,11 @@ class CompiledModel:
         self,
         store_dtype: np.dtype,
         compute_dtype: np.dtype,
-        engine: str,
-        fn=None,
-        frozen=None,
+        frozen,
         tracer=None,
     ) -> None:
         self.store_dtype = store_dtype
         self.compute_dtype = compute_dtype
-        self.engine = engine
-        self._fn = fn
         self._frozen = frozen
         self._tracer = tracer
         self._executors: dict[tuple[int, ...], GraphExecutor] = {}
@@ -71,8 +46,6 @@ class CompiledModel:
         # quantize the input to the storage precision, compute wider —
         # the tensor-core model (FP16 operands, FP32 accumulate)
         x = np.asarray(x).astype(self.store_dtype).astype(self.compute_dtype)
-        if self.engine == "eager":
-            return self._fn(x).astype(np.float64)
         return self.executor_for(x.shape[1:]).run(x).astype(np.float64)
 
     def executor_for(self, sample_shape: tuple[int, ...]) -> GraphExecutor:
@@ -83,7 +56,7 @@ class CompiledModel:
             graph = trace_frozen(
                 self._frozen, key, self.store_dtype, self.compute_dtype
             )
-            graph, self.pass_stats = optimize(graph)
+            graph, _ = optimize(graph)
             executor = self._executors[key] = GraphExecutor(
                 graph, tracer=self._tracer
             )
@@ -93,7 +66,6 @@ class CompiledModel:
 def compile_model(
     model: Module,
     precision: str = "fp16",
-    engine: str = "graph",
     tracer=None,
 ) -> CompiledModel:
     """Compile a module tree into a pure-NumPy inference function.
@@ -109,127 +81,10 @@ def compile_model(
         single precision.  (NumPy has no hardware FP16 arithmetic, so
         computing *in* float16 would be both slower and less faithful
         than quantize-then-accumulate.)
-    engine:
-        ``"graph"`` (default) for the fused, arena-planned executor;
-        ``"eager"`` for the closure-per-layer reference interpreter.
-        Predictions are bit-identical between the two at any given batch
-        size.
+    tracer:
+        Optional :class:`repro.telemetry.Tracer` for per-op ``nn.op`` spans.
     """
     store, compute = resolve_precision(precision)
-    if engine == "graph":
-        return CompiledModel(
-            store,
-            compute,
-            engine,
-            frozen=freeze_module(model, store, compute),
-            tracer=tracer,
-        )
-    if engine == "eager":
-        return CompiledModel(
-            store, compute, engine, fn=_compile(model, _Precision(store, compute))
-        )
-    raise ValueError(f"engine must be 'graph' or 'eager', got {engine!r}")
-
-
-class _Precision:
-    """Weight-quantization policy handed down the compile recursion."""
-
-    def __init__(self, store: np.dtype, compute: np.dtype) -> None:
-        self.store = store
-        self.compute = compute
-
-    def quantize(self, arr: np.ndarray) -> np.ndarray:
-        """Round-trip an array through the storage precision."""
-        return arr.astype(self.store).astype(self.compute)
-
-
-def _compile(module: Module, prec: "_Precision"):
-    """Recursively translate a module into a closure over frozen weights."""
-    if isinstance(module, Sequential):
-        fns = [_compile(m, prec) for m in module.layers]
-
-        def seq(x):
-            for f in fns:
-                x = f(x)
-            return x
-
-        return seq
-
-    if isinstance(module, ResidualBlock):
-        body = _compile(module.body, prec)
-        proj = _compile(module.projection, prec) if module.projection else None
-
-        def res(x):
-            skip = proj(x) if proj else x
-            return np.maximum(body(x) + skip, 0)
-
-        return res
-
-    if isinstance(module, (Dense, PointwiseDense)):
-        w = prec.quantize(module.weight.data)
-        b = prec.quantize(module.bias.data)
-        return lambda x: x @ w + b
-
-    if isinstance(module, Conv2d):
-        w = prec.quantize(module.weight.data)
-        b = prec.quantize(module.bias.data).reshape(1, -1, 1)
-        kernel, stride, padding = module.kernel, module.stride, module.padding
-
-        def conv(x):
-            bsz, c, h, w_in = x.shape
-            if padding:
-                x = np.pad(
-                    x, [(0, 0), (0, 0), (padding, padding), (padding, padding)]
-                )
-            hp, wp = h + 2 * padding, w_in + 2 * padding
-            idx = module._gather_indices(c, hp, wp)
-            cols = x.reshape(bsz, c * hp * wp)[:, idx]
-            out = w @ cols + b
-            oh = (hp - kernel) // stride + 1
-            ow = (wp - kernel) // stride + 1
-            return out.reshape(bsz, w.shape[0], oh, ow)
-
-        return conv
-
-    if isinstance(module, MaxPool2d):
-        k = module.kernel
-
-        def pool(x):
-            bsz, c, h, w_in = x.shape
-            return x.reshape(bsz, c, h // k, k, w_in // k, k).max(axis=(3, 5))
-
-        return pool
-
-    if isinstance(module, GlobalAvgPool2d):
-        return lambda x: x.mean(axis=(2, 3))
-
-    if isinstance(module, Flatten):
-        return lambda x: x.reshape(x.shape[0], -1)
-
-    if isinstance(module, ReLU):
-        return lambda x: np.maximum(x, 0)
-
-    if isinstance(module, LeakyReLU):
-        slope = prec.compute(module.slope)
-        return lambda x: np.where(x > 0, x, slope * x)
-
-    if isinstance(module, Tanh):
-        return np.tanh
-
-    if isinstance(module, Sigmoid):
-        return lambda x: 1.0 / (1.0 + np.exp(-x))
-
-    if isinstance(module, BatchNorm):
-        scale64 = module.gamma.data / np.sqrt(module.running_var + module.eps)
-        shift64 = module.beta.data - module.running_mean * scale64
-        scale = prec.quantize(scale64)
-        shift = prec.quantize(shift64)
-
-        def bn(x):
-            if x.ndim == 4:
-                return x * scale.reshape(1, -1, 1, 1) + shift.reshape(1, -1, 1, 1)
-            return x * scale + shift
-
-        return bn
-
-    raise TypeError(f"cannot compile module of type {type(module).__name__}")
+    return CompiledModel(
+        store, compute, freeze_module(model, store, compute), tracer=tracer
+    )

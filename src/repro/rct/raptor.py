@@ -466,7 +466,7 @@ def dock_library_raptor(
 
     The library is cut into contiguous shards of ``shard_size`` compounds;
     each shard is one RAPTOR item executed by
-    ``engine.dock_entries(shard, batched=True)`` — so every worker
+    ``engine.dock_entries(shard)`` — so every worker
     amortizes kernel launches across its whole shard instead of paying
     per-ligand dispatch (the AutoDock-GPU batching argument applied to
     the overlay's work unit).  Per-compound determinism makes the shard
@@ -493,7 +493,7 @@ def dock_library_raptor(
         tracer = getattr(engine, "tracer", None)
     outcome = run_raptor(
         shards,
-        lambda shard: engine.dock_entries(shard, batched=True),
+        engine.dock_entries,
         config,
         retry=retry,
         tracer=tracer,
@@ -510,9 +510,7 @@ def dock_library_raptor(
             failed_compounds.extend(range(offsets[si], offsets[si + 1]))
         else:
             flat.extend(shard_result)
-            for r in shard_result:
-                engine.total_evals += r.n_evals
-                engine.total_ligands += 1
+            engine._account(shard_result)
     return RaptorResult(
         makespan=outcome.makespan,
         n_items=n,

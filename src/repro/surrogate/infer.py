@@ -57,16 +57,14 @@ class InferenceEngine:
         surrogate: TrainedSurrogate,
         precision: str = "fp16",
         batch_size: int = 64,
-        engine: str = "graph",
         tracer=None,
     ) -> None:
         self.surrogate = surrogate
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.compiled = compile_model(
-            surrogate.model, precision=precision, engine=engine, tracer=tracer
+            surrogate.model, precision=precision, tracer=tracer
         )
         self.batch_size = batch_size
-        self.engine = engine
         self.records_scored = 0
         self.shards_resumed = 0
         # persistent feature buffers: every batch — including the padded

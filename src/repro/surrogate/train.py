@@ -5,11 +5,11 @@ Trains SmilesNet on (SMILES, docking score) pairs produced offline by S1
 sample count down and keep the procedure: normalize targets to [0, 1],
 mini-batch Adam, fixed train/validation split, per-epoch loss tracking.
 
-Two interchangeable engines drive the step loop: ``engine="graph"``
-(default) compiles forward+backward+Adam into one replayed
-:class:`~repro.nn.graph.train.TrainStep`; ``engine="eager"`` keeps the
-original interpreter loop as the oracle.  Both produce **bitwise
-identical** weights, losses and optimizer state at the same seed.
+The step loop runs one :class:`~repro.nn.graph.train.TrainStep`:
+forward+backward+Adam traced through the autograd interpreter on the
+first call per batch shape, replayed as compiled kernels after.  The
+interpreted step it is **bitwise identical** to (weights, losses,
+optimizer state) is ``tests/nn/oracle.py``'s ``EagerStep``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from repro.nn.autograd import Tensor, no_grad
 from repro.nn.graph.train import TrainStep
 from repro.nn.losses import mse_loss
-from repro.nn.optim import Adam, grad_norm
+from repro.nn.optim import Adam
 from repro.surrogate.featurize import IMAGE_SIZE, ScoreNormalizer, featurize_batch
 from repro.surrogate.model import SmilesNet, build_smilesnet
 from repro.telemetry import NULL_TRACER
@@ -41,17 +41,12 @@ class TrainConfig(FrozenConfig):
     validation_fraction: float = 0.2
     width: int = 12
     image_size: int = IMAGE_SIZE
-    engine: str = "graph"
 
     def __post_init__(self) -> None:
         validate_positive("epochs", self.epochs)
         validate_positive("batch_size", self.batch_size)
         validate_positive("learning_rate", self.learning_rate)
         validate_range("validation_fraction", self.validation_fraction, 0.0, 0.9)
-        if self.engine not in ("graph", "eager"):
-            raise ValueError(
-                f"engine must be 'graph' or 'eager', got {self.engine!r}"
-            )
 
 
 @dataclass
@@ -139,9 +134,7 @@ def validation_loss(model, X_val: np.ndarray, y_val: np.ndarray, batch_size: int
     independent, so chunking agrees with the single pass bitwise whenever
     BLAS row-blocking is chunk-invariant (it is at the shipped batch
     sizes; a degenerate tail chunk of a few rows can select a different
-    GEMM kernel and differ in the last ulp).  Both training engines call
-    this same function, so reported validation losses are always
-    bit-identical across engines.
+    GEMM kernel and differ in the last ulp).
     """
     n = len(X_val)
     sq: np.ndarray | None = None
@@ -201,9 +194,7 @@ def train_surrogate(
     opt = Adam(model.parameters(), lr=cfg.learning_rate)
     shuffle_rng = factory.stream("shuffle")
 
-    step = None
-    if cfg.engine == "graph":
-        step = TrainStep(lambda xb, yb: mse_loss(model(xb), yb), opt)
+    step = TrainStep(lambda xb, yb: mse_loss(model(xb), yb), opt)
 
     train_losses: list[float] = []
     val_losses: list[float] = []
@@ -221,21 +212,11 @@ def train_surrogate(
         with tracer.span("train.epoch", "train", epoch=epoch) as epoch_span:
             for idx in index_batches:
                 with tracer.span("train.step", "train"):
-                    if step is not None:
-                        loss_val = step(X[idx], y[idx])
-                    else:
-                        loss = mse_loss(model(Tensor(X[idx])), Tensor(y[idx]))
-                        model.zero_grad()
-                        loss.backward()
-                        opt.step()
-                        loss_val = loss.item()
+                    loss_val = step(X[idx], y[idx])
                 if tracer.enabled:
                     tracer.metrics.counter("train.steps").inc()
                     tracer.metrics.gauge("train.loss").set(loss_val)
-                    gnorm = (
-                        step.grad_norm() if step is not None else grad_norm(opt.params)
-                    )
-                    tracer.metrics.gauge("train.grad_norm").set(gnorm)
+                    tracer.metrics.gauge("train.grad_norm").set(step.grad_norm())
                 epoch_loss += loss_val
                 n_batches += 1
             train_losses.append(epoch_loss / max(1, n_batches))

@@ -22,6 +22,7 @@ from repro.docking.lga import LGAConfig
 from repro.docking.receptor import make_receptor
 from repro.surrogate.infer import InferenceEngine, ScoredCompound
 from repro.surrogate.train import TrainConfig, train_surrogate
+from repro.telemetry import TickClock, Tracer
 
 LIB_N = 36
 SHARD_SIZE = 8
@@ -100,17 +101,31 @@ def test_streamed_equals_materialized(surrogate, shard_paths):
     assert streamed.shards_resumed == 0
 
     # materialized reference: score everything, stable sort, one dock call
-    inference = InferenceEngine(surrogate, batch_size=64, engine="graph")
+    inference = InferenceEngine(surrogate, batch_size=64)
     scored = inference.score_shards(shard_paths)
     ranked = sorted(scored, key=lambda s: s.score, reverse=True)[:KEEP_TOP]
     assert streamed.selected == ranked
 
-    docked = _engine().dock_entries(
-        [(s.smiles, s.compound_id) for s in ranked], batched=True
-    )
+    docked = _engine().dock_entries([(s.smiles, s.compound_id) for s in ranked])
     assert [_result_to_row(r) for r in streamed.docked] == [
         _result_to_row(r) for r in docked
     ]
+
+
+def test_traced_streamed_screen_counts_its_docked_ligands(surrogate, shard_paths):
+    """The streamed S1 path charges the same engine totals and
+    ``docking.*`` trace counters as ``dock_smiles``/``dock_library``."""
+    tracer = Tracer(clock=TickClock())
+    engine = DockingEngine(receptor, seed=5, config=small, tracer=tracer)
+    result = run_streamed_screen(
+        engine, surrogate, shard_paths, keep_top=KEEP_TOP, dock_shard_size=4,
+        tracer=tracer,
+    )
+    n_evals = sum(r.n_evals for r in result.docked)
+    assert (engine.total_ligands, engine.total_evals) == (KEEP_TOP, n_evals)
+    assert tracer.metrics.counter("docking.ligands").value == KEEP_TOP
+    assert tracer.metrics.counter("docking.evals").value == n_evals
+    assert tracer.metrics.counter("stream.dock_shards_scored").value == 2
 
 
 # --------------------------------------------------- kill / resume

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ddmd.aae import AAE, AAEConfig, train_aae
 from repro.util.rng import rng_stream
+from tests.nn import oracle
 
 TINY = AAEConfig(epochs=5, latent_dim=6, hidden=12, batch_size=16)
 
@@ -103,14 +104,20 @@ def test_paper_hyperparameters_are_defaults():
 
 
 # --------------------------------------------- engine parity and telemetry
+def _fit(engine, epochs, tracer=None):
+    """Fit on the compiled steps ("graph") or with the interpreted
+    ``EagerStep`` of ``tests/nn/oracle.py`` swapped in ("eager")."""
+    model = AAE(AAEConfig(epochs=epochs, latent_dim=6, hidden=12, batch_size=16),
+                n_points=20, seed=2)
+    with pytest.MonkeyPatch.context() as mp:
+        if engine == "eager":
+            oracle.install(mp)
+        return model, model.fit(_clouds(), tracer=tracer)
+
+
 def test_graph_engine_bitwise_matches_eager():
-    clouds = _clouds()
-    graph = AAE(AAEConfig(engine="graph", epochs=3, latent_dim=6, hidden=12,
-                          batch_size=16), n_points=20, seed=2)
-    eager = AAE(AAEConfig(engine="eager", epochs=3, latent_dim=6, hidden=12,
-                          batch_size=16), n_points=20, seed=2)
-    hg = graph.fit(clouds)
-    he = eager.fit(clouds)
+    graph, hg = _fit("graph", epochs=3)
+    eager, he = _fit("eager", epochs=3)
     assert hg.train_reconstruction == he.train_reconstruction
     assert hg.train_adversarial == he.train_adversarial
     assert hg.val_reconstruction == he.val_reconstruction
@@ -121,19 +128,20 @@ def test_graph_engine_bitwise_matches_eager():
 
 
 def test_aae_engine_validated():
-    with pytest.raises(ValueError, match="engine"):
+    """There is one step: the selector is gone, not defaulted."""
+    with pytest.raises(TypeError, match="engine"):
         AAEConfig(engine="compiled")
+    with pytest.raises(TypeError, match="engine"):
+        AAEConfig(engine="graph")
 
 
 def test_fit_emits_spans_and_identical_traces_across_engines():
     from repro.telemetry import TickClock, Tracer
 
-    clouds = _clouds()
     readings = {}
     for engine in ("graph", "eager"):
         tracer = Tracer(clock=TickClock())
-        AAE(AAEConfig(engine=engine, epochs=2, latent_dim=6, hidden=12,
-                      batch_size=16), n_points=20, seed=2).fit(clouds, tracer=tracer)
+        _fit(engine, epochs=2, tracer=tracer)
         spans = list(tracer.spans("train"))
         assert {s.name for s in spans} == {"train.epoch", "train.step"}
         epoch_spans = [s for s in spans if s.name == "train.epoch"]

@@ -1,13 +1,16 @@
-"""Fused multi-ligand docking: bit-equivalence with the sequential path.
+"""Fused multi-ligand docking: bit-equivalence with the per-ligand oracle.
 
 The contract under test is the hard one from the batch module: docking a
-compound through the fused shard path (``batched=True``) must produce
-*bit-identical* poses, scores and eval counts to docking it alone
-(``batched=False``), for any shard composition or ordering.
+compound through the fused shard LGA must produce *bit-identical* poses,
+scores, eval counts and histories to the per-ligand reference LGA in
+``tests/docking/oracle.py``, for any shard composition or ordering.
 """
 
 from __future__ import annotations
 
+import functools
+
+import numpy as np
 import pytest
 
 import repro.docking.engine as engine_mod
@@ -20,6 +23,7 @@ from repro.docking.ligand import prepare_ligand
 from repro.docking.receptor import make_receptor
 from repro.rct.raptor import RaptorConfig, dock_library_raptor
 from repro.util.rng import rng_stream
+from tests.docking import oracle
 
 receptor = make_receptor("3CLPro")
 library = generate_library(10, seed=23)
@@ -46,32 +50,72 @@ def _assert_bitwise_equal(a, b):
         assert ra.torsion_angles == rb.torsion_angles
 
 
+@functools.cache
+def _oracle_library(local_search: str = "adadelta"):
+    """The library docked one ligand at a time by the reference LGA."""
+    with pytest.MonkeyPatch.context() as mp:
+        oracle.install(mp)
+        eng = _engine(local_search)
+        return eng, eng.dock_library(library)
+
+
 @pytest.mark.parametrize("local_search", ["adadelta", "solis-wets"])
 def test_batched_matches_sequential_bitwise(local_search):
-    seq = _engine(local_search).dock_library(library, batched=False)
-    fused = _engine(local_search).dock_library(library, batched=True)
-    _assert_bitwise_equal(seq, fused)
+    _, seq = _oracle_library(local_search)
+    entries = [(e.smiles, e.compound_id) for e in library]
+    for cut in (1, 3, len(entries)):
+        eng = _engine(local_search)
+        fused = [
+            r
+            for start in range(0, len(entries), cut)
+            for r in eng.dock_entries(entries[start : start + cut])
+        ]
+        _assert_bitwise_equal(seq, fused)
+    backward = _engine(local_search).dock_entries(entries[::-1])
+    _assert_bitwise_equal(seq, backward[::-1])
+
+
+@pytest.mark.parametrize("local_search", ["adadelta", "solis-wets"])
+def test_runs_match_oracle_bitwise_including_history(local_search):
+    """``DockingRun`` level: torsions as arrays and the per-generation
+    ``history``, which ``DockingResult`` does not carry."""
+    eng = _engine(local_search)
+    beads = [eng._prepared(e.smiles, e.compound_id) for e in library]
+    streams = lambda: [rng_stream(9, f"t/batch/run/{e.compound_id}") for e in library]
+    ref = oracle.dock_shard(receptor, beads, streams(), small, local_search)
+    for order in (slice(None), slice(None, None, -1)):
+        got = dock_shard(
+            receptor, beads[order], streams()[order], small, local_search
+        )[order]
+        for a, b in zip(ref, got):
+            assert (a.best_score, a.n_evals, a.history) == (b.best_score, b.n_evals, b.history)
+            assert a.best_pose.conformer == b.best_pose.conformer
+            assert np.array_equal(a.best_pose.translation, b.best_pose.translation)
+            assert np.array_equal(a.best_pose.quaternion, b.best_pose.quaternion)
+            if a.best_pose.torsion_angles is None:
+                assert b.best_pose.torsion_angles is None
+            else:
+                assert np.array_equal(a.best_pose.torsion_angles, b.best_pose.torsion_angles)
 
 
 def test_batched_independent_of_shard_order():
     entries = [(e.smiles, e.compound_id) for e in library]
-    forward = _engine().dock_entries(entries, batched=True)
-    backward = _engine().dock_entries(entries[::-1], batched=True)
+    forward = _engine().dock_entries(entries)
+    backward = _engine().dock_entries(entries[::-1])
     _assert_bitwise_equal(forward, backward[::-1])
 
 
 def test_batched_member_matches_dock_smiles():
-    fused = _engine().dock_library(library, batched=True)
+    fused = _engine().dock_library(library)
     entry = library[3]
     solo = _engine().dock_smiles(entry.smiles, entry.compound_id)
     _assert_bitwise_equal([solo], [fused[3]])
 
 
 def test_counters_match_across_paths():
-    eng_seq = _engine()
+    eng_seq, _ = _oracle_library()
     eng_fused = _engine()
-    eng_seq.dock_library(library, batched=False)
-    eng_fused.dock_library(library, batched=True)
+    eng_fused.dock_library(library)
     assert eng_fused.total_evals == eng_seq.total_evals
     assert eng_fused.total_ligands == eng_seq.total_ligands == len(library)
 
@@ -86,15 +130,16 @@ def test_prep_cache_parses_each_compound_once(monkeypatch):
 
     monkeypatch.setattr(engine_mod, "parse_smiles", counting_parse)
     eng = _engine()
-    results = eng.dock_library(library, batched=True)
+    results = eng.dock_library(library)
     for r in results:  # pose reconstruction reuses the cached prep
         eng.pose_coordinates(r)
-    eng.dock_library(library, batched=False)
+    for e in library:  # and so does docking a compound again, alone
+        eng.dock_smiles(e.smiles, e.compound_id)
     assert sorted(calls) == sorted(e.smiles for e in library)
 
 
 def test_raptor_shards_match_dock_library():
-    plain = _engine().dock_library(library, batched=True)
+    plain = _engine().dock_library(library)
     eng = _engine()
     outcome = dock_library_raptor(
         eng, library, RaptorConfig(n_workers=2), shard_size=3
@@ -144,7 +189,7 @@ def test_partition_covers_every_ligand_once():
 
 
 def test_n_evals_identical_per_ligand():
-    seq = _engine().dock_library(library, batched=False)
-    fused = _engine().dock_library(library, batched=True)
+    _, seq = _oracle_library()
+    fused = _engine().dock_library(library)
     assert [r.n_evals for r in fused] == [r.n_evals for r in seq]
     assert all(r.n_evals > 0 for r in fused)

@@ -1,10 +1,11 @@
-"""Tests for the Lamarckian genetic algorithm."""
+"""Tests for the Lamarckian genetic algorithm (a fused shard of one)."""
 
 import numpy as np
 import pytest
 
 from repro.chem.smiles import parse_smiles
-from repro.docking.lga import LamarckianGA, LGAConfig
+from repro.docking.batch import dock_shard
+from repro.docking.lga import LGAConfig
 from repro.docking.ligand import prepare_ligand
 from repro.docking.receptor import make_receptor
 from repro.docking.scoring import score_pose
@@ -24,23 +25,26 @@ def beads():
 FAST = LGAConfig(population=10, generations=4)
 
 
+def _dock(receptor, beads, rng, cfg=FAST):
+    return dock_shard(receptor, [beads], [rng], cfg)[0]
+
+
 def test_docking_returns_consistent_result(receptor, beads):
-    run = LamarckianGA(FAST).dock(receptor, beads, rng_stream(1, "t/run"))
-    rescored = score_pose(receptor, beads, run.best_pose).total
-    assert rescored == pytest.approx(run.best_score)
+    run = _dock(receptor, beads, rng_stream(1, "t/run"))
+    assert score_pose(receptor, beads, run.best_pose).total == run.best_score
     assert run.n_evals > 0
     assert len(run.history) == FAST.generations + 1
 
 
 def test_history_monotone_nonincreasing(receptor, beads):
     """Elitism guarantees the best score never regresses."""
-    run = LamarckianGA(FAST).dock(receptor, beads, rng_stream(2, "t/mono"))
+    run = _dock(receptor, beads, rng_stream(2, "t/mono"))
     assert all(b <= a + 1e-9 for a, b in zip(run.history, run.history[1:]))
 
 
 def test_deterministic_given_stream(receptor, beads):
-    a = LamarckianGA(FAST).dock(receptor, beads, rng_stream(3, "t/det"))
-    b = LamarckianGA(FAST).dock(receptor, beads, rng_stream(3, "t/det"))
+    a = _dock(receptor, beads, rng_stream(3, "t/det"))
+    b = _dock(receptor, beads, rng_stream(3, "t/det"))
     assert a.best_score == b.best_score
     np.testing.assert_array_equal(a.best_pose.translation, b.best_pose.translation)
 
@@ -51,7 +55,7 @@ def test_search_improves_over_random(receptor, beads):
     from repro.docking.lga import _random_quaternions
     from repro.docking.scoring import score_poses_batch
 
-    run = LamarckianGA(FAST).dock(receptor, beads, rng_stream(5, "t/ga"))
+    run = _dock(receptor, beads, rng_stream(5, "t/ga"))
     k = 40
     conf = rng.integers(beads.n_conformers, size=k)
     trans = rng.uniform(-6, 6, size=(k, 3))
@@ -61,18 +65,21 @@ def test_search_improves_over_random(receptor, beads):
 
 
 def test_more_generations_no_worse(receptor, beads):
-    short = LamarckianGA(LGAConfig(population=10, generations=2)).dock(
-        receptor, beads, rng_stream(6, "t/gen")
+    short = _dock(
+        receptor, beads, rng_stream(6, "t/gen"), LGAConfig(population=10, generations=2)
     )
-    long = LamarckianGA(LGAConfig(population=10, generations=10)).dock(
-        receptor, beads, rng_stream(6, "t/gen")
+    long = _dock(
+        receptor, beads, rng_stream(6, "t/gen"), LGAConfig(population=10, generations=10)
     )
     assert long.best_score <= short.best_score + 1e-9
 
 
-def test_unknown_local_search_rejected():
+def test_unknown_local_search_rejected(receptor):
+    """The one name lookup fails at engine construction, not mid-screen."""
+    from repro.docking.engine import DockingEngine
+
     with pytest.raises(ValueError, match="unknown local search"):
-        LamarckianGA(local_search="newton")
+        DockingEngine(receptor, local_search="newton")
 
 
 def test_config_validation():
@@ -86,5 +93,5 @@ def test_config_validation():
 
 def test_best_pose_inside_box(receptor, beads):
     """The optimum must be a physically placed pose, not a wall artifact."""
-    run = LamarckianGA(FAST).dock(receptor, beads, rng_stream(7, "t/box"))
+    run = _dock(receptor, beads, rng_stream(7, "t/box"))
     assert np.abs(run.best_pose.translation).max() < receptor.box_size / 2.0

@@ -5,7 +5,7 @@ import pytest
 
 from repro.chem.smiles import parse_smiles
 from repro.docking.lga import _random_quaternions
-from repro.docking.ligand import Pose, prepare_ligand, random_quaternion
+from repro.docking.ligand import Pose, prepare_ligand
 from repro.docking.local_search import (
     Adadelta,
     AdadeltaConfig,
@@ -15,6 +15,8 @@ from repro.docking.local_search import (
 from repro.docking.receptor import make_receptor
 from repro.docking.scoring import score_pose
 from repro.util.rng import rng_stream
+from tests.docking import oracle
+from tests.docking.oracle import random_quaternion
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +41,7 @@ def test_refinement_never_worsens(receptor, beads, method):
     out = method.refine(receptor, beads, pose, rng_stream(2, "t/ls-run"))
     assert out.score <= before + 1e-9
     # the returned score is consistent with re-scoring the returned pose
-    assert score_pose(receptor, beads, out.pose).total == pytest.approx(out.score)
+    assert score_pose(receptor, beads, out.pose).total == out.score
 
 
 @pytest.mark.parametrize("method", [SolisWets(), Adadelta()])
@@ -90,6 +92,45 @@ def test_batch_refinement_matches_interface(receptor, beads):
     assert out.quaternions.shape == (k, 4)
     assert out.scores.shape == (k,)
     np.testing.assert_allclose(np.linalg.norm(out.quaternions, axis=1), 1.0)
+
+
+FLEXIBLE = "c1ccc(cc1)c1ccc(CCC(=O)O)cc1"
+
+
+@pytest.mark.parametrize("name", ["solis-wets", "adadelta"])
+@pytest.mark.parametrize("smiles", ["c1ccc2ccccc2c1", FLEXIBLE], ids=["rigid", "flexible"])
+@pytest.mark.parametrize("k", [1, 5, 16])
+def test_refine_batch_matches_oracle_bitwise(receptor, name, smiles, k):
+    """The pack-of-one call into ``refine_packed`` against the per-ligand
+    loops that shipped as ``refine_batch`` — every output array and
+    ``n_evals``, with torsion genes given and (flexible ligand started
+    from zeros) omitted."""
+    from repro.docking.local_search import local_search_named
+
+    beads = prepare_ligand(parse_smiles(smiles), rng_stream(0, "t/ls-id"))
+    assert (beads.n_torsions > 0) == (smiles == FLEXIBLE)
+    rng = rng_stream(11, f"t/ls-id/{k}")
+    conf = rng.integers(beads.n_conformers, size=k)
+    trans = rng.uniform(-4, 4, size=(k, 3))
+    quats = _random_quaternions(rng, k)
+    angles = rng.uniform(-np.pi, np.pi, size=(k, beads.n_torsions))
+    method = local_search_named(name)
+    reference = {"solis-wets": oracle.SolisWets, "adadelta": oracle.Adadelta}[name]()
+    for tors in (angles, None):
+        got = method.refine_batch(
+            receptor, beads, conf, trans, quats, rng_stream(12, "t/ls-id/run"), tors
+        )
+        want = reference.refine_batch(
+            receptor, beads, conf, trans, quats, rng_stream(12, "t/ls-id/run"), tors
+        )
+        assert np.array_equal(got.translations, want.translations)
+        assert np.array_equal(got.quaternions, want.quaternions)
+        assert np.array_equal(got.scores, want.scores)
+        assert got.n_evals == want.n_evals
+        if beads.n_torsions:
+            assert np.array_equal(got.torsion_angles, want.torsion_angles)
+        else:
+            assert got.torsion_angles is None and want.torsion_angles is None
 
 
 def test_adadelta_beats_solis_wets_at_matched_budget(receptor, beads):

@@ -15,12 +15,12 @@ from repro.chem.smiles import parse_smiles
 from repro.docking.ligand import pack_ligands, prepare_ligand
 from repro.docking.receptor import make_receptor
 from repro.docking.scoring import (
-    interpolate,
     interpolate_stacked,
     packed_atom_energies,
     packed_score_batch,
 )
 from repro.util.rng import rng_stream
+from tests.docking.oracle import interpolate
 
 
 @pytest.fixture(scope="module")

@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 
 from repro.chem.smiles import parse_smiles
-from repro.docking.ligand import Pose, prepare_ligand, random_quaternion
+from repro.docking.ligand import Pose, prepare_ligand
 from repro.docking.receptor import make_receptor
 from repro.docking.scoring import (
     apply_rigid_step,
     apply_rigid_steps_batch,
-    interpolate,
     score_and_gradient,
     score_and_gradient_batch,
     score_pose,
     score_poses_batch,
 )
 from repro.util.rng import rng_stream
+from tests.docking.oracle import interpolate, random_quaternion
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +105,7 @@ def test_batch_scores_match_single(receptor, beads):
     batch = score_poses_batch(receptor, beads, conf, trans, quats)
     for i in range(k):
         single = score_pose(receptor, beads, Pose(int(conf[i]), trans[i], quats[i]))
-        assert batch[i] == pytest.approx(single.total)
+        assert batch[i] == single.total
 
 
 def test_batch_gradients_match_single(receptor, beads):
@@ -129,6 +129,29 @@ def test_rigid_step_zero_is_identity():
     out = apply_rigid_step(pose, np.zeros(3), np.zeros(3))
     np.testing.assert_array_equal(out.translation, pose.translation)
     np.testing.assert_array_equal(out.quaternion, pose.quaternion)
+
+
+def test_rigid_step_carries_torsions_on_a_flexible_ligand(receptor):
+    """A rigid step moves position and orientation only: the torsion genes
+    ride along, so a zero step leaves the score where it was."""
+    flexible = prepare_ligand(
+        parse_smiles("CCOC(=O)CCc1ccccc1NCC"), rng_stream(7, "t/flex-step")
+    )
+    assert flexible.n_torsions >= 2
+    rng = rng_stream(8, "t/flex-pose")
+    pose = Pose(
+        0,
+        rng.uniform(-2, 2, size=3),
+        random_quaternion(rng),
+        rng.uniform(-np.pi, np.pi, size=flexible.n_torsions),
+    )
+    before = score_pose(receptor, flexible, pose).total
+    still = apply_rigid_step(pose, np.zeros(3), np.zeros(3))
+    np.testing.assert_array_equal(still.torsion_angles, pose.torsion_angles)
+    assert score_pose(receptor, flexible, still).total == before
+    moved = apply_rigid_step(pose, np.ones(3), np.array([0.3, -0.2, 0.5]))
+    np.testing.assert_array_equal(moved.torsion_angles, pose.torsion_angles)
+    assert score_pose(receptor, flexible, moved).total != before
 
 
 def test_rigid_step_preserves_unit_quaternion():

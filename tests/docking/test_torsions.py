@@ -4,21 +4,19 @@ import numpy as np
 import pytest
 
 from repro.chem.smiles import parse_smiles
-from repro.docking.lga import LamarckianGA, LGAConfig, _random_quaternions
-from repro.docking.ligand import (
-    Pose,
-    apply_torsions_batch,
-    find_torsions,
-    prepare_ligand,
-    random_quaternion,
-)
+from repro.docking.batch import dock_shard
+from repro.docking.lga import LGAConfig, _random_quaternions
+from repro.docking.ligand import Pose, find_torsions, packed_single, prepare_ligand
 from repro.docking.local_search import Adadelta, AdadeltaConfig, SolisWets, SolisWetsConfig
 from repro.docking.receptor import make_receptor
 from repro.docking.scoring import (
+    batch_pose_coordinates,
+    packed_atom_energies,
     score_and_gradient_batch,
     score_poses_batch,
 )
 from repro.util.rng import rng_stream
+from tests.docking.oracle import apply_torsions_batch, pose_coordinates
 
 #: flexible molecule: biphenyl + acid tail → several rotatable bonds
 FLEXIBLE = "c1ccc(cc1)c1ccc(CCC(=O)O)cc1"
@@ -100,6 +98,22 @@ def test_apply_torsions_validates_shape(beads):
         apply_torsions_batch(beads.conformers[:1], beads.torsions, np.zeros((1, 99)))
 
 
+def test_packed_geometry_matches_unpacked_reference(beads):
+    """The packed pose geometry every scorer uses against the unpacked
+    matrix-path reference: same coordinates up to rounding (the two are
+    different operation orders, so not bit-equal)."""
+    rng = rng_stream(8, "t/geom")
+    k = 20
+    conf = rng.integers(beads.n_conformers, size=k)
+    trans = rng.uniform(-5, 5, size=(k, 3))
+    quats = _random_quaternions(rng, k)
+    angles = rng.uniform(-np.pi, np.pi, size=(k, beads.n_torsions))
+    packed = batch_pose_coordinates(beads, conf, trans, quats, angles)
+    for i in range(k):
+        ref = pose_coordinates(beads, Pose(int(conf[i]), trans[i], quats[i], angles[i]))
+        np.testing.assert_allclose(packed[i], ref, rtol=0, atol=1e-12)
+
+
 # ----------------------------------------------------------------- gradient
 
 
@@ -156,10 +170,10 @@ def test_flexible_docking_beats_rigid(receptor):
     beads = prepare_ligand(mol, rng_stream(6, "t/flex"))
     assert beads.n_torsions >= 2
     cfg = LGAConfig(population=16, generations=8)
-    flexible = LamarckianGA(cfg).dock(receptor, beads, rng_stream(7, "t/ga"))
+    flexible = dock_shard(receptor, [beads], [rng_stream(7, "t/ga")], cfg)[0]
     rigid_beads = prepare_ligand(mol, rng_stream(6, "t/flex"))
     rigid_beads.torsions = []
-    rigid = LamarckianGA(cfg).dock(receptor, rigid_beads, rng_stream(7, "t/ga"))
+    rigid = dock_shard(receptor, [rigid_beads], [rng_stream(7, "t/ga")], cfg)[0]
     assert flexible.best_score <= rigid.best_score + 1.0
 
 
@@ -175,12 +189,11 @@ def test_docking_result_roundtrips_torsions(receptor):
     assert len(result.torsion_angles) > 0
     coords = engine.pose_coordinates(result)
     # re-scoring the reconstructed coordinates reproduces the result score
-    from repro.docking.scoring import _batch_atom_energies
-
     beads = prepare_ligand(
         parse_smiles(FLEXIBLE),
         engine.rng_factory.stream("prep/FLEX1"),
         n_conformers=engine.n_conformers,
     )
-    totals, _, _ = _batch_atom_energies(receptor, beads, coords[None])
-    assert totals[0] == pytest.approx(result.score, abs=1e-9)
+    pack = packed_single(beads)
+    totals, _, _ = packed_atom_energies(receptor, pack, pack.plan(1), coords[None])
+    assert totals[0] == result.score

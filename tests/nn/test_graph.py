@@ -2,10 +2,10 @@
 
 The contract under test: for every supported layer type and for the full
 surrogate network, graph execution produces **bit-identical** float64
-output to the eager closure interpreter at the same precision and batch
-size.  (Equivalence across *different* batch sizes is explicitly not
-claimed — BLAS accumulation order varies with batch, for the eager path
-too.)
+output to the eager closure interpreter (``tests/nn/oracle.py``) at the
+same precision and batch size.  (Equivalence across *different* batch
+sizes is explicitly not claimed — BLAS accumulation order varies with
+batch, for the eager path too.)
 """
 
 import numpy as np
@@ -30,6 +30,7 @@ from repro.nn.layers import (
     Tanh,
 )
 from repro.surrogate.model import build_smilesnet
+from tests.nn.oracle import compile_eager
 
 PRECISIONS = ["fp16", "fp32"]
 
@@ -45,8 +46,8 @@ def _warm_batchnorm(model, sample_shape, seed=9):
 
 def _assert_engines_identical(model, x, precision):
     model.eval()
-    eager = compile_model(model, precision, engine="eager")(x)
-    graph = compile_model(model, precision, engine="graph")(x)
+    eager = compile_eager(model, precision)(x)
+    graph = compile_model(model, precision)(x)
     np.testing.assert_array_equal(graph, eager)
 
 
@@ -117,8 +118,8 @@ def test_full_surrogate_bit_identical(surrogate_net, precision, batch):
 
 def test_repeated_runs_reuse_arena_correctly(surrogate_net):
     """A second batch through the same plan must not see stale arena data."""
-    compiled = compile_model(surrogate_net, "fp16", engine="graph")
-    eager = compile_model(surrogate_net, "fp16", engine="eager")
+    compiled = compile_model(surrogate_net, "fp16")
+    eager = compile_eager(surrogate_net, "fp16")
     rng = np.random.default_rng(6)
     x1, x2 = rng.normal(size=(2, 8, 7, 24, 24))
     out1 = compiled(x1)
@@ -135,7 +136,7 @@ def test_unoptimized_trace_also_bit_identical(surrogate_net):
     x = np.random.default_rng(7).normal(size=(3, 7, 24, 24))
     xq = x.astype(np.float16).astype(np.float32)
     out = GraphExecutor(graph).run(xq).astype(np.float64)
-    eager = compile_model(surrogate_net, "fp16", engine="eager")(x)
+    eager = compile_eager(surrogate_net, "fp16")(x)
     np.testing.assert_array_equal(out, eager)
 
 
@@ -147,7 +148,7 @@ def test_optimization_shrinks_node_count(surrogate_net):
 
 
 def test_plan_info_accounts_every_conv(surrogate_net):
-    compiled = compile_model(surrogate_net, "fp16", engine="graph")
+    compiled = compile_model(surrogate_net, "fp16")
     info = compiled.executor_for((7, 24, 24)).plan_info(16)
     assert info["n_folded_gemm"] + info["n_broadcast_gemm"] == 6  # 6 convs
     assert info["arena_elems"] < info["naive_elems"]
@@ -161,8 +162,11 @@ def test_graph_output_dtype_and_shape(surrogate_net):
 
 
 def test_unknown_engine_rejected(surrogate_net):
-    with pytest.raises(ValueError):
+    """There is one engine: the selector is gone, not defaulted."""
+    with pytest.raises(TypeError):
         compile_model(surrogate_net, "fp16", engine="jit")
+    with pytest.raises(TypeError):
+        compile_model(surrogate_net, "fp16", engine="graph")
 
 
 def test_graph_engine_rejects_unknown_module_at_compile_time():
@@ -173,24 +177,4 @@ def test_graph_engine_rejects_unknown_module_at_compile_time():
             return x
 
     with pytest.raises(TypeError):
-        compile_model(Sequential(Weird()), engine="graph")
-
-
-def test_graph_faster_than_eager_at_campaign_batch(surrogate_net):
-    """The point of the rewrite: graph must beat eager at batch 64."""
-    import time
-
-    x = np.random.default_rng(8).normal(size=(64, 7, 24, 24))
-    graph = compile_model(surrogate_net, "fp16", engine="graph")
-    eager = compile_model(surrogate_net, "fp16", engine="eager")
-    graph(x), eager(x)  # warm plans and index caches
-
-    t0 = time.perf_counter()
-    for _ in range(3):
-        eager(x)
-    eager_time = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    for _ in range(3):
-        graph(x)
-    graph_time = time.perf_counter() - t0
-    assert graph_time < eager_time
+        compile_model(Sequential(Weird()))

@@ -15,9 +15,9 @@ from repro.nn.graph.passes import (
     fuse_bias,
     fuse_residual,
 )
-from repro.nn.inference import compile_model
 from repro.nn.layers import BatchNorm, Conv2d, ReLU, ResidualBlock, Sequential
 from repro.surrogate.model import build_smilesnet
+from tests.nn.oracle import compile_eager
 
 
 def _conv_bn_relu():
@@ -134,7 +134,7 @@ def test_every_pass_prefix_preserves_bit_identity(n_passes):
     leave the numerics untouched."""
     model = _conv_bn_relu()
     x = np.random.default_rng(4).normal(size=(3, 2, 6, 6))
-    eager = compile_model(model, "fp16", engine="eager")(x)
+    eager = compile_eager(model, "fp16")(x)
     g = trace_module(model, (2, 6, 6), "fp16")
     optimize(g, default_passes()[:n_passes])
     xq = x.astype(np.float16).astype(np.float32)

@@ -1,4 +1,4 @@
-"""Compiled TrainStep vs. the eager interpreter: bitwise trajectories.
+"""Compiled TrainStep vs. the interpreted EagerStep: bitwise trajectories.
 
 The compiled training path's hard contract — weights, losses and
 optimizer state bit-identical to the eager loop at the same seed,
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.nn import autograd as ag
-from repro.nn.autograd import Tensor
 from repro.nn.graph.planner import plan_state_arena, validate_train_plan
 from repro.nn.graph.train import TrainStep
 from repro.nn.layers import (
@@ -34,6 +33,7 @@ from repro.nn.layers import (
 )
 from repro.nn.losses import mse_loss
 from repro.nn.optim import SGD, Adam, RMSprop
+from tests.nn.oracle import EagerStep
 
 
 def _mlp(rng):
@@ -101,25 +101,20 @@ def _batches(feature_shape, n_steps, batch, dtype, seed=5):
     ]
 
 
-def _run_eager(build, make_opt, batches, seed=9):
+def _run(step_cls, build, make_opt, batches, seed=9):
     model = build(np.random.default_rng(seed))
     opt = make_opt(model.parameters())
-    losses = []
-    for x, y in batches:
-        loss = mse_loss(model(Tensor(x)), Tensor(y))
-        model.zero_grad()
-        loss.backward()
-        opt.step()
-        losses.append(loss.item())
-    return model, opt, losses
+    step = step_cls(lambda xb, yb: mse_loss(model(xb), yb), opt)
+    losses = [step(x, y) for x, y in batches]
+    return model, opt, losses, step
+
+
+def _run_eager(build, make_opt, batches, seed=9):
+    return _run(EagerStep, build, make_opt, batches, seed)[:3]
 
 
 def _run_graph(build, make_opt, batches, seed=9):
-    model = build(np.random.default_rng(seed))
-    opt = make_opt(model.parameters())
-    step = TrainStep(lambda xb, yb: mse_loss(model(xb), yb), opt)
-    losses = [step(x, y) for x, y in batches]
-    return model, opt, losses, step
+    return _run(TrainStep, build, make_opt, batches, seed)
 
 
 def _assert_same_state(m_e, m_g):
@@ -209,20 +204,17 @@ def test_grad_norm_matches_across_engines():
     build, feat = ZOO["mlp"]
     batches = _batches(feat, n_steps=3, batch=8, dtype=np.float64)
     model_e = build(np.random.default_rng(9))
-    opt_e = OPTIMIZERS["adam"](model_e.parameters())
+    eager = EagerStep(
+        lambda xb, yb: mse_loss(model_e(xb), yb), OPTIMIZERS["adam"](model_e.parameters())
+    )
     model_g = build(np.random.default_rng(9))
-    opt_g = OPTIMIZERS["adam"](model_g.parameters())
-    step = TrainStep(lambda xb, yb: mse_loss(model_g(xb), yb), opt_g)
-    from repro.nn.optim import grad_norm
-
+    step = TrainStep(
+        lambda xb, yb: mse_loss(model_g(xb), yb), OPTIMIZERS["adam"](model_g.parameters())
+    )
     for x, y in batches:
-        loss = mse_loss(model_e(Tensor(x)), Tensor(y))
-        model_e.zero_grad()
-        loss.backward()
-        eager_norm = grad_norm(opt_e.params)
-        opt_e.step()
+        eager(x, y)
         step(x, y)
-        assert step.grad_norm() == eager_norm
+        assert step.grad_norm() == eager.grad_norm()
 
 
 def test_multiple_outputs_returned_as_floats():

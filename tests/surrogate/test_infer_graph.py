@@ -1,7 +1,8 @@
 """Graph-engine regression tests for the ML1 inference engine.
 
 The InferenceEngine pads every batch — including the final partial one —
-to a fixed batch size before scoring, so the graph and eager engines see
+to a fixed batch size before scoring, so the graph engine and the eager
+reference (``tests/nn/oracle.py``, swapped in as ``engine.compiled``) see
 identical batch geometry and must produce identical scores; the padding
 also makes scores independent of how records split into batches.
 """
@@ -13,6 +14,7 @@ from repro.chem.library import generate_library
 from repro.surrogate.featurize import featurize_batch
 from repro.surrogate.infer import InferenceEngine
 from repro.surrogate.train import TrainConfig, train_surrogate
+from tests.nn.oracle import compile_eager
 
 
 @pytest.fixture(scope="module")
@@ -31,12 +33,18 @@ def surrogate(dataset):
     return train_surrogate(lib.smiles(), scores, cfg, seed=2)
 
 
+def _eager_engine(surrogate, precision="fp16"):
+    engine = InferenceEngine(surrogate, precision=precision)
+    engine.compiled = compile_eager(surrogate.model, precision)
+    return engine
+
+
 @pytest.mark.parametrize("precision", ["fp16", "fp32"])
 def test_graph_engine_scores_identical_to_eager(dataset, surrogate, precision):
     lib, _ = dataset
     smiles = lib.smiles()[:20]
-    graph = InferenceEngine(surrogate, precision=precision, engine="graph")
-    eager = InferenceEngine(surrogate, precision=precision, engine="eager")
+    graph = InferenceEngine(surrogate, precision=precision)
+    eager = _eager_engine(surrogate, precision)
     assert graph.score_smiles(smiles) == eager.score_smiles(smiles)
 
 
@@ -64,7 +72,7 @@ def test_shard_path_matches_in_memory_with_graph_engine(tmp_path, dataset, surro
     lib, _ = dataset
     sub = lib.subset(range(20), name="graphshards")
     paths = sub.to_shards(tmp_path, shard_size=7)
-    engine = InferenceEngine(surrogate, engine="graph")
+    engine = InferenceEngine(surrogate)
     from_shards = {o.compound_id: o.score for o in engine.score_shards(paths)}
     in_memory = engine.score_smiles(sub.smiles(), [e.compound_id for e in sub])
     assert from_shards == {o.compound_id: o.score for o in in_memory}
@@ -73,18 +81,19 @@ def test_shard_path_matches_in_memory_with_graph_engine(tmp_path, dataset, surro
 def test_graph_and_eager_rank_identically(dataset, surrogate):
     lib, _ = dataset
     smiles = lib.smiles()
-    rank = lambda eng: [
+    rank = lambda engine: [
         o.compound_id
-        for o in InferenceEngine.top_fraction(
-            InferenceEngine(surrogate, engine=eng).score_smiles(smiles), 0.25
-        )
+        for o in InferenceEngine.top_fraction(engine.score_smiles(smiles), 0.25)
     ]
-    assert rank("graph") == rank("eager")
+    assert rank(InferenceEngine(surrogate)) == rank(_eager_engine(surrogate))
 
 
 def test_unknown_engine_rejected(surrogate):
-    with pytest.raises(ValueError):
+    """There is one engine: the selector is gone, not defaulted."""
+    with pytest.raises(TypeError):
         InferenceEngine(surrogate, engine="tensorrt")
+    with pytest.raises(TypeError):
+        InferenceEngine(surrogate, engine="graph")
 
 
 def test_records_scored_counter(dataset, surrogate):

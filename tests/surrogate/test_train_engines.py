@@ -1,5 +1,6 @@
-"""Surrogate training engines: graph vs. eager parity, chunked
-validation, and telemetry instrumentation."""
+"""Surrogate training: compiled ``TrainStep`` vs. the interpreted
+``EagerStep`` (``tests/nn/oracle.py``) parity, chunked validation, and
+telemetry instrumentation."""
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from repro.nn.autograd import Tensor
 from repro.nn.losses import mse_loss
 from repro.surrogate.train import TrainConfig, train_surrogate, validation_loss
 from repro.telemetry import TickClock, Tracer
+from tests.nn import oracle
 
 
 @pytest.fixture(scope="module")
@@ -27,14 +29,20 @@ def dataset():
 SMALL = dict(epochs=3, batch_size=16, width=6)
 
 
-def test_graph_engine_bitwise_matches_eager(dataset):
+def _train(dataset, engine, **kwargs):
+    """``train_surrogate`` on the compiled step ("graph") or with the
+    oracle's interpreted step swapped in ("eager")."""
     smiles, scores = dataset
-    graph = train_surrogate(
-        smiles, scores, TrainConfig(engine="graph", **SMALL), seed=3
-    )
-    eager = train_surrogate(
-        smiles, scores, TrainConfig(engine="eager", **SMALL), seed=3
-    )
+    with pytest.MonkeyPatch.context() as mp:
+        if engine == "eager":
+            oracle.install(mp)
+        return train_surrogate(smiles, scores, TrainConfig(**SMALL), seed=3, **kwargs)
+
+
+def test_graph_engine_bitwise_matches_eager(dataset):
+    smiles, _ = dataset
+    graph = _train(dataset, "graph")
+    eager = _train(dataset, "eager")
     assert graph.train_losses == eager.train_losses
     assert graph.val_losses == eager.val_losses
     for pg, pe in zip(graph.model.parameters(), eager.model.parameters()):
@@ -46,11 +54,7 @@ def test_graph_engine_bitwise_matches_eager(dataset):
 
 
 def test_validation_loss_matches_single_pass(dataset):
-    smiles, scores = dataset
-    trained = train_surrogate(
-        smiles, scores, TrainConfig(engine="eager", **SMALL), seed=3
-    )
-    model = trained.model
+    model = _train(dataset, "eager").model
     model.eval()
     rng = np.random.default_rng(8)
     X = rng.normal(size=(23, 7, 24, 24))  # deliberately not a chunk multiple
@@ -68,17 +72,17 @@ def test_validation_loss_empty_split():
 
 
 def test_engine_validated():
-    with pytest.raises(ValueError, match="engine"):
+    """There is one step: the selector is gone, not defaulted."""
+    with pytest.raises(TypeError, match="engine"):
         TrainConfig(engine="jit")
+    with pytest.raises(TypeError, match="engine"):
+        TrainConfig(engine="graph")
 
 
 @pytest.mark.parametrize("engine", ["graph", "eager"])
 def test_trainer_emits_spans_and_metrics(dataset, engine):
-    smiles, scores = dataset
     tracer = Tracer(clock=TickClock())
-    train_surrogate(
-        smiles, scores, TrainConfig(engine=engine, **SMALL), seed=3, tracer=tracer
-    )
+    _train(dataset, engine, tracer=tracer)
     epochs = list(tracer.spans("train"))
     names = {s.name for s in epochs}
     assert names == {"train.epoch", "train.step"}
@@ -93,17 +97,10 @@ def test_trainer_emits_spans_and_metrics(dataset, engine):
 
 def test_traces_identical_across_engines(dataset):
     """Same seed ⇒ byte-identical loss/grad-norm telemetry, either engine."""
-    smiles, scores = dataset
     readings = {}
     for engine in ("graph", "eager"):
         tracer = Tracer(clock=TickClock())
-        train_surrogate(
-            smiles,
-            scores,
-            TrainConfig(engine=engine, **SMALL),
-            seed=3,
-            tracer=tracer,
-        )
+        _train(dataset, engine, tracer=tracer)
         readings[engine] = (
             [s.attrs for s in tracer.spans() if s.name == "train.epoch"],
             tracer.metrics.gauge("train.loss").value,

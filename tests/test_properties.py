@@ -51,7 +51,8 @@ def test_depiction_bounded_for_any_molecule(seed):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(min_value=0, max_value=2000))
 def test_docking_score_finite_for_any_ligand(seed):
-    from repro.docking.ligand import Pose, prepare_ligand, random_quaternion
+    from repro.docking.ligand import Pose, prepare_ligand
+    from tests.docking.oracle import random_quaternion
     from repro.docking.receptor import make_receptor
     from repro.docking.scoring import score_pose
 
