@@ -309,17 +309,52 @@ class ImpeccableCampaign:
             return None
 
     # ------------------------------------------------------------ pieces
-    def _dock_batch(self, indices: list[int]) -> list[DockingResult]:
+    def _dock_batch(self, indices: list[int], unit_id: str) -> list[DockingResult]:
         """Dock against every receptor structure; keep the consensus best.
 
-        A compound whose docking unit fails is dropped (per policy) and
-        stays undocked, so a later ML1 round may re-drive it.
+        The not-yet-docked selection is one ``dock_entries`` shard per
+        receptor, traced as one ``docking`` span per shard.  A compound's
+        result does not depend on its shard-mates (every ligand draws from
+        its own ``lga/{cid}`` stream), so this equals docking one compound
+        at a time.  If a shard raises, the selection is re-docked one
+        compound at a time instead, which isolates the failing compound:
+        it is dropped (per policy) and stays undocked, so a later ML1
+        round may re-drive it.
         """
-        out = []
+        todo = {}
         for i in indices:
             entry = self.library[i]
-            if entry.compound_id in self._docked_ids:
-                continue
+            if entry.compound_id not in self._docked_ids:
+                todo.setdefault(entry.compound_id, entry)
+        entries = list(todo.values())
+        if not entries:
+            return []
+        pairs = [(e.smiles, e.compound_id) for e in entries]
+        shards: dict[str, list[DockingResult]] = {}
+        try:
+            for pdb, engine in self.engines.items():
+                with self.tracer.span(
+                    f"dock:{unit_id}/{pdb}", category="docking",
+                    pdb=pdb, n_ligands=len(pairs),
+                ):
+                    shards[pdb] = engine.dock_entries(pairs)
+        except Exception:  # noqa: BLE001 - isolated per compound below
+            return self._dock_each(entries)
+        for pdb, results in shards.items():
+            self.engines[pdb]._account(results)
+        out = []
+        for k, entry in enumerate(entries):
+            best_result, best_pdb = None, None
+            for pdb, results in shards.items():
+                if best_result is None or results[k].score < best_result.score:
+                    best_result, best_pdb = results[k], pdb
+            out.append(self._keep_docked(entry, best_result, best_pdb))
+        return out
+
+    def _dock_each(self, entries: list) -> list[DockingResult]:
+        """Dock compound by compound, each under :meth:`_guard`."""
+        out = []
+        for entry in entries:
 
             def dock_one(entry=entry):
                 best_result = None
@@ -331,15 +366,17 @@ class ImpeccableCampaign:
                 return best_result, best_pdb
 
             docked = self._guard("S1", entry.compound_id, dock_one)
-            if docked is None:
-                continue
-            best_result, best_pdb = docked
-            out.append(best_result)
-            self._best_structure[entry.compound_id] = best_pdb
-            self._docked_ids.add(entry.compound_id)
-            self._train_smiles.append(entry.smiles)
-            self._train_scores.append(best_result.score)
+            if docked is not None:
+                out.append(self._keep_docked(entry, *docked))
         return out
+
+    def _keep_docked(self, entry, result: DockingResult, pdb: str) -> DockingResult:
+        """Record a compound's consensus-best result; returns it."""
+        self._best_structure[entry.compound_id] = pdb
+        self._docked_ids.add(entry.compound_id)
+        self._train_smiles.append(entry.smiles)
+        self._train_scores.append(result.score)
+        return result
 
     def _train_surrogate(self) -> TrainedSurrogate:
         return train_surrogate(
@@ -444,7 +481,7 @@ class ImpeccableCampaign:
             seed_idx = seed_rng.choice(
                 len(self.library), size=cfg.seed_train_size, replace=False
             )
-            seed_docked = self._dock_batch([int(i) for i in seed_idx])
+            seed_docked = self._dock_batch([int(i) for i in seed_idx], "seed")
             self._all_dock_results.extend(seed_docked)
             state["surrogate"] = self._train_surrogate()
 
@@ -490,7 +527,7 @@ class ImpeccableCampaign:
                     "stage:S1", category="campaign.stage", iteration=it
                 )
                 t0 = _clock.now()
-                docked = self._dock_batch(selected)
+                docked = self._dock_batch(selected, f"it{it}/S1")
                 self._all_dock_results.extend(docked)
                 s1_wall = _clock.now() - t0
                 stage_span.set_attr("n_ligands", len(docked))

@@ -5,9 +5,9 @@ One small, seeded pass through every instrumented subsystem on a shared
 :class:`~repro.telemetry.TickClock`:
 
 1. a tiny :class:`~repro.core.campaign.ImpeccableCampaign` iteration —
-   stage boundaries (``campaign.stage``), per-ligand docking
-   (``docking``) with its per-kernel-phase spans (``docking.kernel``)
-   and graph-executor op profiles (``nn.op``);
+   stage boundaries (``campaign.stage``), one docking shard per stage
+   and receptor (``docking``) with its per-kernel-phase spans
+   (``docking.kernel``) and graph-executor op profiles (``nn.op``);
 2. a fault-injected RAPTOR simulation — master dispatch, item attempts
    and retry backoffs (``raptor.dispatch`` / ``raptor.exec`` /
    ``raptor.backoff``);

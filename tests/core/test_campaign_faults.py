@@ -9,6 +9,7 @@ going — up to the per-stage failure budget.
 import pytest
 
 from repro.core.campaign import CampaignConfig, ImpeccableCampaign
+from repro.docking.engine import DockingEngine
 from repro.esmacs.protocol import EsmacsConfig, EsmacsRunner
 from repro.rct.fault import TaskFailedError
 
@@ -94,3 +95,43 @@ def test_stage_failure_budget_bounds_the_drops(monkeypatch):
         campaign.run()
     # the budget allowed exactly one drop before aborting
     assert campaign.failures.dropped_by_stage["S3-CG"] == 2
+
+
+def _poison(monkeypatch, victim):
+    """Make ligand preparation raise for one compound id."""
+    original = DockingEngine._prepared
+
+    def poisoned(self, smiles, compound_id=""):
+        if compound_id == victim:
+            raise RuntimeError("poisoned ligand")
+        return original(self, smiles, compound_id)
+
+    monkeypatch.setattr(DockingEngine, "_prepared", poisoned)
+
+
+@pytest.mark.parametrize("pdb_ids", [(), ("6W9C", "6WX4")])
+def test_poisoned_s1_compound_drops_exactly_itself(monkeypatch, pdb_ids):
+    """A raising compound fails its whole shard; the per-compound re-dock
+    drops it alone and every other result equals a clean run's."""
+    cfg = _config(failure_policy="drop_and_continue", pdb_ids=pdb_ids)
+    indices = list(range(10))
+    clean = ImpeccableCampaign(cfg)
+    clean_docked = clean._dock_batch(indices, "seed")
+    victim = clean_docked[3].compound_id
+
+    _poison(monkeypatch, victim)
+    campaign = ImpeccableCampaign(cfg)
+    docked = campaign._dock_batch(indices, "seed")
+    assert docked == [r for r in clean_docked if r.compound_id != victim]
+    assert campaign.failures.dropped_by_stage == {"S1": 1}
+    assert victim not in campaign._docked_ids  # a later ML1 may re-drive it
+    assert campaign._train_scores == [r.score for r in docked]
+    assert campaign._best_structure == {
+        cid: pdb for cid, pdb in clean._best_structure.items() if cid != victim
+    }
+
+    fail_fast = ImpeccableCampaign(cfg.replace(failure_policy="fail_fast"))
+    with pytest.raises(
+        TaskFailedError, match=f"S1 unit {victim} failed: RuntimeError: poisoned ligand"
+    ):
+        fail_fast._dock_batch(indices, "seed")

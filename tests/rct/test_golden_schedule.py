@@ -139,12 +139,13 @@ GOLDEN = {
             "silver": {"beta": "done", "gamma": "cancelled"},
         },
     },
-    # re-recorded at ISSUE 18: campaign S1 now docks through the fused LGA,
-    # so its 8 ``dock:`` spans carry their ``docking.kernel`` children and
-    # the demo's separate fused-shard window is gone; the other 115 spans
-    # (name, category, attributes) are the 675e21b ones
+    # re-recorded when campaign seed/S1 began docking each stage's
+    # selection as one shard per receptor: the 8 per-compound ``dock:``
+    # spans and their 88 ``docking.kernel`` children became 2 shard spans
+    # (``dock:seed/6W9C``, ``dock:it0/S1/6W9C``) with 22 children; the
+    # other 107 spans are equal as (category, name, attributes) multisets
     "tracedemo": {
-        "trace": "881a259e9079b47f1589cfc719e1003cca5ab019ce872b8c82aef4b5cd9b7418",
+        "trace": "774a0c3ef33f3f30b6eaaf82816c20a8a7861d1430337a4cd7502982f607623f",
     },
 }
 
