@@ -20,6 +20,10 @@ structures (docked poses seed CG; S2-selected frames seed FG).
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -35,9 +39,19 @@ from repro.ddmd.adaptive import AdaptiveConfig, S2Result, run_s2
 from repro.docking.engine import DockingEngine, DockingResult
 from repro.docking.lga import LGAConfig
 from repro.docking.receptor import Receptor, make_receptor
-from repro.esmacs.protocol import EsmacsConfig, EsmacsResult, EsmacsRunner
+from repro.esmacs.protocol import (
+    EsmacsConfig,
+    EsmacsResult,
+    assemble,
+    install_receptors,
+    run_replica,
+)
 from repro.md.builder import build_lpc
+from repro.rct.backends import ProcessExecutor
+from repro.rct.cluster import Allocation, NodeSpec
 from repro.rct.fault import FAILURE_POLICIES, FailureSummary, TaskFailedError
+from repro.rct.pilot import Pilot
+from repro.rct.task import TaskSpec, TaskState
 from repro.surrogate.infer import InferenceEngine
 from repro.surrogate.train import TrainConfig, TrainedSurrogate, train_surrogate
 from repro.telemetry import NULL_TRACER, Tracer
@@ -60,6 +74,23 @@ __all__ = [
     "ImpeccableCampaign",
     "StageUnit",
 ]
+
+
+def _worker_count() -> int:
+    """Resident worker processes for S3 replicas: one per usable cpu."""
+    return len(os.sched_getaffinity(0))
+
+
+class _ReplicaFailed(Exception):
+    """A replica task failed in a worker; ``str()`` is its "Type: message"."""
+
+
+def _outputs(outcome):
+    """One unit's replica outputs from :meth:`_run_ensembles`, or raise
+    the failure that replaced them."""
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
 
 #: laptop-scale defaults for the heavy stages
 _FAST_LGA = LGAConfig(population=14, generations=6)
@@ -274,6 +305,7 @@ class ImpeccableCampaign:
         self._entry_by_id = {e.compound_id: e for e in self.library}
         self.failures = FailureSummary()
         self._iter_drops: dict[str, int] = {}  # per-iteration, per-stage
+        self._pilot: Pilot | None = None  # resident workers, forked lazily
         #: populated by :meth:`iter_units` (and thus :meth:`run`)
         self.result: CampaignResult | None = None
 
@@ -289,16 +321,18 @@ class ImpeccableCampaign:
         try:
             return fn()
         except Exception as exc:  # noqa: BLE001 - stage-task isolation
+            # a worker's failure arrives as the record's "Type: message"
+            error = (
+                str(exc)
+                if isinstance(exc, _ReplicaFailed)
+                else f"{type(exc).__name__}: {exc}"
+            )
             if self.config.failure_policy == "fail_fast":
-                raise TaskFailedError(
-                    f"{stage} unit {unit} failed: {type(exc).__name__}: {exc}"
-                ) from exc
+                raise TaskFailedError(f"{stage} unit {unit} failed: {error}") from exc
             self.failures.record_failure(0.0)
             self.failures.record_drop(stage)
             self._iter_drops[stage] = self._iter_drops.get(stage, 0) + 1
-            _log.warning(
-                "%s unit %s dropped: %s: %s", stage, unit, type(exc).__name__, exc
-            )
+            _log.warning("%s unit %s dropped: %s", stage, unit, error)
             budget = self.config.stage_failure_budget
             if budget is not None and self._iter_drops[stage] > budget:
                 raise TaskFailedError(
@@ -307,6 +341,106 @@ class ImpeccableCampaign:
                     f"budget {budget}"
                 ) from exc
             return None
+
+    # ---------------------------------------------------- resident workers
+    def _science_pilot(self) -> Pilot:
+        """The campaign's pilot over resident worker processes.
+
+        Built, and its workers forked, at the first S3 unit — not in
+        ``__init__`` — then reused by every later S3 unit until
+        :meth:`_close_workers`.  One node with one cpu per worker; each
+        worker installs the campaign's receptors once, as its pool
+        initializer, so a replica task carries a pdb id, never a grid.
+        Untraced: its wall clock must not enter a deterministic trace.
+        """
+        if self._pilot is None:
+            n = _worker_count()
+            executor = ProcessExecutor(
+                max_workers=n,
+                # fork, not spawn: a spawned worker re-imports numpy, scipy
+                # and repro before its first replica (seconds, against a
+                # ~1 s stage); the campaign has no thread of its own left
+                # running by S3 (ML1's prefetch thread is joined), so the
+                # fork copies no lock such a thread could hold
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=install_receptors,
+                initargs=(self.receptors,),
+            )
+            self._pilot = Pilot(
+                Allocation(node_ids=[0], spec=NodeSpec(cpus=n, gpus=0), granted_at=0.0),
+                executor,
+                failure_policy="drop_and_continue",
+                tracer=NULL_TRACER,
+            )
+        return self._pilot
+
+    def _close_workers(self) -> None:
+        """Shut the worker pool down; returns once its processes have exited."""
+        if self._pilot is not None:
+            pilot, self._pilot = self._pilot, None
+            pilot.shutdown()
+
+    def _run_ensembles(self, stage: str, jobs: list) -> list:
+        """Run every replica of a stage's ESMACS units as worker tasks.
+
+        ``jobs`` holds one ``(unit, prepare)`` pair per compound, where
+        ``prepare()`` returns ``(pdb, config, seed, smiles, coords,
+        keep_trajectories)``.  Every replica becomes one single-cpu task
+        whose uid is its index in the stage (the process-wide uid counter
+        stays untouched), and the stage drains before this returns.  Per
+        job, in job order: the replica outputs in replica order, or the
+        exception that replaces them — what ``prepare`` raised, or the
+        first failed replica's error — for the caller to raise inside the
+        unit's :meth:`_guard` turn, so drops keep compound order.  A worker
+        process that died breaks the pool: that raises
+        :class:`TaskFailedError` naming the stage.
+        """
+        tasks: list[TaskSpec] = []
+        outcomes: list = []
+        for unit, prepare in jobs:
+            try:
+                pdb, config, seed, smiles, coords, keep = prepare()
+            except Exception as exc:  # noqa: BLE001 - raised in the unit's turn
+                outcomes.append(exc)
+                continue
+            first = len(tasks)
+            outcomes.append(range(first, first + config.replicas))
+            tasks.extend(
+                TaskSpec(
+                    name=f"{unit}/replica-{r}",
+                    fn=run_replica,
+                    args=(pdb, config, seed, smiles, coords, unit, r, keep),
+                    cpus=1,
+                    stage=stage,
+                    uid=first + r,
+                )
+                for r in range(config.replicas)
+            )
+        try:
+            records = self._science_pilot().run(tasks) if tasks else []
+        except BrokenProcessPool as exc:  # raised by a submit after the break
+            records, broken = [], [str(exc)]
+        else:  # attempts in flight when it broke fail with this error
+            broken = [
+                rec.error
+                for rec in records
+                if rec.state is TaskState.FAILED
+                and rec.error.startswith(BrokenProcessPool.__name__)
+            ]
+        if broken:
+            self._close_workers()
+            raise TaskFailedError(f"{stage}: a worker process died: {broken[0]}")
+        by_uid = {rec.spec.uid: rec for rec in records}
+        for k, outcome in enumerate(outcomes):
+            if isinstance(outcome, range):
+                recs = [by_uid[uid] for uid in outcome]
+                failed = [rec for rec in recs if rec.state is not TaskState.DONE]
+                outcomes[k] = (
+                    _ReplicaFailed(failed[0].error)
+                    if failed
+                    else [rec.result for rec in recs]
+                )
+        return outcomes
 
     # ------------------------------------------------------------ pieces
     def _dock_batch(self, indices: list[int], unit_id: str) -> list[DockingResult]:
@@ -460,7 +594,17 @@ class ImpeccableCampaign:
         campaign service) instead schedules each unit's simulated cost on
         a shared pilot, checkpoints between units, and fast-forwards
         completed units on resume.
+
+        S3 replicas run on resident worker processes, forked at the first
+        S3 unit and shut down on every way out of this generator:
+        exhaustion, ``close()``, or its collection after a unit raised.
         """
+        try:
+            yield from self._units()
+        finally:
+            self._close_workers()
+
+    def _units(self) -> Iterator[StageUnit]:
         cfg = self.config
         result = CampaignResult(config=cfg, library=self.library)
         self.result = result
@@ -566,34 +710,43 @@ class ImpeccableCampaign:
                 cg_by_pdb: dict[str, list[EsmacsResult]] = {}
                 ligand_atoms: dict[str, np.ndarray] = {}
                 reference_by_pdb: dict[str, np.ndarray] = {}
-                for pdb, docks in groups.items():
-                    receptor = self.receptors[pdb]
-                    runner_cg = EsmacsRunner(
-                        receptor, cfg.cg, seed=self.factory.spawn_seed(f"cg/{it}/{pdb}")
-                    )
-                    for dock in docks:
+                seeds = {pdb: self.factory.spawn_seed(f"cg/{it}/{pdb}") for pdb in groups}
+                units = [(pdb, dock) for pdb, docks in groups.items() for dock in docks]
+                poses: dict[str, np.ndarray] = {}
 
-                        def cg_one(dock=dock, receptor=receptor, runner_cg=runner_cg, pdb=pdb):
-                            mol = parse_smiles(dock.smiles)
-                            coords = self.engines[pdb].pose_coordinates(dock)
-                            res = runner_cg.run(mol, coords, dock.compound_id)
-                            system = build_lpc(
-                                receptor, mol, coords, seed=cfg.seed,
-                                n_residues=cfg.cg.n_residues,
-                            )
-                            return res, system
+                def prepare(pdb: str, dock: DockingResult) -> tuple:
+                    poses[dock.compound_id] = self.engines[pdb].pose_coordinates(dock)
+                    return pdb, cfg.cg, seeds[pdb], dock.smiles, poses[dock.compound_id], True
 
-                        unit = self._guard("S3-CG", dock.compound_id, cg_one)
-                        if unit is None:
-                            continue
-                        res, system = unit
-                        cg_results.append(res)
-                        cg_by_pdb.setdefault(pdb, []).append(res)
-                        self._cg_done_ids.add(dock.compound_id)
-                        ligand_atoms[dock.compound_id] = system.topology.ligand_atoms
-                        reference_by_pdb[pdb] = system.positions[
-                            system.topology.protein_atoms
-                        ]
+                outcomes = self._run_ensembles(
+                    "S3-CG",
+                    [
+                        (dock.compound_id, lambda pdb=pdb, dock=dock: prepare(pdb, dock))
+                        for pdb, dock in units
+                    ],
+                )
+                for (pdb, dock), outcome in zip(units, outcomes):
+
+                    def cg_one(dock=dock, pdb=pdb, outcome=outcome):
+                        res = assemble(dock.compound_id, _outputs(outcome))
+                        system = build_lpc(
+                            self.receptors[pdb], parse_smiles(dock.smiles),
+                            poses[dock.compound_id], seed=cfg.seed,
+                            n_residues=cfg.cg.n_residues,
+                        )
+                        return res, system
+
+                    unit = self._guard("S3-CG", dock.compound_id, cg_one)
+                    if unit is None:
+                        continue
+                    res, system = unit
+                    cg_results.append(res)
+                    cg_by_pdb.setdefault(pdb, []).append(res)
+                    self._cg_done_ids.add(dock.compound_id)
+                    ligand_atoms[dock.compound_id] = system.topology.ligand_atoms
+                    reference_by_pdb[pdb] = system.positions[
+                        system.topology.protein_atoms
+                    ]
                 cg_wall = _clock.now() - t0
                 stage_span.set_attr("n_ligands", len(cg_results))
                 stage_span.finish()
@@ -687,37 +840,40 @@ class ImpeccableCampaign:
                     "stage:S3-FG", category="campaign.stage", iteration=it
                 )
                 t0 = _clock.now()
-                for pdb, s2 in s2_by_structure.items():
-                    runner_fg = EsmacsRunner(
-                        self.receptors[pdb],
-                        cfg.fg,
-                        seed=self.factory.spawn_seed(f"fg/{it}/{pdb}"),
+                seeds = {
+                    pdb: self.factory.spawn_seed(f"fg/{it}/{pdb}")
+                    for pdb in s2_by_structure
+                }
+                units = [
+                    (pdb, sel, f"{sel.compound_id}/r{sel.replica}f{sel.frame}")
+                    for pdb, s2 in s2_by_structure.items()
+                    for sel in s2.selections
+                ]
+
+                def prepare(pdb: str, sel) -> tuple:
+                    smiles = self._entry_by_id[sel.compound_id].smiles
+                    coords = sel.coordinates[ligand_atoms[sel.compound_id]]
+                    return pdb, cfg.fg, seeds[pdb], smiles, coords, False
+
+                outcomes = self._run_ensembles(
+                    "S3-FG",
+                    [
+                        (label, lambda pdb=pdb, sel=sel: prepare(pdb, sel))
+                        for pdb, sel, label in units
+                    ],
+                )
+                for (_, sel, label), outcome in zip(units, outcomes):
+                    fg_unit = self._guard(
+                        "S3-FG",
+                        label,
+                        lambda label=label, outcome=outcome: assemble(
+                            label, _outputs(outcome)
+                        ),
                     )
-                    for sel in s2.selections:
-
-                        def fg_one(sel=sel, runner_fg=runner_fg, ligand_atoms=ligand_atoms):
-                            mol = parse_smiles(
-                                self._entry_by_id[sel.compound_id].smiles
-                            )
-                            lig_coords = sel.coordinates[
-                                ligand_atoms[sel.compound_id]
-                            ]
-                            return runner_fg.run(
-                                mol,
-                                lig_coords,
-                                f"{sel.compound_id}/r{sel.replica}f{sel.frame}",
-                                keep_trajectories=False,
-                            )
-
-                        fg_unit = self._guard(
-                            "S3-FG",
-                            f"{sel.compound_id}/r{sel.replica}f{sel.frame}",
-                            fg_one,
-                        )
-                        if fg_unit is None:
-                            continue
-                        fg_results.append(fg_unit)
-                        fg_parents.append(sel.compound_id)
+                    if fg_unit is None:
+                        continue
+                    fg_results.append(fg_unit)
+                    fg_parents.append(sel.compound_id)
                 fg_wall = _clock.now() - t0
                 stage_span.set_attr("n_ligands", len(fg_results))
                 stage_span.finish()
@@ -785,8 +941,13 @@ class ImpeccableCampaign:
         Equivalent to driving :meth:`iter_units` back-to-back: same
         statement order, same RNG stream keys, same tracer spans — the
         monolithic loop of earlier versions, now expressed over units.
+        A unit that raises closes the units (and so the workers) first.
         """
-        for unit in self.iter_units():
-            unit.complete()
+        units = self.iter_units()
+        try:
+            for unit in units:
+                unit.complete()
+        finally:
+            units.close()
         assert self.result is not None
         return self.result

@@ -31,6 +31,7 @@ from repro.docking.ligand import (
 )
 from repro.docking.receptor import Receptor
 from repro.docking.scoring import (
+    _pose_rows,
     apply_rigid_steps_batch,
     packed_score_and_gradient_batch,
     packed_score_batch,
@@ -96,14 +97,10 @@ class _LocalSearch:
         rng: np.random.Generator,
     ) -> LocalSearchResult:
         """Refine a single pose; see :meth:`refine_batch`."""
+        conformer_idx, translations, quaternions, torsion_angles = _pose_rows(pose)
         out = self.refine_batch(
-            receptor,
-            beads,
-            np.array([pose.conformer]),
-            pose.translation[None],
-            pose.quaternion[None],
-            rng,
-            None if pose.torsion_angles is None else pose.torsion_angles[None],
+            receptor, beads, conformer_idx, translations, quaternions, rng,
+            torsion_angles,
         )
         new_tor = (
             None if out.torsion_angles is None else out.torsion_angles[0]

@@ -597,6 +597,19 @@ def score_and_gradient_batch(
     )
 
 
+def _pose_rows(
+    pose: Pose,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """One pose as the batch-of-one ``(conformer_idx, translations,
+    quaternions, torsion_angles)`` the batch kernels take."""
+    return (
+        np.array([pose.conformer]),
+        pose.translation[None],
+        pose.quaternion[None],
+        None if pose.torsion_angles is None else pose.torsion_angles[None],
+    )
+
+
 def score_pose(receptor: Receptor, beads: LigandBeads, pose: Pose) -> ScoreBreakdown:
     """Energy breakdown of one pose (lower total = better).
 
@@ -604,14 +617,7 @@ def score_pose(receptor: Receptor, beads: LigandBeads, pose: Pose) -> ScoreBreak
     equals the score a docking run reports for the pose, bit for bit.
     """
     pack, plan = _single_call(beads, 1)
-    coords = packed_pose_coordinates(
-        pack,
-        plan,
-        np.array([pose.conformer]),
-        pose.translation[None],
-        pose.quaternion[None],
-        None if pose.torsion_angles is None else pose.torsion_angles[None],
-    )
+    coords = packed_pose_coordinates(pack, plan, *_pose_rows(pose))
     _, components, _ = packed_atom_energies(
         receptor, pack, plan, coords, want_grad=False
     )
@@ -624,12 +630,7 @@ def score_and_gradient(
 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """Single-pose wrapper over :func:`score_and_gradient_batch`."""
     totals, d_trans, d_rot, d_tor = score_and_gradient_batch(
-        receptor,
-        beads,
-        np.array([pose.conformer]),
-        pose.translation[None],
-        pose.quaternion[None],
-        None if pose.torsion_angles is None else pose.torsion_angles[None],
+        receptor, beads, *_pose_rows(pose)
     )
     return float(totals[0]), d_trans[0], d_rot[0], d_tor[0]
 

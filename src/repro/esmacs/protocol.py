@@ -21,18 +21,27 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.chem.mol import Molecule
+from repro.chem.smiles import parse_smiles
 from repro.docking.receptor import Receptor
 from repro.esmacs.mmpbsa import BindingEstimator
 from repro.md.builder import build_lpc
 from repro.md.forcefield import ForceField
 from repro.md.integrator import Langevin
 from repro.md.minimize import minimize
-from repro.md.system import MDSystem
 from repro.md.trajectory import Trajectory, simulate
 from repro.util.config import FrozenConfig, validate_positive
 from repro.util.rng import RngFactory
 
-__all__ = ["EsmacsConfig", "EsmacsResult", "EsmacsRunner", "CG", "FG"]
+__all__ = [
+    "EsmacsConfig",
+    "EsmacsResult",
+    "EsmacsRunner",
+    "CG",
+    "FG",
+    "assemble",
+    "install_receptors",
+    "run_replica",
+]
 
 
 @dataclass(frozen=True)
@@ -91,72 +100,130 @@ class EsmacsResult:
         return len(self.replica_dgs)
 
 
+#: one replica's output: (ΔG mean, trajectory or ``None``, protein atom
+#: indices, integration steps)
+ReplicaOutput = tuple[float, "Trajectory | None", np.ndarray, int]
+
+#: receptors this process runs replica tasks against, by pdb id — filled
+#: once per worker process by :func:`install_receptors` (the pool
+#: initializer), so a replica task carries a key, never a grid
+_RECEPTORS: dict[str, Receptor] = {}
+
+
+def install_receptors(receptors: dict[str, Receptor]) -> None:
+    """Pool initializer: make ``receptors`` resolvable by :func:`run_replica`."""
+    _RECEPTORS.clear()
+    _RECEPTORS.update(receptors)
+
+
+def run_replica(
+    receptor_key: str,
+    config: EsmacsConfig,
+    seed: int,
+    smiles: str,
+    ligand_coords: np.ndarray,
+    compound_id: str,
+    replica: int,
+    keep_trajectory: bool,
+) -> ReplicaOutput:
+    """One ESMACS replica as a picklable task for a resident worker.
+
+    ``receptor_key`` names a receptor :func:`install_receptors` put in
+    this process.  The output equals replica ``replica`` of
+    ``EsmacsRunner(receptor, config, seed).run(parse_smiles(smiles), …)``:
+    both run :func:`_replica`, and a replica's randomness is its own
+    ``{compound_id}/replica-{replica}`` stream, so where it runs does not
+    matter.
+    """
+    return _replica(
+        _RECEPTORS[receptor_key], config, seed, parse_smiles(smiles),
+        ligand_coords, compound_id, replica, keep_trajectory,
+    )
+
+
+def _replica(
+    receptor: Receptor,
+    cfg: EsmacsConfig,
+    seed: int,
+    molecule: Molecule,
+    ligand_coords: np.ndarray,
+    compound_id: str,
+    replica: int,
+    keep_trajectory: bool,
+) -> ReplicaOutput:
+    factory = RngFactory(seed, prefix=f"esmacs/{receptor.target}/{receptor.pdb_id}")
+    forcefield = ForceField()
+    rng = factory.stream(f"{compound_id}/replica-{replica}")
+    # replica diversity: jitter the starting ligand pose slightly
+    jitter = rng.normal(scale=0.15, size=ligand_coords.shape)
+    system = build_lpc(
+        receptor,
+        molecule,
+        ligand_coords + jitter,
+        seed=factory.seed,
+        n_residues=cfg.n_residues,
+    )
+    minimize(system, forcefield, max_iterations=cfg.minimize_iterations)
+    system.initialize_velocities(cfg.temperature, rng)
+    integrator = Langevin(timestep=cfg.timestep_ps, temperature=cfg.temperature)
+    # equilibration: advance without recording
+    integrator.run(system, forcefield, cfg.equilibration_steps, rng)
+    traj = simulate(
+        system,
+        forcefield,
+        integrator,
+        cfg.production_steps,
+        rng,
+        record_every=cfg.record_every,
+    )
+    dgs = BindingEstimator().estimate_recorded(
+        system.topology, traj.frames, traj.interaction_energies
+    )
+    steps = cfg.equilibration_steps + cfg.production_steps
+    return (
+        float(dgs.mean()),
+        traj if keep_trajectory else None,
+        system.topology.protein_atoms,
+        steps,
+    )
+
+
+def assemble(compound_id: str, outputs: list[ReplicaOutput]) -> EsmacsResult:
+    """The ensemble result of one compound's replica outputs, in replica order."""
+    replica_dgs = []
+    trajectories: list[Trajectory] = []
+    protein_atoms = None
+    total_steps = 0
+    for dg, traj, atoms, steps in outputs:
+        replica_dgs.append(dg)
+        total_steps += steps
+        if traj is not None:
+            trajectories.append(traj)
+        protein_atoms = atoms
+    replica_dgs = np.array(replica_dgs)
+    n = len(replica_dgs)
+    sem = float(replica_dgs.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    return EsmacsResult(
+        compound_id=compound_id,
+        replica_dgs=replica_dgs,
+        binding_free_energy=float(replica_dgs.mean()),
+        sem=sem,
+        trajectories=trajectories,
+        protein_atoms=protein_atoms,
+        md_steps=total_steps,
+    )
+
+
 class EsmacsRunner:
     """Run the ESMACS protocol for compounds against one receptor."""
 
     def __init__(
-        self,
-        receptor: Receptor,
-        config: EsmacsConfig = CG,
-        forcefield: ForceField | None = None,
-        estimator: BindingEstimator | None = None,
-        seed: int = 0,
+        self, receptor: Receptor, config: EsmacsConfig = CG, seed: int = 0
     ) -> None:
         self.receptor = receptor
         self.config = config
-        self.forcefield = forcefield or ForceField()
-        self.estimator = estimator or BindingEstimator()
-        self.factory = RngFactory(
-            seed, prefix=f"esmacs/{receptor.target}/{receptor.pdb_id}"
-        )
+        self.seed = seed
 
-    # ----------------------------------------------------------- replicas
-    def _run_replica(
-        self,
-        molecule: Molecule,
-        ligand_coords: np.ndarray,
-        compound_id: str,
-        replica: int,
-        keep_trajectory: bool,
-    ) -> tuple[float, Trajectory | None, MDSystem, int]:
-        cfg = self.config
-        rng = self.factory.stream(f"{compound_id}/replica-{replica}")
-        # replica diversity: jitter the starting ligand pose slightly
-        jitter = rng.normal(scale=0.15, size=ligand_coords.shape)
-        system = build_lpc(
-            self.receptor,
-            molecule,
-            ligand_coords + jitter,
-            seed=self.factory.seed,
-            n_residues=cfg.n_residues,
-        )
-        minimize(system, self.forcefield, max_iterations=cfg.minimize_iterations)
-        system.initialize_velocities(cfg.temperature, rng)
-        integrator = Langevin(
-            timestep=cfg.timestep_ps, temperature=cfg.temperature
-        )
-        # equilibration: advance without recording
-        integrator.run(system, self.forcefield, cfg.equilibration_steps, rng)
-        traj = simulate(
-            system,
-            self.forcefield,
-            integrator,
-            cfg.production_steps,
-            rng,
-            record_every=cfg.record_every,
-        )
-        dgs = self.estimator.estimate_recorded(
-            system.topology, traj.frames, traj.interaction_energies
-        )
-        steps = cfg.equilibration_steps + cfg.production_steps
-        return (
-            float(dgs.mean()),
-            traj if keep_trajectory else None,
-            system,
-            steps,
-        )
-
-    # ---------------------------------------------------------------- runs
     def run(
         self,
         molecule: Molecule,
@@ -164,29 +231,19 @@ class EsmacsRunner:
         compound_id: str = "",
         keep_trajectories: bool = True,
     ) -> EsmacsResult:
-        """ESMACS for one compound starting from ``ligand_coords``."""
-        replica_dgs = []
-        trajectories: list[Trajectory] = []
-        protein_atoms = None
-        total_steps = 0
-        for r in range(self.config.replicas):
-            dg, traj, system, steps = self._run_replica(
-                molecule, ligand_coords, compound_id, r, keep_trajectories
-            )
-            replica_dgs.append(dg)
-            total_steps += steps
-            if traj is not None:
-                trajectories.append(traj)
-            protein_atoms = system.topology.protein_atoms
-        replica_dgs = np.array(replica_dgs)
-        n = len(replica_dgs)
-        sem = float(replica_dgs.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        return EsmacsResult(
-            compound_id=compound_id,
-            replica_dgs=replica_dgs,
-            binding_free_energy=float(replica_dgs.mean()),
-            sem=sem,
-            trajectories=trajectories,
-            protein_atoms=protein_atoms,
-            md_steps=total_steps,
+        """ESMACS for one compound starting from ``ligand_coords``.
+
+        The replicas run here, one after another; the campaign runs the
+        same replicas as tasks (:func:`run_replica`) and assembles them
+        the same way.
+        """
+        return assemble(
+            compound_id,
+            [
+                _replica(
+                    self.receptor, self.config, self.seed, molecule,
+                    ligand_coords, compound_id, r, keep_trajectories,
+                )
+                for r in range(self.config.replicas)
+            ],
         )

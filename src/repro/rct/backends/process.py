@@ -14,6 +14,14 @@ Constraints inherited from pickling across the process boundary:
 * the task function cannot mutate caller state — only its return value
   crosses back.
 
+Workers are *resident*: each runs ``initializer(*initargs)`` once when it
+starts and then executes many tasks, so state every task needs (a
+receptor's grids, say) is installed once per worker rather than pickled
+into every task — the RAPTOR worker model.  An initializer that raises
+breaks the pool: in-flight and later attempts are delivered as FAILED
+records (``BrokenProcessPool``), and submitting to a pool already known
+to be broken raises.
+
 Per-attempt timeouts use **abandon-and-reap**: at the deadline the
 attempt is delivered as a timeout failure immediately.  A queued
 attempt is cancelled outright; a running one is left executing with its
@@ -25,6 +33,7 @@ attempts, so a hung payload cannot wedge interpreter exit.
 from __future__ import annotations
 
 from concurrent.futures import Future, ProcessPoolExecutor
+from typing import Callable
 
 from repro.rct.backends.base import register_backend
 from repro.rct.backends.pool import PoolBackend
@@ -43,12 +52,17 @@ class ProcessExecutor(PoolBackend):
         max_workers: int | None = None,
         clock: WallClock | None = None,
         mp_context=None,
+        initializer: Callable | None = None,
+        initargs: tuple = (),
     ) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         super().__init__(clock)
         self._pool = ProcessPoolExecutor(
-            max_workers=max_workers, mp_context=mp_context
+            max_workers=max_workers,
+            mp_context=mp_context,
+            initializer=initializer,
+            initargs=initargs,
         )
 
     def start(self, record: TaskRecord, timeout: float | None = None) -> None:
@@ -62,9 +76,9 @@ class ProcessExecutor(PoolBackend):
             future = self._pool.submit(
                 record.spec.fn, *record.spec.args, **record.spec.kwargs
             )
-        except BaseException:  # pool already shut down: caller misuse,
-            # fail loudly (a *broken* pool surfaces through the future
-            # and is delivered as a FAILED record instead)
+        except BaseException:  # pool shut down (caller misuse) or known
+            # broken: fail loudly (work in flight when the pool broke
+            # surfaces through its future as a FAILED record instead)
             delivery.abort()
             raise
 

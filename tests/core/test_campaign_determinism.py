@@ -12,9 +12,11 @@ import dataclasses
 import numpy as np
 
 from repro.core.campaign import CampaignConfig, ImpeccableCampaign
-from repro.esmacs.protocol import EsmacsConfig, EsmacsRunner
+from repro.esmacs.protocol import EsmacsConfig
 from repro.rct.fault import FaultModel, RetryPolicy
 from repro.rct.raptor import RaptorConfig, simulate_raptor
+
+from tests.core import replica_faults
 
 _SMALL_ESMACS = dict(
     equilibration_ns=1,
@@ -45,22 +47,10 @@ def _config():
 
 
 def _fail_every(monkeypatch, nth):
-    """Patch EsmacsRunner.run so every ``nth``-th call raises.
-
-    Returns the call counter; reset ``calls["n"] = 0`` between runs so
-    both runs see the identical failure pattern.
-    """
-    original = EsmacsRunner.run
-    calls = {"n": 0}
-
-    def flaky(self, *args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] % nth == 0:
-            raise RuntimeError("simulated node failure")
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(EsmacsRunner, "run", flaky)
-    return calls
+    """Fail the replica tasks whose (unit, replica) key hashes to 0 mod
+    ``nth``: the pattern is a function of the work, so both runs see the
+    identical failure pattern."""
+    replica_faults.install(monkeypatch, replica_faults.flaky_replica, nth)
 
 
 def _fingerprint(result):
@@ -93,12 +83,9 @@ def _fingerprint(result):
 
 
 def test_same_seed_campaigns_replay_identically_under_faults(monkeypatch):
-    calls = _fail_every(monkeypatch, nth=3)
+    _fail_every(monkeypatch, nth=8)
     first = ImpeccableCampaign(_config()).run()
-    n_calls = calls["n"]
-    calls["n"] = 0  # identical injection pattern for the replay
     second = ImpeccableCampaign(_config()).run()
-    assert calls["n"] == n_calls  # same work reached the flaky stage
     assert first.failure_summary.n_dropped > 0  # faults actually fired
     assert _fingerprint(first) == _fingerprint(second)
 

@@ -3,15 +3,19 @@
 A stage work unit that raises is handled per ``CampaignConfig.failure_policy``:
 ``fail_fast`` aborts the campaign with a :class:`TaskFailedError`, while
 ``drop_and_continue`` records the drop in the failure ledger and keeps
-going — up to the per-stage failure budget.
+going — up to the per-stage failure budget.  S3 units run their replicas
+as worker tasks; faults are injected at the replica function
+(``tests/core/replica_faults.py``) and map back to one drop per unit.
 """
 
 import pytest
 
 from repro.core.campaign import CampaignConfig, ImpeccableCampaign
 from repro.docking.engine import DockingEngine
-from repro.esmacs.protocol import EsmacsConfig, EsmacsRunner
+from repro.esmacs.protocol import EsmacsConfig
 from repro.rct.fault import TaskFailedError
+
+from tests.core import replica_faults
 
 _SMALL_ESMACS = dict(
     equilibration_ns=1,
@@ -43,18 +47,9 @@ def _config(**overrides):
 
 
 def _fail_every(monkeypatch, nth):
-    """Patch EsmacsRunner.run so every ``nth``-th call raises."""
-    original = EsmacsRunner.run
-    calls = {"n": 0}
-
-    def flaky(self, *args, **kwargs):
-        calls["n"] += 1
-        if calls["n"] % nth == 0:
-            raise RuntimeError("simulated node failure")
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(EsmacsRunner, "run", flaky)
-    return calls
+    """Fail the replica tasks whose (unit, replica) key hashes to 0 mod
+    ``nth`` — every replica at ``nth=1``."""
+    replica_faults.install(monkeypatch, replica_faults.flaky_replica, nth)
 
 
 def test_config_rejects_bad_policy_and_budget():
@@ -67,23 +62,45 @@ def test_config_rejects_bad_policy_and_budget():
 def test_fail_fast_aborts_on_first_stage_failure(monkeypatch):
     _fail_every(monkeypatch, nth=1)
     campaign = ImpeccableCampaign(_config(failure_policy="fail_fast"))
-    with pytest.raises(TaskFailedError, match="S3-CG"):
+    with pytest.raises(
+        TaskFailedError,
+        match=r"^S3-CG unit \S+ failed: RuntimeError: simulated node failure$",
+    ):
         campaign.run()
 
 
 def test_drop_and_continue_reports_every_drop(monkeypatch):
-    calls = _fail_every(monkeypatch, nth=2)
+    # at nth=8 one of the two CG compounds has a failing replica
+    _fail_every(monkeypatch, nth=8)
     campaign = ImpeccableCampaign(_config(failure_policy="drop_and_continue"))
     result = campaign.run()
     summary = result.failure_summary
     # something failed, the run still finished, and nothing vanished:
     # every injected failure is accounted for as a drop
-    assert calls["n"] > 0
     assert summary.n_dropped > 0
     assert summary.reconciles()
     dropped_cg = summary.dropped_by_stage.get("S3-CG", 0)
     it = result.iterations[0]
+    assert 0 < dropped_cg < campaign.config.cg_compounds
     assert len(it.cg_results) == campaign.config.cg_compounds - dropped_cg
+    # one drop per unit with a failing replica, however many of its
+    # replicas failed; every surviving unit ran all its replicas clean
+    cfg = campaign.config
+    for r in it.cg_results:
+        assert not any(replica_faults.fails(r.compound_id, k) for k in range(cfg.cg.replicas))
+    fg_units = [
+        f"{s.compound_id}/r{s.replica}f{s.frame}"
+        for s2 in it.s2_by_structure.values()
+        for s in s2.selections
+    ]
+    failing = [
+        u for u in fg_units
+        if any(replica_faults.fails(u, k) for k in range(cfg.fg.replicas))
+    ]
+    assert summary.dropped_by_stage.get("S3-FG", 0) == len(failing)
+    assert [r.compound_id for r in it.fg_results] == [
+        u for u in fg_units if u not in failing
+    ]
 
 
 def test_stage_failure_budget_bounds_the_drops(monkeypatch):

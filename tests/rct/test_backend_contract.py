@@ -6,7 +6,9 @@ semantics, failure capture, per-attempt timeout (cancel on the virtual
 clock, abandon-and-reap on real pools), and context-manager cleanup.
 """
 
+import os
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -274,6 +276,53 @@ def test_process_backend_reports_unpicklable_payload():
         done = ex.next_completion()
         assert done.state is TaskState.FAILED
         assert done.error
+
+
+#: what ``_install_state`` left in this process (empty in the parent)
+_WORKER_STATE: dict = {}
+
+
+def _install_state(value):
+    _WORKER_STATE["value"] = value
+    _WORKER_STATE["inits"] = _WORKER_STATE.get("inits", 0) + 1
+
+
+def _read_state(_):
+    time.sleep(0.05)  # long enough that both workers take tasks
+    return os.getpid(), _WORKER_STATE["value"], _WORKER_STATE["inits"]
+
+
+def _failing_init():
+    raise RuntimeError("cannot load")
+
+
+def test_process_initializer_runs_once_per_worker():
+    """Resident workers: the initializer's state is installed once per
+    worker process and every task that worker runs sees it."""
+    with ProcessExecutor(
+        max_workers=2, initializer=_install_state, initargs=("grid",)
+    ) as ex:
+        for i in range(8):
+            ex.start(_task("process", fn=_read_state, args=(i,)))
+        results = [ex.next_completion().result for _ in range(8)]
+    pids = {pid for pid, _, _ in results}
+    assert 1 <= len(pids) <= 2
+    assert all(value == "grid" and inits == 1 for _, value, inits in results)
+    assert _WORKER_STATE == {}  # the parent never ran the initializer
+
+
+def test_process_initializer_failure_fails_tasks_instead_of_hanging():
+    """A raising initializer breaks the pool: attempts in flight come back
+    as FAILED records, and a later submission raises — neither hangs."""
+    with ProcessExecutor(max_workers=2, initializer=_failing_init) as ex:
+        ex.start(_task("process"))
+        done = ex.next_completion()
+        assert done.state is TaskState.FAILED
+        assert done.error.startswith("BrokenProcessPool")
+        assert ex.n_running == 0
+        with pytest.raises(BrokenProcessPool):
+            ex.start(_task("process"))
+        assert ex.n_running == 0
 
 
 def test_sim_start_batch_matches_sequential_starts():
