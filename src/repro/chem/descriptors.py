@@ -100,13 +100,13 @@ def compute_descriptors(mol: Molecule) -> Descriptors:
         1 for ring in rings if all(mol.atoms[i].aromatic for i in ring)
     )
 
+    bonds = {frozenset((bond.a, bond.b)) for bond in mol.bonds}
     ring_bonds = set()
-    g = mol.to_networkx()
     for ring in rings:
         for i, a in enumerate(ring):
-            b = ring[(i + 1) % len(ring)]
-            if g.has_edge(a, b):
-                ring_bonds.add(frozenset((a, b)))
+            pair = frozenset((a, ring[(i + 1) % len(ring)]))
+            if pair in bonds:
+                ring_bonds.add(pair)
     rotatable = 0
     for bond in mol.bonds:
         if bond.order != 1 or bond.aromatic:

@@ -9,9 +9,9 @@ bead-model fidelity.
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
+from repro.chem.graph import hop_counts
 from repro.chem.mol import Molecule
 
 __all__ = ["embed_conformer", "BOND_LENGTH"]
@@ -26,16 +26,14 @@ def _target_distances(mol: Molecule) -> np.ndarray:
     Bonded pairs sit at ``BOND_LENGTH``; longer paths scale sub-linearly
     (chains coil) with a floor so non-bonded atoms keep steric spacing.
     """
-    g = mol.to_networkx()
-    n = mol.n_atoms
-    d = np.zeros((n, n))
-    sp = dict(nx.all_pairs_shortest_path_length(g))
-    for i in range(n):
-        for j, hops in sp[i].items():
-            if hops == 0:
-                continue
-            d[i, j] = BOND_LENGTH * hops**0.82
-    return d
+    hops = hop_counts(mol.neighbor_lists())
+    # exactness: ``h ** 0.82`` on a Python int is scalar libm ``pow``; a
+    # float64 array ``** 0.82`` differs from it at 4 of the hop counts
+    # 1–63 (numpy 2.4), so every pair gathers from a table of scalar powers.
+    # Unreachable pairs (-1) clip to hop 0, distance 0, as on the diagonal
+    top = int(hops.max(initial=0))
+    table = np.array([0.0] + [BOND_LENGTH * h**0.82 for h in range(1, top + 1)])
+    return table[np.maximum(hops, 0)]
 
 
 def embed_conformer(

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
+from repro.chem import graph
 from repro.chem.elements import AROMATIC_SYMBOLS, Element, get_element
 
 __all__ = ["Atom", "Bond", "Molecule"]
@@ -174,31 +173,24 @@ class Molecule:
         return sum(self.implicit_hydrogens(i) for i in range(self.n_atoms))
 
     # ---------------------------------------------------------------- graph
-    def to_networkx(self) -> nx.Graph:
-        """Export to networkx (atom/bond attributes preserved)."""
-        g = nx.Graph()
-        for atom in self.atoms:
-            g.add_node(
-                atom.index,
-                symbol=atom.symbol,
-                charge=atom.charge,
-                aromatic=atom.aromatic,
-            )
-        for bond in self.bonds:
-            g.add_edge(bond.a, bond.b, order=bond.order, aromatic=bond.aromatic)
-        return g
+    def neighbor_lists(self) -> list[list[int]]:
+        """:meth:`neighbors` of every atom: the input of :mod:`repro.chem.graph`."""
+        return [self.neighbors(i) for i in range(self.n_atoms)]
 
     def rings(self) -> list[list[int]]:
-        """Smallest cycle basis of the molecular graph (list of atom rings)."""
-        if self.n_atoms == 0:
-            return []
-        return [list(c) for c in nx.cycle_basis(self.to_networkx())]
+        """Fundamental cycle basis of the molecular graph (list of atom rings).
+
+        One ring per ring-closing bond of a depth-first spanning tree
+        (:func:`repro.chem.graph.cycle_basis`), not the smallest set of
+        rings: cubane's five rings are four 4-rings and a 6-ring.
+        """
+        return graph.cycle_basis(self.neighbor_lists())
 
     def is_connected(self) -> bool:
         """Whether the molecular graph is a single fragment."""
         if self.n_atoms <= 1:
             return True
-        return nx.is_connected(self.to_networkx())
+        return len(graph.reachable(self.neighbor_lists(), 0)) == self.n_atoms
 
     # ------------------------------------------------------------- validate
     def validate(self) -> None:

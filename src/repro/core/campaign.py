@@ -357,9 +357,9 @@ class ImpeccableCampaign:
             n = _worker_count()
             executor = ProcessExecutor(
                 max_workers=n,
-                # fork, not spawn: a spawned worker re-imports numpy, scipy
-                # and repro before its first replica (seconds, against a
-                # ~1 s stage); the campaign has no thread of its own left
+                # fork, not spawn: a spawned worker re-imports numpy and
+                # repro before its first replica (~0.7 s, against a ~1 s
+                # stage); the campaign has no thread of its own left
                 # running by S3 (ML1's prefetch thread is joined), so the
                 # fork copies no lock such a thread could hold
                 mp_context=multiprocessing.get_context("fork"),

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.chem.descriptors import partial_charges
 from repro.chem.embed3d import embed_conformer
+from repro.chem.graph import components, hop_counts, reachable
 from repro.chem.mol import Molecule
 
 __all__ = [
@@ -55,9 +56,8 @@ def find_torsions(mol: Molecule) -> list[Torsion]:
     set is the connected component containing ``b`` once the bond is cut;
     the smaller side is chosen so rotations perturb as little as possible.
     """
-    import networkx as nx
-
-    g = mol.to_networkx()
+    adj = mol.neighbor_lists()
+    component = {v: comp for comp in components(adj) for v in comp}
     ring_bonds = set()
     for ring in mol.rings():
         for a, b in zip(ring, [*ring[1:], ring[0]]):
@@ -70,10 +70,10 @@ def find_torsions(mol: Molecule) -> list[Torsion]:
             continue
         if mol.degree(bond.a) < 2 or mol.degree(bond.b) < 2:
             continue
-        h = g.copy()
-        h.remove_edge(bond.a, bond.b)
-        side_b = nx.node_connected_component(h, bond.b)
-        side_a = nx.node_connected_component(h, bond.a)
+        # one walk from b with the bond cut; if it never reaches a, the
+        # bond was a bridge and a's side is the rest of the component
+        side_b = reachable(adj, bond.b, cut=(bond.a, bond.b))
+        side_a = side_b if bond.a in side_b else component[bond.a] - side_b
         if len(side_b) <= len(side_a):
             a, b, moving = bond.a, bond.b, side_b - {bond.b}
         else:
@@ -152,19 +152,8 @@ def prepare_ligand(
     confs = np.stack([embed_conformer(mol, rng) for _ in range(n_conformers)])
     # intra-ligand pairs: topological distance >= 3 (1-2 and 1-3 excluded,
     # the standard nonbonded exclusion)
-    import networkx as nx
-
-    g = mol.to_networkx()
-    sp = dict(nx.all_pairs_shortest_path_length(g, cutoff=2))
-    pairs = [
-        (i, j)
-        for i in range(mol.n_atoms)
-        for j in range(i + 1, mol.n_atoms)
-        if j not in sp.get(i, {})
-    ]
-    intra = (
-        np.array(pairs, dtype=int) if pairs else np.zeros((0, 2), dtype=int)
-    )
+    far = hop_counts(mol.neighbor_lists(), cutoff=2) < 0
+    intra = np.argwhere(np.triu(far, k=1))  # (i, j), i < j, row-major
     return LigandBeads(
         charges=charges,
         hydro=hydro,

@@ -11,7 +11,6 @@ bench's measurement.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "bootstrap_sem",
@@ -61,8 +60,28 @@ def ranking_correlation(a: np.ndarray, b: np.ndarray) -> float:
         raise ValueError("inputs must be 1-D and equally sized")
     if len(a) < 3:
         raise ValueError("need at least 3 compounds to rank")
-    rho, _ = stats.spearmanr(a, b)
-    return float(rho)
+    ranks = np.vstack((a, b)).astype(np.float64)
+    if np.isnan(ranks).any() or (ranks[:, :1] == ranks).all(axis=1).any():
+        return float("nan")  # undefined: a NaN score or a constant input
+    for row in ranks:
+        row[:] = _average_ranks(row)
+    # a C-ordered (2, n) block, the layout ``scipy.stats.spearmanr`` hands
+    # ``np.corrcoef``, so the two take the same reduction paths
+    return float(np.corrcoef(ranks)[1, 0])
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their positions."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], len(x)]
+    # exactness: a tie group at sorted positions start+1 … end ranks
+    # (start + 1 + end) / 2, a multiple of 1/2 that float64 holds exactly,
+    # so any tie-averaging scheme (``scipy.stats.rankdata``) gives these bits
+    ranks = np.empty(len(x))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2, ends - starts)
+    return ranks
 
 
 def repeat_reliability(

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.chem.descriptors import partial_charges
+from repro.chem.graph import adjacency, components
 from repro.chem.mol import Molecule
 from repro.chem.smiles import canonical_ranks
 
@@ -119,12 +120,7 @@ def build_hybrid(mol_a: Molecule, mol_b: Molecule) -> HybridLigand:
     # guard against disconnected hybrid graphs (possible when endpoints
     # differ wildly): connect stray beads to bead 0 with weak bonds
     if len(bonds):
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(n))
-        g.add_edges_from(map(tuple, bonds))
-        comps = list(nx.connected_components(g))
+        comps = components(adjacency(n, bonds.tolist()))
         if len(comps) > 1:
             extra = []
             anchor = min(comps[0])

@@ -1,4 +1,4 @@
-"""Test-side reference for ML1 depiction: the per-molecule layout and
+"""Test-side references for ML1 depiction: the per-molecule layout and
 rasterizer that shipped in ``repro.chem.depict`` up to PR 15.
 
 :func:`layout_2d`, :func:`_draw_line` and :func:`depict` are the
@@ -8,13 +8,22 @@ stack and one ``linspace`` per bond.  The production batch kernel must
 reproduce them bit for bit; ``test_depict_identity.py`` checks that over
 generated libraries and hand cases.  :func:`featurize_batch` is the
 parent's per-record loop over them.
+
+The molecular-graph functions below (:func:`rings`, :func:`is_connected`,
+:func:`_target_distances`) are the ``networkx`` bodies ``repro.chem.mol``
+and ``repro.chem.embed3d`` shipped before ``repro.chem.graph`` replaced
+them, over the old ``Molecule.to_networkx`` (:func:`to_networkx`);
+``test_graph_identity.py`` holds ``repro.chem.graph`` to them.
 """
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 
+from repro.chem import embed3d
 from repro.chem.descriptors import partial_charges
+from repro.chem.embed3d import BOND_LENGTH
 from repro.chem.mol import Molecule
 from repro.chem.smiles import parse_smiles
 
@@ -132,14 +141,66 @@ def featurize_batch(smiles_list, size=24, out=None):
     return out
 
 
+def to_networkx(mol: Molecule) -> nx.Graph:
+    """Export to networkx (atom/bond attributes preserved)."""
+    g = nx.Graph()
+    for atom in mol.atoms:
+        g.add_node(
+            atom.index,
+            symbol=atom.symbol,
+            charge=atom.charge,
+            aromatic=atom.aromatic,
+        )
+    for bond in mol.bonds:
+        g.add_edge(bond.a, bond.b, order=bond.order, aromatic=bond.aromatic)
+    return g
+
+
+def rings(self: Molecule) -> list[list[int]]:
+    """Cycle basis of the molecular graph (list of atom rings)."""
+    if self.n_atoms == 0:
+        return []
+    return [list(c) for c in nx.cycle_basis(to_networkx(self))]
+
+
+def is_connected(self: Molecule) -> bool:
+    """Whether the molecular graph is a single fragment."""
+    if self.n_atoms <= 1:
+        return True
+    return nx.is_connected(to_networkx(self))
+
+
+def _target_distances(mol: Molecule) -> np.ndarray:
+    """Pairwise target distances from shortest-path topology.
+
+    Bonded pairs sit at ``BOND_LENGTH``; longer paths scale sub-linearly
+    (chains coil) with a floor so non-bonded atoms keep steric spacing.
+    """
+    g = to_networkx(mol)
+    n = mol.n_atoms
+    d = np.zeros((n, n))
+    sp = dict(nx.all_pairs_shortest_path_length(g))
+    for i in range(n):
+        for j, hops in sp[i].items():
+            if hops == 0:
+                continue
+            d[i, j] = BOND_LENGTH * hops**0.82
+    return d
+
+
 def install(monkeypatch) -> None:
-    """Swap the reference featurization in for the production kernel.
+    """Swap the reference featurization and graph code in for production.
 
     Everything in ``repro.surrogate`` that turns SMILES into images —
     training, in-memory scoring and the streamed shard path — then goes
-    through this module's per-molecule code.
+    through this module's per-molecule code, and every ring list,
+    connectivity test and conformer target through ``networkx``.
     """
     from repro.surrogate import featurize, infer, train
+
+    monkeypatch.setattr(Molecule, "rings", rings)
+    monkeypatch.setattr(Molecule, "is_connected", is_connected)
+    monkeypatch.setattr(embed3d, "_target_distances", _target_distances)
 
     monkeypatch.setattr(featurize, "depict", depict)  # featurize_smiles
     for module in (featurize, infer, train):

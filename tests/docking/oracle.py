@@ -3,17 +3,99 @@ and the unpacked pose geometry ``repro.docking`` shipped up to PR 16, bodies
 verbatim.  Draw helpers, ``apply_genetics`` and the scoring kernels are
 *imported* from ``src`` — shared by both sides, so the bitwise tests compare
 loop structure: one ligand at a time here, a fused shard there.
+
+:func:`find_torsions` and :func:`prepare_ligand` are the ligand-prep
+bodies from before ``repro.chem.graph``: a ``networkx`` graph copy per
+rotatable bond, all-pairs shortest paths for the intra-ligand pairs.
 """
 
+import networkx as nx
 import numpy as np
 
+from repro.chem.descriptors import partial_charges
+from repro.chem.embed3d import embed_conformer
+from repro.chem.mol import Molecule
 from repro.docking.lga import DockingRun, LGAConfig, _random_quaternions
 from repro.docking.lga import apply_genetics, draw_generation, draw_initial_genes
-from repro.docking.ligand import Pose
+from repro.docking.ligand import LigandBeads, Pose, Torsion
 from repro.docking.local_search import AdadeltaConfig, BatchRefinement
 from repro.docking.local_search import SolisWetsConfig, draw_solis_wets
 from repro.docking.scoring import apply_rigid_steps_batch, interpolate_stacked
 from repro.docking.scoring import score_and_gradient_batch, score_poses_batch
+from tests.chem.oracle import to_networkx
+
+
+def find_torsions(mol: Molecule) -> list[Torsion]:
+    """Rotatable-bond torsions of a molecule.
+
+    A bond is rotatable when it is a single, non-ring, non-terminal bond
+    (the same definition the rotatable-bond descriptor uses).  The moving
+    set is the connected component containing ``b`` once the bond is cut;
+    the smaller side is chosen so rotations perturb as little as possible.
+    """
+    g = to_networkx(mol)
+    ring_bonds = set()
+    for ring in mol.rings():
+        for a, b in zip(ring, [*ring[1:], ring[0]]):
+            ring_bonds.add(frozenset((a, b)))
+    torsions = []
+    for bond in mol.bonds:
+        if bond.order != 1 or bond.aromatic:
+            continue
+        if frozenset((bond.a, bond.b)) in ring_bonds:
+            continue
+        if mol.degree(bond.a) < 2 or mol.degree(bond.b) < 2:
+            continue
+        h = g.copy()
+        h.remove_edge(bond.a, bond.b)
+        side_b = nx.node_connected_component(h, bond.b)
+        side_a = nx.node_connected_component(h, bond.a)
+        if len(side_b) <= len(side_a):
+            a, b, moving = bond.a, bond.b, side_b - {bond.b}
+        else:
+            a, b, moving = bond.b, bond.a, side_a - {bond.a}
+        if moving:
+            torsions.append(
+                Torsion(a=a, b=b, moving=np.array(sorted(moving), dtype=int))
+            )
+    return torsions
+
+
+def prepare_ligand(
+    mol: Molecule, rng: np.random.Generator, n_conformers: int = 4
+) -> LigandBeads:
+    """Derive docking beads, conformers and torsions from a molecule."""
+    if n_conformers < 1:
+        raise ValueError("need at least one conformer")
+    charges = partial_charges(mol)
+    hydro = np.array([a.element.hydrophobicity for a in mol.atoms])
+    # add lipophilicity for implicit Hs on carbon (CH3 more greasy than bare C)
+    for a in mol.atoms:
+        if a.symbol == "C":
+            hydro[a.index] += 0.05 * mol.implicit_hydrogens(a.index)
+    radii = np.array([a.element.radius for a in mol.atoms])
+    confs = np.stack([embed_conformer(mol, rng) for _ in range(n_conformers)])
+    # intra-ligand pairs: topological distance >= 3 (1-2 and 1-3 excluded,
+    # the standard nonbonded exclusion)
+    g = to_networkx(mol)
+    sp = dict(nx.all_pairs_shortest_path_length(g, cutoff=2))
+    pairs = [
+        (i, j)
+        for i in range(mol.n_atoms)
+        for j in range(i + 1, mol.n_atoms)
+        if j not in sp.get(i, {})
+    ]
+    intra = (
+        np.array(pairs, dtype=int) if pairs else np.zeros((0, 2), dtype=int)
+    )
+    return LigandBeads(
+        charges=charges,
+        hydro=hydro,
+        radii=radii,
+        conformers=confs,
+        torsions=find_torsions(mol),
+        intra_pairs=intra,
+    )
 
 
 def random_quaternion(rng):
@@ -291,7 +373,9 @@ def dock_shard(receptor, beads_list, rngs, config=None, local_search="adadelta",
 
 
 def install(monkeypatch) -> None:
-    """Run every ``DockingEngine`` entry point on the per-ligand reference."""
-    from repro.docking import batch
+    """Run every ``DockingEngine`` entry point on the per-ligand reference,
+    with each ligand prepared by the ``networkx`` prep above."""
+    from repro.docking import batch, engine
 
     monkeypatch.setattr(batch, "dock_shard", dock_shard)
+    monkeypatch.setattr(engine, "prepare_ligand", prepare_ligand)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.chem.graph import adjacency, components
+from repro.chem.mol import Atom, Molecule
 from repro.chem.smiles import parse_smiles
 from repro.ties.alchemical import GHOST_RADIUS, build_hybrid
 
@@ -59,15 +61,31 @@ def test_lambda_out_of_range_rejected():
 
 
 def test_bond_union_connected():
-    import networkx as nx
-
     a = parse_smiles("c1ccccc1C")
     b = parse_smiles("c1ccccc1CCC")
     h = build_hybrid(a, b)
+    assert len(components(adjacency(h.n_beads, h.bonds.tolist()))) == 1
+
+
+def test_stray_components_join_the_first_in_networkx_order():
+    """Disconnected endpoints: each later component bonds weakly to the
+    lowest bead of the first, components ordered as networkx orders them."""
+    import networkx as nx
+
+    mol = Molecule()
+    for symbol in "CCOCCNC":
+        mol.add_atom(Atom(symbol))
+    for a, b in ((0, 1), (3, 4), (4, 6)):
+        mol.add_bond(a, b)
+    h = build_hybrid(mol, mol)
+    weak = h.bond_lengths == 2.5
     g = nx.Graph()
     g.add_nodes_from(range(h.n_beads))
-    g.add_edges_from(map(tuple, h.bonds))
-    assert nx.is_connected(g)
+    g.add_edges_from(map(tuple, h.bonds[~weak]))
+    comps = list(nx.connected_components(g))
+    assert len(comps) == 4
+    assert h.bonds[weak].tolist() == [[min(comps[0]), min(c)] for c in comps[1:]]
+    assert len(components(adjacency(h.n_beads, h.bonds.tolist()))) == 1
 
 
 def test_identity_hybrid_is_constant_in_lambda():
