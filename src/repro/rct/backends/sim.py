@@ -8,11 +8,14 @@ hang — deterministically per (task uid, attempt).
 
 This backend is itself a measured hot path (``benchmarks/
 perf_scheduler.py`` tracks simulated events/sec): a Summit-scale
-campaign pushes ~10⁶ starts and completions through the event heap, so
-``start_batch`` amortizes heap maintenance over whole scheduling passes
-and the virtual clock enforces monotonicity — a backwards ``now`` would
-silently violate the heap's ordering invariant and corrupt every
-downstream timestamp.
+campaign pushes ~10⁶ starts and completions through the event heap.
+Building one seeded stream per attempt used to cost more than scheduling
+it, so the executor owns a per-run :class:`~repro.rct.fault.FaultDraws`
+memo, made on the first faulty start, that draws first attempts 1,024
+uids at a time and frees each block once its uids have all started.  The
+virtual clock enforces monotonicity — a backwards ``now`` would silently
+violate the heap's ordering invariant and corrupt every downstream
+timestamp.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Iterable
 
 from repro.rct.backends.base import register_backend
-from repro.rct.fault import FaultModel
+from repro.rct.fault import FaultDraws, FaultModel
 from repro.rct.task import TaskRecord, TaskState
 
 __all__ = ["SimExecutor"]
@@ -42,6 +44,7 @@ class SimExecutor:
             raise ValueError("launch_overhead must be non-negative")
         self.launch_overhead = launch_overhead
         self.fault_model = fault_model
+        self._draws: FaultDraws | None = None
         self._now = 0.0
         # heap entries: (end, seq, record, final_state, error, timed_out)
         self._heap: list[tuple[float, int, TaskRecord, TaskState, str | None, bool]] = []
@@ -78,10 +81,8 @@ class SimExecutor:
         self._now = t
 
     # ------------------------------------------------------------- execution
-    def _entry(
-        self, record: TaskRecord, timeout: float | None
-    ) -> tuple[float, int, TaskRecord, TaskState, str | None, bool]:
-        """Resolve one attempt's fate into a heap entry (fault draw included)."""
+    def start(self, record: TaskRecord, timeout: float | None = None) -> None:
+        """Begin executing a placed task (fault draw decides its fate)."""
         if record.spec.duration is None:
             raise ValueError(
                 f"task {record.spec.name} has no duration; SimExecutor "
@@ -94,7 +95,10 @@ class SimExecutor:
         error: str | None = None
         timed_out = False
         if self.fault_model is not None:
-            outcome = self.fault_model.draw(record.spec.uid, record.attempt, busy)
+            draws = self._draws
+            if draws is None or draws.model is not self.fault_model:
+                draws = self._draws = FaultDraws(self.fault_model)
+            outcome = draws.draw(record.spec.uid, record.attempt, busy)
             busy = outcome.busy
             if outcome.failed:
                 final_state = TaskState.FAILED
@@ -105,30 +109,9 @@ class SimExecutor:
             error = f"timeout after {timeout}s (attempt {record.attempt})"
             timed_out = True
         end = self._now + self.launch_overhead + busy
-        return (end, next(self._seq), record, final_state, error, timed_out)
-
-    def start(self, record: TaskRecord, timeout: float | None = None) -> None:
-        """Begin executing a placed task (fault draw decides its fate)."""
-        heapq.heappush(self._heap, self._entry(record, timeout))
-
-    def start_batch(
-        self, records: Iterable[TaskRecord], timeout: float | None = None
-    ) -> None:
-        """Begin a whole scheduling pass of tasks in one heap operation.
-
-        Completion order is identical to sequential :meth:`start` calls —
-        the heap pops by ``(end, seq)`` and sequence numbers are assigned
-        in iteration order — but a large batch pays one O(n) ``heapify``
-        instead of n O(log n) sift-ups.  Small batches fall back to
-        pushes so a steady-state trickle never pays heapify's O(heap).
-        """
-        entries = [self._entry(r, timeout) for r in records]
-        if len(entries) > max(8, len(self._heap) // 4):
-            self._heap.extend(entries)
-            heapq.heapify(self._heap)
-        else:
-            for entry in entries:
-                heapq.heappush(self._heap, entry)
+        heapq.heappush(
+            self._heap, (end, next(self._seq), record, final_state, error, timed_out)
+        )
 
     @property
     def n_running(self) -> int:

@@ -9,6 +9,8 @@ first-class, *testable* part of the execution model:
   simulated backend: crash probability, straggler slowdowns, and hangs.
   Deterministic under a root seed, so thousand-node campaigns can be
   simulated under realistic failure rates and replayed bit-identically.
+* :class:`FaultDraws` — a simulator run's memo that draws first attempts
+  in bulk, bit-identical to :meth:`FaultModel.draw`.
 * :class:`RetryPolicy` — max retries, exponential backoff with jitter
   (charged on whichever clock the executor runs), and a per-task timeout
   that cancels/abandons hung tasks.
@@ -25,12 +27,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.util.config import FrozenConfig, validate_range
-from repro.util.rng import rng_stream
+from repro.util.rng import first_draws, rng_stream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (task → fault)
     from repro.rct.task import TaskRecord
 
 __all__ = [
+    "FaultDraws",
     "FaultModel",
     "FaultOutcome",
     "FailureSummary",
@@ -40,6 +43,10 @@ __all__ = [
 
 #: propagation policies understood by the pilot and campaign layers
 FAILURE_POLICIES = ("fail_fast", "drop_and_continue")
+
+#: first-attempt fault draws are computed in aligned blocks of this many uids
+_BLOCK_BITS = 10
+_BLOCK = 1 << _BLOCK_BITS
 
 
 class TaskFailedError(RuntimeError):
@@ -106,11 +113,25 @@ class FaultModel(FrozenConfig):
             raise ValueError("straggler_factor must be >= 1")
 
     def draw(self, uid: int, attempt: int, duration: float) -> FaultOutcome:
-        """Decide the fate of one execution attempt (deterministic)."""
-        rng = rng_stream(self.seed, f"fault/{uid}/{attempt}")
-        u = float(rng.random())
+        """Decide the fate of one execution attempt (deterministic).
+
+        The scalar reference: :class:`FaultDraws` serves first attempts in
+        bulk and must agree with this bit for bit.
+        """
+        # exactness fact 5: only a crash reads the second uniform, but it is
+        # the stream's second output either way, so drawing it always (here
+        # and in bulk) changes no value
+        u, v = rng_stream(self.seed, f"fault/{uid}/{attempt}").random(2).tolist()
+        return self.outcome(u, v, duration)
+
+    def outcome(self, u: float, v: float, duration: float) -> FaultOutcome:
+        """The fate an attempt's first two uniforms ``u``, ``v`` decide.
+
+        ``u`` picks crash / hang / straggle / ok by the cumulative rates;
+        ``v`` is the fraction of ``duration`` a crash still charges.
+        """
         if u < self.failure_rate:
-            return FaultOutcome(kind="fail", busy=duration * float(rng.random()))
+            return FaultOutcome(kind="fail", busy=duration * v)
         u -= self.failure_rate
         if u < self.hang_rate:
             return FaultOutcome(kind="hang", busy=math.inf)
@@ -118,6 +139,46 @@ class FaultModel(FrozenConfig):
         if u < self.straggler_rate:
             return FaultOutcome(kind="straggle", busy=duration * self.straggler_factor)
         return FaultOutcome(kind="ok", busy=duration)
+
+
+class FaultDraws:
+    """One run's memo of a :class:`FaultModel`'s first-attempt draws.
+
+    Nearly every attempt is a first attempt, and its draw depends on its
+    uid alone, so first attempts are drawn in bulk: on first touch of an
+    aligned block of 1,024 uids (``uid >> 10``), one
+    :func:`~repro.util.rng.first_draws` call yields the first two uniforms
+    of every ``fault/{uid}/0`` stream in it, and the block is freed once
+    each of its uids was served.  Retries (attempt ≥ 1, sparse) go to the
+    scalar :meth:`FaultModel.draw`.  Both decide through
+    :meth:`FaultModel.outcome`, so outcomes do not depend on the order in
+    which uids are drawn.
+    """
+
+    def __init__(self, model: FaultModel) -> None:
+        self.model = model
+        #: block → [u per slot, v per slot, served flag per slot, unserved count]
+        self._blocks: dict[int, list] = {}
+
+    def draw(self, uid: int, attempt: int, duration: float) -> FaultOutcome:
+        """Same as ``model.draw(uid, attempt, duration)``, bit for bit."""
+        if attempt:
+            return self.model.draw(uid, attempt, duration)
+        block, slot = uid >> _BLOCK_BITS, uid & (_BLOCK - 1)
+        entry = self._blocks.get(block)
+        if entry is None:
+            base = block << _BLOCK_BITS
+            keys = [f"fault/{u}/0" for u in range(base, base + _BLOCK)]
+            # float64 memoryviews: 8 bytes a value, and indexing gives floats
+            us, vs = map(memoryview, first_draws(self.model.seed, keys, 2).T.copy())
+            entry = self._blocks[block] = [us, vs, bytearray(_BLOCK), _BLOCK]
+        us, vs, served, _ = entry
+        if not served[slot]:
+            served[slot] = 1
+            entry[3] -= 1
+            if not entry[3]:
+                del self._blocks[block]
+        return self.model.outcome(us[slot], vs[slot], duration)
 
 
 @dataclass(frozen=True)

@@ -247,15 +247,16 @@ class Pilot:
 
         Running attempts are *not* interrupted — bounded preemption only
         touches work that has not started.  Returns the cancelled specs.
-        Each dropped retry is recorded as a drop in :attr:`failures` so
-        the summary still reconciles (its retry was already counted when
-        the backoff was scheduled).
+        The failure that queued each cancelled retry was counted as a
+        retry when its backoff was scheduled; that retry will never run, so
+        it becomes a drop and ``failures == retries + drops`` still holds.
         """
         kept: list[tuple[float, TaskSpec, int]] = []
         cancelled: list[TaskSpec] = []
         for eligible, task, attempt in self._retry_queue:
             if pred(task):
                 cancelled.append(task)
+                self.failures.n_retries -= 1
                 self.failures.record_drop(task.stage)
             else:
                 kept.append((eligible, task, attempt))

@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.rct.fault import FailureSummary, FaultModel, RetryPolicy
+from repro.rct.fault import FailureSummary, FaultDraws, FaultModel, RetryPolicy
 from repro.telemetry import NULL_TRACER, Tracer
 from repro.util.config import FrozenConfig, validate_positive
 from repro.util.timer import WallClock
@@ -144,6 +144,8 @@ def simulate_raptor(
         )
     n_items = len(durations)
     cfg = config
+    # items are the fault draws' uids: first attempts come in bulk
+    draws = FaultDraws(fault_model) if fault_model is not None else None
 
     # deal items to masters round-robin; masters serve bulks in order
     master_queues = _partition_round_robin(n_items, cfg.n_masters)
@@ -225,14 +227,14 @@ def simulate_raptor(
         work = 0.0
         for i in bulk:
             attempt = attempts.get(i, 0)
-            if fault_model is None:
+            if draws is None:
                 busy = float(durations[i])
                 if timeout is not None and busy > timeout:
                     busy, failed, timed_out = timeout, True, True
                 else:
                     failed = timed_out = False
             else:
-                outcome = fault_model.draw(i, attempt, float(durations[i]))
+                outcome = draws.draw(i, attempt, float(durations[i]))
                 busy, failed = outcome.busy, outcome.failed
                 timed_out = False
                 if timeout is not None and busy > timeout:

@@ -323,19 +323,3 @@ def test_process_initializer_failure_fails_tasks_instead_of_hanging():
         with pytest.raises(BrokenProcessPool):
             ex.start(_task("process"))
         assert ex.n_running == 0
-
-
-def test_sim_start_batch_matches_sequential_starts():
-    """Batched heap insertion must preserve completion order exactly."""
-    durations = [5.0, 1.0, 3.0, 1.0, 4.0, 2.0] * 4
-    seq = SimExecutor(launch_overhead=0.0)
-    for d in durations:
-        seq.start(TaskRecord(spec=TaskSpec(duration=d), state=TaskState.SCHEDULED))
-    batch = SimExecutor(launch_overhead=0.0)
-    batch.start_batch(
-        [TaskRecord(spec=TaskSpec(duration=d), state=TaskState.SCHEDULED)
-         for d in durations]
-    )
-    seq_order = [seq.next_completion().spec.duration for _ in durations]
-    batch_order = [batch.next_completion().spec.duration for _ in durations]
-    assert seq_order == batch_order

@@ -132,17 +132,13 @@ def _drive_tenants(pilot: Pilot, rng: random.Random) -> list:
 @pytest.mark.parametrize("drive", (_drive_flat, _drive_pst, _drive_tenants))
 def test_drive_conserves_slots_attempts_and_failures(drive, seed, rate):
     pilot = _pilot(seed, rate)
-    cancels = _tap(pilot, "cancel_pending")
     seen = drive(pilot, random.Random(f"{drive.__name__}/{seed}/{rate}"))
     assert seen, "the generated workload ran nothing"
     attempts = {(record.spec.uid, record.attempt) for record, _ in seen}
     assert len(attempts) == len(seen) == len(pilot.log)
-    cancelled = [task for _, dropped in cancels for task in dropped]
-    # failures == retries + drops; a retry cancelled in its backoff (only
-    # the service cancels) stays counted as a retry *and* becomes a drop
-    f = pilot.failures
-    assert f.n_failures + len(cancelled) == f.n_retries + f.n_dropped
-    assert cancelled or f.reconciles()
+    # failures == retries + drops, also after a retry is cancelled in its
+    # backoff (only the service cancels): its counted retry became a drop
+    assert pilot.failures.reconciles()
     assert not pilot._placements and pilot.executor.n_running == 0
     assert not pilot._retry_queue
     np.testing.assert_array_equal(pilot._placer.free_cpus(), [SPEC.cpus] * N_NODES)
