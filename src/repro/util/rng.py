@@ -8,7 +8,7 @@ a string key.  The derivation hashes the key, so adding a new consumer never
 perturbs the streams of existing consumers — the property that matters when
 extending a pipeline without invalidating previous results.
 
-Building a stream costs ~15 µs (``SeedSequence`` mixing plus ``PCG64``
+Building a stream costs ~16 µs (``SeedSequence`` mixing plus ``PCG64``
 seeding), which dominates a consumer that reads only a value or two per key,
 like the simulator's per-attempt fault draws.  :func:`first_draws` returns
 those first values for a whole block of keys in one NumPy pass, bit for bit.
@@ -114,7 +114,7 @@ def first_draws(seed: int, keys: Sequence[str], n: int) -> np.ndarray:
     NumPy's ``SeedSequence`` pool mixing and ``generate_state(4, uint64)``
     run on ``uint32`` arrays with one lane per key; PCG64 is then seeded
     and stepped on the ``(high, low)`` ``uint64`` halves of its 128-bit
-    state.  About 1 µs per key on a block of 1,024 keys, against ~15 µs to
+    state.  About 1 µs per key on a block of 1,024 keys, against ~16 µs to
     build one stream.
     """
     m = len(keys)
