@@ -319,6 +319,7 @@ class Pilot:
                     (self.executor.now + backoff, record.spec, record.attempt + 1)
                 )
                 record.state = TaskState.RETRYING
+                record.backoff = backoff
             else:
                 if span is not None:
                     span.set_attr("dropped", True)

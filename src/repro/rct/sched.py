@@ -206,20 +206,20 @@ class PendingQueue:
         The fair-share scheduler of the multi-tenant service uses this to
         grant one placement at a time to the tenant the share policy
         picked, instead of letting one tenant's greedy pass drain the
-        cluster.
+        cluster.  Order stamps are unique, so sorting the heads is the
+        heap order, and it is O(1) when one shape is queued.
         """
-        heads = [
-            (queue[0][0], key) for key, queue in self._queues.items() if queue
-        ]
-        heapq.heapify(heads)
-        while heads:
-            _, key = heapq.heappop(heads)
-            queue = self._queues[key]
+        for _, queue in sorted(
+            [(queue[0][0], queue) for queue in self._queues.values() if queue]
+        ):
             if try_start(queue[0][1]):
-                task = queue.popleft()[1]
                 self._count -= 1
-                return task
+                return queue.popleft()[1]
         return None
+
+    def shapes(self) -> list[tuple[int, int, int]]:
+        """The ``(cpus, gpus, nodes)`` shapes with queued tasks."""
+        return [key for key, queue in self._queues.items() if queue]
 
     def drop_where(self, pred: Callable[[TaskSpec], bool]) -> list[TaskSpec]:
         """Remove every queued task matching ``pred``; returns them.

@@ -111,6 +111,8 @@ class TaskRecord:
     node_ids: list[int] = field(default_factory=list)
     attempt: int = 0  # 0-based execution attempt (> 0 after retries)
     timed_out: bool = False
+    #: seconds the pilot waits before re-driving a ``RETRYING`` attempt
+    backoff: float | None = None
 
     @property
     def wall_time(self) -> float:

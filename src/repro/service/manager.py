@@ -16,13 +16,14 @@ idling and the deadlock rule.  The manager
 
 1. applies due commands at the round boundary (scripted events at
    virtual times, or live asyncio submits/cancels in arrival order);
-2. ``place``: advances every submission whose current unit's tasks all
-   finished — run its science, checkpoint, build the next unit — then
-   repeatedly picks the fair-share winner among tenants with backlog
-   and quota headroom, grants one placement and charges its
-   node-seconds to the tenant's stride pass; a tenant whose head task
-   doesn't fit is set aside for the rest of the pass (resources only
-   shrink within a pass);
+2. ``place``: advances the submissions that just joined or whose
+   current unit's tasks all finished — run its science, checkpoint,
+   build the next unit — then repeatedly picks the fair-share winner
+   among tenants with backlog and quota headroom, grants one placement
+   and charges its node-seconds to the tenant's stride pass; a tenant
+   whose head task doesn't fit is set aside for the rest of the pass,
+   and so is every shape that failed to start (resources only shrink
+   within a pass);
 3. ``completed``: attributes the finished attempt to its tenant —
    per-tenant :class:`~repro.rct.tasklog.TaskLog`,
    :class:`~repro.rct.fault.FailureSummary`, node-second accounting;
@@ -41,6 +42,7 @@ alone — contention changes *when* work runs, never *what* it computes.
 from __future__ import annotations
 
 import hashlib
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -113,9 +115,17 @@ class CampaignManager(TaskSource):
         #: live commands (op, payload) drained at loop boundaries in
         #: arrival order — the asyncio submit/cancel entry point
         self._commands: deque = deque()
-        #: scripted events [(at, seq, op, payload)], sorted by (at, seq)
+        #: scripted events, a heap on (at, seq, op, payload); (at, seq)
+        #: is unique, so the heap order is the (at, seq) order
         self._events: list[tuple[float, int, str, dict]] = []
         self._event_seq = 0
+        #: submissions to advance at the next ``place``: those that just
+        #: joined or whose current unit just drained — for every other
+        #: submission ``_advance`` would return at once
+        self._ready: list[Submission] = []
+        #: placed-or-retrying tasks per tenant: the sum of its
+        #: submissions' ``_inflight`` sizes, kept as they change
+        self._tenant_busy: dict[str, int] = {}
 
     # ----------------------------------------------------------- public API
     def submit(self, tenant: Tenant, name: str, work: WorkSource) -> str:
@@ -147,6 +157,8 @@ class CampaignManager(TaskSource):
         self._join_seq += 1
         self._subs[sid] = sub
         self._by_base[base] = sid
+        self._ready.append(sub)
+        self._tenant_busy.setdefault(tenant.name, 0)
         if tenant.name not in self.sched:
             self.sched.add(tenant.name, weight=tenant.weight, priority=tenant.priority)
         _log.info("submission %s accepted (weight=%d)", sid, tenant.weight)
@@ -224,9 +236,8 @@ class CampaignManager(TaskSource):
         """
         if op not in ("submit", "cancel"):
             raise ValueError(f"unknown scripted op {op!r}")
-        self._events.append((time, self._event_seq, op, payload))
+        heapq.heappush(self._events, (time, self._event_seq, op, payload))
         self._event_seq += 1
-        self._events.sort(key=lambda e: (e[0], e[1]))
 
     def _apply(self, op: str, payload: dict) -> None:
         if op == "submit":
@@ -237,7 +248,7 @@ class CampaignManager(TaskSource):
     def _drain_due(self) -> None:
         now = self.pilot.executor.now
         while self._events and self._events[0][0] <= now:
-            _, _, op, payload = self._events.pop(0)
+            _, _, op, payload = heapq.heappop(self._events)
             self._apply(op, payload)
         while self._commands:
             op, payload = self._commands.popleft()
@@ -266,7 +277,7 @@ class CampaignManager(TaskSource):
         running attempts drain on their own."""
         sub._pending.drop_where(lambda _t: True)
         for task in self.pilot.cancel_pending(lambda t: self._owner(t.uid) is sub):
-            sub._inflight.discard(task.uid)
+            self._settle(sub, task.uid)
 
     def _fail(self, sub: Submission, exc: Exception) -> None:
         sub.state = "failed"
@@ -336,54 +347,96 @@ class CampaignManager(TaskSource):
         return duration * fraction
 
     def _tenant_inflight(self, tenant_name: str) -> int:
-        return sum(
-            len(s._inflight)
-            for s in self._subs.values()
-            if s.tenant.name == tenant_name
-        )
+        return self._tenant_busy.get(tenant_name, 0)
 
     def _has_headroom(self, sub: Submission) -> bool:
         quota = sub.tenant.quota.max_concurrent_tasks
-        if quota is None:
-            return True
-        return self._tenant_inflight(sub.tenant.name) < quota
+        return quota is None or self._tenant_busy[sub.tenant.name] < quota
+
+    def _settle(self, sub: Submission, uid: int) -> bool:
+        """Take ``uid`` out of flight; ``False`` if it was not in flight."""
+        if uid not in sub._inflight:
+            return False
+        sub._inflight.remove(uid)
+        self._tenant_busy[sub.tenant.name] -= 1
+        return True
 
     def place(self, start: StartFn) -> None:
-        """Advance submissions, then fair-share grants until nothing
-        eligible fits.
+        """Advance ready submissions, then fair-share grants until
+        nothing eligible fits.
+
+        The round costs what changed since the last one, and every
+        shortcut below decides exactly as re-scanning everything would:
+
+        * only submissions on the ready list are advanced (in join
+          order): for any other, ``_advance`` returns at once;
+        * the candidates (tenant → its submissions with backlog, in
+          join order) are built once per pass: a grant changes only the
+          winner's backlog and in-flight count, so only its entry is
+          redone, and a tenant whose try fails leaves the pass;
+        * a ``(cpus, gpus, nodes)`` shape that failed to start is not
+          offered again this pass — free slots only shrink while
+          ``place`` runs, so it would fail again;
+        * once every remaining candidate's queued shapes have failed,
+          the pass ends: no grant, hence no ``commit`` and no aging, can
+          follow.  A blocked tenant is not dropped earlier, because each
+          ``commit`` ages every eligible lower-priority tenant.
+
+        ``_subs`` is filled with strictly increasing ``join_seq`` and
+        never shrinks, so dict order is join order; ``pick``'s key ends
+        in the unique join sequence and ``commit``'s aging does not
+        depend on order, so the eligible list needs no sort.
 
         The retries the pilot re-drove just before bypass the share
         ledger and the concurrency quota — a retried task is the same
         work item; its claim was charged when it first started.
         """
-        for sub in sorted(self._subs.values(), key=lambda s: s.join_seq):
-            if sub.active:
+        if self._ready:
+            ready, self._ready = self._ready, []
+            for sub in sorted(ready, key=lambda s: s.join_seq):
                 self._advance(sub)
-        blocked: set[str] = set()
-        while True:
-            candidates: dict[str, list[Submission]] = {}
-            for sub in sorted(self._subs.values(), key=lambda s: s.join_seq):
-                if not sub.active or not len(sub._pending):
-                    continue
-                if sub.tenant.name in blocked or not self._has_headroom(sub):
-                    continue
+        candidates: dict[str, list[Submission]] = {}
+        for sub in self._subs.values():
+            if len(sub._pending) and sub.active and self._has_headroom(sub):
                 candidates.setdefault(sub.tenant.name, []).append(sub)
-            eligible = sorted(candidates)
+        failed: set[tuple[int, int, int]] = set()
+
+        def try_start(task: TaskSpec) -> bool:
+            if (task.cpus, task.gpus, task.nodes) in failed:
+                return False
+            if start(task):
+                return True
+            failed.add((task.cpus, task.gpus, task.nodes))
+            return False
+
+        while candidates:
+            eligible = list(candidates)
             winner = self.sched.pick(eligible)
-            if winner is None:
-                return
-            started: TaskSpec | None = None
-            for sub in candidates[winner]:
-                started = sub._pending.try_start_one(start)
+            subs = candidates[winner]
+            for sub in subs:
+                started = sub._pending.try_start_one(try_start)
                 if started is not None:
-                    sub._inflight.add(started.uid)
                     break
-            if started is None:
+            else:
                 # nothing of this tenant's fits the free slots; within a
                 # pass resources only shrink, so set it aside
-                blocked.add(winner)
+                del candidates[winner]
+                if not any(
+                    not failed.issuperset(other._pending.shapes())
+                    for rest in candidates.values()
+                    for other in rest
+                ):
+                    return
                 continue
+            sub._inflight.add(started.uid)
+            self._tenant_busy[winner] += 1
             self.sched.commit(winner, eligible, self._task_cost(started))
+            if not self._has_headroom(sub):
+                del candidates[winner]
+            elif not len(sub._pending):
+                subs.remove(sub)
+                if not subs:
+                    del candidates[winner]
 
     # -- completion --------------------------------------------------------
     def _owner(self, uid: int) -> Submission | None:
@@ -398,30 +451,34 @@ class CampaignManager(TaskSource):
         spec = self.pilot.spec
         sub.tasklog.append(record)
         sub.node_seconds += record.node_seconds(spec.gpus, spec.cpus)
-        if record.state is TaskState.DONE:
-            sub.failures.record_success(record.attempt)
-            sub.n_tasks_done += 1
-            sub._inflight.discard(record.spec.uid)
-        elif record.state is TaskState.RETRYING:
-            # the pilot re-queued it; recompute the policy's backoff (a
-            # pure function) instead of rescanning the pilot ledger
-            assert self.pilot.retry is not None
+        if record.state is TaskState.RETRYING:
+            # the pilot re-queued it after the backoff it drew
             sub.failures.record_failure(record.wall_time, record.timed_out)
-            sub.failures.record_retry(
-                self.pilot.retry.backoff(record.spec.uid, record.attempt)
-            )
-        else:  # FAILED: retries exhausted, dropped by the pilot
-            sub.failures.record_failure(record.wall_time, record.timed_out)
-            sub.failures.record_drop(record.spec.stage)
+            sub.failures.record_retry(record.backoff)
+        else:
+            if record.state is TaskState.DONE:
+                sub.failures.record_success(record.attempt)
+            else:  # FAILED: retries exhausted, dropped by the pilot
+                sub.failures.record_failure(record.wall_time, record.timed_out)
+                sub.failures.record_drop(record.spec.stage)
             sub.n_tasks_done += 1
-            sub._inflight.discard(record.spec.uid)
-        self._check_budget(sub.tenant.name)
+            if (
+                self._settle(sub, record.spec.uid)
+                and sub.active
+                and not sub._inflight
+                and not len(sub._pending)
+            ):
+                self._ready.append(sub)  # its unit drained: advance it
+        self._check_budget(sub.tenant)
 
-    def _check_budget(self, tenant_name: str) -> None:
-        subs = [s for s in self._subs.values() if s.tenant.name == tenant_name]
-        budget = subs[0].tenant.quota.node_seconds_budget
+    def _check_budget(self, tenant: Tenant) -> None:
+        budget = tenant.quota.node_seconds_budget
         if budget is None:
             return
+        # every submission's tenant is equal (``submit`` refuses a
+        # changed one); the sum stays in join order, as a running total
+        # would re-associate the floats and could move the cut-off
+        subs = [s for s in self._subs.values() if s.tenant.name == tenant.name]
         used = sum(s.node_seconds for s in subs)
         if used < budget:
             return
@@ -433,7 +490,7 @@ class CampaignManager(TaskSource):
                 )
                 self._drop_unstarted(sub)
                 _log.warning("submission %s hit its budget", sub.sid)
-        self._retire_tenant_if_idle(tenant_name)
+        self._retire_tenant_if_idle(tenant.name)
 
     # -- the loop ----------------------------------------------------------
     def has_pending(self) -> bool:

@@ -118,7 +118,7 @@ class StrideScheduler:
         """
         if not eligible:
             return None
-        return min((self._entries[n] for n in eligible), key=self._key).name
+        return min(map(self._entries.__getitem__, eligible), key=self._key).name
 
     def commit(self, name: str, eligible: list[str], cost: float) -> None:
         """Charge a successful grant of ``cost`` (node-seconds) to ``name``.

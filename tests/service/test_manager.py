@@ -7,6 +7,7 @@ bound tenants, and a cancelled campaign's checkpoints stay resumable.
 """
 
 import asyncio
+import random
 
 import pytest
 
@@ -269,6 +270,29 @@ def test_fail_fast_attempt_is_attributed_and_frees_its_quota_slot(seed):
     assert sum(manager._subs[s].node_seconds for s in sids) == pytest.approx(
         manager.pilot.log.node_seconds_total(spec.gpus, spec.cpus)
     )
+
+
+# ------------------------------------------------------- scripted events
+def test_scripted_events_apply_in_time_then_schedule_order(monkeypatch):
+    manager = make_manager()
+    rng = random.Random(5)
+    events = [(float(rng.randrange(500)), k) for k in range(5_000)]
+    shuffled = events[:]
+    rng.shuffle(shuffled)
+    seq = {}
+    for time, k in shuffled:
+        seq[k] = len(seq)  # scheduling order breaks ties at one time
+        manager.at(time, "cancel", sid=k)
+    applied = []
+    monkeypatch.setattr(manager, "_apply", lambda op, payload: applied.append(payload["sid"]))
+    expected = [k for _, _, k in sorted((t, seq[k], k) for t, k in events)]
+    clock = manager.pilot.executor
+    for time in sorted({t for t, _ in events}):
+        assert manager.next_wakeup() == time
+        clock.wait_until(time)
+        manager._drain_due()
+    assert manager.next_wakeup() is None
+    assert applied == expected
 
 
 # ---------------------------------------------------------------- asyncio
