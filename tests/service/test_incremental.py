@@ -248,15 +248,14 @@ def test_incremental_round_matches_the_rescan_oracle(script):
 
 
 def test_blocked_gpu_tenant_keeps_aging():
-    """A tenant whose shape failed before its own pick still ages."""
+    """The scenario really ages the middle tenant to its bound (the
+    oracle comparison of ``BLOCKED_GPU`` is the ``@example`` above)."""
     manager = build(BLOCKED_GPU)
     credits = []
     while manager._step():
         if "t0" in manager.sched:
             credits.append(manager.sched.entry("t0").starve_credits)
     assert max(credits) >= BLOCKED_GPU["preempt_bound"]
-    reference = run(BLOCKED_GPU, reference=True)
-    assert observe(manager) == {k: reference[k] for k in ("log", "now", "subs", "ledger")}
 
 
 def test_one_backoff_draw_per_retry(monkeypatch):
