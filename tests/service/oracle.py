@@ -2,7 +2,7 @@
 
 Before placement became incremental, every round of
 :class:`~repro.service.manager.CampaignManager` advanced *every*
-submission, rebuilt the candidate set from scratch before each grant
+submission, rebuilt the whole candidate set before each grant
 attempt, re-summed each tenant's in-flight work for the quota check and
 re-tried every queued shape of a picked tenant, already-failed ones
 included; :class:`~repro.rct.sched.PendingQueue` merged a tenant's shape
