@@ -1,14 +1,15 @@
-"""repro.analysis — AST-based project lint engine with domain checkers.
+"""repro.analysis — whole-program lint engine with domain checkers.
 
 Generic linters cannot express this codebase's correctness invariants:
 simulated stages must advance only the executor clock, campaigns must
 replay bit-identically from a seed, shared ledgers touched from worker
 threads must be lock-guarded, hot kernels must stay vectorized, and
 task/stage/pipeline literals must fit the cluster shape they target.
-This package checks all of that statically — parse once, dispatch every
-registered checker over a single AST walk — so the bug class PR 1 fixed
-in production (`run_raptor` busy-accounting race, `validate_fits`
-overcommit) is caught at lint time instead.
+This package checks all of that statically — parse the tree once into
+a project (symbol table, call graph), then run every registered rule
+over it — so bug classes once fixed in production (the `run_raptor`
+busy-accounting race, a `validate_fits` overcommit) are caught at lint
+time instead.
 
 Run it as ``repro-lint`` or ``python -m repro.analysis``; configure via
 ``[tool.repro-lint]`` in pyproject.toml; suppress single findings with
@@ -19,7 +20,7 @@ from repro.analysis.config import AnalysisConfig, ConfigError
 from repro.analysis.engine import (
     AnalysisResult,
     FileContext,
-    analyze_file,
+    analyze_project,
     analyze_source,
     run_analysis,
 )
@@ -32,7 +33,7 @@ __all__ = [
     "ConfigError",
     "FileContext",
     "Finding",
-    "analyze_file",
+    "analyze_project",
     "analyze_source",
     "render_json",
     "render_text",

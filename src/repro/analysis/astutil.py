@@ -1,10 +1,4 @@
-"""Shared AST helpers: import resolution, literals, lexical context.
-
-Checkers reason about *qualified names* (``time.sleep``,
-``numpy.random.rand``) rather than surface spellings, so aliased
-imports (``import numpy as np``, ``from time import sleep as snooze``)
-cannot dodge a rule.
-"""
+"""Shared AST helpers: name chains, literals, lexical context."""
 
 from __future__ import annotations
 
@@ -12,42 +6,12 @@ import ast
 from typing import Iterator
 
 __all__ = [
-    "collect_imports",
     "qualified_name",
     "literal_number",
     "iter_parents",
     "enclosing_function",
     "function_locals",
 ]
-
-
-def collect_imports(tree: ast.AST) -> dict[str, str]:
-    """Map local names to the dotted origin they were imported as.
-
-    ``import numpy as np`` → ``{"np": "numpy"}``;
-    ``from time import sleep`` → ``{"sleep": "time.sleep"}``.
-    Relative imports keep their leading dots stripped (module-local
-    names are not resolvable without package context, and no rule
-    targets them).
-    """
-    imports: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                imports[alias.asname or alias.name.split(".")[0]] = (
-                    alias.name if alias.asname else alias.name.split(".")[0]
-                )
-                if alias.asname is None and "." in alias.name:
-                    # `import a.b.c` binds `a`; record the full path too
-                    imports[alias.name.split(".")[0]] = alias.name.split(".")[0]
-        elif isinstance(node, ast.ImportFrom):
-            base = node.module or ""
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                origin = f"{base}.{alias.name}" if base else alias.name
-                imports[alias.asname or alias.name] = origin
-    return imports
 
 
 def qualified_name(node: ast.AST, imports: dict[str, str]) -> str | None:
@@ -82,17 +46,19 @@ def literal_number(node: ast.AST | None) -> float | None:
 
 
 def iter_parents(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk the parent chain set by the engine (innermost first)."""
+    """Walk the parent chain set by the project builder (innermost first)."""
     current = getattr(node, "_repro_parent", None)
     while current is not None:
         yield current
         current = getattr(current, "_repro_parent", None)
 
 
-def enclosing_function(node: ast.AST) -> ast.AST | None:
-    """The innermost function/lambda lexically containing ``node``."""
+def enclosing_function(
+    node: ast.AST,
+) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
+    """The innermost ``def`` lexically containing ``node``, if any."""
     for parent in iter_parents(node):
-        if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return parent
     return None
 

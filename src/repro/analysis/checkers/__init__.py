@@ -1,25 +1,28 @@
-"""Checker registry.
+"""Checker registry: every rule, one list.
 
-Every domain checker registers here; the engine instantiates the full
-set fresh per file (checkers carry per-file state).  ``--rules`` on the
-CLI selects a subset by rule name.
+The engine runs the selected checkers over the whole project in one
+pass; ``--rules`` on the CLI selects any subset by rule name.
 """
 
 from __future__ import annotations
 
+from repro.analysis.checkers.atomic_write import AtomicWriteChecker
 from repro.analysis.checkers.base import Checker
 from repro.analysis.checkers.clock import ClockPurityChecker
 from repro.analysis.checkers.determinism import DeterminismChecker
-from repro.analysis.checkers.locks import LockDisciplineChecker
+from repro.analysis.checkers.lockset import LocksetChecker
+from repro.analysis.checkers.rng_taint import RngTaintChecker
 from repro.analysis.checkers.telemetry import TelemetryDisciplineChecker
 from repro.analysis.checkers.vectorization import VectorizationChecker
 from repro.analysis.checkers.workflow import WorkflowShapeChecker
 
 __all__ = [
+    "AtomicWriteChecker",
     "Checker",
     "ClockPurityChecker",
     "DeterminismChecker",
-    "LockDisciplineChecker",
+    "LocksetChecker",
+    "RngTaintChecker",
     "TelemetryDisciplineChecker",
     "VectorizationChecker",
     "WorkflowShapeChecker",
@@ -29,14 +32,16 @@ __all__ = [
     "rule_names",
 ]
 
-#: the full registry, in report order
+#: the full registry, in ``--list-rules`` order
 CHECKER_CLASSES: tuple[type[Checker], ...] = (
     ClockPurityChecker,
     DeterminismChecker,
-    LockDisciplineChecker,
     TelemetryDisciplineChecker,
     VectorizationChecker,
     WorkflowShapeChecker,
+    LocksetChecker,
+    AtomicWriteChecker,
+    RngTaintChecker,
 )
 
 

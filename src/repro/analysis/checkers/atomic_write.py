@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import ast
 
+from repro.analysis.checkers.base import Checker
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.findings import Finding
-from repro.analysis.interprocedural.base import ProjectChecker
 from repro.analysis.project import FunctionInfo, Project
 
 __all__ = ["AtomicWriteChecker"]
@@ -83,7 +83,7 @@ def _open_mode(call: ast.Call) -> str:
     return "r"
 
 
-class AtomicWriteChecker(ProjectChecker):
+class AtomicWriteChecker(Checker):
     """Enforce tmp+``os.replace`` (and fsync'd appends) in durable code."""
 
     rule = "atomic-write"

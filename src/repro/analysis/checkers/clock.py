@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.astutil import collect_imports, qualified_name
 from repro.analysis.checkers.base import Checker
 from repro.analysis.engine import FileContext
 
 __all__ = ["ClockPurityChecker"]
 
-#: wall-clock entry points (resolved through import aliases)
+#: wall-clock entry points (resolved through imports and re-exports)
 WALL_CLOCK_CALLS = frozenset(
     {
         "time.time",
@@ -50,13 +49,12 @@ class ClockPurityChecker(Checker):
     )
 
     def begin_file(self, ctx: FileContext) -> None:
-        self._imports = collect_imports(ctx.tree)
         self._allowed = ctx.module_in(ctx.config.clock_allow)
 
     def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
         if self._allowed:
             return
-        qname = qualified_name(node.func, self._imports)
+        qname = ctx.resolve(node.func)
         if qname in WALL_CLOCK_CALLS:
             self.report(
                 ctx,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.astutil import collect_imports, qualified_name
 from repro.analysis.checkers.base import Checker
 from repro.analysis.engine import FileContext
 
@@ -80,7 +79,6 @@ class DeterminismChecker(Checker):
     )
 
     def begin_file(self, ctx: FileContext) -> None:
-        self._imports = collect_imports(ctx.tree)
         self._allowed = ctx.module_in(ctx.config.determinism_allow)
 
     def _flagged(self, qname: str | None) -> str | None:
@@ -108,6 +106,6 @@ class DeterminismChecker(Checker):
     def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
         if self._allowed:
             return
-        message = self._flagged(qualified_name(node.func, self._imports))
+        message = self._flagged(ctx.resolve(node.func))
         if message is not None:
             self.report(ctx, node, message)

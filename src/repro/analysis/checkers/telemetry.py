@@ -1,44 +1,24 @@
-"""telemetry-discipline: instrumented code keeps its trace deterministic.
+"""telemetry-discipline: spans are always closed.
 
-Two invariants guard the telemetry layer's byte-identical-trace
-contract:
+``tracer.span(...)`` is only ever used as a context manager.  The span
+API leans on ``with`` for the enter/exit pairing that keeps the
+thread-local nesting stack balanced; a bare call opens a span that
+never closes and silently corrupts every descendant's parent edge, and
+with it the telemetry layer's byte-identical-trace contract.
+(``start_span``/``record_span`` are the sanctioned manual APIs.)
 
-1. Instrumented modules (``telemetry-modules`` in ``[tool.repro-lint]``)
-   never read the wall clock directly — every timestamp flows through an
-   injected clock (``WallClock``, ``TickClock``, ``ExecutorClock``) so a
-   simulated run's spans cannot couple to host speed.  Unlike
-   clock-purity this rule has no allowlist escape: even real-execution
-   modules must read time through the clock object they were given.
-2. ``tracer.span(...)`` is only ever used as a context manager.  The
-   span API leans on ``with`` for the enter/exit pairing that keeps the
-   thread-local nesting stack balanced; a bare call opens a span that
-   never closes and silently corrupts every descendant's parent edge.
-   (``start_span``/``record_span`` are the sanctioned manual APIs.)
+Direct wall-clock reads are clock-purity's job: outside ``clock-allow``
+every module reads time through an injected clock object.
 """
 
 from __future__ import annotations
 
 import ast
 
-from repro.analysis.astutil import collect_imports, qualified_name
 from repro.analysis.checkers.base import Checker
 from repro.analysis.engine import FileContext
 
 __all__ = ["TelemetryDisciplineChecker"]
-
-#: direct wall-clock *reads* (sleeps and datetime are clock-purity's job)
-WALL_CLOCK_READS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-    }
-)
 
 
 def _receiver_tail(node: ast.expr) -> str | None:
@@ -51,30 +31,12 @@ def _receiver_tail(node: ast.expr) -> str | None:
 
 
 class TelemetryDisciplineChecker(Checker):
-    """Flag direct clock reads in instrumented modules and un-``with``-ed spans."""
+    """Flag ``tracer.span(...)`` calls that are not a ``with`` item."""
 
     rule = "telemetry-discipline"
-    description = (
-        "instrumented modules read time only through injected clocks; "
-        "tracer.span(...) must be a context manager"
-    )
-
-    def begin_file(self, ctx: FileContext) -> None:
-        self._imports = collect_imports(ctx.tree)
-        self._instrumented = ctx.module_in(ctx.config.telemetry_modules)
+    description = "tracer.span(...) must be a context manager"
 
     def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
-        if self._instrumented:
-            qname = qualified_name(node.func, self._imports)
-            if qname in WALL_CLOCK_READS:
-                self.report(
-                    ctx,
-                    node,
-                    f"direct wall-clock read {qname}() in instrumented module "
-                    f"'{ctx.module}'; read time through the injected clock "
-                    "(WallClock/TickClock/ExecutorClock) so spans stay "
-                    "deterministic under the simulated clock",
-                )
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr == "span":
             tail = _receiver_tail(func.value)

@@ -23,12 +23,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.astutil import (
-    collect_imports,
-    iter_parents,
-    literal_number,
-    qualified_name,
-)
+from repro.analysis.astutil import iter_parents, literal_number
 from repro.analysis.checkers.base import Checker
 from repro.analysis.engine import FileContext
 
@@ -64,7 +59,6 @@ class WorkflowShapeChecker(Checker):
     )
 
     def begin_file(self, ctx: FileContext) -> None:
-        self._imports = collect_imports(ctx.tree)
         # scope id → list of node shapes visible in that scope
         self._shapes: dict[int, list[tuple[float, float]]] = {}
         self._module_scope = ctx.tree
@@ -77,9 +71,7 @@ class WorkflowShapeChecker(Checker):
         for node in ast.walk(ctx.tree):
             shape = None
             if isinstance(node, ast.Call):
-                if _last_segment(
-                    qualified_name(node.func, self._imports)
-                ) == "NodeSpec":
+                if _last_segment(ctx.resolve(node.func)) == "NodeSpec":
                     kwargs = self._literal_kwargs(node)
                     shape = (
                         kwargs.get("cpus", _DEFAULT_NODE[0]),
@@ -117,7 +109,7 @@ class WorkflowShapeChecker(Checker):
 
     # ------------------------------------------------------------ the rules
     def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
-        name = _last_segment(qualified_name(node.func, self._imports))
+        name = _last_segment(ctx.resolve(node.func))
         if name == "TaskSpec":
             self._check_taskspec(node, ctx)
         elif name == "Stage":

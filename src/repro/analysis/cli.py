@@ -12,11 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.analysis.checkers import (
-    CHECKER_CLASSES,
-    all_checkers,
-    checkers_for,
-)
+from repro.analysis.checkers import CHECKER_CLASSES, checkers_for
 from repro.analysis.config import AnalysisConfig, ConfigError, find_pyproject
 from repro.analysis.engine import run_analysis
 from repro.analysis.reporters import REPORTERS
@@ -28,9 +24,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "AST-based domain lint for the repro codebase: clock purity, "
-            "determinism, lock discipline, vectorization pressure, and "
-            "static workflow-shape validation."
+            "Whole-program domain lint for the repro codebase: clock "
+            "purity, determinism, span discipline, vectorization pressure, "
+            "workflow shapes, thread-shared state, durable writes and "
+            "seed provenance."
         ),
     )
     parser.add_argument(
@@ -60,15 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of rules to run (default: all)",
     )
     parser.add_argument(
-        "--interprocedural",
-        action="store_true",
-        help=(
-            "whole-program mode: build the project symbol table/call "
-            "graph and run the interprocedural checkers (rng-taint, "
-            "atomic-write, lockset) on top of the per-file rules"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print registered rules and exit",
@@ -80,15 +68,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.list_rules:
-        from repro.analysis.interprocedural import PROJECT_CHECKER_CLASSES
-
+        width = max(len(cls.rule) for cls in CHECKER_CLASSES)
         for cls in CHECKER_CLASSES:
-            print(f"{cls.rule:18s} [{cls.severity:7s}] {cls.description}")
-        for cls in PROJECT_CHECKER_CLASSES:
-            print(
-                f"{cls.rule:18s} [{cls.severity:7s}] "
-                f"(interprocedural) {cls.description}"
-            )
+            print(f"{cls.rule:{width}s} [{cls.severity:7s}] {cls.description}")
         return 0
 
     pyproject = args.config
@@ -114,23 +96,16 @@ def main(argv: list[str] | None = None) -> int:
         )
         return 2
 
+    checkers = None  # the full registry
     if args.rules is not None:
         rules = [r.strip() for r in args.rules.split(",") if r.strip()]
         try:
-            checkers_for(rules)  # validate names before running
+            checkers = checkers_for(rules)
         except ValueError as exc:
             print(f"repro-lint: {exc}", file=sys.stderr)
             return 2
-        factory = lambda: checkers_for(rules)  # noqa: E731 - tiny closure
-    else:
-        factory = all_checkers
 
-    if args.interprocedural:
-        from repro.analysis.interprocedural import run_interprocedural
-
-        result = run_interprocedural(paths, config, checker_factory=factory)
-    else:
-        result = run_analysis(paths, config, checker_factory=factory)
+    result = run_analysis(paths, config, checkers)
     print(REPORTERS[args.format](result))
     return 0 if result.ok else 1
 

@@ -25,8 +25,6 @@ _KEYS = {
     "clock-allow": "clock_allow",
     "determinism-allow": "determinism_allow",
     "hot-modules": "hot_modules",
-    "telemetry-modules": "telemetry_modules",
-    "taint-sink-modules": "taint_sink_modules",
     "durable-modules": "durable_modules",
 }
 
@@ -59,18 +57,10 @@ class AnalysisConfig:
     hot_modules:
         Module prefixes whose elementwise Python loops over ndarrays
         the vectorization rule flags.
-    telemetry_modules:
-        Instrumented module prefixes that must read time only through
-        injected clock objects (the telemetry-discipline rule), so
-        traced simulated runs stay byte-identical.
-    taint_sink_modules:
-        Hot-path module prefixes that values derived from unseeded RNG
-        sources must never reach (the interprocedural rng-taint rule):
-        campaign, docking, surrogate and streaming layers.
     durable_modules:
         Module prefixes whose file writes must follow the
-        tmp+``os.replace`` idiom (the interprocedural atomic-write
-        rule), including everything reachable from them.
+        tmp+``os.replace`` idiom (the atomic-write rule), including
+        everything reachable from them.
     """
 
     paths: list[str] = field(default_factory=lambda: ["src"])
@@ -79,18 +69,6 @@ class AnalysisConfig:
     determinism_allow: list[str] = field(default_factory=list)
     hot_modules: list[str] = field(
         default_factory=lambda: ["repro.docking", "repro.nn", "repro.md"]
-    )
-    telemetry_modules: list[str] = field(
-        default_factory=lambda: ["repro.rct", "repro.nn.graph", "repro.docking.batch"]
-    )
-    taint_sink_modules: list[str] = field(
-        default_factory=lambda: [
-            "repro.core",
-            "repro.docking",
-            "repro.nn",
-            "repro.surrogate",
-            "repro.md",
-        ]
     )
     durable_modules: list[str] = field(
         default_factory=lambda: [

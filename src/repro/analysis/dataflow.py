@@ -1,7 +1,7 @@
 """Forward interprocedural taint analysis over the project call graph.
 
-The framework answers one question for whole-program checkers: *can a
-value produced by this source expression reach that program point?* —
+The framework answers one question for whole-program checkers: *which
+source, if any, does the value of this expression derive from?* —
 across assignments, arithmetic, containers, function calls, returns and
 instance attributes.  It is deliberately engineered for the properties
 that matter to a lint gate rather than a verifier:
@@ -32,7 +32,7 @@ from typing import Callable
 
 from repro.analysis.project import FunctionInfo, Project
 
-__all__ = ["Taint", "TaintAnalysis", "TaintedUse"]
+__all__ = ["Taint", "TaintAnalysis"]
 
 #: provenance chains are capped so cyclic call graphs cannot grow them
 _MAX_CHAIN = 10
@@ -64,17 +64,8 @@ class Taint:
         return text + ")"
 
 
-@dataclass(frozen=True)
-class TaintedUse:
-    """A tainted value observed at a program point in a sink function."""
-
-    function: str  # qualname of the function containing the use
-    node: ast.AST
-    taint: Taint
-
-
 class TaintAnalysis:
-    """Run forward taint from ``source`` matches to uses in sink functions.
+    """Run forward taint from ``source`` matches to a fixpoint.
 
     Parameters
     ----------
@@ -85,31 +76,28 @@ class TaintAnalysis:
         for every call site with the canonical callee name (``None``
         when unresolved); a non-``None`` label marks the call's result
         tainted.
-    is_sink_function:
-        Predicate over function qualnames; tainted-value uses are
-        recorded only inside functions it accepts.
+
+    After :meth:`run`, :meth:`taint_of` answers for any expression in
+    any project function.
     """
 
     def __init__(
         self,
         project: Project,
         source: Callable[[str | None, ast.Call], str | None],
-        is_sink_function: Callable[[str], bool],
     ) -> None:
         self.project = project
         self.source = source
-        self.is_sink = is_sink_function
         #: function qualname -> local name (or "self.attr") -> Taint
         self.env: dict[str, dict[str, Taint]] = {}
         #: function qualname -> Taint of its return value
         self.returns: dict[str, Taint] = {}
         #: (class qualname, attr) -> Taint
         self.attr_taints: dict[tuple[str, str], Taint] = {}
-        self.uses: list[TaintedUse] = []
 
     # ------------------------------------------------------------- fixpoint
     def run(self) -> "TaintAnalysis":
-        """Iterate to a fixpoint, then collect sink uses."""
+        """Iterate to a fixpoint."""
         worklist = list(self.project.functions)
         queued = set(worklist)
         rounds = 0
@@ -124,9 +112,6 @@ class TaintAnalysis:
                 if dep not in queued and dep in self.project.functions:
                     queued.add(dep)
                     worklist.append(dep)
-        for fq, info in self.project.functions.items():
-            if self.is_sink(fq):
-                self._collect_uses(info)
         return self
 
     # -------------------------------------------------------- per function
@@ -177,32 +162,32 @@ class TaintAnalysis:
         fq = info.qualname
         changed = False
         if isinstance(node, ast.Assign):
-            taint = self._expr_taint(node.value, info, env)
+            taint = self.taint_of(node.value, info)
             if taint is not None:
                 for target in node.targets:
                     changed |= self._bind_target(target, taint, info, env, dirty)
         elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            taint = self._expr_taint(node.value, info, env)
+            taint = self.taint_of(node.value, info)
             if taint is not None:
                 changed |= self._bind_target(node.target, taint, info, env, dirty)
         elif isinstance(node, ast.AugAssign):
-            taint = self._expr_taint(node.value, info, env) or self._expr_taint(
-                node.target, info, env
+            taint = self.taint_of(node.value, info) or self.taint_of(
+                node.target, info
             )
             if taint is not None:
                 changed |= self._bind_target(node.target, taint, info, env, dirty)
         elif isinstance(node, ast.For):
-            taint = self._expr_taint(node.iter, info, env)
+            taint = self.taint_of(node.iter, info)
             if taint is not None:
                 changed |= self._bind_target(node.target, taint, info, env, dirty)
         elif isinstance(node, ast.withitem) and node.optional_vars is not None:
-            taint = self._expr_taint(node.context_expr, info, env)
+            taint = self.taint_of(node.context_expr, info)
             if taint is not None:
                 changed |= self._bind_target(
                     node.optional_vars, taint, info, env, dirty
                 )
         elif isinstance(node, ast.Return) and node.value is not None:
-            taint = self._expr_taint(node.value, info, env)
+            taint = self.taint_of(node.value, info)
             if taint is not None and fq not in self.returns:
                 self.returns[fq] = taint.via(fq)
                 changed = True
@@ -270,7 +255,7 @@ class TaintAnalysis:
         for i, arg in enumerate(call.args):
             if isinstance(arg, ast.Starred):
                 continue
-            taint = self._expr_taint(arg, info, env)
+            taint = self.taint_of(arg, info)
             if taint is None:
                 continue
             slot = i + offset
@@ -282,7 +267,7 @@ class TaintAnalysis:
         for kw in call.keywords:
             if kw.arg is None or kw.arg not in names:
                 continue
-            taint = self._expr_taint(kw.value, info, env)
+            taint = self.taint_of(kw.value, info)
             if taint is not None:
                 if self._bind(callee_env, kw.arg, taint.via(edge.callee)):
                     dirty.add(edge.callee)
@@ -290,14 +275,13 @@ class TaintAnalysis:
         return changed
 
     # ---------------------------------------------------- expression taint
-    def _expr_taint(
-        self,
-        expr: ast.AST | None,
-        info: FunctionInfo,
-        env: dict[str, Taint],
+    def taint_of(
+        self, expr: ast.AST | None, function: FunctionInfo
     ) -> Taint | None:
+        """The taint witness of ``expr`` evaluated inside ``function``."""
         if expr is None:
             return None
+        env = self.env.get(function.qualname, {})
         if isinstance(expr, ast.Name):
             return env.get(expr.id)
         if isinstance(expr, ast.Attribute):
@@ -305,19 +289,19 @@ class TaintAnalysis:
                 dotted = f"{expr.value.id}.{expr.attr}"
                 if dotted in env:
                     return env[dotted]
-            return self._expr_taint(expr.value, info, env)
+            return self.taint_of(expr.value, function)
         if isinstance(expr, ast.Call):
             callee = self.project.callee_of(expr)
             label = self.source(callee, expr)
             if label is not None:
                 return Taint(
                     label,
-                    info.path,
+                    function.path,
                     getattr(expr, "lineno", 0),
-                    (info.qualname,),
+                    (function.qualname,),
                 )
             if callee is not None and callee in self.returns:
-                return self.returns[callee].via(info.qualname)
+                return self.returns[callee].via(function.qualname)
             edge = self.project.edge_of(expr)
             if edge is not None and not edge.external:
                 # resolved project callee with an untainted return:
@@ -326,11 +310,11 @@ class TaintAnalysis:
             # unknown/external callee: conservative pass-through from
             # arguments and the receiver object
             for arg in (*expr.args, *(kw.value for kw in expr.keywords)):
-                taint = self._expr_taint(arg, info, env)
+                taint = self.taint_of(arg, function)
                 if taint is not None:
                     return taint
             if isinstance(expr.func, ast.Attribute):
-                return self._expr_taint(expr.func.value, info, env)
+                return self.taint_of(expr.func.value, function)
             return None
         if isinstance(
             expr,
@@ -358,49 +342,10 @@ class TaintAnalysis:
             ),
         ):
             for child in ast.iter_child_nodes(expr):
-                taint = self._expr_taint(child, info, env)
+                taint = self.taint_of(child, function)
                 if taint is not None:
                     return taint
             return None
         if isinstance(expr, ast.comprehension):
-            return self._expr_taint(expr.iter, info, env)
+            return self.taint_of(expr.iter, function)
         return None
-
-    # ------------------------------------------------------------ sink uses
-    def _collect_uses(self, info: FunctionInfo) -> None:
-        """Record tainted loads and tainted source calls inside a sink fn."""
-        env = self._fn_env(info.qualname)
-        seen_origins: set[tuple[str, int, str]] = set()
-
-        def record(node: ast.AST, taint: Taint) -> None:
-            origin = (taint.path, taint.line, taint.label)
-            if origin in seen_origins:
-                return
-            seen_origins.add(origin)
-            self.uses.append(TaintedUse(info.qualname, node, taint))
-
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                taint = env.get(node.id)
-                if taint is not None:
-                    record(node, taint)
-            elif isinstance(node, ast.Attribute) and isinstance(
-                node.ctx, ast.Load
-            ):
-                if isinstance(node.value, ast.Name):
-                    taint = env.get(f"{node.value.id}.{node.attr}")
-                    if taint is not None:
-                        record(node, taint)
-            elif isinstance(node, ast.Call):
-                callee = self.project.callee_of(node)
-                label = self.source(callee, node)
-                if label is not None:
-                    record(
-                        node,
-                        Taint(
-                            label,
-                            info.path,
-                            getattr(node, "lineno", 0),
-                            (info.qualname,),
-                        ),
-                    )

@@ -1,13 +1,20 @@
-"""The analysis engine: parse once, dispatch to every checker.
+"""The analysis engine: build the project once, run every rule over it.
 
-Each file is read and parsed into an AST exactly once; every checker
-registers interest in node types through its ``visit_<NodeType>``
-methods and the engine drives them all during a single walk (the
-pylint/ruff architecture, scaled to domain rules).  Checkers never
-re-parse, never re-read, and never see suppressed findings — inline
-``# repro: disable=<rule>`` comments and the config's global disables
-are filtered here, after collection, so suppression counts stay
-observable.
+A run reads and parses each file exactly once into a
+:class:`~repro.analysis.project.Project` (symbol table, import tables,
+call graph), then runs every selected checker from the one registry in
+:mod:`repro.analysis.checkers` over it:
+
+* per-file hooks — ``visit_<NodeType>`` methods, ``begin_file`` and
+  ``end_file`` — are driven during a single walk of each file's AST
+  (the pylint/ruff architecture, scaled to domain rules);
+* then each checker's ``check(project, config)`` sees the whole
+  program.
+
+Checkers never re-parse, never re-read, and never see suppressed
+findings — inline ``# repro: disable=<rule>`` comments and the config's
+global disables are filtered here, after collection, so suppression
+counts stay observable.
 
 Suppression syntax (comma-separated rule names, or ``all``), with a
 mandatory trailing reason (``--`` or ``—`` separated) — a suppression
@@ -22,117 +29,63 @@ that does not say *why* is itself a finding (``suppression-reason``):
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.config import AnalysisConfig, module_matches
 from repro.analysis.findings import Finding
+from repro.analysis.project import (
+    SUPPRESSION_REASON_RULE,
+    Project,
+    ProjectFile,
+    build_project,
+    project_from_source,
+)
 
 __all__ = [
     "AnalysisResult",
     "FileContext",
-    "Suppressions",
-    "analyze_file",
+    "analyze_project",
     "analyze_source",
-    "analyze_tree",
     "run_analysis",
 ]
-
-#: rules group (lazy) plus an optional `-- reason` / `— reason` tail
-_SUPPRESS_LINE = re.compile(
-    r"#\s*repro:\s*disable=([\w, -]+?)(?:\s*(?:--|[—–])\s*(\S.*))?$"
-)
-_SUPPRESS_FILE = re.compile(
-    r"#\s*repro:\s*disable-file=([\w, -]+?)(?:\s*(?:--|[—–])\s*(\S.*))?$"
-)
-
-#: rule name reserved for files the engine cannot parse
-PARSE_ERROR_RULE = "parse-error"
-
-#: rule name for suppressions carrying no reason
-SUPPRESSION_REASON_RULE = "suppression-reason"
-
-
-def _split_rules(spec: str) -> set[str]:
-    return {part.strip(" -") for part in spec.split(",") if part.strip(" -")}
-
-
-@dataclass
-class Suppressions:
-    """Inline-suppression tables for one file.
-
-    ``reasonless`` holds ``(lineno, rules)`` for every suppression
-    comment missing its ``-- <reason>`` tail; the engine (and the
-    interprocedural runner) turn those into findings so a suppression
-    can never silently drop a rule without justification.
-    """
-
-    line: dict[int, set[str]] = field(default_factory=dict)
-    file: set[str] = field(default_factory=set)
-    reasonless: list[tuple[int, set[str]]] = field(default_factory=list)
-
-    @classmethod
-    def parse(cls, lines: list[str]) -> "Suppressions":
-        supp = cls()
-        for lineno, text in enumerate(lines, start=1):
-            m = _SUPPRESS_FILE.search(text)
-            if m:
-                rules = _split_rules(m.group(1))
-                supp.file |= rules
-                if not m.group(2):
-                    supp.reasonless.append((lineno, rules))
-                continue
-            m = _SUPPRESS_LINE.search(text)
-            if m:
-                rules = _split_rules(m.group(1))
-                supp.line.setdefault(lineno, set()).update(rules)
-                if not m.group(2):
-                    supp.reasonless.append((lineno, rules))
-        return supp
-
-    def covers(self, finding: Finding) -> bool:
-        """Whether an inline comment suppresses this finding."""
-        for rules in (self.file, self.line.get(finding.line, ())):
-            if finding.rule in rules or "all" in rules:
-                return True
-        return False
-
-    def reason_findings(self, path: str) -> list[Finding]:
-        """One ``suppression-reason`` finding per reasonless comment."""
-        return [
-            Finding(
-                rule=SUPPRESSION_REASON_RULE,
-                message=(
-                    f"suppression of {sorted(rules)} has no reason; append "
-                    "`-- <why this is safe>` so the next reader does not "
-                    "have to re-derive the justification"
-                ),
-                path=path,
-                line=lineno,
-            )
-            for lineno, rules in self.reasonless
-        ]
 
 
 @dataclass
 class FileContext:
-    """Everything checkers may know about the file being analyzed."""
+    """Everything per-file hooks may know about the file being walked."""
 
-    path: str
-    module: str
-    source: str
-    tree: ast.Module
+    file: ProjectFile
+    project: Project
     config: AnalysisConfig
-    lines: list[str] = field(default_factory=list)
     findings: list[Finding] = field(default_factory=list)
-    suppressions: Suppressions = field(default_factory=Suppressions)
+    _resolved: dict[int, str | None] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self.lines = self.source.splitlines()
-        self.suppressions = Suppressions.parse(self.lines)
+    @property
+    def path(self) -> str:
+        return self.file.path
 
-    # ------------------------------------------------------------- reporting
+    @property
+    def module(self) -> str:
+        return self.file.module
+
+    @property
+    def tree(self) -> ast.Module:
+        return self.file.tree
+
+    def resolve(self, expr: ast.AST) -> str | None:
+        """Canonical dotted name of a Name/Attribute chain, or ``None``.
+
+        Goes through the file's import table (aliases and relative
+        imports) and follows re-exports, so ``import numpy as np`` makes
+        ``np.random.rand`` read ``numpy.random.rand`` and a package
+        re-exporting ``random.random`` cannot hide it.
+        """
+        key = id(expr)
+        if key not in self._resolved:
+            self._resolved[key] = self.project.resolve(self.module, expr)
+        return self._resolved[key]
+
     def report(
         self,
         rule: str,
@@ -152,10 +105,6 @@ class FileContext:
             )
         )
 
-    def is_suppressed(self, finding: Finding) -> bool:
-        """Whether an inline comment suppresses this finding."""
-        return self.suppressions.covers(finding)
-
     def module_in(self, prefixes: list[str]) -> bool:
         """Whether this file's module falls under any prefix."""
         return module_matches(self.module, prefixes)
@@ -174,57 +123,23 @@ class AnalysisResult:
         """Whether the run is clean."""
         return not self.findings
 
-    def merge(self, other: "AnalysisResult") -> None:
-        """Fold another result into this one."""
-        self.findings.extend(other.findings)
-        self.n_files += other.n_files
-        self.n_suppressed += other.n_suppressed
 
-
-def _set_parents(tree: ast.Module) -> None:
-    """Annotate every node with its parent (checkers walk upward freely)."""
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            child._repro_parent = node  # type: ignore[attr-defined]
-
-
-def module_name_for(path: Path) -> str:
-    """Derive a dotted module name from a file path.
-
-    The component after the last ``src`` directory starts the module
-    (``src/repro/md/system.py`` → ``repro.md.system``); without a
-    ``src`` anchor the whole relative path is used.  ``__init__.py``
-    maps to its package.
-    """
-    parts = list(path.with_suffix("").parts)
-    if "src" in parts:
-        parts = parts[len(parts) - parts[::-1].index("src"):]
-    parts = [p for p in parts if p not in (".", "..", "/")]
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(parts)
-
-
-def analyze_tree(
-    source: str,
-    tree: ast.Module,
-    checkers: list,
+def analyze_project(
+    project: Project,
     config: AnalysisConfig | None = None,
-    module: str = "<module>",
-    path: str = "<string>",
+    checkers: list | None = None,
 ) -> AnalysisResult:
-    """Analyze one already-parsed module (parent links must be set).
+    """Run ``checkers`` (default: the full registry) over a built project.
 
-    This is the shared core of :func:`analyze_source` and the
-    interprocedural runner — the project builder parses each file once
-    and both the per-file checkers and the whole-program checkers walk
-    the same trees.
+    Checker instances hold state for one run: per-file hooks reset
+    their per-file state in ``begin_file``.  Findings come back sorted,
+    with suppressed and disabled ones counted, not reported.
     """
+    if checkers is None:
+        from repro.analysis.checkers import all_checkers
+
+        checkers = all_checkers()
     config = config or AnalysisConfig()
-    result = AnalysisResult(n_files=1)
-    ctx = FileContext(
-        path=path, module=module, source=source, tree=tree, config=config
-    )
 
     # dispatch table: node type name → bound visit methods, built once
     handlers: dict[str, list] = {}
@@ -235,134 +150,61 @@ def analyze_tree(
                     getattr(checker, attr)
                 )
 
+    raw: list[Finding] = []
+    for pf in project.files.values():
+        ctx = FileContext(file=pf, project=project, config=config)
+        for checker in checkers:
+            checker.begin_file(ctx)
+        for node in ast.walk(pf.tree):
+            for handler in handlers.get(type(node).__name__, ()):
+                handler(node, ctx)
+        for checker in checkers:
+            checker.end_file(ctx)
+        raw.extend(ctx.findings)
     for checker in checkers:
-        begin = getattr(checker, "begin_file", None)
-        if begin is not None:
-            begin(ctx)
-    for node in ast.walk(tree):
-        for handler in handlers.get(type(node).__name__, ()):
-            handler(node, ctx)
-    for checker in checkers:
-        end = getattr(checker, "end_file", None)
-        if end is not None:
-            end(ctx)
+        raw.extend(checker.check(project, config))
 
+    result = AnalysisResult(
+        findings=list(project.parse_findings),
+        n_files=len(project.files) + len(project.parse_findings),
+    )
     disabled = set(config.disable)
-    for finding in ctx.findings:
-        if finding.rule in disabled or ctx.is_suppressed(finding):
+    by_path = {pf.path: pf.suppressions for pf in project.files.values()}
+    for finding in raw:
+        supp = by_path.get(finding.path)
+        if finding.rule in disabled or (
+            supp is not None and supp.covers(finding)
+        ):
             result.n_suppressed += 1
         else:
             result.findings.append(finding)
     # reasonless suppressions surface after filtering, so a wildcard
     # `disable=all` cannot suppress the very finding that polices it
     if SUPPRESSION_REASON_RULE not in disabled:
-        result.findings.extend(ctx.suppressions.reason_findings(path))
+        for pf in project.files.values():
+            result.findings.extend(pf.suppressions.reason_findings(pf.path))
+    result.findings.sort(key=lambda f: f.sort_key)
     return result
-
-
-def analyze_source(
-    source: str,
-    checkers: list,
-    config: AnalysisConfig | None = None,
-    module: str = "<module>",
-    path: str = "<string>",
-) -> AnalysisResult:
-    """Analyze one source string with the given checker instances."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return AnalysisResult(
-            n_files=1,
-            findings=[
-                Finding(
-                    rule=PARSE_ERROR_RULE,
-                    message=f"cannot parse: {exc.msg}",
-                    path=path,
-                    line=exc.lineno or 0,
-                    col=(exc.offset or 1) - 1,
-                )
-            ],
-        )
-    _set_parents(tree)
-    return analyze_tree(
-        source, tree, checkers, config, module=module, path=path
-    )
-
-
-def analyze_file(
-    path: Path,
-    checkers: list,
-    config: AnalysisConfig | None = None,
-    display_root: Path | None = None,
-) -> AnalysisResult:
-    """Analyze one file (fresh checker state per file is the caller's job)."""
-    display = path
-    if display_root is not None:
-        try:
-            display = path.resolve().relative_to(display_root.resolve())
-        except ValueError:
-            display = path
-    try:
-        source = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        return AnalysisResult(
-            findings=[
-                Finding(
-                    rule=PARSE_ERROR_RULE,
-                    message=f"cannot read: {exc}",
-                    path=str(display),
-                    line=0,
-                )
-            ],
-            n_files=1,
-        )
-    return analyze_source(
-        source,
-        checkers,
-        config,
-        module=module_name_for(display),
-        path=str(display),
-    )
-
-
-def discover(paths: list[Path]) -> list[Path]:
-    """Expand directories into sorted ``*.py`` files; keep explicit files."""
-    files: list[Path] = []
-    for path in paths:
-        if path.is_dir():
-            files.extend(
-                p
-                for p in sorted(path.rglob("*.py"))
-                if "__pycache__" not in p.parts
-            )
-        else:
-            files.append(path)
-    return files
 
 
 def run_analysis(
     paths: list[Path],
     config: AnalysisConfig | None = None,
-    checker_factory=None,
+    checkers: list | None = None,
 ) -> AnalysisResult:
-    """Analyze every Python file under ``paths``; findings come sorted.
-
-    ``checker_factory`` returns fresh checker instances per file (the
-    default is the full registry from :mod:`repro.analysis.checkers`);
-    checkers carry per-file state, so instances are never reused across
-    files.
-    """
-    if checker_factory is None:
-        from repro.analysis.checkers import all_checkers
-
-        checker_factory = all_checkers
+    """Lint every Python file under ``paths`` as one project."""
     config = config or AnalysisConfig()
-    result = AnalysisResult()
-    for path in discover(paths):
-        result.merge(
-            analyze_file(
-                path, checker_factory(), config, display_root=config.root
-            )
-        )
-    result.findings.sort(key=lambda f: f.sort_key)
-    return result
+    project = build_project(paths, root=config.root)
+    return analyze_project(project, config, checkers)
+
+
+def analyze_source(
+    source: str,
+    checkers: list | None = None,
+    config: AnalysisConfig | None = None,
+    module: str = "<module>",
+    path: str = "<string>",
+) -> AnalysisResult:
+    """Lint one source string as a one-file project."""
+    project = project_from_source(source, module=module, path=path)
+    return analyze_project(project, config, checkers)

@@ -1,12 +1,12 @@
-"""Project model: whole-program symbol table and call graph.
+"""Project model: the parsed tree, its symbol table and call graph.
 
-The per-file engine (:mod:`repro.analysis.engine`) sees one AST at a
-time; the invariants PR 7 targets — seeded RNG flowing from
-``repro.util.rng`` through campaign → surrogate → docking, the
-tmp+``os.replace`` durability idiom scattered across ``util.shardio`` /
-``util.checkpoint``, locks guarding state shared between producer and
-consumer threads — all span module boundaries.  This module parses the
-whole tree **once** and builds what interprocedural checkers need:
+Every lint run starts here.  The invariants the rules guard — seeds
+flowing from ``repro.util.rng`` through campaign → surrogate → docking,
+the tmp+``os.replace`` durability idiom scattered across
+``util.shardio`` / ``util.checkpoint``, locks guarding state shared
+between producer and consumer threads — span module boundaries, so this
+module reads and parses the whole tree **once** (with each file's inline
+suppressions) and builds what the rules need:
 
 * a symbol table of every module, class, function and method, with
   qualified names (``repro.nn.dataloader.PrefetchLoader._producer``);
@@ -29,26 +29,41 @@ approximation for every decorator in this codebase.
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.astutil import qualified_name
-from repro.analysis.engine import (
-    Suppressions,
-    discover,
-    module_name_for,
-    _set_parents,
-)
 from repro.analysis.findings import Finding
 
 __all__ = [
+    "PARSE_ERROR_RULE",
+    "SUPPRESSION_REASON_RULE",
     "CallEdge",
     "ClassInfo",
     "FunctionInfo",
     "Project",
     "ProjectFile",
+    "Suppressions",
     "build_project",
+    "project_from_source",
+    "discover",
+    "module_name_for",
 ]
+
+#: rule name reserved for files the linter cannot read or parse
+PARSE_ERROR_RULE = "parse-error"
+
+#: rule name for suppressions carrying no reason
+SUPPRESSION_REASON_RULE = "suppression-reason"
+
+#: rules group (lazy) plus an optional `-- reason` / `— reason` tail
+_SUPPRESS_LINE = re.compile(
+    r"#\s*repro:\s*disable=([\w, -]+?)(?:\s*(?:--|[—–])\s*(\S.*))?$"
+)
+_SUPPRESS_FILE = re.compile(
+    r"#\s*repro:\s*disable-file=([\w, -]+?)(?:\s*(?:--|[—–])\s*(\S.*))?$"
+)
 
 _FUNC = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -77,6 +92,99 @@ LOCK_CTORS = frozenset(
 )
 
 
+def _split_rules(spec: str) -> set[str]:
+    return {part.strip(" -") for part in spec.split(",") if part.strip(" -")}
+
+
+@dataclass
+class Suppressions:
+    """Inline-suppression tables for one file.
+
+    ``reasonless`` holds ``(lineno, rules)`` for every suppression
+    comment missing its ``-- <reason>`` tail; the engine turns those
+    into findings so a suppression can never silently drop a rule
+    without justification.
+    """
+
+    line: dict[int, set[str]] = field(default_factory=dict)
+    file: set[str] = field(default_factory=set)
+    reasonless: list[tuple[int, set[str]]] = field(default_factory=list)
+
+    @classmethod
+    def parse(cls, lines: list[str]) -> "Suppressions":
+        supp = cls()
+        for lineno, text in enumerate(lines, start=1):
+            m = _SUPPRESS_FILE.search(text)
+            if m:
+                rules = _split_rules(m.group(1))
+                supp.file |= rules
+                if not m.group(2):
+                    supp.reasonless.append((lineno, rules))
+                continue
+            m = _SUPPRESS_LINE.search(text)
+            if m:
+                rules = _split_rules(m.group(1))
+                supp.line.setdefault(lineno, set()).update(rules)
+                if not m.group(2):
+                    supp.reasonless.append((lineno, rules))
+        return supp
+
+    def covers(self, finding: Finding) -> bool:
+        """Whether an inline comment suppresses this finding."""
+        for rules in (self.file, self.line.get(finding.line, ())):
+            if finding.rule in rules or "all" in rules:
+                return True
+        return False
+
+    def reason_findings(self, path: str) -> list[Finding]:
+        """One ``suppression-reason`` finding per reasonless comment."""
+        return [
+            Finding(
+                rule=SUPPRESSION_REASON_RULE,
+                message=(
+                    f"suppression of {sorted(rules)} has no reason; append "
+                    "`-- <why this is safe>` so the next reader does not "
+                    "have to re-derive the justification"
+                ),
+                path=path,
+                line=lineno,
+            )
+            for lineno, rules in self.reasonless
+        ]
+
+
+def module_name_for(path: Path) -> str:
+    """Derive a dotted module name from a file path.
+
+    The component after the last ``src`` directory starts the module
+    (``src/repro/md/system.py`` → ``repro.md.system``); without a
+    ``src`` anchor the whole relative path is used.  ``__init__.py``
+    maps to its package.
+    """
+    parts = list(path.with_suffix("").parts)
+    if "src" in parts:
+        parts = parts[len(parts) - parts[::-1].index("src"):]
+    parts = [p for p in parts if p not in (".", "..", "/")]
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join(parts)
+
+
+def discover(paths: list[Path]) -> list[Path]:
+    """Expand directories into sorted ``*.py`` files; keep explicit files."""
+    files: list[Path] = []
+    for path in paths:
+        if path.is_dir():
+            files.extend(
+                p
+                for p in sorted(path.rglob("*.py"))
+                if "__pycache__" not in p.parts
+            )
+        else:
+            files.append(path)
+    return files
+
+
 @dataclass
 class ProjectFile:
     """One parsed source file plus the tables derived from it."""
@@ -87,7 +195,7 @@ class ProjectFile:
     tree: ast.Module
     is_package: bool
     imports: dict[str, str] = field(default_factory=dict)
-    suppressions: Suppressions | None = None
+    suppressions: Suppressions = field(default_factory=Suppressions)
 
 
 @dataclass
@@ -165,6 +273,7 @@ class Project:
         self._out: dict[str, list[CallEdge]] = {}
         self._in: dict[str, list[CallEdge]] = {}
         self._by_call_node: dict[int, CallEdge] = {}
+        self._by_def_node: dict[int, FunctionInfo] = {}
         self.parse_findings: list[Finding] = []
 
     # ------------------------------------------------------------ queries
@@ -264,8 +373,25 @@ class Project:
             break
         return dotted
 
-    def resolve(self, module: str, name_expr: ast.AST) -> str | None:
-        """Resolve a Name/Attribute chain seen in ``module`` to a symbol."""
+    def function_of(self, def_node: ast.AST) -> FunctionInfo | None:
+        """The :class:`FunctionInfo` registered for a ``def`` node."""
+        return self._by_def_node.get(id(def_node))
+
+    def resolve(
+        self, module: str, name_expr: ast.AST, scope: str | None = None
+    ) -> str | None:
+        """Resolve a Name/Attribute chain seen in ``module`` to a symbol.
+
+        ``scope`` is the qualname of the function the name appears in:
+        a bare name then finds the defs nested in that function and in
+        the functions enclosing it first, as a closure would.
+        """
+        if scope is not None and isinstance(name_expr, ast.Name):
+            while scope in self.functions:
+                nested = f"{scope}.{name_expr.id}"
+                if nested in self.functions:
+                    return nested
+                scope = scope.rpartition(".")[0]
         pf = self.files.get(module)
         if pf is None:
             return None
@@ -285,9 +411,9 @@ class Project:
 def _resolved_imports(tree: ast.Module, module: str, is_package: bool) -> dict[str, str]:
     """Local name → dotted origin, with relative imports resolved.
 
-    Unlike :func:`repro.analysis.astutil.collect_imports`, this knows the
-    importing module's own dotted path, so ``from .shardio import x`` in
-    ``repro.util.checkpoint`` maps ``x`` → ``repro.util.shardio.x``.
+    The importing module's own dotted path anchors relative imports, so
+    ``from .shardio import x`` in ``repro.util.checkpoint`` maps ``x`` →
+    ``repro.util.shardio.x``.
     """
     package_parts = module.split(".") if module else []
     if not is_package and package_parts:
@@ -358,7 +484,8 @@ def _collect_symbols(project: Project, pf: ProjectFile) -> None:
                     class_qualname=class_qualname,
                     decorators=decorators,
                 )
-                project.functions.setdefault(qual, info)
+                if project.functions.setdefault(qual, info) is info:
+                    project._by_def_node[id(node)] = info
                 if class_qualname is not None:
                     project.classes[class_qualname].methods.setdefault(
                         node.name, qual
@@ -503,16 +630,14 @@ def _resolve_call(
     project: Project,
     info: FunctionInfo,
     types: _LocalTypes,
-    local_defs: dict[str, str],
     call: ast.Call,
 ) -> tuple[str, bool] | None:
     """(canonical callee, external?) for one call site, or None."""
     func = call.func
     if isinstance(func, ast.Name):
         name = func.id
-        if name in local_defs:
-            return local_defs[name], False
-        resolved = project.resolve(info.module, func)
+        # nested defs in enclosing scopes shadow module/global names
+        resolved = project.resolve(info.module, func, scope=info.qualname)
         if resolved in project.functions:
             return resolved, False
         if resolved in project.classes:
@@ -542,13 +667,6 @@ def _resolve_call(
 
 def _build_call_graph(project: Project) -> None:
     for fq, info in project.functions.items():
-        # local nested defs shadow module/global names
-        local_defs = {
-            node.name: f"{fq}.{node.name}"
-            for node in ast.walk(info.node)
-            if isinstance(node, _FUNC) and node is not info.node
-            and f"{fq}.{node.name}" in project.functions
-        }
         types = _LocalTypes(project, info)
         for node in ast.walk(info.node):
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -556,7 +674,7 @@ def _build_call_graph(project: Project) -> None:
         for node in _function_body_nodes(info.node):
             if not isinstance(node, ast.Call):
                 continue
-            resolved = _resolve_call(project, info, types, local_defs, node)
+            resolved = _resolve_call(project, info, types, node)
             if resolved is None:
                 continue
             callee, external = resolved
@@ -582,12 +700,59 @@ def _canonical_decorator(project: Project, module: str, dotted: str) -> str:
     return project.canonical(dotted) or dotted
 
 
-def build_project(paths: list[Path], root: Path | None = None) -> Project:
-    """Parse every file under ``paths`` once and assemble the project.
+def _add_file(
+    project: Project, source: str, module: str, path: str, is_package: bool
+) -> None:
+    """Parse one source into the project, or record why it cannot be."""
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        project.parse_findings.append(
+            Finding(
+                rule=PARSE_ERROR_RULE,
+                message=f"cannot parse: {exc.msg}",
+                path=path,
+                line=exc.lineno or 0,
+                col=max((exc.offset or 1) - 1, 0),
+            )
+        )
+        return
+    # every node learns its parent, so rules can walk upward freely
+    for node in ast.walk(tree):
+        for child in ast.iter_child_nodes(node):
+            child._repro_parent = node  # type: ignore[attr-defined]
+    project.files[module] = ProjectFile(
+        path=path,
+        module=module,
+        source=source,
+        tree=tree,
+        is_package=is_package,
+        imports=_resolved_imports(tree, module, is_package),
+        suppressions=Suppressions.parse(source.splitlines()),
+    )
 
-    Files that fail to parse contribute a ``parse-error`` finding (same
-    rule the per-file engine uses) and are skipped; everything else joins
-    the symbol table and call graph.
+
+def _link(project: Project) -> Project:
+    """Build the symbol table, class tables and call graph over the files."""
+    for pf in project.files.values():
+        _collect_symbols(project, pf)
+    for info in project.functions.values():
+        info.decorators = [
+            _canonical_decorator(project, info.module, dec)
+            for dec in info.decorators
+        ]
+    _resolve_class_tables(project)
+    _build_call_graph(project)
+    return project
+
+
+def build_project(paths: list[Path], root: Path | None = None) -> Project:
+    """Read and parse every file under ``paths`` once; assemble the project.
+
+    Paths display relative to ``root`` when they lie under it.  Files
+    that cannot be read or parsed contribute a ``parse-error`` finding
+    and are skipped; everything else joins the symbol table and call
+    graph.
     """
     project = Project()
     for path in discover(paths):
@@ -599,37 +764,30 @@ def build_project(paths: list[Path], root: Path | None = None) -> Project:
                 display = path
         try:
             source = path.read_text(encoding="utf-8")
-            tree = ast.parse(source)
-        except (OSError, SyntaxError) as exc:
-            msg = getattr(exc, "msg", str(exc))
+        except OSError as exc:
             project.parse_findings.append(
                 Finding(
-                    rule="parse-error",
-                    message=f"cannot parse: {msg}",
+                    rule=PARSE_ERROR_RULE,
+                    message=f"cannot read: {exc}",
                     path=str(display),
-                    line=getattr(exc, "lineno", 0) or 0,
+                    line=0,
                 )
             )
             continue
-        _set_parents(tree)
-        module = module_name_for(display)
-        pf = ProjectFile(
-            path=str(display),
-            module=module,
-            source=source,
-            tree=tree,
+        _add_file(
+            project,
+            source,
+            module_name_for(display),
+            str(display),
             is_package=path.name == "__init__.py",
-            suppressions=Suppressions.parse(source.splitlines()),
         )
-        pf.imports = _resolved_imports(tree, module, pf.is_package)
-        project.files[module] = pf
-    for pf in project.files.values():
-        _collect_symbols(project, pf)
-    for info in project.functions.values():
-        info.decorators = [
-            _canonical_decorator(project, info.module, dec)
-            for dec in info.decorators
-        ]
-    _resolve_class_tables(project)
-    _build_call_graph(project)
-    return project
+    return _link(project)
+
+
+def project_from_source(
+    source: str, module: str = "<module>", path: str = "<string>"
+) -> Project:
+    """A one-file project built from a source string."""
+    project = Project()
+    _add_file(project, source, module, path, is_package=False)
+    return _link(project)

@@ -1,7 +1,7 @@
 """Runtime concurrency sanitizer (layer 2 of the correctness toolchain).
 
-Static analysis (:mod:`repro.analysis.interprocedural`) proves what it
-can from the call graph; this package watches the locks the program
+Static analysis (``repro-lint``, :mod:`repro.analysis.checkers`) proves
+what it can from the call graph; this package watches the locks the program
 *actually takes*:
 
 * :mod:`~repro.analysis.sanitize.monitor` — instrumented

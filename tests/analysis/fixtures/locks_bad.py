@@ -2,7 +2,7 @@
 
 A function reachable from a thread pool does ``worker_busy[slot] += ...``
 on a closed-over array without holding a lock — the exact lost-update
-race the lock-discipline rule exists to catch.
+race the lockset rule exists to catch.
 """
 
 from concurrent.futures import ThreadPoolExecutor

@@ -3,7 +3,7 @@
 from pathlib import Path
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.engine import analyze_source
+from repro.analysis.engine import analyze_source, run_analysis
 from repro.analysis.checkers import checkers_for
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -58,9 +58,31 @@ def test_determinism_allowlist_exempts_module():
     assert lint_fixture("determinism_bad.py", "determinism", config=config).ok
 
 
-# ---------------------------------------------------------- lock-discipline
+def test_determinism_sees_through_package_reexport(tmp_path):
+    # the package hands out the global-state draw under its own name;
+    # the call through the package is still a global-RNG call
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "__init__.py").write_text("from random import random\n")
+    (tmp_path / "caller.py").write_text(
+        "import pkg\n"
+        "from pkg import random as draw\n"
+        "\n"
+        "a = pkg.random()\n"
+        "b = draw()\n"
+    )
+    result = run_analysis(
+        [tmp_path], AnalysisConfig(root=tmp_path), checkers_for(["determinism"])
+    )
+    assert [(f.path, f.line) for f in result.findings] == [
+        ("caller.py", 4),
+        ("caller.py", 5),
+    ]
+    assert all("random.random()" in f.message for f in result.findings)
+
+
+# ------------------------------------------- lockset: free functions/closures
 def test_locks_bad_flags_unguarded_read_modify_write():
-    result = lint_fixture("locks_bad.py", "lock-discipline")
+    result = lint_fixture("locks_bad.py", "lockset")
     assert len(result.findings) == 2
     assert any("worker_busy" in f.message for f in result.findings)
     assert any("total_items" in f.message for f in result.findings)
@@ -68,7 +90,7 @@ def test_locks_bad_flags_unguarded_read_modify_write():
 
 def test_locks_good_is_clean():
     # lock-guarded, thread-local, and plain-local patterns all pass
-    assert lint_fixture("locks_good.py", "lock-discipline").ok
+    assert lint_fixture("locks_good.py", "lockset").ok
 
 
 def test_locks_ignores_functions_never_submitted():
@@ -77,7 +99,7 @@ def test_locks_ignores_functions_never_submitted():
         "def tally(key):\n"
         "    counts[key] += 1\n"
     )
-    result = analyze_source(src, checkers_for(["lock-discipline"]))
+    result = analyze_source(src, checkers_for(["lockset"]))
     assert result.ok
 
 
@@ -122,16 +144,21 @@ def test_workflow_good_is_clean():
 
 # ----------------------------------------------------- telemetry-discipline
 def test_telemetry_bad_flags_clock_reads_and_bare_spans():
-    result = lint_fixture(
+    spans = lint_fixture(
         "telemetry_bad.py", "telemetry-discipline", module="repro.rct.raptor"
     )
-    messages = [f.message for f in result.findings]
-    assert len(result.findings) == 5
-    assert any("time.perf_counter()" in m for m in messages)
-    assert any("time.time()" in m for m in messages)
     # the span-CM findings: `tracer.span(...)` and `self_like.span` is
     # not flagged (receiver tail has no "tracer"), NULL_TRACER.span is
-    assert sum("outside a with-statement" in m for m in messages) == 2
+    assert [f.line for f in spans.findings] == [13, 14]
+    assert all("outside a with-statement" in f.message for f in spans.findings)
+    # the direct clock reads (aliased one included) are clock-purity's
+    clocks = lint_fixture(
+        "telemetry_bad.py", "clock-purity", module="repro.rct.raptor"
+    )
+    assert [f.line for f in clocks.findings] == [10, 11, 12]
+    messages = [f.message for f in clocks.findings]
+    assert any("time.perf_counter()" in m for m in messages)
+    assert any("time.time()" in m for m in messages)
 
 
 def test_telemetry_good_is_clean_in_instrumented_module():
@@ -142,7 +169,8 @@ def test_telemetry_good_is_clean_in_instrumented_module():
 
 
 def test_telemetry_clock_reads_silent_outside_instrumented_modules():
-    # ...but a bare tracer.span(...) is a leak anywhere
+    # clock reads are clock-purity's; a bare tracer.span(...) is a leak
+    # in any module
     result = lint_fixture("telemetry_bad.py", "telemetry-discipline")
     assert all("outside a with-statement" in f.message for f in result.findings)
     assert len(result.findings) == 2

@@ -1,6 +1,7 @@
 """The repro-lint front-end: exit codes, formats, rule selection."""
 
 import json
+import shutil
 from pathlib import Path
 
 from repro.analysis.cli import main
@@ -58,9 +59,41 @@ def test_json_format_parses(capsys):
 
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
-    out = capsys.readouterr().out
-    for rule in rule_names():
-        assert rule in out
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == rule_names()
+    # the severity column lines up under the longest rule name
+    assert len({line.index("[") for line in lines}) == 1
+
+
+def _fixture_tree(tmp_path, *packages):
+    """Copies of fixture packages under their own pyproject root."""
+    (tmp_path / "pyproject.toml").write_text("[tool.repro-lint]\n")
+    for pkg in packages:
+        shutil.copytree(FIXTURES / pkg, tmp_path / pkg)
+    return tmp_path
+
+
+def test_rules_selects_a_whole_program_rule(tmp_path, capsys):
+    root = _fixture_tree(tmp_path, "lockset_bad_pkg")
+    assert main([str(root), "--rules", "lockset", "--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["findings"]
+    assert {f["rule"] for f in payload["findings"]} == {"lockset"}
+
+
+def test_rules_runs_only_the_selected_rules(tmp_path, capsys):
+    # rng_bad_pkg also breaks determinism, lockset_bad_pkg breaks lockset:
+    # neither is selected, so neither may report
+    root = _fixture_tree(tmp_path, "rng_bad_pkg", "lockset_bad_pkg")
+    code = main(
+        [str(root), "--rules", "clock-purity,rng-taint", "--format", "json"]
+    )
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert {f["rule"] for f in payload["findings"]} == {
+        "clock-purity",
+        "rng-taint",
+    }
 
 
 def test_unknown_rule_is_usage_error(capsys):

@@ -1,13 +1,9 @@
 """Taint framework: propagation through calls, returns, attrs, containers."""
 
-from pathlib import Path
-
-import pytest
+import ast
 
 from repro.analysis.dataflow import TaintAnalysis
 from repro.analysis.project import build_project
-
-FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _build(tmp_path, files):
@@ -18,13 +14,18 @@ def _build(tmp_path, files):
     return build_project([tmp_path], root=tmp_path)
 
 
-def _run(project, sink_prefix="sink"):
+def _run(project):
     def source(callee, call):
         return f"{callee}()" if callee == "time.time" else None
 
-    return TaintAnalysis(
-        project, source, lambda fq: fq.startswith(sink_prefix)
-    ).run()
+    return TaintAnalysis(project, source).run()
+
+
+def _returned(analysis, fq):
+    """Taint of the value ``fq``'s last ``return`` statement returns."""
+    info = analysis.project.functions[fq]
+    returns = [n for n in ast.walk(info.node) if isinstance(n, ast.Return)]
+    return analysis.taint_of(returns[-1].value, info)
 
 
 def test_taint_flows_through_return_and_argument(tmp_path):
@@ -44,11 +45,9 @@ def test_taint_flows_through_return_and_argument(tmp_path):
             ),
         },
     )
-    analysis = _run(project)
-    assert [u.function for u in analysis.uses] == ["sink.use"]
-    taint = analysis.uses[0].taint
+    taint = _returned(_run(project), "sink.use")
     assert taint.label == "time.time()"
-    assert taint.chain[0] == "origin.make"
+    assert taint.chain == ("origin.make", "sink.use")
 
 
 def test_untainted_project_callee_blocks_passthrough(tmp_path):
@@ -64,7 +63,7 @@ def test_untainted_project_callee_blocks_passthrough(tmp_path):
             ),
         },
     )
-    assert _run(project).uses == []
+    assert _returned(_run(project), "sink.use") is None
 
 
 def test_external_call_passes_taint_through_arguments(tmp_path):
@@ -79,8 +78,7 @@ def test_external_call_passes_taint_through_arguments(tmp_path):
             ),
         },
     )
-    uses = _run(project).uses
-    assert len(uses) == 1 and uses[0].taint.label == "time.time()"
+    assert _returned(_run(project), "sink.use").label == "time.time()"
 
 
 def test_taint_through_class_attribute(tmp_path):
@@ -97,8 +95,8 @@ def test_taint_through_class_attribute(tmp_path):
             ),
         },
     )
-    analysis = _run(project)
-    assert any(u.function == "sink.Holder.read" for u in analysis.uses)
+    taint = _returned(_run(project), "sink.Holder.read")
+    assert taint is not None and taint.chain[0] == "sink.Holder.stamp"
 
 
 def test_keyword_argument_propagates(tmp_path):
@@ -136,7 +134,7 @@ def test_tuple_unpack_and_container_taint(tmp_path):
             ),
         },
     )
-    assert _run(project).uses  # both a and box are tainted loads
+    assert _returned(_run(project), "sink.use").label == "time.time()"
 
 
 def test_provenance_chain_is_capped():
@@ -164,4 +162,12 @@ def test_fixpoint_terminates_on_recursion(tmp_path):
         },
     )
     analysis = _run(project)  # must not hang
-    assert any(u.function == "sink.use" for u in analysis.uses)
+    # the tainted argument reaches both halves of the cycle
+    for fq in ("sink.ping", "sink.pong"):
+        info = project.functions[fq]
+        v = next(
+            n
+            for n in ast.walk(info.node)
+            if isinstance(n, ast.Name) and n.id == "v"
+        )
+        assert analysis.taint_of(v, info).label == "time.time()"

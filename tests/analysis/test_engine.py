@@ -6,14 +6,12 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.config import AnalysisConfig, ConfigError, find_pyproject
-from repro.analysis.engine import (
+from repro.analysis.engine import AnalysisResult, analyze_source, run_analysis
+from repro.analysis.project import (
     PARSE_ERROR_RULE,
     SUPPRESSION_REASON_RULE,
-    AnalysisResult,
-    analyze_source,
     discover,
     module_name_for,
-    run_analysis,
 )
 from repro.analysis.findings import Finding
 from repro.analysis.reporters import render_json, render_sarif, render_text
@@ -127,7 +125,7 @@ def test_run_analysis_sorts_findings(tmp_path):
     (tmp_path / "b.py").write_text(CLOCK)
     (tmp_path / "a.py").write_text(CLOCK)
     result = run_analysis(
-        [tmp_path], AnalysisConfig(root=tmp_path), checker_factory=_clock_checkers
+        [tmp_path], AnalysisConfig(root=tmp_path), _clock_checkers()
     )
     assert [f.path for f in result.findings] == ["a.py", "b.py"]
     assert result.n_files == 2
@@ -223,10 +221,12 @@ def test_rule_names_cover_all_domain_rules():
     assert set(rule_names()) == {
         "clock-purity",
         "determinism",
-        "lock-discipline",
         "telemetry-discipline",
         "vectorization",
         "workflow-shape",
+        "lockset",
+        "atomic-write",
+        "rng-taint",
     }
 
 

@@ -1,17 +1,14 @@
-"""The three whole-program checkers against their bad/good fixture packages."""
+"""The whole-program checkers against their bad/good fixture packages."""
 
 from pathlib import Path
 
-import pytest
-
-from repro.analysis.config import AnalysisConfig
-from repro.analysis.interprocedural import (
+from repro.analysis.checkers import (
     AtomicWriteChecker,
     LocksetChecker,
     RngTaintChecker,
-    run_interprocedural,
-    run_project_checkers,
 )
+from repro.analysis.config import AnalysisConfig
+from repro.analysis.engine import analyze_project, run_analysis
 from repro.analysis.project import build_project
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -20,54 +17,21 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def check(pkg, checker, **config_kwargs):
     project = build_project([FIXTURES / pkg], root=FIXTURES)
     assert not project.parse_findings
-    return checker.check(project, AnalysisConfig(**config_kwargs))
+    config = AnalysisConfig(**config_kwargs)
+    return analyze_project(project, config, [checker]).findings
 
 
 # ------------------------------------------------------------------ rng-taint
-def test_rng_bad_flags_leak_into_hot_path():
-    findings = check(
-        "rng_bad_pkg",
-        RngTaintChecker(),
-        taint_sink_modules=["rng_bad_pkg.hot"],
-    )
-    leak = [f for f in findings if "unseeded RNG" in f.message]
-    assert leak, findings
-    assert leak[0].path.endswith("hot.py")
-    # provenance names the source function in the message
-    assert "random.random()" in leak[0].message
-
-
 def test_rng_bad_flags_time_derived_seed():
-    findings = check(
-        "rng_bad_pkg",
-        RngTaintChecker(),
-        taint_sink_modules=["rng_bad_pkg.hot"],
-    )
-    seeds = [f for f in findings if "seeding" in f.message]
-    assert len(seeds) == 1
-    assert "time.time()" in seeds[0].message
-    assert seeds[0].path.endswith("hot.py")
+    findings = check("rng_bad_pkg", RngTaintChecker())
+    assert len(findings) == 1
+    assert "seeding" in findings[0].message
+    assert "time.time()" in findings[0].message
+    assert findings[0].path.endswith("hot.py")
 
 
 def test_rng_good_is_clean():
-    assert (
-        check(
-            "rng_good_pkg",
-            RngTaintChecker(),
-            taint_sink_modules=["rng_good_pkg.hot"],
-        )
-        == []
-    )
-
-
-def test_determinism_allow_exempts_source_module():
-    findings = check(
-        "rng_bad_pkg",
-        RngTaintChecker(),
-        taint_sink_modules=["rng_bad_pkg.hot"],
-        determinism_allow=["rng_bad_pkg.util"],
-    )
-    assert all("unseeded RNG" not in f.message for f in findings)
+    assert check("rng_good_pkg", RngTaintChecker()) == []
 
 
 # --------------------------------------------------------------- atomic-write
@@ -120,13 +84,21 @@ def test_lockset_good_is_clean():
 
 # ------------------------------------------------------------------- runner
 def test_run_interprocedural_merges_both_layers(tmp_path):
+    # one run reports per-file and whole-program rules together
     (tmp_path / "mod.py").write_text(
+        "import random\n"
         "import time\n"
         "def stamp():\n"
         "    return time.time()\n"  # per-file clock-purity finding
+        "def reseed():\n"
+        "    seed = stamp()\n"
+        "    return random.Random(seed)\n"  # whole-program rng-taint finding
     )
-    result = run_interprocedural([tmp_path], AnalysisConfig(root=tmp_path))
-    assert any(f.rule == "clock-purity" for f in result.findings)
+    result = run_analysis([tmp_path], AnalysisConfig(root=tmp_path))
+    assert [(f.rule, f.line) for f in result.findings] == [
+        ("clock-purity", 4),
+        ("rng-taint", 7),
+    ]
 
 
 def test_run_project_checkers_honors_inline_suppression(tmp_path):
@@ -143,7 +115,9 @@ def test_run_project_checkers_honors_inline_suppression(tmp_path):
         "        return self.x\n"
     )
     project = build_project([tmp_path], root=tmp_path)
-    result = run_project_checkers(project, AnalysisConfig(root=tmp_path))
+    result = analyze_project(
+        project, AnalysisConfig(root=tmp_path), [LocksetChecker()]
+    )
     assert result.findings == []
     assert result.n_suppressed == 1
 
@@ -162,9 +136,9 @@ def test_run_project_checkers_honors_config_disable(tmp_path):
         "        return self.x\n"
     )
     project = build_project([tmp_path], root=tmp_path)
-    with_rule = run_project_checkers(project, AnalysisConfig(root=tmp_path))
+    with_rule = analyze_project(project, AnalysisConfig(root=tmp_path))
     assert [f.rule for f in with_rule.findings] == ["lockset"]
-    disabled = run_project_checkers(
+    disabled = analyze_project(
         project, AnalysisConfig(root=tmp_path, disable=["lockset"])
     )
     assert disabled.findings == []
