@@ -6,9 +6,9 @@ scale" — a constant per task models exactly that).  With a
 ``fault_model``, each attempt may instead crash partway, straggle, or
 hang — deterministically per (task uid, attempt).
 
-This backend is itself a measured hot path (``benchmarks/
-perf_scheduler.py`` tracks simulated events/sec): a Summit-scale
-campaign pushes ~10⁶ starts and completions through the event heap.
+This backend is itself a measured hot path (``bench/`` ``pilot_flood``
+tracks its events/sec, ``test_golden_schedule.py`` its schedules): a
+Summit-scale campaign pushes ~10⁶ starts and completions through the heap.
 Building one seeded stream per attempt used to cost more than scheduling
 it, so the executor owns a per-run :class:`~repro.rct.fault.FaultDraws`
 memo, made on the first faulty start, that draws first attempts 1,024

@@ -21,7 +21,7 @@ Placement is first-fit-lowest-index from
 backlogs sit in a shape-keyed :class:`~repro.rct.sched.PendingQueue` whose
 submission pass is O(placed + shapes) instead of O(backlog) — together
 these are what let a Summit-scale (4,608-node, 10⁶-task) campaign
-simulate in minutes (``benchmarks/perf_scheduler.py`` measures it).
+simulate in minutes (``bench/`` ``pilot_flood`` measures the loop).
 Every completed attempt is also appended to a columnar
 :class:`~repro.rct.tasklog.TaskLog`, so campaigns too large to keep
 per-task objects (``keep_records=False``) still get exact accounting and

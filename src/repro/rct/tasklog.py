@@ -12,9 +12,9 @@ The log doubles as the determinism witness: :meth:`TaskLog.digest` is a
 sha256 over every column — uid, attempt, start/end times, final state,
 timeout flag, resource shape, and the exact node ids of the placement.
 Two runs with the same seed and backend must produce byte-identical
-digests; ``benchmarks/perf_scheduler.py`` and
-``tests/rct/test_golden_schedule.py`` compare it with recorded golden
-values, which makes "identical placements and timings" an O(1)-memory
+digests; ``tests/rct/test_golden_schedule.py`` compares it with
+recorded golden values (``bench/`` ``pilot_flood`` checks it across
+passes), which makes "identical placements and timings" an O(1)-memory
 check at any campaign size.
 """
 

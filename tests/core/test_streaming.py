@@ -1,5 +1,6 @@
 """Streamed checkpointed screen: equality with the materialized path,
-kill/resume determinism, and bounded top-K selection.
+kill/resume determinism, bounded top-K selection, and memory that does
+not grow with the number of records streamed.
 
 The hard contract from the streaming pipeline: same-seed streaming and
 materialized runs produce identical scores and poses, and a run killed
@@ -10,6 +11,8 @@ byte-for-byte identical to an uninterrupted run.
 from __future__ import annotations
 
 import json
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -20,9 +23,11 @@ from repro.docking.batch import _result_to_row
 from repro.docking.engine import DockingEngine
 from repro.docking.lga import LGAConfig
 from repro.docking.receptor import make_receptor
+from repro.nn.dataloader import PrefetchLoader, ShardReader
 from repro.surrogate.infer import InferenceEngine, ScoredCompound
 from repro.surrogate.train import TrainConfig, train_surrogate
 from repro.telemetry import TickClock, Tracer
+from repro.util.shardio import shard_path, write_shard
 
 LIB_N = 36
 SHARD_SIZE = 8
@@ -226,3 +231,57 @@ def test_stale_checkpoint_fingerprint_rejected(surrogate, tmp_path):
         run_streamed_screen(
             _engine(), surrogate, paths_b, keep_top=KEEP_TOP, checkpoint_dir=ckpt
         )
+
+
+# ------------------------------------------------------------ flat memory
+
+FLAT_N = 10_000
+FLAT_SHARD = 2_500
+FLAT_BATCH = 256
+FLAT_TOP = 100
+
+
+def _stream_peak(directory, n_records: int, pool) -> int:
+    """Stream ``n_records`` through ``ShardReader`` → ``PrefetchLoader`` →
+    ``_TopK``; returns the traced allocation peak of the read phase (bytes).
+
+    The records cycle a small compound pool into ``FLAT_SHARD``-record
+    NDJSON shards, so only the shard count differs between sizes.
+    """
+    paths = []
+    for index, start in enumerate(range(0, n_records, FLAT_SHARD)):
+        stop = min(start + FLAT_SHARD, n_records)
+        records = [
+            (f"STR{i:09d}", pool[i % len(pool)].smiles) for i in range(start, stop)
+        ]
+        paths.append(write_shard(shard_path(directory, "flat", index), records))
+    top = _TopK(FLAT_TOP)
+    n = 0
+    tracemalloc.start()
+    try:
+        loader = PrefetchLoader(ShardReader(paths, strict=True), batch_size=FLAT_BATCH)
+        for batch in loader:
+            for cid, smiles in batch:
+                # crc32, not hash(): str hashes vary with PYTHONHASHSEED
+                score = zlib.crc32(smiles.encode()) / 0xFFFFFFFF
+                top.offer(ScoredCompound(cid, smiles, score))
+            n += len(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == n_records, f"stream dropped records: {n} != {n_records}"
+    assert len(top.ranked()) == FLAT_TOP
+    return peak
+
+
+def test_stream_memory_is_flat_in_record_count(tmp_path):
+    """Four times the records at the same shard size must not raise the
+    read phase's allocation peak: the reader holds one shard, the loader
+    a bounded queue of batches and the selector K items."""
+    pool = generate_library(64, seed=SEED, name="pool").entries
+    peak_n = _stream_peak(tmp_path / "n", FLAT_N, pool)
+    peak_4n = _stream_peak(tmp_path / "4n", 4 * FLAT_N, pool)
+    assert peak_4n <= 1.1 * peak_n, (
+        f"peak grew with the stream: {peak_n // 1024} KiB at {FLAT_N} "
+        f"records, {peak_4n // 1024} KiB at {4 * FLAT_N}"
+    )

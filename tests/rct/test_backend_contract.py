@@ -56,6 +56,17 @@ def _sleep_return(seconds, value):
     return value
 
 
+def _burn(n: int) -> int:
+    """CPU-bound payload (pure-Python arithmetic — the GIL's worst case).
+
+    The CI ``process-backend`` job times it on process vs thread pools.
+    """
+    acc = 0
+    for i in range(n):
+        acc = (acc + i * i) % 1_000_003
+    return acc
+
+
 def _task(name: str, **kwargs) -> TaskRecord:
     """A one-cpu task the named backend can execute."""
     if name == "sim":

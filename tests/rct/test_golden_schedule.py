@@ -5,7 +5,8 @@ runs, agree).  These are absolute: ``TaskLog.digest()``, the
 ``FailureSummary`` counters and the sha256 of the exported Chrome trace,
 recorded at commit ``675e21b`` — the last one with four hand-written drive
 loops — for one workload per task source (flat ``Pilot.run``, PST
-``AppManager``, the multi-tenant service) plus the all-layers traced demo.
+``AppManager``, the multi-tenant service), the paper's integrated-campaign
+mix at Summit node shape, plus the all-layers traced demo.
 A change to the retry/idle/placement protocol that moves any schedule
 shows here even when both sides of a relative check move together.
 
@@ -20,13 +21,14 @@ import pytest
 from repro.core.simulate import SimulatedCampaignConfig, simulate_integrated_run
 from repro.core.tracedemo import run_traced_demo
 from repro.rct.backends import SimExecutor
-from repro.rct.cluster import Allocation, NodeSpec
+from repro.rct.cluster import SUMMIT_NODE, Allocation, NodeSpec
 from repro.rct.fault import FaultModel, RetryPolicy
 from repro.rct.pilot import Pilot
-from repro.rct.task import reset_uid_counter
+from repro.rct.task import TaskSpec, reset_uid_counter
 from repro.service.scenario import demo_scenario, run_scenario
 from repro.telemetry import ExecutorClock, Tracer
 from repro.telemetry.export import chrome_trace_json
+from repro.util.rng import rng_stream
 
 from tests.rct.oracle import mixed_tasks
 
@@ -66,6 +68,62 @@ def flat_witness() -> dict:
     return _pilot_witness(pilot)
 
 
+def mixed_workload(
+    n_tasks: int, seed: int, spec: NodeSpec = SUMMIT_NODE
+) -> list[TaskSpec]:
+    """The paper's integrated-campaign task mix, seeded.
+
+    ~70% short single-GPU docking scorers, ~25% CPU-only featurizers
+    (7 cores, no GPU), ~5% two-node MPI MD jobs.  Durations are
+    log-normal: the long tail is what backfilling has to absorb.
+    """
+    if n_tasks < 1:
+        raise ValueError("n_tasks must be >= 1")
+    # the stream name predates the goldens: changing it changes every draw
+    rng = rng_stream(seed, "shootout.workload")
+    kinds = rng.random(n_tasks)
+    durations = rng.lognormal(mean=3.0, sigma=0.6, size=n_tasks)
+    tasks: list[TaskSpec] = []
+    for i in range(n_tasks):
+        duration = float(durations[i])
+        if kinds[i] < 0.70:
+            shape = dict(name=f"dock-{i}", cpus=1, gpus=1, stage="S1")
+        elif kinds[i] < 0.95:
+            shape = dict(
+                name=f"feat-{i}", cpus=min(7, spec.cpus), gpus=0, stage="ML1"
+            )
+        else:
+            shape = dict(
+                name=f"md-{i}", cpus=spec.cpus, gpus=spec.gpus, nodes=2,
+                stage="S3-CG",
+            )
+            duration *= 4.0
+        tasks.append(TaskSpec(duration=duration, **shape))
+    return tasks
+
+
+def mixed_witness(n_tasks: int, n_nodes: int, seed: int) -> dict:
+    """``mixed_workload`` on Summit nodes with crashes, stragglers and hangs,
+    no per-task records kept (``keep_records=False``) and a per-attempt timeout."""
+    reset_uid_counter()
+    tasks = mixed_workload(n_tasks, seed)
+    executor = SimExecutor(
+        launch_overhead=0.1,
+        fault_model=FaultModel(
+            seed=seed, failure_rate=0.05, straggler_rate=0.05, hang_rate=0.01
+        ),
+    )
+    with Pilot(
+        Allocation(node_ids=list(range(n_nodes)), spec=SUMMIT_NODE, granted_at=0.0),
+        executor,
+        retry=RetryPolicy(max_retries=3, backoff_base=2.0, timeout=600.0),
+        tracer=Tracer(clock=ExecutorClock(executor)),
+        keep_records=False,
+    ) as pilot:
+        pilot.run(tasks)
+    return {**_pilot_witness(pilot), "attempts": len(pilot.log)}
+
+
 def pst_witness(seed: int) -> dict:
     """The Fig 7 integrated run on a cluster small enough to contend."""
     reset_uid_counter()
@@ -100,6 +158,8 @@ def tracedemo_witness() -> dict:
 
 WITNESSES = {
     "flat": flat_witness,
+    "mixed-600": lambda: mixed_witness(600, 16, 11),
+    "mixed-5000": lambda: mixed_witness(5000, 64, 11),
     "pst-0": lambda: pst_witness(0),
     "pst-1": lambda: pst_witness(1),
     "pst-2": lambda: pst_witness(2),
@@ -113,6 +173,20 @@ GOLDEN = {
         "log": "6ed5cbed613c22253688bda128a9885e8e3597fea1da4cdd21f710aa16e3c7d5",
         "trace": "2d15aab6117ad6e7b7964a975ec980a48774e6f283cc3cb7fe133e381964b37f",
         "failures": [60, 57, 3, 15],
+    },
+    # recorded at 675e21b as n_failures/n_retries/n_timeouts; n_dropped = 0
+    # because n_failures == n_retries there (failures = retries + drops)
+    "mixed-600": {
+        "log": "b72949225d275ab416306497c9deeef5220224de52729384aff451666b2762dd",
+        "trace": "331709d2860274759fe91f99741a294f5d7e6d58661b7c588f329a508370d066",
+        "failures": [48, 48, 0, 9],
+        "attempts": 648,
+    },
+    "mixed-5000": {
+        "log": "0b1846b04b4d9b8137b4ded4f6af642ea8dafc70814ae0dd1f588b35f9ff1b6e",
+        "trace": "4acdadc813f13995ecb7837db1f7af11614a7354087bccee109a6ffda0806fcc",
+        "failures": [294, 294, 0, 49],
+        "attempts": 5294,
     },
     "pst-0": {
         "log": "286caefdb163af8abe6e883f4e1c80cefb4fd53d2795b1c8b7855ed65d184acb",
