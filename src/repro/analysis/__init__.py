@@ -1,15 +1,14 @@
 """repro.analysis — whole-program lint engine with domain checkers.
 
 Generic linters cannot express this codebase's correctness invariants:
-simulated stages must advance only the executor clock, campaigns must
-replay bit-identically from a seed, shared ledgers touched from worker
-threads must be lock-guarded, hot kernels must stay vectorized, and
-task/stage/pipeline literals must fit the cluster shape they target.
-This package checks all of that statically — parse the tree once into
-a project (symbol table, call graph), then run every registered rule
-over it — so bug classes once fixed in production (the `run_raptor`
-busy-accounting race, a `validate_fits` overcommit) are caught at lint
-time instead.
+simulated stages must advance only the executor clock, hot kernels must
+stay vectorized, shared ledgers touched from worker threads must be
+lock-guarded, and durable files must be written tmp-first and then
+replaced.  This package checks those four statically — parse the tree
+once into a project (symbol table, call graph), then run every
+registered rule over it — so the bug classes once fixed in production
+(wall-clock reads in simulated stages, the `run_raptor` busy-accounting
+race, a torn `save_model` write) are caught at lint time instead.
 
 Run it as ``repro-lint`` or ``python -m repro.analysis``; configure via
 ``[tool.repro-lint]`` in pyproject.toml; suppress single findings with

@@ -1,4 +1,4 @@
-"""Shared AST helpers: name chains, literals, lexical context."""
+"""Shared AST helpers: name chains and lexical context."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from typing import Iterator
 
 __all__ = [
     "qualified_name",
-    "literal_number",
     "iter_parents",
     "enclosing_function",
     "function_locals",
@@ -29,20 +28,6 @@ def qualified_name(node: ast.AST, imports: dict[str, str]) -> str | None:
         return None
     parts.append(imports.get(node.id, node.id))
     return ".".join(reversed(parts))
-
-
-def literal_number(node: ast.AST | None) -> float | None:
-    """Evaluate an int/float literal (including unary minus), else ``None``."""
-    if node is None:
-        return None
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-        if isinstance(node.value, bool):
-            return None
-        return node.value
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        inner = literal_number(node.operand)
-        return None if inner is None else -inner
-    return None
 
 
 def iter_parents(node: ast.AST) -> Iterator[ast.AST]:

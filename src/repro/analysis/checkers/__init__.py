@@ -9,23 +9,15 @@ from __future__ import annotations
 from repro.analysis.checkers.atomic_write import AtomicWriteChecker
 from repro.analysis.checkers.base import Checker
 from repro.analysis.checkers.clock import ClockPurityChecker
-from repro.analysis.checkers.determinism import DeterminismChecker
 from repro.analysis.checkers.lockset import LocksetChecker
-from repro.analysis.checkers.rng_taint import RngTaintChecker
-from repro.analysis.checkers.telemetry import TelemetryDisciplineChecker
 from repro.analysis.checkers.vectorization import VectorizationChecker
-from repro.analysis.checkers.workflow import WorkflowShapeChecker
 
 __all__ = [
     "AtomicWriteChecker",
     "Checker",
     "ClockPurityChecker",
-    "DeterminismChecker",
     "LocksetChecker",
-    "RngTaintChecker",
-    "TelemetryDisciplineChecker",
     "VectorizationChecker",
-    "WorkflowShapeChecker",
     "CHECKER_CLASSES",
     "all_checkers",
     "checkers_for",
@@ -35,13 +27,9 @@ __all__ = [
 #: the full registry, in ``--list-rules`` order
 CHECKER_CLASSES: tuple[type[Checker], ...] = (
     ClockPurityChecker,
-    DeterminismChecker,
-    TelemetryDisciplineChecker,
     VectorizationChecker,
-    WorkflowShapeChecker,
     LocksetChecker,
     AtomicWriteChecker,
-    RngTaintChecker,
 )
 
 

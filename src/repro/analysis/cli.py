@@ -15,6 +15,7 @@ from pathlib import Path
 from repro.analysis.checkers import CHECKER_CLASSES, checkers_for
 from repro.analysis.config import AnalysisConfig, ConfigError, find_pyproject
 from repro.analysis.engine import run_analysis
+from repro.analysis.project import SUPPRESSION_REASON_RULE
 from repro.analysis.reporters import REPORTERS
 
 __all__ = ["main", "build_parser"]
@@ -25,9 +26,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "Whole-program domain lint for the repro codebase: clock "
-            "purity, determinism, span discipline, vectorization pressure, "
-            "workflow shapes, thread-shared state, durable writes and "
-            "seed provenance."
+            "purity, vectorization pressure, thread-shared state and "
+            "durable writes."
         ),
     )
     parser.add_argument(
@@ -97,13 +97,17 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     checkers = None  # the full registry
-    if args.rules is not None:
-        rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-        try:
+    try:
+        # a misspelt global disable would leave its rule running silently
+        checkers_for(
+            [r for r in config.disable if r != SUPPRESSION_REASON_RULE]
+        )
+        if args.rules is not None:
+            rules = [r.strip() for r in args.rules.split(",") if r.strip()]
             checkers = checkers_for(rules)
-        except ValueError as exc:
-            print(f"repro-lint: {exc}", file=sys.stderr)
-            return 2
+    except ValueError as exc:
+        print(f"repro-lint: {exc}", file=sys.stderr)
+        return 2
 
     result = run_analysis(paths, config, checkers)
     print(REPORTERS[args.format](result))

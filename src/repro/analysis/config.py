@@ -23,7 +23,6 @@ _KEYS = {
     "paths": "paths",
     "disable": "disable",
     "clock-allow": "clock_allow",
-    "determinism-allow": "determinism_allow",
     "hot-modules": "hot_modules",
     "durable-modules": "durable_modules",
 }
@@ -44,16 +43,13 @@ class AnalysisConfig:
         arguments; relative to the pyproject's directory.
     disable:
         Rule names disabled globally (prefer inline suppressions —
-        global disables turn a checker off for good).
+        global disables turn a checker off for good).  ``repro-lint``
+        rejects a name here that is no rule, as it does for ``--rules``.
     clock_allow:
         Module prefixes allowed to touch the wall clock
         (``time.time``/``time.sleep``/``datetime.now`` …).  Everything
         else is presumed simulation-facing and must advance the
         executor clock instead.
-    determinism_allow:
-        Module prefixes allowed to call global RNG entry points.
-        Empty by default: all randomness flows through
-        :mod:`repro.util.rng`.
     hot_modules:
         Module prefixes whose elementwise Python loops over ndarrays
         the vectorization rule flags.
@@ -66,7 +62,6 @@ class AnalysisConfig:
     paths: list[str] = field(default_factory=lambda: ["src"])
     disable: list[str] = field(default_factory=list)
     clock_allow: list[str] = field(default_factory=list)
-    determinism_allow: list[str] = field(default_factory=list)
     hot_modules: list[str] = field(
         default_factory=lambda: ["repro.docking", "repro.nn", "repro.md"]
     )

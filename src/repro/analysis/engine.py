@@ -77,9 +77,9 @@ class FileContext:
         """Canonical dotted name of a Name/Attribute chain, or ``None``.
 
         Goes through the file's import table (aliases and relative
-        imports) and follows re-exports, so ``import numpy as np`` makes
-        ``np.random.rand`` read ``numpy.random.rand`` and a package
-        re-exporting ``random.random`` cannot hide it.
+        imports) and follows re-exports, so ``import time as t`` makes
+        ``t.time`` read ``time.time`` and a package re-exporting
+        ``time.time`` cannot hide it.
         """
         key = id(expr)
         if key not in self._resolved:

@@ -1,8 +1,7 @@
 """Project model: the parsed tree, its symbol table and call graph.
 
-Every lint run starts here.  The invariants the rules guard — seeds
-flowing from ``repro.util.rng`` through campaign → surrogate → docking,
-the tmp+``os.replace`` durability idiom scattered across
+Every lint run starts here.  The invariants the rules guard — the
+tmp+``os.replace`` durability idiom scattered across
 ``util.shardio`` / ``util.checkpoint``, locks guarding state shared
 between producer and consumer threads — span module boundaries, so this
 module reads and parses the whole tree **once** (with each file's inline
@@ -84,11 +83,6 @@ THREAD_SAFE_CTORS = frozenset(
         "threading.local",
         "collections.deque",
     }
-)
-
-#: constructors that create lock-like guards
-LOCK_CTORS = frozenset(
-    {"threading.Lock", "threading.RLock", "threading.Condition"}
 )
 
 
@@ -217,16 +211,6 @@ class FunctionInfo:
     def is_method(self) -> bool:
         return self.class_qualname is not None
 
-    def param_names(self) -> list[str]:
-        a = self.node.args
-        names = [p.arg for p in (*a.posonlyargs, *a.args)]
-        if a.vararg:
-            names.append(a.vararg.arg)
-        names.extend(p.arg for p in a.kwonlyargs)
-        if a.kwarg:
-            names.append(a.kwarg.arg)
-        return names
-
     def positional_params(self) -> list[str]:
         """Names bindable by position (methods include ``self``)."""
         a = self.node.args
@@ -259,7 +243,6 @@ class CallEdge:
     external: bool  # callee is not defined in the project
     path: str
     line: int
-    node_id: int  # id() of the ast.Call, for node→edge lookups
 
 
 class Project:
@@ -269,9 +252,7 @@ class Project:
         self.files: dict[str, ProjectFile] = {}  # module -> file
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
-        self.edges: list[CallEdge] = []
         self._out: dict[str, list[CallEdge]] = {}
-        self._in: dict[str, list[CallEdge]] = {}
         self._by_call_node: dict[int, CallEdge] = {}
         self._by_def_node: dict[int, FunctionInfo] = {}
         self.parse_findings: list[Finding] = []
@@ -280,10 +261,6 @@ class Project:
     def calls_from(self, qualname: str) -> list[CallEdge]:
         """Call edges leaving ``qualname``."""
         return self._out.get(qualname, [])
-
-    def calls_to(self, qualname: str) -> list[CallEdge]:
-        """Call edges arriving at ``qualname``."""
-        return self._in.get(qualname, [])
 
     def callee_of(self, call_node: ast.Call) -> str | None:
         """Canonical callee of a specific ``ast.Call``, if resolved."""
@@ -684,11 +661,8 @@ def _build_call_graph(project: Project) -> None:
                 external=external,
                 path=info.path,
                 line=getattr(node, "lineno", 0),
-                node_id=id(node),
             )
-            project.edges.append(edge)
             project._out.setdefault(fq, []).append(edge)
-            project._in.setdefault(callee, []).append(edge)
             project._by_call_node[id(node)] = edge
 
 

@@ -1,11 +1,11 @@
-"""Intentional RNG leak: unseeded randomness escapes through a helper."""
+"""Helpers returning an unseeded draw and a wall-clock-derived seed."""
 
 import random
 import time
 
 
 def jitter():
-    # unseeded global RNG: the tainted value is the *return*
+    # unseeded global RNG draw, handed to the caller
     return random.random()
 
 

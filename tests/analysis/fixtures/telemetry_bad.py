@@ -1,4 +1,4 @@
-"""Known-bad telemetry discipline: direct clock reads + un-with-ed spans."""
+"""Known-bad fixture: direct clock reads in an instrumented module."""
 
 import time
 from time import perf_counter as tick

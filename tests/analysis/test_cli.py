@@ -65,40 +65,59 @@ def test_list_rules(capsys):
     assert len({line.index("[") for line in lines}) == 1
 
 
-def _fixture_tree(tmp_path, *packages):
-    """Copies of fixture packages under their own pyproject root."""
-    (tmp_path / "pyproject.toml").write_text("[tool.repro-lint]\n")
-    for pkg in packages:
-        shutil.copytree(FIXTURES / pkg, tmp_path / pkg)
+def _fixture_tree(tmp_path, *fixtures, table=""):
+    """Copies of fixtures under their own pyproject root."""
+    (tmp_path / "pyproject.toml").write_text(f"[tool.repro-lint]\n{table}")
+    for name in fixtures:
+        copy = shutil.copytree if (FIXTURES / name).is_dir() else shutil.copy
+        copy(FIXTURES / name, tmp_path / name)
     return tmp_path
+
+
+def _rules_reported(capsys):
+    payload = json.loads(capsys.readouterr().out)
+    return {f["rule"] for f in payload["findings"]}
 
 
 def test_rules_selects_a_whole_program_rule(tmp_path, capsys):
     root = _fixture_tree(tmp_path, "lockset_bad_pkg")
     assert main([str(root), "--rules", "lockset", "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["findings"]
-    assert {f["rule"] for f in payload["findings"]} == {"lockset"}
+    assert _rules_reported(capsys) == {"lockset"}
 
 
 def test_rules_runs_only_the_selected_rules(tmp_path, capsys):
-    # rng_bad_pkg also breaks determinism, lockset_bad_pkg breaks lockset:
-    # neither is selected, so neither may report
-    root = _fixture_tree(tmp_path, "rng_bad_pkg", "lockset_bad_pkg")
+    # each fixture breaks its own rule; unselected, atomic_bad_pkg's
+    # torn writes may not report
+    root = _fixture_tree(
+        tmp_path,
+        "clock_bad.py",
+        "atomic_bad_pkg",
+        "lockset_bad_pkg",
+        table='durable-modules = ["atomic_bad_pkg.store"]\n',
+    )
+    assert main([str(root), "--format", "json"]) == 1
+    assert _rules_reported(capsys) == {"clock-purity", "atomic-write", "lockset"}
     code = main(
-        [str(root), "--rules", "clock-purity,rng-taint", "--format", "json"]
+        [str(root), "--rules", "clock-purity,lockset", "--format", "json"]
     )
     assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert {f["rule"] for f in payload["findings"]} == {
-        "clock-purity",
-        "rng-taint",
-    }
+    assert _rules_reported(capsys) == {"clock-purity", "lockset"}
 
 
 def test_unknown_rule_is_usage_error(capsys):
     assert main([str(FIXTURES), "--rules", "no-such-rule"]) == 2
     assert "unknown rules" in capsys.readouterr().err
+
+
+def test_unknown_disabled_rule_is_usage_error(tmp_path, capsys):
+    root = _fixture_tree(tmp_path, "clock_good.py", table='disable = ["determinsm"]\n')
+    assert main([str(root)]) == 2
+    assert "unknown rules ['determinsm']" in capsys.readouterr().err
+    # the documented opt-out stays valid, though no checker carries it
+    (root / "pyproject.toml").write_text(
+        '[tool.repro-lint]\ndisable = ["suppression-reason"]\n'
+    )
+    assert main([str(root)]) == 0
 
 
 def test_missing_path_is_usage_error(capsys):
