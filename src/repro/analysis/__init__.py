@@ -7,8 +7,9 @@ lock-guarded, and durable files must be written tmp-first and then
 replaced.  This package checks those four statically — parse the tree
 once into a project (symbol table, call graph), then run every
 registered rule over it — so the bug classes once fixed in production
-(wall-clock reads in simulated stages, the `run_raptor` busy-accounting
-race, a torn `save_model` write) are caught at lint time instead.
+(wall-clock reads in simulated stages, the RAPTOR thread pool's
+busy-accounting race, a torn `save_model` write) are caught at lint
+time instead.
 
 Run it as ``repro-lint`` or ``python -m repro.analysis``; configure via
 ``[tool.repro-lint]`` in pyproject.toml; suppress single findings with

@@ -17,8 +17,8 @@ def qualified_name(node: ast.AST, imports: dict[str, str]) -> str | None:
     """Resolve a Name/Attribute chain to a dotted name, or ``None``.
 
     The chain root is looked up in ``imports``; an unimported root
-    keeps its surface name (so ``run_raptor(...)`` resolves to
-    ``run_raptor`` even when defined in-file).
+    keeps its surface name (so ``dock(...)`` resolves to ``dock`` even
+    when defined in-file).
     """
     parts: list[str] = []
     while isinstance(node, ast.Attribute):

@@ -1,13 +1,12 @@
 """lockset: state shared with worker threads needs one lock.
 
 Every thread handoff in the project is a root: a callable handed to a
-pool (``pool.submit``/``pool.map``/``apply_async``…),
-``threading.Thread(target=…)`` or the RAPTOR overlay
-(``run_raptor(items, fn)``).  Handoffs are found by walking every call
-in every file — module-level and class-body calls included, which the
-call graph has no edges for — and a handed-over name is looked up in
-the enclosing function scopes first, so a nested ``def run_bulk``
-passed to ``pool.map`` inside ``run_raptor`` is found.
+pool (``pool.submit``/``pool.map``/``apply_async``…) or
+``threading.Thread(target=…)``.  Handoffs are found by walking every
+call in every file — module-level and class-body calls included, which
+the call graph has no edges for — and a handed-over name is looked up
+in the enclosing function scopes first, so a nested ``def run_bulk``
+passed to ``pool.map`` by its local name is found.
 
 Two shapes of shared state are checked:
 
@@ -18,10 +17,11 @@ Two shapes of shared state are checked:
   ``nonlocal``/``global`` must sit under a held lock (a ``with`` whose
   context names a lock/mutex/guard/semaphore), unless the root is a
   thread-local accumulator (``tls…``/``…local…`` naming).  This is the
-  ``run_raptor`` busy-accounting race: ``worker_busy[slot] += work`` on
-  a closed-over array loses updates under concurrency.  Plain element
-  stores (``results[i] = value``) are not flagged: distinct-slot writes
-  from distinct workers are the idiomatic lock-free pattern.
+  RAPTOR busy-accounting race once fixed in the project:
+  ``worker_busy[slot] += work`` on a closed-over array loses updates
+  under concurrency.  Plain element stores (``results[i] = value``) are
+  not flagged: distinct-slot writes from distinct workers are the
+  idiomatic lock-free pattern.
 
 * **Instance attributes** (Eraser-style lockset inference) of classes
   that hand one of their bound methods to a thread
@@ -70,10 +70,6 @@ __all__ = ["LocksetChecker"]
 _SUBMIT_METHODS = frozenset(
     {"submit", "map", "apply_async", "starmap", "imap", "imap_unordered"}
 )
-
-#: callables whose argument runs on RAPTOR worker threads: canonical
-#: name → index of the positional argument that is the worker function
-_WORKER_FUNCS = {"repro.rct.raptor.run_raptor": 1}
 
 _LOCK_NAME = re.compile(r"(lock|mutex|guard|sem)", re.IGNORECASE)
 _THREAD_LOCAL_NAME = re.compile(r"(^|_)(tls|local)", re.IGNORECASE)
@@ -147,14 +143,8 @@ class LocksetChecker(Checker):
             edge = ctx.project.edge_of(node)
             if node.args and (edge is None or edge.external):
                 targets.append(node.args[0])
-        qname = ctx.resolve(func)
-        if qname == "threading.Thread":
+        if ctx.resolve(func) == "threading.Thread":
             targets.extend(kw.value for kw in node.keywords if kw.arg == "target")
-        elif qname in _WORKER_FUNCS:
-            index = _WORKER_FUNCS[qname]
-            if len(node.args) > index:
-                targets.append(node.args[index])
-            targets.extend(kw.value for kw in node.keywords if kw.arg == "fn")
         if not targets:
             return
         caller = ctx.project.function_of(enclosing_function(node))

@@ -146,10 +146,12 @@ class DockingEngine:
 
         This is the worker-safe core shared by :meth:`dock_smiles`,
         :meth:`dock_library` and the shard paths
-        (:func:`repro.docking.batch.dock_stream`,
-        :func:`repro.rct.raptor.dock_library_raptor`): it never mutates
-        engine counters, so shards may run concurrently and be merged by
-        the caller.  The whole shard runs through one fused LGA
+        (:func:`repro.docking.batch.dock_stream`, or
+        ``TaskSpec(fn=engine.dock_entries, args=(shard,))`` on a
+        :class:`~repro.rct.pilot.Pilot`): it never mutates engine
+        counters, so shards may run concurrently and be merged by the
+        caller (:meth:`_account` charges the merged results once).  The
+        whole shard runs through one fused LGA
         (:func:`repro.docking.batch.dock_shard`).
         """
         if not entries:
@@ -178,8 +180,8 @@ class DockingEngine:
     ) -> list[DockingResult]:
         """Dock every library member (or the first ``limit``) as one shard.
 
-        The RAPTOR overlay (``repro.rct.raptor``) parallelizes this same
-        call by sharding the library across workers.
+        Sharding the library into :meth:`dock_entries` calls on pilot
+        workers parallelizes this same call.
         """
         n = len(library) if limit is None else min(limit, len(library))
         entries = [

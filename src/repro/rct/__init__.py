@@ -11,9 +11,7 @@ from repro.rct.backends import (
     ProcessExecutor,
     SimExecutor,
     ThreadExecutor,
-    available_backends,
     create_executor,
-    register_backend,
 )
 from repro.rct.cluster import SUMMIT_NODE, Allocation, BatchSystem, Cluster, NodeSpec
 from repro.rct.entk import AppManager, Pipeline, Stage
@@ -32,7 +30,7 @@ from repro.rct.flops import (
     model_forward_flops,
 )
 from repro.rct.pilot import Pilot, Placement
-from repro.rct.raptor import RaptorConfig, RaptorResult, run_raptor, simulate_raptor
+from repro.rct.raptor import RaptorConfig, RaptorResult, simulate_raptor
 from repro.rct.task import TaskRecord, TaskSpec, TaskState
 from repro.rct.tasklog import TaskLog
 from repro.rct.utilization import UtilizationSeries, UtilizationTracker
@@ -65,14 +63,11 @@ __all__ = [
     "ThreadExecutor",
     "UtilizationSeries",
     "UtilizationTracker",
-    "available_backends",
     "create_executor",
-    "register_backend",
     "aae_training_step_flops",
     "chamfer_flops",
     "docking_eval_flops",
     "md_step_flops",
     "model_forward_flops",
-    "run_raptor",
     "simulate_raptor",
 ]

@@ -1,22 +1,15 @@
 """Pluggable execution backends for the pilot's scheduling loop.
 
-One protocol, N backends (the runtime-characterization shape of the
+One protocol, three backends (the runtime-characterization shape of the
 RAPTOR and task-runtime papers): ``sim`` simulates Summit-scale
 campaigns on a virtual clock, ``thread`` runs real payloads on a thread
 pool, ``process`` scales CPU-bound payloads past the GIL on a process
-pool.  ``create_executor(name, **kwargs)`` builds any registered
-backend; the conformance suite in ``tests/rct/test_backend_contract.py``
-runs the full protocol against every registry entry, so a new backend
-is a :func:`register_backend` call plus a green run.
+pool.  ``create_executor(name, **kwargs)`` builds one by name; the
+conformance suite in ``tests/rct/test_backend_contract.py`` runs the
+full protocol against all three.
 """
 
-from repro.rct.backends.base import (
-    ExecutorBackend,
-    available_backends,
-    create_executor,
-    get_backend,
-    register_backend,
-)
+from repro.rct.backends.base import ExecutorBackend
 from repro.rct.backends.process import ProcessExecutor
 from repro.rct.backends.sim import SimExecutor
 from repro.rct.backends.thread import ThreadExecutor
@@ -26,8 +19,18 @@ __all__ = [
     "ProcessExecutor",
     "SimExecutor",
     "ThreadExecutor",
-    "available_backends",
     "create_executor",
-    "get_backend",
-    "register_backend",
 ]
+
+_BACKENDS = {"process": ProcessExecutor, "sim": SimExecutor, "thread": ThreadExecutor}
+
+
+def create_executor(name: str, **kwargs) -> ExecutorBackend:
+    """Instantiate the backend called ``name`` (``sim``/``thread``/``process``)."""
+    try:
+        cls = _BACKENDS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown backend {name!r}; valid: {sorted(_BACKENDS)}"
+        ) from None
+    return cls(**kwargs)

@@ -1,7 +1,7 @@
-"""Executor backend protocol and registry.
+"""Executor backend protocol.
 
-Every execution backend — simulated clock, thread pool, process pool,
-or anything a user registers — drives the same protocol the pilot's
+Every execution backend — simulated clock, thread pool, process pool —
+drives the same protocol the pilot's
 scheduling loop (and the backend conformance suite) exercises:
 
 * ``start(record, timeout=None)`` — begin executing a placed task,
@@ -16,11 +16,6 @@ and every workflow layer above run unchanged on any backend — the
 design move that lets one codebase both *really run* the science tasks
 (threads for I/O-ish payloads, processes for CPU-bound docking shards
 that must scale past the GIL) and *simulate* Summit-scale campaigns.
-
-The registry makes backends pluggable: a new backend is one
-:func:`register_backend` call, after which ``create_executor(name)``
-builds it and the conformance suite in
-``tests/rct/test_backend_contract.py`` picks it up automatically.
 """
 
 from __future__ import annotations
@@ -29,13 +24,7 @@ from typing import Protocol, runtime_checkable
 
 from repro.rct.task import TaskRecord
 
-__all__ = [
-    "ExecutorBackend",
-    "register_backend",
-    "get_backend",
-    "create_executor",
-    "available_backends",
-]
+__all__ = ["ExecutorBackend"]
 
 
 @runtime_checkable
@@ -68,42 +57,3 @@ class ExecutorBackend(Protocol):
         """Release pool resources (if any)."""
         ...
 
-
-_REGISTRY: dict[str, type] = {}
-
-
-def register_backend(name: str):
-    """Class decorator registering an executor backend under ``name``.
-
-    The class gains a ``backend_name`` attribute; re-registering a taken
-    name is an error (replace deliberately via ``_REGISTRY`` in tests).
-    """
-
-    def deco(cls: type) -> type:
-        if name in _REGISTRY:
-            raise ValueError(f"backend {name!r} is already registered")
-        cls.backend_name = name
-        _REGISTRY[name] = cls
-        return cls
-
-    return deco
-
-
-def get_backend(name: str) -> type:
-    """The registered backend class for ``name``."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {name!r}; registered: {sorted(_REGISTRY)}"
-        ) from None
-
-
-def create_executor(name: str, **kwargs) -> ExecutorBackend:
-    """Instantiate the backend registered under ``name``."""
-    return get_backend(name)(**kwargs)
-
-
-def available_backends() -> list[str]:
-    """Registered backend names, sorted."""
-    return sorted(_REGISTRY)

@@ -35,7 +35,6 @@ from __future__ import annotations
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import Callable
 
-from repro.rct.backends.base import register_backend
 from repro.rct.backends.pool import PoolBackend
 from repro.rct.task import TaskRecord, TaskState
 from repro.util.timer import WallClock
@@ -43,7 +42,6 @@ from repro.util.timer import WallClock
 __all__ = ["ProcessExecutor"]
 
 
-@register_backend("process")
 class ProcessExecutor(PoolBackend):
     """Real execution on a process pool (CPU-bound payloads)."""
 

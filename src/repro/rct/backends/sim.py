@@ -24,14 +24,13 @@ import heapq
 import itertools
 import math
 
-from repro.rct.backends.base import register_backend
 from repro.rct.fault import FaultDraws, FaultModel
 from repro.rct.task import TaskRecord, TaskState
+from repro.util.config import validate_positive
 
 __all__ = ["SimExecutor"]
 
 
-@register_backend("sim")
 class SimExecutor:
     """Discrete-event simulated execution over a virtual clock."""
 
@@ -40,8 +39,7 @@ class SimExecutor:
         launch_overhead: float = 0.5,
         fault_model: FaultModel | None = None,
     ) -> None:
-        if launch_overhead < 0:
-            raise ValueError("launch_overhead must be non-negative")
+        validate_positive("launch_overhead", launch_overhead, strict=False)
         self.launch_overhead = launch_overhead
         self.fault_model = fault_model
         self._draws: FaultDraws | None = None

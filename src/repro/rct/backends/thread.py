@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.rct.backends.base import register_backend
 from repro.rct.backends.pool import PoolBackend
 from repro.rct.task import TaskRecord, TaskState
 from repro.util.timer import WallClock
@@ -26,7 +25,6 @@ from repro.util.timer import WallClock
 __all__ = ["ThreadExecutor"]
 
 
-@register_backend("thread")
 class ThreadExecutor(PoolBackend):
     """Real execution on a thread pool (I/O-ish and small payloads)."""
 

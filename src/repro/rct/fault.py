@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.util.config import FrozenConfig, validate_range
+from repro.util.config import FrozenConfig, validate_positive, validate_range
 from repro.util.rng import first_draws, rng_stream
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (task → fault)
@@ -109,7 +109,7 @@ class FaultModel(FrozenConfig):
         total = self.failure_rate + self.straggler_rate + self.hang_rate
         if total > 1.0:
             raise ValueError(f"fault rates sum to {total}, must be <= 1")
-        if self.straggler_factor < 1.0:
+        if not self.straggler_factor >= 1.0:
             raise ValueError("straggler_factor must be >= 1")
 
     def draw(self, uid: int, attempt: int, duration: float) -> FaultOutcome:
@@ -193,11 +193,11 @@ class RetryPolicy(FrozenConfig):
     backoff_base / backoff_factor / backoff_jitter:
         Attempt ``k``'s backoff is ``base * factor**k``, inflated by a
         deterministic jitter drawn uniformly from ``[0, jitter]`` (a
-        fraction) to de-synchronize retry storms.  Charged on the
-        executor's virtual clock by the simulated backend; the thread
-        backend charges it to the failure ledger
-        (``time_lost_backoff``) without sleeping, so backoff never
-        stalls a pool slot.
+        fraction) to de-synchronize retry storms.  Charged to the
+        failure ledger (``time_lost_backoff``); the pilot idles its
+        executor to the earliest retry only when nothing else is
+        running (a virtual-clock jump on the simulated backend, a sleep
+        on the real ones).
     timeout:
         Per-attempt ceiling in clock seconds.  An attempt still running at
         the deadline is cancelled (simulated backend) or abandoned (thread
@@ -215,13 +215,12 @@ class RetryPolicy(FrozenConfig):
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be non-negative")
-        if self.backoff_factor < 1.0:
+        validate_positive("backoff_base", self.backoff_base, strict=False)
+        if not self.backoff_factor >= 1.0:
             raise ValueError("backoff_factor must be >= 1")
         validate_range("backoff_jitter", self.backoff_jitter, 0.0, 1.0)
-        if self.timeout is not None and self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if self.timeout is not None:
+            validate_positive("timeout", self.timeout)
 
     def should_retry(self, attempt: int) -> bool:
         """Whether attempt number ``attempt`` (0-based) may be re-driven."""

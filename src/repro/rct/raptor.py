@@ -14,14 +14,17 @@ The paper's three scalability levers are all modelled:
 * "round-robin … and dynamic load distribution" → items are dealt
   round-robin to masters, then pulled on demand by idle workers.
 
-The simulated backend reproduces the queueing behaviour (near-linear
-scaling until masters saturate); the callable backend runs real Python
-functions on threads with the same bulk semantics.
+The simulation reproduces the queueing behaviour (near-linear scaling
+until masters saturate).  Real RAPTOR-style work needs no second
+runtime: it is sharded ``DockingEngine.dock_entries`` calls, run as
+``TaskSpec(fn=engine.dock_entries, args=(shard,))`` on a
+:class:`~repro.rct.pilot.Pilot` over a real backend when shards should
+run concurrently.
 
-Both backends honor the fault layer: the simulation injects seeded
-failures via :class:`~repro.rct.fault.FaultModel` and both re-drive
-failed items under a :class:`~repro.rct.fault.RetryPolicy`, reporting
-every drop through :attr:`RaptorResult.failed_indices` and a
+The simulation honors the fault layer: it injects seeded failures via
+:class:`~repro.rct.fault.FaultModel`, re-drives failed items under a
+:class:`~repro.rct.fault.RetryPolicy`, and reports every drop through
+:attr:`RaptorResult.failed_indices` and a
 :class:`~repro.rct.fault.FailureSummary` — a failed docking call is
 never left masquerading as a score.
 """
@@ -30,24 +33,19 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.rct.fault import FailureSummary, FaultDraws, FaultModel, RetryPolicy
 from repro.telemetry import NULL_TRACER, Tracer
 from repro.util.config import FrozenConfig, validate_positive
-from repro.util.timer import WallClock
 
 __all__ = [
     "RaptorConfig",
     "RaptorResult",
     "simulate_raptor",
-    "run_raptor",
-    "dock_library_raptor",
 ]
 
 #: stage label used in failure ledgers
@@ -67,8 +65,7 @@ class RaptorConfig(FrozenConfig):
         validate_positive("n_workers", self.n_workers)
         validate_positive("n_masters", self.n_masters)
         validate_positive("bulk_size", self.bulk_size)
-        if self.dispatch_overhead < 0:
-            raise ValueError("dispatch_overhead must be non-negative")
+        validate_positive("dispatch_overhead", self.dispatch_overhead, strict=False)
         if self.n_masters > self.n_workers:
             raise ValueError("more masters than workers is wasteful; reduce n_masters")
 
@@ -77,11 +74,10 @@ class RaptorConfig(FrozenConfig):
 class RaptorResult:
     """Outcome of one RAPTOR run."""
 
-    makespan: float  # seconds (virtual or wall)
+    makespan: float  # virtual seconds
     n_items: int
     worker_busy: np.ndarray  # (n_workers,) busy seconds
     master_busy: np.ndarray  # (n_masters,) dispatch seconds
-    results: list | None = None  # callable backend only
     failed_indices: list[int] = field(default_factory=list)
     # ^ items that permanently failed (retries exhausted or disabled)
     failure_summary: FailureSummary | None = None
@@ -135,7 +131,7 @@ def simulate_raptor(
     durations = np.asarray(durations, dtype=np.float64)
     if len(durations) == 0:
         raise ValueError("no items to run")
-    if (durations < 0).any():
+    if not (durations >= 0).all():
         raise ValueError("durations must be non-negative")
     timeout = retry.timeout if retry is not None else None
     if fault_model is not None and fault_model.hang_rate > 0 and timeout is None:
@@ -303,222 +299,3 @@ def simulate_raptor(
         failure_summary=summary,
     )
 
-
-def run_raptor(
-    items: Sequence,
-    fn: Callable,
-    config: RaptorConfig,
-    retry: RetryPolicy | None = None,
-    clock: WallClock | None = None,
-    tracer: Tracer | None = None,
-) -> RaptorResult:
-    """Real execution: apply ``fn`` to every item with bulk semantics.
-
-    Workers are threads; results are returned in item order.  This is
-    the backend the campaign uses to RAPTOR-ize real docking calls.
-
-    A raising item is retried per ``retry``; the policy's backoff is
-    *charged to the failure ledger* (``time_lost_backoff``) but never
-    slept — sleeping inside a worker would stall the bulk's pool slot
-    for the whole backoff and inflate the wall-clock makespan of
-    retry-heavy runs (transient in-process failures also gain nothing
-    from waiting).  Once retries are exhausted, the item's slot in
-    ``results`` holds the exception object and its index lands in
-    :attr:`RaptorResult.failed_indices`, so failures are never
-    indistinguishable from legitimate return values.  Per-attempt
-    timeouts are not enforced here: a thread cannot be killed mid-call
-    (use the pilot's thread backend for abandonable tasks).
-
-    Attempt timing comes from the injected ``clock`` (default
-    :class:`~repro.util.timer.WallClock`); with a ``tracer``, each
-    attempt is recorded as a ``raptor.exec`` span (error status on
-    raising items) — ``record_span`` is thread-safe, so worker threads
-    report directly.
-    """
-    items = list(items)
-    if not items:
-        raise ValueError("no items to run")
-    if clock is None:
-        clock = WallClock()
-    if tracer is None:
-        tracer = NULL_TRACER
-    cfg = config
-    master_queues = _partition_round_robin(len(items), cfg.n_masters)
-    bulks: list[list[int]] = []
-    for queue in master_queues:
-        for start in range(0, len(queue), cfg.bulk_size):
-            bulks.append(queue[start : start + cfg.bulk_size])
-
-    results: list = [None] * len(items)
-    summary = FailureSummary()
-    failed_indices: list[int] = []
-    ledger_lock = threading.Lock()
-
-    # per-thread busy accounting: pool threads each accumulate into their
-    # own cell (registered on first use), merged after the pool closes —
-    # the shared-array `+=` it replaces raced across threads and indexed
-    # by bulk number rather than executing thread
-    tls = threading.local()
-    busy_cells: list[list[float]] = []
-
-    def busy_cell() -> list[float]:
-        cell = getattr(tls, "cell", None)
-        if cell is None:
-            cell = tls.cell = [0.0]
-            with ledger_lock:
-                busy_cells.append(cell)
-        return cell
-
-    def run_item(i: int) -> None:
-        attempt = 0
-        while True:
-            t0 = clock.now()
-            try:
-                result = fn(items[i])
-            except Exception as exc:  # noqa: BLE001 - task isolation: one
-                # failing item must not sink its bulk (RP "isolates the
-                # execution of each task")
-                t1 = clock.now()
-                elapsed = t1 - t0
-                busy_cell()[0] += elapsed
-                with ledger_lock:
-                    summary.record_failure(elapsed)
-                will_retry = retry is not None and retry.should_retry(attempt)
-                if tracer.enabled:
-                    tracer.record_span(
-                        f"item:{i}",
-                        start=t0,
-                        end=t1,
-                        category="raptor.exec",
-                        attrs={
-                            "item": i,
-                            "attempt": attempt,
-                            "retried": will_retry,
-                            "dropped": not will_retry,
-                        },
-                        status="error",
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                if will_retry:
-                    backoff = retry.backoff(i, attempt)
-                    with ledger_lock:
-                        summary.record_retry(backoff)
-                    if tracer.enabled:
-                        tracer.record_span(
-                            f"backoff:{i}",
-                            start=t1,
-                            end=t1 + backoff,
-                            category="raptor.backoff",
-                            attrs={"item": i, "attempt": attempt, "seconds": backoff},
-                        )
-                    attempt += 1
-                    continue
-                results[i] = exc
-                with ledger_lock:
-                    summary.record_drop(_STAGE)
-                    failed_indices.append(i)
-                return
-            t1 = clock.now()
-            busy_cell()[0] += t1 - t0
-            if tracer.enabled:
-                tracer.record_span(
-                    f"item:{i}",
-                    start=t0,
-                    end=t1,
-                    category="raptor.exec",
-                    attrs={"item": i, "attempt": attempt},
-                )
-            results[i] = result
-            with ledger_lock:
-                summary.record_success(attempt)
-            return
-
-    def run_bulk(bulk: list[int]) -> None:
-        for i in bulk:
-            run_item(i)
-
-    t_start = clock.now()
-    with ThreadPoolExecutor(max_workers=cfg.n_workers) as pool:
-        list(pool.map(run_bulk, bulks))
-    makespan = clock.now() - t_start
-    worker_busy = np.zeros(cfg.n_workers)
-    for slot, cell in enumerate(busy_cells):
-        worker_busy[slot] = cell[0]
-    return RaptorResult(
-        makespan=makespan,
-        n_items=len(items),
-        worker_busy=worker_busy,
-        master_busy=np.zeros(cfg.n_masters),
-        results=results,
-        failed_indices=sorted(failed_indices),
-        failure_summary=summary,
-    )
-
-
-def dock_library_raptor(
-    engine,
-    library,
-    config: RaptorConfig,
-    shard_size: int = 16,
-    retry: RetryPolicy | None = None,
-    limit: int | None = None,
-    tracer: Tracer | None = None,
-) -> RaptorResult:
-    """RAPTOR-ize a library screen over fused multi-ligand shards.
-
-    The library is cut into contiguous shards of ``shard_size`` compounds;
-    each shard is one RAPTOR item executed by
-    ``engine.dock_entries(shard)`` — so every worker
-    amortizes kernel launches across its whole shard instead of paying
-    per-ligand dispatch (the AutoDock-GPU batching argument applied to
-    the overlay's work unit).  Per-compound determinism makes the shard
-    cut invisible in the results: scores, poses and ``n_evals`` are
-    identical to ``engine.dock_library`` whatever ``shard_size``.
-
-    Returns a :class:`RaptorResult` whose ``results`` list is flattened
-    back to library order (one :class:`~repro.docking.engine.DockingResult`
-    per compound; a failed shard's compounds hold the exception object)
-    and whose ``failed_indices`` are *compound* indices.  Engine eval
-    counters are updated once, after the pool has drained — worker
-    threads never touch shared engine state.
-    """
-    n = len(library) if limit is None else min(limit, len(library))
-    if n == 0:
-        raise ValueError("no compounds to dock")
-    entries = [(library[i].smiles, library[i].compound_id) for i in range(n)]
-    shards = [
-        entries[start : start + shard_size]
-        for start in range(0, n, shard_size)
-    ]
-
-    if tracer is None:
-        tracer = getattr(engine, "tracer", None)
-    outcome = run_raptor(
-        shards,
-        engine.dock_entries,
-        config,
-        retry=retry,
-        tracer=tracer,
-    )
-
-    flat: list = []
-    failed_compounds: list[int] = []
-    offsets = [0]
-    for shard in shards:
-        offsets.append(offsets[-1] + len(shard))
-    for si, shard_result in enumerate(outcome.results or []):
-        if isinstance(shard_result, Exception):
-            flat.extend([shard_result] * len(shards[si]))
-            failed_compounds.extend(range(offsets[si], offsets[si + 1]))
-        else:
-            flat.extend(shard_result)
-            engine._account(shard_result)
-    return RaptorResult(
-        makespan=outcome.makespan,
-        n_items=n,
-        worker_busy=outcome.worker_busy,
-        master_busy=outcome.master_busy,
-        results=flat,
-        failed_indices=failed_compounds,
-        failure_summary=outcome.failure_summary,
-    )

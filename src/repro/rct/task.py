@@ -92,7 +92,7 @@ class TaskSpec:
             raise ValueError("nodes must be >= 1")
         if self.duration is None and self.fn is None:
             raise ValueError("task needs a duration (sim) or fn (real)")
-        if self.duration is not None and self.duration < 0:
+        if self.duration is not None and not self.duration >= 0:
             raise ValueError("duration must be non-negative")
         if not self.name:
             self.name = f"task-{self.uid}"

@@ -5,9 +5,9 @@ baseline; this test is the gate that keeps it honest, running every
 rule — per-file and whole-program — exactly as ``repro-lint`` does.
 The regression cases re-create the one concurrency bug this lint engine
 has caught in the project's history: an unlocked ``+=`` inside a
-``run_raptor`` worker (the busy-accounting race once fixed in
-production), including inside the pool-mapped ``run_bulk`` nested in
-``run_raptor`` itself and a pool map at module level.
+pool-mapped RAPTOR worker (the busy-accounting race once fixed in
+production), both in a ``run_bulk`` nested in its caller and at module
+level.
 """
 
 from pathlib import Path
@@ -17,21 +17,10 @@ from repro.analysis.engine import analyze_source, run_analysis
 from repro.analysis.checkers import checkers_for
 
 REPO = Path(__file__).resolve().parents[2]
-RAPTOR = REPO / "src" / "repro" / "rct" / "raptor.py"
 
 
 def repo_config():
     return AnalysisConfig.from_pyproject(REPO / "pyproject.toml")
-
-
-def lint_raptor(source):
-    return analyze_source(
-        source,
-        checkers_for(["lockset"]),
-        repo_config(),
-        module="repro.rct.raptor",
-        path="src/repro/rct/raptor.py",
-    )
 
 
 def test_src_lints_clean_with_checked_in_config():
@@ -44,39 +33,27 @@ def test_src_lints_clean_with_checked_in_config():
     assert result.n_suppressed == 20
 
 
-def test_reintroducing_run_raptor_race_is_caught():
-    # PR 1's bug, distilled: per-worker busy accounting via unlocked +=
-    # inside the function handed to run_raptor.
+def test_unlocked_add_in_nested_run_bulk_is_caught():
+    # run_bulk is a def nested in its caller and handed to pool.map by
+    # its local name: only a lookup through the enclosing scope finds it
     src = (
-        "from repro.rct.raptor import run_raptor\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
         "\n"
-        "worker_busy = {}\n"
+        "def run(bulks, n_workers):\n"
+        "    worker_busy = [0.0]\n"
         "\n"
-        "def work(item):\n"
-        "    out = item.run()\n"
-        "    worker_busy[item.worker] += out.elapsed\n"
-        "    return out\n"
+        "    def run_bulk(bulk):\n"
+        "        for item in bulk:\n"
+        "            item.run()\n"
+        "        worker_busy[0] += len(bulk)\n"
         "\n"
-        "def drive(executor, items):\n"
-        "    return run_raptor(executor, items, fn=work)\n"
+        "    with ThreadPoolExecutor(max_workers=n_workers) as pool:\n"
+        "        list(pool.map(run_bulk, bulks))\n"
+        "    return worker_busy\n"
     )
     result = analyze_source(src, checkers_for(["lockset"]), repo_config())
-    assert len(result.findings) == 1
-    assert "worker_busy" in result.findings[0].message
-
-
-def test_unlocked_add_in_nested_run_bulk_is_caught():
-    # run_bulk is a def nested in run_raptor and handed to pool.map by
-    # its local name: only a lookup through the enclosing scope finds it
-    source = RAPTOR.read_text()
-    original = "        for i in bulk:\n            run_item(i)\n"
-    assert source.count(original) == 1
-    racy = source.replace(
-        original, original + "        busy_cells[0][0] += len(bulk)\n"
-    )
-    result = lint_raptor(racy)
-    assert len(result.findings) == 1
-    assert "'busy_cells'" in result.findings[0].message
+    assert [f.line for f in result.findings] == [9]
+    assert "'worker_busy'" in result.findings[0].message
 
 
 def test_module_level_pool_map_is_a_thread_entry():
@@ -97,8 +74,3 @@ def test_module_level_pool_map_is_a_thread_entry():
     assert [f.line for f in result.findings] == [6]
     assert "'totals'" in result.findings[0].message
 
-
-def test_raptor_module_itself_is_clean():
-    # the fixed raptor.py must pass the very rule built from its old bug
-    result = lint_raptor(RAPTOR.read_text())
-    assert result.ok, "\n".join(f.render() for f in result.findings)

@@ -21,7 +21,10 @@ from repro.docking.engine import DockingEngine
 from repro.docking.lga import LGAConfig
 from repro.docking.ligand import prepare_ligand
 from repro.docking.receptor import make_receptor
-from repro.rct.raptor import RaptorConfig, dock_library_raptor
+from repro.rct.backends import ThreadExecutor
+from repro.rct.cluster import Cluster, NodeSpec
+from repro.rct.pilot import Pilot
+from repro.rct.task import TaskSpec
 from repro.util.rng import rng_stream
 from tests.docking import oracle
 
@@ -139,13 +142,23 @@ def test_prep_cache_parses_each_compound_once(monkeypatch):
 
 
 def test_raptor_shards_match_dock_library():
+    # RAPTOR-style screening: dock_entries shards as concurrent pilot tasks
     plain = _engine().dock_library(library)
     eng = _engine()
-    outcome = dock_library_raptor(
-        eng, library, RaptorConfig(n_workers=2), shard_size=3
-    )
-    assert outcome.failed_indices == []
-    _assert_bitwise_equal(plain, outcome.results)
+    entries = [(e.smiles, e.compound_id) for e in library]
+    shards = [entries[i : i + 3] for i in range(0, len(entries), 3)]
+    tasks = [TaskSpec(fn=eng.dock_entries, args=(shard,)) for shard in shards]
+    order = {t.uid: i for i, t in enumerate(tasks)}
+    with ThreadExecutor(max_workers=2) as ex:
+        pilot = Pilot(Cluster(1, NodeSpec(cpus=2, gpus=0)).allocate(1, 0.0), ex)
+        records = pilot.run(tasks)
+    assert pilot.failures.n_failures == 0
+    by_shard = sorted(records, key=lambda r: order[r.spec.uid])
+    docked = [result for r in by_shard for result in r.result]
+    _assert_bitwise_equal(plain, docked)
+    # workers never touch the counters: the caller charges them once
+    assert eng.total_evals == 0
+    eng._account(docked)
     assert eng.total_evals == sum(r.n_evals for r in plain)
     assert eng.total_ligands == len(library)
 

@@ -1,9 +1,9 @@
-"""Backend conformance suite: every registered executor, one contract.
+"""Backend conformance suite: every executor, one contract.
 
-Parametrized over the backend registry, so a newly registered backend is
-automatically held to the full protocol: start/next_completion/wait_until
-semantics, failure capture, per-attempt timeout (cancel on the virtual
-clock, abandon-and-reap on real pools), and context-manager cleanup.
+Parametrized over the three backends ``create_executor`` builds, each
+held to the full protocol: start/next_completion/wait_until semantics,
+failure capture, per-attempt timeout (cancel on the virtual clock,
+abandon-and-reap on real pools), and context-manager cleanup.
 """
 
 import os
@@ -17,28 +17,21 @@ from repro.rct.backends import (
     ProcessExecutor,
     SimExecutor,
     ThreadExecutor,
-    available_backends,
     create_executor,
-    get_backend,
-    register_backend,
 )
 from repro.rct.fault import FaultModel
 from repro.rct.task import TaskRecord, TaskSpec, TaskState
 
-BACKENDS = sorted(available_backends())
+_KWARGS = {
+    "process": {"max_workers": 2},
+    "sim": {"launch_overhead": 0.0},
+    "thread": {"max_workers": 2},
+}
+BACKENDS = tuple(_KWARGS)
 
 
 def _make_executor(name: str):
-    if name == "sim":
-        return create_executor("sim", launch_overhead=0.0)
-    if name == "thread":
-        return create_executor("thread", max_workers=2)
-    if name == "process":
-        return create_executor("process", max_workers=2)
-    raise AssertionError(
-        f"backend {name!r} registered but not covered by the conformance "
-        "suite; add a constructor and payload mapping here"
-    )
+    return create_executor(name, **_KWARGS[name])
 
 
 # module-level payloads: the process backend pickles them across the
@@ -80,35 +73,21 @@ def _task(name: str, **kwargs) -> TaskRecord:
     return TaskRecord(spec=spec, state=TaskState.SCHEDULED)
 
 
-# ------------------------------------------------------------------ registry
+# ----------------------------------------------------------- create_executor
 
 
 def test_registry_exposes_builtin_backends():
-    assert {"sim", "thread", "process"} <= set(BACKENDS)
-    assert get_backend("sim") is SimExecutor
-    assert get_backend("thread") is ThreadExecutor
-    assert get_backend("process") is ProcessExecutor
+    classes = {"process": ProcessExecutor, "sim": SimExecutor, "thread": ThreadExecutor}
+    for name, cls in classes.items():
+        with _make_executor(name) as ex:
+            assert type(ex) is cls
 
 
 def test_registry_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="unknown backend"):
-        get_backend("mainframe")
-    with pytest.raises(ValueError, match="registered"):
+    with pytest.raises(
+        ValueError, match=r"unknown backend 'mainframe'.*'process', 'sim', 'thread'"
+    ):
         create_executor("mainframe")
-
-
-def test_registry_rejects_duplicate_name():
-    with pytest.raises(ValueError, match="already registered"):
-
-        @register_backend("sim")
-        class Impostor:  # noqa: F811 - never registered
-            pass
-
-
-def test_backend_name_attribute_set_by_registration():
-    assert SimExecutor.backend_name == "sim"
-    assert ThreadExecutor.backend_name == "thread"
-    assert ProcessExecutor.backend_name == "process"
 
 
 # ------------------------------------------------------------------ protocol

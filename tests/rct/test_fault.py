@@ -77,6 +77,8 @@ def test_fault_model_validation():
         FaultModel(failure_rate=0.6, hang_rate=0.6)
     with pytest.raises(ValueError):
         FaultModel(straggler_factor=0.5)
+    with pytest.raises(ValueError):
+        FaultModel(straggler_factor=math.nan)
 
 
 # ------------------------------------------------------------ retry policy
@@ -109,6 +111,16 @@ def test_retry_policy_validation():
         RetryPolicy(backoff_factor=0.5)
     with pytest.raises(ValueError):
         RetryPolicy(timeout=0.0)
+    # NaN fails every `x < 0` check, so each field rejects it explicitly
+    for field in ("backoff_base", "backoff_factor", "timeout"):
+        with pytest.raises(ValueError):
+            RetryPolicy(**{field: math.nan})
+    assert RetryPolicy(timeout=math.inf).timeout == math.inf
+
+
+def test_sim_executor_rejects_nan_launch_overhead():
+    with pytest.raises(ValueError):
+        SimExecutor(launch_overhead=math.nan)
 
 
 # --------------------------------------------------------- failure summary

@@ -2,8 +2,7 @@
 
 The campaign driver calls the science stages directly; this test closes
 the loop the paper actually ran — EnTK pipelines whose tasks are *real*
-docking and ESMACS computations, executed by the pilot's thread backend,
-with RAPTOR carrying the docking sweep.
+docking and ESMACS computations, executed by the pilot's thread backend.
 """
 
 import numpy as np
@@ -19,7 +18,6 @@ from repro.rct.cluster import Cluster, NodeSpec
 from repro.rct.entk import AppManager, Pipeline, Stage
 from repro.rct.backends import ThreadExecutor
 from repro.rct.pilot import Pilot
-from repro.rct.raptor import RaptorConfig, run_raptor
 from repro.rct.task import TaskSpec
 
 FAST = LGAConfig(population=8, generations=3)
@@ -37,22 +35,6 @@ TINY_CG = EsmacsConfig(
 @pytest.fixture(scope="module")
 def receptor():
     return make_receptor("PLPro", "6W9C", seed=7)
-
-
-def test_raptor_runs_real_docking(receptor):
-    """RAPTOR's callable backend carries the actual S1 sweep."""
-    library = generate_library(8, seed=71)
-    engine = DockingEngine(receptor, seed=0, config=FAST)
-    out = run_raptor(
-        [(e.smiles, e.compound_id) for e in library],
-        lambda item: engine.dock_smiles(*item),
-        RaptorConfig(n_workers=4, bulk_size=2),
-    )
-    scores = {r.compound_id: r.score for r in out.results}
-    # identical to sequential docking (per-compound RNG streams)
-    reference = DockingEngine(receptor, seed=0, config=FAST).dock_library(library)
-    for r in reference:
-        assert scores[r.compound_id] == pytest.approx(r.score)
 
 
 def test_entk_pipeline_runs_real_science_stages(receptor):

@@ -1,5 +1,7 @@
 """Tests for the task model and simulated cluster."""
 
+import math
+
 import pytest
 
 from repro.rct.cluster import SUMMIT_NODE, BatchSystem, Cluster, NodeSpec
@@ -22,6 +24,9 @@ def test_task_validation():
         TaskSpec(cpus=0, gpus=0, duration=1.0)
     with pytest.raises(ValueError):
         TaskSpec(duration=-1.0)
+    with pytest.raises(ValueError):
+        TaskSpec(duration=math.nan)
+    assert TaskSpec(duration=math.inf).duration == math.inf  # the sim's hang
     with pytest.raises(ValueError):
         TaskSpec(nodes=0, duration=1.0)
     with pytest.raises(ValueError):
