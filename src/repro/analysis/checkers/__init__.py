@@ -21,7 +21,6 @@ __all__ = [
     "CHECKER_CLASSES",
     "all_checkers",
     "checkers_for",
-    "rule_names",
 ]
 
 #: the full registry, in ``--list-rules`` order
@@ -31,11 +30,6 @@ CHECKER_CLASSES: tuple[type[Checker], ...] = (
     LocksetChecker,
     AtomicWriteChecker,
 )
-
-
-def rule_names() -> list[str]:
-    """All registered rule names."""
-    return [cls.rule for cls in CHECKER_CLASSES]
 
 
 def all_checkers() -> list[Checker]:

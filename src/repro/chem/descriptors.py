@@ -33,24 +33,6 @@ class Descriptors:
     tpsa: float
     formal_charge: int
 
-    def as_vector(self) -> np.ndarray:
-        """Dense float vector (fixed order) for ML feature use."""
-        return np.array(
-            [
-                self.molecular_weight,
-                self.heavy_atoms,
-                self.hbd,
-                self.hba,
-                self.rings,
-                self.aromatic_rings,
-                self.rotatable_bonds,
-                self.logp,
-                self.tpsa,
-                self.formal_charge,
-            ],
-            dtype=np.float64,
-        )
-
     def lipinski_violations(self) -> int:
         """Rule-of-five violations (used by library filters)."""
         v = 0

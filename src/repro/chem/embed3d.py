@@ -67,15 +67,3 @@ def embed_conformer(
     pos += rng.normal(scale=noise, size=pos.shape)
     pos -= pos.mean(axis=0)
     return pos
-
-
-def conformer_stress(mol: Molecule, pos: np.ndarray) -> float:
-    """Normalized distance-geometry stress (0 = perfect embedding)."""
-    target = _target_distances(mol)
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(-1))
-    mask = target > 0
-    if not mask.any():
-        return 0.0
-    rel = (dist[mask] - target[mask]) / target[mask]
-    return float(np.sqrt((rel**2).mean()))

@@ -9,12 +9,11 @@ top-ranking compounds" of any downstream experiment are exactly
 reproducible — which is what lets benches measure enrichment without a
 4.2-billion-compound data release.
 
-Shard I/O mirrors §6.1.1: libraries serialize to gzip-compressed shards
-of fixed size — legacy pickle payloads or streaming NDJSON (see
-:mod:`repro.util.shardio`) — the format the ML1 inference pipeline
-streams.  :func:`stream_library` is the generator-backed path: it emits
-the *same* seeded compounds as :func:`generate_library`, shard by shard,
-without ever materializing the library, which is what lets a
+Shard I/O mirrors §6.1.1: libraries serialize to fixed-size gzip NDJSON
+shards (see :mod:`repro.util.shardio`), the format the ML1 inference
+pipeline streams.  :func:`stream_library` is the generator-backed path:
+it emits the *same* seeded compounds as :func:`generate_library`, shard
+by shard, without ever materializing the library, which is what lets a
 billion-compound screen run at bounded memory.
 """
 
@@ -262,37 +261,20 @@ class CompoundLibrary:
             )
         return self._fps
 
-    def subset(self, indices: Sequence[int], name: str | None = None) -> "CompoundLibrary":
-        """New library restricted to ``indices`` (caches not carried)."""
-        return CompoundLibrary(
-            name=name or f"{self.name}-subset",
-            entries=[self.entries[i] for i in indices],
-        )
-
     # ----------------------------------------------------------- shard I/O
-    def to_shards(
-        self,
-        directory: str | Path,
-        shard_size: int = 1000,
-        format: str = "pickle",
-    ) -> list[Path]:
-        """Write fixed-size shards (the ML1 streaming format).
-
-        ``format`` is ``"pickle"`` (the legacy gzip-pickle payload,
-        default for compatibility) or ``"ndjson"`` (gzip NDJSON, the
-        streaming pipeline's format).  Both round-trip identically.
-        """
+    def to_shards(self, directory: str | Path, shard_size: int = 1000) -> list[Path]:
+        """Write fixed-size NDJSON shards (the ML1 streaming format)."""
         paths = []
         for s, start in enumerate(range(0, len(self), shard_size)):
             chunk = self.entries[start : start + shard_size]
-            path = shard_path(directory, self.name, s, format=format)
+            path = shard_path(directory, self.name, s)
             write_shard(path, [(e.compound_id, e.smiles) for e in chunk])
             paths.append(path)
         return paths
 
     @classmethod
     def from_shards(cls, paths: Sequence[str | Path], name: str) -> "CompoundLibrary":
-        """Rebuild a library from shards (either format)."""
+        """Rebuild a library from shards."""
         entries = []
         for path in paths:
             for compound_id, smiles in read_shard(path):
@@ -409,7 +391,6 @@ def write_library_shards(
     seed: int,
     name: str = "OZD",
     shard_size: int = 1000,
-    format: str = "ndjson",
     shared_fraction: float = 0.0,
     shared_seed: int | None = None,
 ) -> list[Path]:
@@ -423,7 +404,7 @@ def write_library_shards(
     for s, shard in enumerate(
         stream_library(n, seed, name, shard_size, shared_fraction, shared_seed)
     ):
-        path = shard_path(directory, name, s, format=format)
+        path = shard_path(directory, name, s)
         write_shard(path, [(e.compound_id, e.smiles) for e in shard])
         paths.append(path)
     return paths

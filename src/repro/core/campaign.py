@@ -148,7 +148,7 @@ class CampaignConfig(FrozenConfig):
     #: with drop_and_continue, max drops tolerated per stage per iteration
     #: before the campaign gives up (None = unlimited)
     stage_failure_budget: int | None = None
-    #: on-disk library shards (NDJSON or pickle, see repro.util.shardio);
+    #: on-disk NDJSON library shards (see repro.util.shardio);
     #: when non-empty the campaign loads its library from these instead
     #: of generating one, which is how a streamed/sharded library (e.g.
     #: written by repro.chem.write_library_shards) feeds the iterative
@@ -200,10 +200,6 @@ class CampaignResult:
     #: ledger of stage-task failures (drops per stage, nothing silent);
     #: empty under fail_fast, which raises instead
     failure_summary: FailureSummary = field(default_factory=FailureSummary)
-
-    def all_cg(self) -> list[EsmacsResult]:
-        """Every CG result across iterations."""
-        return [r for it in self.iterations for r in it.cg_results]
 
     def all_fg(self) -> list[EsmacsResult]:
         """Every FG result across iterations."""

@@ -128,47 +128,83 @@ class CostModel(FrozenConfig):
         raise ValueError(f"unknown stage {stage!r}")
 
     # ---------------------------------------------------------- task specs
-    def docking_task(self, n_ligands: int, name: str = "") -> TaskSpec:
+    # Every builder takes the task's identity: ``tenant`` and ``uid`` (a
+    # submission's own namespace; ``None`` draws from the process counter).
+    def _spec(self, uid: int | None, **fields) -> TaskSpec:
+        if uid is not None:
+            fields["uid"] = uid
+        return TaskSpec(**fields)
+
+    def docking_task(
+        self, n_ligands: int, name: str = "", *, tenant: str = "", uid: int | None = None
+    ) -> TaskSpec:
         """A single-GPU docking bundle (RAPTOR worker granularity)."""
-        return TaskSpec(
+        return self._spec(
+            uid,
             name=name or f"s1-dock-{n_ligands}",
             cpus=1,
             gpus=1,
             duration=self.docking_wall_seconds(n_ligands),
             stage="S1",
+            tenant=tenant,
         )
 
-    def esmacs_task(self, config: EsmacsConfig, compound_id: str, stage: str) -> TaskSpec:
+    def esmacs_task(
+        self,
+        config: EsmacsConfig,
+        compound_id: str,
+        stage: str,
+        name: str = "",
+        *,
+        tenant: str = "",
+        uid: int | None = None,
+    ) -> TaskSpec:
         """One ESMACS ensemble as a (possibly multi-node) task."""
         nodes = self.esmacs_nodes(config)
-        return TaskSpec(
-            name=f"{stage.lower()}-{compound_id}",
+        return self._spec(
+            uid,
+            name=name or f"{stage.lower()}-{compound_id}",
             cpus=self.node.cpus if nodes > 1 else min(config.replicas, self.node.cpus),
             gpus=self.node.gpus if nodes > 1 else min(config.replicas, self.node.gpus),
             nodes=nodes,
             duration=self.esmacs_wall_seconds(config),
             stage=stage,
+            tenant=tenant,
         )
 
-    def s2_task(self, compound_id: str) -> TaskSpec:
+    def s2_task(
+        self, compound_id: str, name: str = "", *, tenant: str = "", uid: int | None = None
+    ) -> TaskSpec:
         """One S2 (DeepDriveMD) iteration over a compound's ensemble."""
-        return TaskSpec(
-            name=f"s2-{compound_id}",
+        return self._spec(
+            uid,
+            name=name or f"s2-{compound_id}",
             cpus=self.node.cpus,
             gpus=self.node.gpus,
             nodes=self.s2_nodes,
             duration=self.s2_hours_per_ligand * 3600.0,
             stage="S2",
+            tenant=tenant,
         )
 
-    def ml1_task(self, n_ligands: int, n_gpus: int) -> TaskSpec:
+    def ml1_task(
+        self,
+        n_ligands: int,
+        n_gpus: int,
+        name: str = "",
+        *,
+        tenant: str = "",
+        uid: int | None = None,
+    ) -> TaskSpec:
         """ML1 inference sweep as one multi-node task."""
         nodes = max(1, -(-n_gpus // self.node.gpus))
-        return TaskSpec(
-            name=f"ml1-{n_ligands}",
+        return self._spec(
+            uid,
+            name=name or f"ml1-{n_ligands}",
             cpus=self.node.cpus,
             gpus=self.node.gpus,
             nodes=nodes,
             duration=self.ml1_wall_seconds(n_ligands) / max(1, n_gpus),
             stage="ML1",
+            tenant=tenant,
         )

@@ -1,8 +1,8 @@
 """Streamed, checkpointed ML1 → S1 screen over an on-disk sharded library.
 
 This is §6.1.1 at campaign scale: the library lives on disk as gzip
-shards (NDJSON or legacy pickle), ML1 streams them through the compiled
-surrogate one shard at a time, the top predicted compounds go to S1
+NDJSON shards, ML1 streams them through the compiled surrogate one
+shard at a time, the top predicted compounds go to S1
 docking in :class:`~repro.docking.ligand.LigandBeads` packs via the fused
 LGA, and every completed shard — scored or docked — is durably recorded
 in a checkpoint manifest.  Kill the process anywhere; rerunning the same

@@ -13,9 +13,8 @@ from repro.ddmd.driver import (
     AdaptiveSamplingConfig,
     AdaptiveSamplingResult,
 )
-from repro.ddmd.lof import lof_scores, top_outliers
+from repro.ddmd.lof import lof_scores
 from repro.ddmd.pointcloud import PointCloudDataset, build_dataset, normalize_cloud
-from repro.ddmd.sweep import SweepResult, sweep_aae
 from repro.ddmd.tsne import tsne
 
 __all__ = [
@@ -32,13 +31,10 @@ __all__ = [
     "contact_map",
     "S2Result",
     "Selection",
-    "SweepResult",
     "build_dataset",
-    "sweep_aae",
     "lof_scores",
     "normalize_cloud",
     "run_s2",
-    "top_outliers",
     "train_aae",
     "tsne",
 ]

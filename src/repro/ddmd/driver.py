@@ -61,10 +61,6 @@ class AdaptiveSamplingResult:
     max_rmsd: float  # farthest conformation reached
     frames: np.ndarray = field(repr=False, default=None)  # (N, n_protein, 3)
 
-    @property
-    def total_frames(self) -> int:
-        return 0 if self.frames is None else len(self.frames)
-
 
 class AdaptiveSampler:
     """Run the MD → AAE → LOF → restart loop on one system."""

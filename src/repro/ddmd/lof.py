@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["lof_scores", "top_outliers"]
+__all__ = ["lof_scores"]
 
 
 def lof_scores(points: np.ndarray, k: int = 10) -> np.ndarray:
@@ -47,12 +47,3 @@ def lof_scores(points: np.ndarray, k: int = 10) -> np.ndarray:
 
     # LOF: mean neighbour lrd over own lrd
     return lrd[knn_idx].mean(axis=1) / np.maximum(lrd, 1e-12)
-
-
-def top_outliers(points: np.ndarray, n_outliers: int, k: int = 10) -> np.ndarray:
-    """Indices of the ``n_outliers`` most outlying rows (descending LOF)."""
-    if n_outliers < 1:
-        raise ValueError("n_outliers must be >= 1")
-    scores = lof_scores(points, k=k)
-    order = np.argsort(-scores, kind="stable")
-    return order[: min(n_outliers, len(points))]

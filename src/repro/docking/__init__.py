@@ -5,7 +5,6 @@ Solis–Wets and gradient-based ADADELTA local search (§5.1.1).
 """
 
 from repro.docking.engine import DockingEngine, DockingResult
-from repro.docking.ensemble import EnsembleDockingResult, dock_against_ensemble
 from repro.docking.lga import DockingRun, LGAConfig
 from repro.docking.ligand import (
     LigandBeads,
@@ -23,8 +22,6 @@ __all__ = [
     "DockingEngine",
     "DockingResult",
     "DockingRun",
-    "EnsembleDockingResult",
-    "dock_against_ensemble",
     "LGAConfig",
     "LigandBeads",
     "LocalSearchResult",

@@ -171,7 +171,7 @@ class PackedLigands:
     This is the memory layout of the fused multi-ligand docking kernels:
     every per-atom array is padded to the widest ligand in the shard
     (``max_atoms``), torsion trees to the deepest (``max_torsions``) and
-    intra-ligand pair lists to the longest (``max_pairs``), with boolean
+    intra-ligand pair lists to the longest, with boolean
     masks marking the real entries.  Padded atoms carry zero charge and
     hydrophobicity and are masked out of steric/wall terms, so they
     contribute exactly zero energy and zero gradient.
@@ -214,11 +214,6 @@ class PackedLigands:
     def max_torsions(self) -> int:
         """Padded torsion count (deepest torsion tree)."""
         return self.tor_a.shape[0]
-
-    @property
-    def max_pairs(self) -> int:
-        """Padded intra-pair count (longest pair list)."""
-        return self.pair_idx.shape[1]
 
     def plan(self, rows_per_ligand: int) -> "PackPlan":
         """Cached :class:`PackPlan` for ``rows_per_ligand`` rows per ligand.

@@ -88,10 +88,6 @@ class Receptor:
         """Coordinate of grid index 0 along each axis (box centred at 0)."""
         return -self.box_size / 2.0
 
-    def grid_coords(self) -> np.ndarray:
-        """1-D axis coordinates shared by all three dimensions."""
-        return self.origin + self.spacing * np.arange(self.n_grid)
-
     def contains(self, coords: np.ndarray, margin: float = 0.0) -> np.ndarray:
         """Boolean mask: which points lie inside the box (minus margin)."""
         half = self.box_size / 2.0 - margin

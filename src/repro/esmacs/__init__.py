@@ -1,8 +1,6 @@
 """S3 — ESMACS ensemble binding free-energy protocol (CG and FG)."""
 
 from repro.esmacs.analysis import (
-    bootstrap_sem,
-    confidence_interval,
     ranking_correlation,
     repeat_reliability,
 )
@@ -16,8 +14,6 @@ __all__ = [
     "EsmacsResult",
     "EsmacsRunner",
     "FG",
-    "bootstrap_sem",
-    "confidence_interval",
     "ranking_correlation",
     "repeat_reliability",
 ]

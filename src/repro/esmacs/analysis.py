@@ -2,10 +2,9 @@
 
 The paper's core methodological claim for ESMACS (§5.1.3) is that
 ensemble averaging turns the irreproducible single-trajectory MMPBSA into
-a reliable *ranking* tool.  The functions here quantify that: bootstrap
-errors on ensemble means, and the rank-correlation between independent
-repeats of the protocol as a function of ensemble size — the ablation
-bench's measurement.
+a reliable *ranking* tool.  The functions here quantify that: the
+rank-correlation between independent repeats of the protocol as a
+function of ensemble size — the ablation bench's measurement.
 """
 
 from __future__ import annotations
@@ -13,44 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "bootstrap_sem",
-    "confidence_interval",
     "ranking_correlation",
     "repeat_reliability",
 ]
-
-
-def bootstrap_sem(
-    values: np.ndarray, rng: np.random.Generator, n_boot: int = 500
-) -> float:
-    """Bootstrap standard error of the mean of ``values``."""
-    values = np.asarray(values, dtype=np.float64)
-    if len(values) < 2:
-        raise ValueError("need at least 2 values to bootstrap")
-    idx = rng.integers(len(values), size=(n_boot, len(values)))
-    means = values[idx].mean(axis=1)
-    return float(means.std(ddof=1))
-
-
-def confidence_interval(
-    values: np.ndarray,
-    rng: np.random.Generator,
-    level: float = 0.95,
-    n_boot: int = 500,
-) -> tuple[float, float]:
-    """Bootstrap percentile CI for the mean of ``values``."""
-    if not 0 < level < 1:
-        raise ValueError("level must be in (0, 1)")
-    values = np.asarray(values, dtype=np.float64)
-    if len(values) < 2:
-        raise ValueError("need at least 2 values")
-    idx = rng.integers(len(values), size=(n_boot, len(values)))
-    means = values[idx].mean(axis=1)
-    alpha = (1 - level) / 2
-    return (
-        float(np.percentile(means, 100 * alpha)),
-        float(np.percentile(means, 100 * (1 - alpha))),
-    )
 
 
 def ranking_correlation(a: np.ndarray, b: np.ndarray) -> float:

@@ -94,11 +94,6 @@ class EsmacsResult:
     protein_atoms: np.ndarray | None = field(repr=False, default=None)
     md_steps: int = 0  # total integration steps (cost accounting)
 
-    @property
-    def n_replicas(self) -> int:
-        """Ensemble size of this result."""
-        return len(self.replica_dgs)
-
 
 #: one replica's output: (ΔG mean, trajectory or ``None``, protein atom
 #: indices, integration steps)

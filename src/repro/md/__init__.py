@@ -6,13 +6,12 @@ trajectories and the observables ESMACS/DeepDriveMD consume.
 
 from repro.md.builder import PLPRO_RESIDUES, build_lpc, build_protein_fold
 from repro.md.forcefield import EnergyBreakdown, ForceField
-from repro.md.integrator import Langevin, VelocityVerlet
+from repro.md.integrator import Langevin
 from repro.md.minimize import MinimizationResult, minimize
 from repro.md.observables import (
     contact_count,
     kabsch_rmsd,
     radius_of_gyration,
-    trajectory_rmsd,
 )
 from repro.md.system import MDSystem, Topology
 from repro.md.trajectory import Trajectory, simulate
@@ -26,7 +25,6 @@ __all__ = [
     "PLPRO_RESIDUES",
     "Topology",
     "Trajectory",
-    "VelocityVerlet",
     "build_lpc",
     "build_protein_fold",
     "contact_count",
@@ -34,5 +32,4 @@ __all__ = [
     "minimize",
     "radius_of_gyration",
     "simulate",
-    "trajectory_rmsd",
 ]

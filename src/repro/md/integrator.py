@@ -1,7 +1,7 @@
-"""Time integrators: velocity Verlet (NVE) and Langevin (NVT).
+"""Langevin (NVT) time integrator.
 
-The Langevin integrator uses the BAOAB splitting (Leimkuhler & Matthews),
-which stays accurate at the large timesteps a coarse bead model allows.
+It uses the BAOAB splitting (Leimkuhler & Matthews), which stays
+accurate at the large timesteps a coarse bead model allows.
 """
 
 from __future__ import annotations
@@ -15,35 +15,10 @@ from repro.md.system import MDSystem
 from repro.util.config import FrozenConfig, validate_positive
 from repro.util.units import BOLTZMANN_KCAL
 
-__all__ = ["VelocityVerlet", "Langevin"]
+__all__ = ["Langevin"]
 
 #: kcal/mol → amu·A²/ps² conversion for force/mass arithmetic
 _FORCE_CONV = 418.4
-
-
-@dataclass(frozen=True)
-class VelocityVerlet(FrozenConfig):
-    """Symplectic NVE integrator."""
-
-    timestep: float = 0.01  # ps
-
-    def __post_init__(self) -> None:
-        validate_positive("timestep", self.timestep)
-
-    def run(
-        self, system: MDSystem, forcefield: ForceField, n_steps: int
-    ) -> None:
-        """Advance ``n_steps`` in place."""
-        dt = self.timestep
-        m = system.topology.masses[:, None]
-        forces = forcefield.forces(system.topology, system.positions)
-        acc = forces * _FORCE_CONV / m
-        for _ in range(n_steps):
-            system.velocities += 0.5 * dt * acc
-            system.positions += dt * system.velocities
-            forces = forcefield.forces(system.topology, system.positions)
-            acc = forces * _FORCE_CONV / m
-            system.velocities += 0.5 * dt * acc
 
 
 @dataclass(frozen=True)

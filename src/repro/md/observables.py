@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["kabsch_rmsd", "trajectory_rmsd", "radius_of_gyration", "contact_count"]
+__all__ = ["kabsch_rmsd", "radius_of_gyration", "contact_count"]
 
 
 def kabsch_rmsd(a: np.ndarray, b: np.ndarray) -> float:
@@ -26,11 +26,6 @@ def kabsch_rmsd(a: np.ndarray, b: np.ndarray) -> float:
     rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     a_rot = a0 @ rot.T
     return float(np.sqrt(((a_rot - b0) ** 2).sum() / len(a)))
-
-
-def trajectory_rmsd(frames: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Kabsch RMSD of every frame against ``reference`` → (T,)."""
-    return np.array([kabsch_rmsd(f, reference) for f in frames])
 
 
 def radius_of_gyration(coords: np.ndarray) -> float:

@@ -31,11 +31,9 @@ from repro.nn.layers import (
 from repro.nn.losses import (
     bce_loss,
     chamfer_distance,
-    gradient_penalty,
-    mae_loss,
     mse_loss,
 )
-from repro.nn.optim import SGD, Adam, RMSprop, clip_grad_norm
+from repro.nn.optim import Adam, RMSprop
 from repro.nn.serialization import load_model, save_model
 
 __all__ = [
@@ -55,7 +53,6 @@ __all__ = [
     "ReLU",
     "RMSprop",
     "ResidualBlock",
-    "SGD",
     "Sequential",
     "ShardReader",
     "Sigmoid",
@@ -65,12 +62,9 @@ __all__ = [
     "autograd",
     "bce_loss",
     "chamfer_distance",
-    "clip_grad_norm",
     "compile_model",
     "grad",
-    "gradient_penalty",
     "load_model",
-    "mae_loss",
     "mse_loss",
     "no_grad",
     "partition_shards",

@@ -22,7 +22,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "as_tensor",
-    "default_dtype",
     "grad",
     "no_grad",
     "concatenate",
@@ -31,7 +30,6 @@ __all__ = [
 ]
 
 _grad_enabled = True
-_dtype = np.float64
 
 
 class no_grad:
@@ -46,30 +44,6 @@ class no_grad:
     def __exit__(self, *exc):
         global _grad_enabled
         _grad_enabled = self._prev
-
-
-class default_dtype:
-    """Context manager setting the dtype new tensors are created with.
-
-    Training runs in float64 by default (the precision the bit-identity
-    contracts are stated at); entering ``default_dtype(np.float32)``
-    builds models and tapes whose every tensor — parameters, activations,
-    masks, gradients — is float32, so fp32 trajectories are well-defined
-    for both the eager engine and the compiled one.
-    """
-
-    def __init__(self, dtype) -> None:
-        self._dtype = np.dtype(dtype).type
-
-    def __enter__(self):
-        global _dtype
-        self._prev = _dtype
-        _dtype = self._dtype
-        return self
-
-    def __exit__(self, *exc):
-        global _dtype
-        _dtype = self._prev
 
 
 class Tape:
@@ -144,7 +118,7 @@ class Tensor:
         _parents: tuple["Tensor", ...] = (),
         _vjps: tuple[Callable[["Tensor"], "Tensor"], ...] = (),
     ) -> None:
-        self.data = np.asarray(data, dtype=_dtype)
+        self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = requires_grad and _grad_enabled
         self.grad: Tensor | None = None
         self._parents = _parents if self.requires_grad else ()
@@ -173,10 +147,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         """The underlying NumPy array (no copy)."""
         return self.data
-
-    def detach(self) -> "Tensor":
-        """A constant copy cut off from the graph."""
-        return Tensor(self.data)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""

@@ -7,9 +7,7 @@ iterates the decompressed records and feeds the network, glued together
 with thread-safe queues and "careful exception handling to make the setup
 resilient against sporadic IO errors".  This module is that pipeline.
 
-Shards may be either of the two library formats — legacy gzip-pickle or
-streaming gzip NDJSON (see :mod:`repro.util.shardio`); the reader
-dispatches on the filename.
+Shards are gzip NDJSON (see :mod:`repro.util.shardio`).
 """
 
 from __future__ import annotations
@@ -52,12 +50,12 @@ class LoaderStats:
 
 
 class ShardReader:
-    """Iterates records from gzip shards (pickle or NDJSON) with resilience.
+    """Iterates records from gzip NDJSON shards with resilience.
 
-    A shard that fails to read (corrupt gzip, truncated pickle, malformed
-    NDJSON, missing file) increments ``stats.io_errors`` and is skipped —
-    the paper's "resilient against sporadic IO errors" behaviour — unless
-    ``strict=True``.
+    A shard that fails to read (corrupt gzip, truncated stream, malformed
+    NDJSON, a name without an NDJSON suffix, missing file) increments
+    ``stats.io_errors`` and is skipped — the paper's "resilient against
+    sporadic IO errors" behaviour — unless ``strict=True``.
 
     ``staging_dir`` enables the §6.1.1 staging step ("each rank stages
     its assigned shard of the data from GPFS into node-local NVME"):

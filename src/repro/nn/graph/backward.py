@@ -121,10 +121,6 @@ class TrainGraph:
             v = self.values[v.alias_of]
         return v.vid
 
-    def root_kind(self, vid: int) -> str:
-        """Kind of the storage root backing ``vid``."""
-        return self.values[self.storage_root(vid)].kind
-
     # ----------------------------------------------------------- liveness
     def root_intervals(self) -> tuple[dict[int, int], dict[int, int]]:
         """Per arena root: (definition op index, last read op index).

@@ -100,10 +100,6 @@ class Module:
         for p in self.parameters():
             p.grad = None
 
-    def n_parameters(self) -> int:
-        """Total trainable parameter count."""
-        return sum(p.size for p in self.parameters())
-
     # ------------------------------------------------------------- state
     def state_dict(self) -> dict[str, np.ndarray]:
         """Parameter arrays keyed by deterministic position."""

@@ -7,17 +7,13 @@ critic objective with gradient penalty (3D-AAE adversarial term).
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.nn import autograd as ag
 from repro.nn.autograd import Tensor
 
 __all__ = [
     "mse_loss",
-    "mae_loss",
     "bce_loss",
     "chamfer_distance",
-    "gradient_penalty",
     "gradient_penalty_at",
 ]
 
@@ -26,11 +22,6 @@ def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
     """Mean squared error."""
     diff = pred - target
     return ag.tensor_mean(diff * diff)
-
-
-def mae_loss(pred: Tensor, target: Tensor) -> Tensor:
-    """Mean absolute error."""
-    return ag.tensor_mean(ag.absolute(pred - target))
 
 
 def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -62,20 +53,6 @@ def chamfer_distance(a: Tensor, b: Tensor) -> Tensor:
     a_to_b = ag.tensor_mean(d2.min(axis=2))
     b_to_a = ag.tensor_mean(d2.min(axis=1))
     return a_to_b + b_to_a
-
-
-def gradient_penalty(critic, real: Tensor, fake: Tensor, rng: np.random.Generator) -> Tensor:
-    """WGAN-GP penalty: ``E[(‖∇_x̂ D(x̂)‖₂ − 1)²]`` at interpolates x̂.
-
-    Draws the interpolation coefficients from ``rng`` and delegates to
-    :func:`gradient_penalty_at`.
-    """
-    shape = (real.shape[0],) + (1,) * (real.ndim - 1)
-    alpha = Tensor(rng.random(shape))
-    interp = Tensor(
-        alpha.data * real.data + (1 - alpha.data) * fake.data, requires_grad=True
-    )
-    return gradient_penalty_at(critic, interp)
 
 
 def gradient_penalty_at(critic, interp: Tensor) -> Tensor:

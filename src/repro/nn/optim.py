@@ -1,4 +1,4 @@
-"""Optimizers: SGD (momentum), Adam, RMSprop.
+"""Optimizers: Adam, RMSprop.
 
 RMSprop is what the paper trains the 3D-AAE with (§7.1.3); Adam is used
 for the ML1 surrogate.  Optimizers mutate ``Parameter.data`` in place and
@@ -29,7 +29,7 @@ import numpy as np
 from repro.nn.graph.planner import plan_state_arena
 from repro.nn.layers import Parameter
 
-__all__ = ["SGD", "Adam", "RMSprop", "clip_grad_norm", "grad_norm"]
+__all__ = ["Adam", "RMSprop", "grad_norm"]
 
 
 class _Optimizer:
@@ -46,11 +46,6 @@ class _Optimizer:
         """Clear accumulated gradients."""
         for p in self.params:
             p.grad = None
-
-    def _grads(self):
-        for p in self.params:
-            if p.grad is not None:
-                yield p, p.grad.data
 
     def _state_views(self, n_kinds: int) -> list[list[np.ndarray]]:
         """``n_kinds`` arenas of per-parameter zeroed moment views."""
@@ -111,27 +106,6 @@ class _Optimizer:
                 self._update(pos, p, g, *extra)
 
         return run
-
-
-class SGD(_Optimizer):
-    """Stochastic gradient descent with classical momentum."""
-
-    def __init__(self, params: list[Parameter], lr: float = 0.01, momentum: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        (self._velocity,) = self._state_views(1)
-
-    def _update(self, idx: int, p: Parameter, g: np.ndarray) -> None:
-        (s1,) = self._scratch(1, g.shape, g.dtype)
-        if self.momentum:
-            vel = self._velocity[idx]
-            np.multiply(vel, self.momentum, out=vel)  # vel *= momentum
-            np.multiply(g, self.lr, out=s1)
-            np.subtract(vel, s1, out=vel)  # vel -= lr·g
-            np.add(p.data, vel, out=p.data)  # p += vel
-        else:
-            np.multiply(g, self.lr, out=s1)
-            np.subtract(p.data, s1, out=p.data)  # p -= lr·g
 
 
 class Adam(_Optimizer):
@@ -216,14 +190,3 @@ def grad_norm(params: list[Parameter]) -> float:
         if p.grad is not None:
             total += float((p.grad.data**2).sum())
     return float(np.sqrt(total))
-
-
-def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
-    """Scale gradients so their global L2 norm is at most ``max_norm``."""
-    norm = grad_norm(params)
-    if norm > max_norm and norm > 0:
-        scale = max_norm / norm
-        for p in params:
-            if p.grad is not None:
-                p.grad.data *= scale
-    return norm

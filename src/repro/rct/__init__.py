@@ -13,7 +13,7 @@ from repro.rct.backends import (
     ThreadExecutor,
     create_executor,
 )
-from repro.rct.cluster import SUMMIT_NODE, Allocation, BatchSystem, Cluster, NodeSpec
+from repro.rct.cluster import SUMMIT_NODE, Allocation, Cluster, NodeSpec
 from repro.rct.entk import AppManager, Pipeline, Stage
 from repro.rct.fault import (
     FailureSummary,
@@ -23,8 +23,6 @@ from repro.rct.fault import (
     TaskFailedError,
 )
 from repro.rct.flops import (
-    aae_training_step_flops,
-    chamfer_flops,
     docking_eval_flops,
     md_step_flops,
     model_forward_flops,
@@ -38,7 +36,6 @@ from repro.rct.utilization import UtilizationSeries, UtilizationTracker
 __all__ = [
     "Allocation",
     "AppManager",
-    "BatchSystem",
     "Cluster",
     "ExecutorBackend",
     "FailureSummary",
@@ -64,8 +61,6 @@ __all__ = [
     "UtilizationSeries",
     "UtilizationTracker",
     "create_executor",
-    "aae_training_step_flops",
-    "chamfer_flops",
     "docking_eval_flops",
     "md_step_flops",
     "model_forward_flops",

@@ -1,10 +1,8 @@
-"""Simulated cluster: nodes, slots and a batch queue.
+"""Simulated cluster: nodes and slots.
 
 The substitution for Summit (4608 nodes × 6 V100 × 42 usable cores):
 resource *shapes* and allocation semantics are modelled exactly; time is
-virtual and driven by the executor's event loop.  A :class:`BatchSystem`
-fronting the cluster charges a queue wait before a pilot's resources
-become available, like a leadership-facility scheduler.
+virtual and driven by the executor's event loop.
 """
 
 from __future__ import annotations
@@ -14,7 +12,7 @@ from dataclasses import dataclass
 
 from repro.util.config import FrozenConfig, validate_positive
 
-__all__ = ["NodeSpec", "SUMMIT_NODE", "Allocation", "Cluster", "BatchSystem"]
+__all__ = ["NodeSpec", "SUMMIT_NODE", "Allocation", "Cluster"]
 
 
 @dataclass(frozen=True)
@@ -71,11 +69,6 @@ class Cluster:
         self._free_heap = list(range(n_nodes))  # already heap-ordered
         self._is_free = bytearray(b"\x01" * n_nodes)
 
-    @property
-    def free_nodes(self) -> int:
-        """Number of currently unallocated nodes."""
-        return len(self._free_heap)
-
     def allocate(self, n_nodes: int, now: float) -> Allocation:
         """Grab the ``n_nodes`` lowest free nodes; raises if unavailable."""
         if n_nodes < 1:
@@ -96,26 +89,3 @@ class Cluster:
             if not self._is_free[node]:
                 heapq.heappush(self._free_heap, node)
                 self._is_free[node] = 1
-
-
-@dataclass
-class BatchSystem:
-    """Minimal batch-queue model: FIFO grant with a queue-wait charge.
-
-    ``queue_wait_base + queue_wait_per_node * n`` seconds elapse between
-    submission and grant — enough to study how batch latency amortizes
-    over pilot lifetime, which is the pilot paradigm's selling point
-    (§5.2.2: RP schedules "without having to use the infrastructure's
-    batch system" for each task).
-    """
-
-    cluster: Cluster
-    queue_wait_base: float = 60.0
-    queue_wait_per_node: float = 0.05
-
-    def submit(self, n_nodes: int, now: float) -> tuple[Allocation, float]:
-        """Submit a pilot job; returns (allocation, grant_time)."""
-        wait = self.queue_wait_base + self.queue_wait_per_node * n_nodes
-        grant_time = now + wait
-        allocation = self.cluster.allocate(n_nodes, grant_time)
-        return allocation, grant_time

@@ -289,19 +289,6 @@ class FailureSummary:
         """Every failure accounted for: retried or dropped."""
         return self.n_failures == self.n_retries + self.n_dropped
 
-    def merge(self, other: "FailureSummary") -> None:
-        """Fold another ledger into this one (campaign aggregation)."""
-        self.n_failures += other.n_failures
-        self.n_retries += other.n_retries
-        self.n_dropped += other.n_dropped
-        self.n_timeouts += other.n_timeouts
-        self.time_lost_failures += other.time_lost_failures
-        self.time_lost_backoff += other.time_lost_backoff
-        for k, v in other.retry_histogram.items():
-            self.retry_histogram[k] = self.retry_histogram.get(k, 0) + v
-        for k, v in other.dropped_by_stage.items():
-            self.dropped_by_stage[k] = self.dropped_by_stage.get(k, 0) + v
-
     def summary(self) -> str:
         """One-line human rendering."""
         hist = ", ".join(

@@ -31,8 +31,6 @@ __all__ = [
     "md_step_flops",
     "docking_eval_flops",
     "model_forward_flops",
-    "chamfer_flops",
-    "aae_training_step_flops",
 ]
 
 
@@ -115,25 +113,3 @@ def _walk(module: Module, shape: tuple[int, ...]) -> tuple[float, tuple[int, ...
         return 2.0 * float(np.prod(shape)), shape
     # activations and shape-only layers: ~1 flop per element
     return float(np.prod(shape)), shape
-
-
-def chamfer_flops(n_points: int) -> float:
-    """FLOPs of one Chamfer-distance evaluation between two clouds:
-    the (n, n) pairwise-distance matrix dominates at ≈ 8 flops/pair."""
-    return 8.0 * n_points * n_points
-
-
-def aae_training_step_flops(aae, n_points: int) -> float:
-    """FLOPs of one AAE example step: forward+backward (≈3× forward) of
-    encoder/decoder, the Chamfer loss, and one critic round.
-
-    ``aae`` is a :class:`repro.ddmd.aae.AAE` (duck-typed to avoid a
-    package cycle): the encoder splits into a per-point MLP and a dense
-    head around the max-pool, which is how the shapes are propagated.
-    """
-    cfg = aae.config
-    enc = model_forward_flops(aae.encoder.point_mlp, (n_points, 3))
-    enc += model_forward_flops(aae.encoder.head, (2 * cfg.hidden,))
-    dec = model_forward_flops(aae.decoder.net, (cfg.latent_dim,))
-    crit = model_forward_flops(aae.critic.net, (cfg.latent_dim,))
-    return 3.0 * (enc + dec + 2.0 * crit) + chamfer_flops(n_points)

@@ -56,7 +56,7 @@ class UtilizationSeries:
 
 @dataclass
 class UtilizationTracker:
-    """Accumulates start/end events during a pilot run."""
+    """Start/end events of a pilot run, rebuilt from its trace."""
 
     total_gpus: int
     total_cpus: int
@@ -113,23 +113,6 @@ class UtilizationTracker:
         tracker._backoffs = [(t, sec, s) for _, t, sec, s in backoffs]
         return tracker
 
-    def record_start(self, time: float, gpus: int, cpus: int, stage: str) -> None:
-        """Log a task start (slots become busy)."""
-        self._events.append((time, gpus, cpus, stage))
-
-    def record_end(self, time: float, gpus: int, cpus: int, stage: str) -> None:
-        """Log a task end (slots free up)."""
-        self._events.append((time, -gpus, -cpus, stage))
-
-    def record_backoff(self, time: float, seconds: float, stage: str) -> None:
-        """Log retry backoff (slots idle while a failed task waits)."""
-        self._backoffs.append((time, seconds, stage))
-
-    @property
-    def backoff_seconds(self) -> float:
-        """Total clock seconds charged to retry backoff."""
-        return sum(b[1] for b in self._backoffs)
-
     def backoff_by_stage(self) -> dict[str, float]:
         """Backoff seconds aggregated per stage label."""
         out: dict[str, float] = {}
@@ -137,11 +120,6 @@ class UtilizationTracker:
             key = stage or "(unlabelled)"
             out[key] = out.get(key, 0.0) + seconds
         return out
-
-    @property
-    def n_events(self) -> int:
-        """Number of recorded start/end events."""
-        return len(self._events)
 
     def series(self) -> UtilizationSeries:
         """Materialize the utilization time series."""

@@ -346,9 +346,6 @@ class CampaignManager(TaskSource):
         )
         return duration * fraction
 
-    def _tenant_inflight(self, tenant_name: str) -> int:
-        return self._tenant_busy.get(tenant_name, 0)
-
     def _has_headroom(self, sub: Submission) -> bool:
         quota = sub.tenant.quota.max_concurrent_tasks
         return quota is None or self._tenant_busy[sub.tenant.name] < quota

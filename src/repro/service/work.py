@@ -209,10 +209,11 @@ class CampaignWork:
     """An IMPECCABLE campaign as a service workload.
 
     Wraps :meth:`~repro.core.campaign.ImpeccableCampaign.iter_units` and
-    prices each stage unit with the Summit cost model: docking stages
-    become single-GPU bundles, ESMACS stages one (multi-node) ensemble
-    task per compound, S2 one DeepDriveMD task per structure group, ML1
-    a node-scale inference sweep, retraining a single-GPU job.
+    prices each stage unit with the Summit cost model's task builders:
+    docking stages become single-GPU bundles, ESMACS stages one
+    (multi-node) ensemble task per compound, S2 one DeepDriveMD task per
+    structure group, ML1 a node-scale inference sweep, retraining a
+    single-GPU job.
 
     With a ``workdir``, completed units are durably recorded in a
     :class:`~repro.util.checkpoint.CheckpointManifest`; a re-submitted
@@ -265,91 +266,54 @@ class CampaignWork:
 
     # ------------------------------------------------------------- pricing
     def _tasks_for(self, stage: str, n_items: int, ctx: WorkContext) -> list[TaskSpec]:
-        """Simulated TaskSpecs for one stage unit.
+        """Simulated TaskSpecs for one stage unit, shaped by the cost model.
 
         Uids come from the submission's namespace (never the process
         counter), so interleaving with other tenants can't perturb the
         fault draws keyed on them.
         """
         cost = self.cost
-        shapes: list[dict] = []
+
+        def ident(suffix: str) -> dict:
+            return {
+                "name": f"{ctx.submission}-{suffix}",
+                "tenant": ctx.tenant,
+                "uid": ctx.next_uid(),
+            }
+
         if stage in ("seed", "S1"):
-            remaining = n_items
-            while remaining > 0:
-                n = min(self.DOCK_BUNDLE, remaining)
-                shapes.append(
-                    dict(
-                        name=f"{ctx.submission}-{stage.lower()}-dock{len(shapes)}",
-                        cpus=1,
-                        gpus=1,
-                        duration=cost.docking_wall_seconds(n),
-                        stage="S1",
-                    )
+            bundles = range(0, n_items, self.DOCK_BUNDLE)
+            return [
+                cost.docking_task(
+                    min(self.DOCK_BUNDLE, n_items - start),
+                    **ident(f"{stage.lower()}-dock{j}"),
                 )
-                remaining -= n
-        elif stage == "ML1":
-            if n_items > 0:
-                shapes.append(
-                    dict(
-                        name=f"{ctx.submission}-ml1",
-                        cpus=cost.node.cpus,
-                        gpus=cost.node.gpus,
-                        duration=cost.ml1_wall_seconds(n_items) / cost.node.gpus,
-                        stage="ML1",
-                    )
-                )
-        elif stage == "S3-CG":
-            for i in range(n_items):
-                shapes.append(
-                    dict(
-                        name=f"{ctx.submission}-cg{i}",
-                        cpus=min(self.config.cg.replicas, cost.node.cpus),
-                        gpus=min(self.config.cg.replicas, cost.node.gpus),
-                        nodes=cost.esmacs_nodes(self.config.cg),
-                        duration=cost.esmacs_wall_seconds(self.config.cg),
-                        stage="S3-CG",
-                    )
-                )
-        elif stage == "S2":
-            for i in range(n_items):
-                shapes.append(
-                    dict(
-                        name=f"{ctx.submission}-s2-{i}",
-                        cpus=cost.node.cpus,
-                        gpus=cost.node.gpus,
-                        nodes=cost.s2_nodes,
-                        duration=cost.s2_hours_per_ligand * 3600.0,
-                        stage="S2",
-                    )
-                )
-        elif stage == "S3-FG":
-            for i in range(n_items):
-                shapes.append(
-                    dict(
-                        name=f"{ctx.submission}-fg{i}",
-                        cpus=min(self.config.fg.replicas, cost.node.cpus),
-                        gpus=min(self.config.fg.replicas, cost.node.gpus),
-                        nodes=cost.esmacs_nodes(self.config.fg),
-                        duration=cost.esmacs_wall_seconds(self.config.fg),
-                        stage="S3-FG",
-                    )
-                )
-        elif stage == "retrain":
-            shapes.append(
-                dict(
-                    name=f"{ctx.submission}-retrain",
+                for j, start in enumerate(bundles)
+            ]
+        if stage == "ML1":
+            if n_items == 0:
+                return []
+            return [cost.ml1_task(n_items, cost.node.gpus, **ident("ml1"))]
+        if stage in ("S3-CG", "S3-FG"):
+            cg = stage == "S3-CG"
+            config, tag = (self.config.cg, "cg") if cg else (self.config.fg, "fg")
+            return [
+                cost.esmacs_task(config, str(i), stage, **ident(f"{tag}{i}"))
+                for i in range(n_items)
+            ]
+        if stage == "S2":
+            return [cost.s2_task(str(i), **ident(f"s2-{i}")) for i in range(n_items)]
+        if stage == "retrain":
+            return [
+                TaskSpec(
                     cpus=1,
                     gpus=1,
                     duration=cost.ml1_wall_seconds(len(self.campaign.library)),
                     stage="retrain",
+                    **ident("retrain"),
                 )
-            )
-        else:  # pragma: no cover - iter_units only emits the stages above
-            raise ValueError(f"unknown stage {stage!r}")
-        return [
-            TaskSpec(tenant=ctx.tenant, uid=ctx.next_uid(), **shape)
-            for shape in shapes
-        ]
+            ]
+        raise ValueError(f"unknown stage {stage!r}")  # pragma: no cover
 
     # -------------------------------------------------------------- units
     def units(self, ctx: WorkContext) -> Iterator[WorkUnit]:

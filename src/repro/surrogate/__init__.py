@@ -8,7 +8,6 @@ from repro.surrogate.featurize import (
     IMAGE_SIZE,
     ScoreNormalizer,
     featurize_batch,
-    featurize_smiles,
 )
 from repro.surrogate.infer import InferenceEngine, ScoredCompound
 from repro.surrogate.model import SmilesNet, build_smilesnet
@@ -26,7 +25,6 @@ __all__ = [
     "TrainedSurrogate",
     "build_smilesnet",
     "featurize_batch",
-    "featurize_smiles",
     "res_surface",
     "top_fraction_recall",
     "train_surrogate",

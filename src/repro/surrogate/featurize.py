@@ -13,18 +13,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.chem.depict import N_CHANNELS, depict, depict_batch
+from repro.chem.depict import N_CHANNELS, depict_batch
 from repro.chem.smiles import parse_smiles
 
-__all__ = ["featurize_smiles", "featurize_batch", "ScoreNormalizer", "IMAGE_SIZE"]
+__all__ = ["featurize_batch", "ScoreNormalizer", "IMAGE_SIZE"]
 
 #: depiction resolution used by the surrogate
 IMAGE_SIZE = 24
-
-
-def featurize_smiles(smiles: str, size: int = IMAGE_SIZE) -> np.ndarray:
-    """2D image features for one compound: (N_CHANNELS, size, size)."""
-    return depict(parse_smiles(smiles), size=size)
 
 
 def featurize_batch(

@@ -1,6 +1,6 @@
 """ML1 inference engine: streaming, compiled, rank-distributed scoring.
 
-§6.1.1's deployment path: the library arrives as gzip-pickle shards,
+§6.1.1's deployment path: the library arrives as gzip NDJSON shards,
 shards are distributed round-robin across ranks (one per GPU), each rank
 streams its shard set through a prefetch thread — which also featurizes,
 a whole batch at a time — into the FP16-compiled network, and rank 0
@@ -270,36 +270,6 @@ class InferenceEngine:
                 for i, s, p in zip(chunk_ids, chunk, preds)
             )
         self.records_scored += len(out)
-        return out
-
-    # ---------------------------------------------------------------- CSV
-    @staticmethod
-    def write_csv(scored: Sequence[ScoredCompound], path: Path | str) -> Path:
-        """Write (id, SMILES, score) rows — §6.1.1's gathered CSV that is
-        "forwarded to step S1"."""
-        import csv
-
-        path = Path(path)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["compound_id", "smiles", "score"])
-            for row in scored:
-                writer.writerow([row.compound_id, row.smiles, f"{row.score:.6f}"])
-        return path
-
-    @staticmethod
-    def read_csv(path: Path | str) -> list[ScoredCompound]:
-        """Read a CSV written by :meth:`write_csv`."""
-        import csv
-
-        out = []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                out.append(
-                    ScoredCompound(
-                        row["compound_id"], row["smiles"], float(row["score"])
-                    )
-                )
         return out
 
     @staticmethod

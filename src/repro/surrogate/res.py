@@ -56,14 +56,6 @@ class RESResult:
     top_fractions: np.ndarray  # y-axis (true top threshold), log spaced
     surface: np.ndarray  # (len(top), len(budget)) recall values
 
-    def recall_at(self, budget_fraction: float, top_fraction: float) -> float:
-        """Surface value at the grid point nearest to the query."""
-        i = int(np.argmin(np.abs(np.log10(self.top_fractions) - np.log10(top_fraction))))
-        j = int(
-            np.argmin(np.abs(np.log10(self.budget_fractions) - np.log10(budget_fraction)))
-        )
-        return float(self.surface[i, j])
-
     def ascii_plot(self, width: int = 60) -> str:
         """Terminal rendering of the surface (columns = budget, rows = top)."""
         lines = ["RES surface (rows: true-top fraction, cols: budget fraction)"]

@@ -337,11 +337,6 @@ class Tracer:
             if category is None or span.category == category:
                 yield span
 
-    def categories(self) -> set[str]:
-        """Distinct categories across finished spans."""
-        with self._lock:
-            return {s.category for s in self.finished}
-
 
 class _NullSpan:
     """Inert span: every method is a no-op; shared singleton."""
@@ -411,9 +406,6 @@ class NullTracer:
 
     def spans(self, category: str | None = None) -> Iterator[Span]:
         return iter(())
-
-    def categories(self) -> set[str]:
-        return set()
 
 
 NULL_TRACER = NullTracer()

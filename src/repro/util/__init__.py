@@ -13,7 +13,6 @@ from repro.util.units import (
     KCAL_PER_MOL,
     NS_PER_PS,
     node_hours,
-    seconds_to_hours,
 )
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "get_logger",
     "node_hours",
     "rng_stream",
-    "seconds_to_hours",
     "validate_positive",
     "validate_range",
 ]

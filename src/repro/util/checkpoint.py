@@ -12,7 +12,7 @@ two pieces:
     completed work, never a partially completed shard.
 
 :func:`save_artifact` / :func:`load_artifact`
-    Per-shard result files (gzip JSONL, atomic write).  Floats are
+    Per-shard result files (gzip JSONL, atomic and fsynced write).  Floats are
     serialized with :func:`json.dumps`' ``repr``-based format, which
     round-trips ``float`` exactly — a resumed run reloads *bit-identical*
     scores and poses, so streaming-with-resume output is byte-for-byte
@@ -32,6 +32,8 @@ import json
 import os
 from pathlib import Path
 from typing import Iterable, Sequence
+
+from repro.util.shardio import write_gzip_lines
 
 __all__ = ["CheckpointManifest", "load_artifact", "save_artifact", "shard_fingerprint"]
 
@@ -127,23 +129,12 @@ class CheckpointManifest:
 
 
 def save_artifact(path: Path | str, rows: list[dict]) -> Path:
-    """Atomically write one shard's result rows as gzip JSONL.
+    """Atomically and durably write one shard's result rows as gzip JSONL.
 
     ``float`` values round-trip exactly through JSON's ``repr``-based
     formatting, so reloaded scores/poses are bit-identical.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with gzip.open(tmp, "wt", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
+    return write_gzip_lines(path, (json.dumps(row, sort_keys=True) + "\n" for row in rows))
 
 
 def load_artifact(path: Path | str) -> list[dict]:

@@ -33,13 +33,9 @@ def validate_range(name: str, value: float, lo: float, hi: float) -> None:
 class FrozenConfig:
     """Base class for immutable configuration objects.
 
-    Provides ``replace`` (functional update) and ``as_dict`` for logging.
+    Provides ``replace`` (functional update).
     """
 
     def replace(self, **changes: Any):
         """Return a copy with ``changes`` applied (validations re-run)."""
         return dataclasses.replace(self, **changes)
-
-    def as_dict(self) -> dict[str, Any]:
-        """Flatten to a plain dict (suitable for JSON / logs)."""
-        return dataclasses.asdict(self)

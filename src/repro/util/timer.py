@@ -57,16 +57,6 @@ class Timer:
         self._start = None
         return delta
 
-    def reset(self) -> None:
-        """Zero the accumulated time."""
-        self.elapsed = 0.0
-        self._start = None
-
-    @property
-    def running(self) -> bool:
-        """Whether the stopwatch is currently started."""
-        return self._start is not None
-
     def __enter__(self) -> "Timer":
         self.start()
         return self

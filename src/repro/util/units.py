@@ -15,9 +15,7 @@ __all__ = [
     "NS_PER_PS",
     "PS_PER_FS",
     "BOLTZMANN_KCAL",
-    "seconds_to_hours",
     "node_hours",
-    "ns_to_steps",
 ]
 
 #: symbolic tag — energies in this library are already kcal/mol
@@ -33,28 +31,8 @@ PS_PER_FS = 1e-3
 BOLTZMANN_KCAL = 0.0019872041
 
 
-def seconds_to_hours(seconds: float) -> float:
-    """Convert seconds to hours."""
-    return seconds / 3600.0
-
-
 def node_hours(nodes: float, seconds: float) -> float:
     """Node-hours consumed by ``nodes`` nodes busy for ``seconds`` seconds."""
     if nodes < 0 or seconds < 0:
         raise ValueError("nodes and seconds must be non-negative")
     return nodes * seconds / 3600.0
-
-
-def ns_to_steps(duration_ns: float, timestep_ps: float) -> int:
-    """Number of MD steps covering ``duration_ns`` at ``timestep_ps``.
-
-    Rounds to the nearest whole step; always at least 1 for a positive
-    duration so scaled-down protocols never degenerate to zero work.
-    """
-    if timestep_ps <= 0:
-        raise ValueError("timestep must be positive")
-    if duration_ns < 0:
-        raise ValueError("duration must be non-negative")
-    if duration_ns == 0:
-        return 0
-    return max(1, round(duration_ns / NS_PER_PS / timestep_ps))

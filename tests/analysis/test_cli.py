@@ -5,7 +5,7 @@ import shutil
 from pathlib import Path
 
 from repro.analysis.cli import main
-from repro.analysis.checkers import rule_names
+from repro.analysis.checkers import CHECKER_CLASSES
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_PYPROJECT = Path(__file__).resolve().parents[2] / "pyproject.toml"
@@ -60,7 +60,7 @@ def test_json_format_parses(capsys):
 def test_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split()[0] for line in lines] == rule_names()
+    assert [line.split()[0] for line in lines] == [c.rule for c in CHECKER_CLASSES]
     # the severity column lines up under the longest rule name
     assert len({line.index("[") for line in lines}) == 1
 

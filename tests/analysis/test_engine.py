@@ -15,7 +15,7 @@ from repro.analysis.project import (
 )
 from repro.analysis.findings import Finding
 from repro.analysis.reporters import render_json, render_sarif, render_text
-from repro.analysis.checkers import checkers_for, rule_names
+from repro.analysis.checkers import CHECKER_CLASSES, checkers_for
 
 CLOCK = "import time\n\nt = time.time()\n"
 
@@ -218,7 +218,7 @@ def test_render_sarif_dedupes_rules_and_clamps_line():
 
 
 def test_rule_names_cover_all_domain_rules():
-    assert rule_names() == [
+    assert [c.rule for c in CHECKER_CLASSES] == [
         "clock-purity",
         "vectorization",
         "lockset",

@@ -202,6 +202,5 @@ def install(monkeypatch) -> None:
     monkeypatch.setattr(Molecule, "is_connected", is_connected)
     monkeypatch.setattr(embed3d, "_target_distances", _target_distances)
 
-    monkeypatch.setattr(featurize, "depict", depict)  # featurize_smiles
     for module in (featurize, infer, train):
         monkeypatch.setattr(module, "featurize_batch", featurize_batch)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.chem.embed3d import BOND_LENGTH, conformer_stress, embed_conformer
+from repro.chem.embed3d import BOND_LENGTH, embed_conformer
 from repro.chem.smiles import parse_smiles
 from repro.util.rng import rng_stream
 
@@ -49,16 +49,3 @@ def test_same_stream_reproducible():
 def test_single_atom():
     pos = embed_conformer(parse_smiles("C"), rng_stream(5, "t/embed"))
     assert pos.shape == (1, 3)
-
-
-def test_stress_is_low_after_refinement():
-    mol = parse_smiles("c1ccccc1CC(=O)O")
-    pos = embed_conformer(mol, rng_stream(6, "t/embed"))
-    assert conformer_stress(mol, pos) < 0.35
-
-
-def test_stress_high_for_random_coords():
-    mol = parse_smiles("c1ccccc1CC(=O)O")
-    bad = rng_stream(7, "t/embed").normal(size=(mol.n_atoms, 3)) * 10
-    good = embed_conformer(mol, rng_stream(8, "t/embed"))
-    assert conformer_stress(mol, bad) > conformer_stress(mol, good)

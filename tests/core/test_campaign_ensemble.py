@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.campaign import CampaignConfig, ImpeccableCampaign
+from repro.docking.lga import LGAConfig
 from repro.esmacs.protocol import EsmacsConfig
 
 MULTI = CampaignConfig(
@@ -66,3 +67,14 @@ def test_fg_ran_per_group(result):
     it = result.iterations[0]
     expected = sum(len(s2.selections) for s2 in it.s2_by_structure.values())
     assert len(it.fg_results) == expected
+
+
+def test_structures_disagree_sometimes():
+    """Different crystal structures rank compounds differently — the
+    reason the paper docks against several."""
+    campaign = ImpeccableCampaign(
+        MULTI.replace(docking=LGAConfig(population=8, generations=3))
+    )
+    pairs = [(e.smiles, e.compound_id) for e in campaign.library.entries[:6]]
+    a, b = (campaign.engines[pdb].dock_entries(pairs) for pdb in ("6W9C", "6WX4"))
+    assert max(abs(x.score - y.score) for x, y in zip(a, b)) > 0.5

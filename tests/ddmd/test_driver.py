@@ -41,7 +41,7 @@ def test_result_structure(adaptive_result):
     assert len(r.trajectories) == TINY.rounds * TINY.simulations_per_round
     assert len(r.coverage_per_round) == TINY.rounds
     frames_per_sim = 30 // 5
-    assert r.total_frames == len(r.trajectories) * frames_per_sim
+    assert len(r.frames) == len(r.trajectories) * frames_per_sim
     assert r.frames.shape[1] == 50  # protein beads only
     assert r.max_rmsd > 0
     assert r.model is not None  # AAE trained between rounds

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ddmd.lof import lof_scores, top_outliers
+from repro.ddmd.lof import lof_scores
 from repro.util.rng import rng_stream
 
 
@@ -48,21 +48,3 @@ def test_validates_input():
         lof_scores(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         lof_scores(np.zeros(10))
-
-
-def test_top_outliers_ordering():
-    rng = rng_stream(4, "t/lof5")
-    pts = rng.normal(size=(60, 3))
-    pts[5] += 20.0
-    pts[40] += 10.0
-    top = top_outliers(pts, 2, k=8)
-    assert set(top) == {5, 40}
-    assert top[0] == 5  # stronger outlier first
-
-
-def test_top_outliers_count_clamped():
-    rng = rng_stream(5, "t/lof6")
-    pts = rng.normal(size=(10, 2))
-    assert len(top_outliers(pts, 50)) == 10
-    with pytest.raises(ValueError):
-        top_outliers(pts, 0)

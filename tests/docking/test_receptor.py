@@ -30,9 +30,8 @@ def test_grid_shapes_consistent():
     rec = make_receptor("3CLPro", box_size=12.0, spacing=1.0)
     assert rec.phi.shape == rec.hydro.shape == rec.steric.shape
     assert rec.n_grid == 13
-    axis = rec.grid_coords()
-    assert axis[0] == pytest.approx(-6.0)
-    assert axis[-1] == pytest.approx(6.0)
+    assert rec.origin == pytest.approx(-6.0)
+    assert rec.origin + rec.spacing * (rec.n_grid - 1) == pytest.approx(6.0)
 
 
 def test_construction_deterministic():

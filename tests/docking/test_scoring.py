@@ -34,7 +34,7 @@ def _pose(rng_key="t/pose"):
 
 
 def test_interpolation_exact_at_grid_points(receptor):
-    axis = receptor.grid_coords()
+    axis = receptor.origin + receptor.spacing * np.arange(receptor.n_grid)
     pts = np.array([[axis[3], axis[4], axis[5]], [axis[0], axis[0], axis[0]]])
     vals, _ = interpolate(receptor.phi, receptor, pts)
     assert vals[0] == pytest.approx(receptor.phi[3, 4, 5])
@@ -177,7 +177,7 @@ def test_charged_ligand_prefers_complementary_region(receptor):
     cation = prepare_ligand(parse_smiles("C[N+](C)(C)C"), rng_stream(6, "t/cat"))
     idx_min = np.unravel_index(np.argmin(receptor.phi), receptor.phi.shape)
     idx_max = np.unravel_index(np.argmax(receptor.phi), receptor.phi.shape)
-    axis = receptor.grid_coords()
+    axis = receptor.origin + receptor.spacing * np.arange(receptor.n_grid)
     at_min = Pose(0, np.array([axis[i] for i in idx_min]), np.array([0.0, 0, 0, 1.0]))
     at_max = Pose(0, np.array([axis[i] for i in idx_max]), np.array([0.0, 0, 0, 1.0]))
     e_min = score_pose(receptor, cation, at_min).electrostatic

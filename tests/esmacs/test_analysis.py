@@ -9,39 +9,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from repro.esmacs.analysis import (
-    bootstrap_sem,
-    confidence_interval,
     ranking_correlation,
     repeat_reliability,
 )
 from repro.util.rng import rng_stream
-
-
-def test_bootstrap_sem_matches_analytic():
-    rng = rng_stream(0, "t/boot")
-    x = rng.normal(scale=2.0, size=400)
-    sem = bootstrap_sem(x, rng_stream(1, "t/boot2"), n_boot=800)
-    assert sem == pytest.approx(2.0 / 20.0, rel=0.25)
-
-
-def test_bootstrap_sem_validates():
-    with pytest.raises(ValueError):
-        bootstrap_sem(np.array([1.0]), rng_stream(0, "x"))
-
-
-def test_confidence_interval_contains_mean():
-    rng = rng_stream(2, "t/ci")
-    x = rng.normal(loc=5.0, size=100)
-    lo, hi = confidence_interval(x, rng_stream(3, "t/ci2"))
-    assert lo < 5.0 < hi
-    assert lo < x.mean() < hi
-
-
-def test_confidence_interval_validates():
-    with pytest.raises(ValueError):
-        confidence_interval(np.ones(10), rng_stream(0, "x"), level=1.5)
-    with pytest.raises(ValueError):
-        confidence_interval(np.array([1.0]), rng_stream(0, "x"))
 
 
 def test_ranking_correlation_perfect_and_inverted():

@@ -57,7 +57,7 @@ def test_steps_mapping():
 
 def test_result_structure(result):
     assert result.compound_id == "CPD1"
-    assert result.n_replicas == 3
+    assert len(result.replica_dgs) == 3
     assert len(result.trajectories) == 3
     assert result.protein_atoms is not None
     assert result.md_steps == 3 * (TINY.equilibration_steps + TINY.production_steps)

@@ -109,7 +109,7 @@ def test_lpc_is_simulable(receptor, mol):
     from repro.md.forcefield import ForceField
     from repro.md.integrator import Langevin
     from repro.md.minimize import minimize
-    from repro.md.observables import trajectory_rmsd
+    from repro.md.observables import kabsch_rmsd
     from repro.md.trajectory import simulate
 
     coords = rng_stream(6, "t/lig4").normal(scale=2.0, size=(mol.n_atoms, 3))
@@ -119,7 +119,7 @@ def test_lpc_is_simulable(receptor, mol):
     system.initialize_velocities(300.0, rng_stream(7, "t/vel"))
     traj = simulate(system, ff, Langevin(), 60, rng_stream(8, "t/run"), record_every=20)
     prot = system.topology.protein_atoms
-    rmsd = trajectory_rmsd(traj.protein_frames(prot), system.reference_positions[prot])
+    ref = system.reference_positions[prot]
     # Gō restraints keep the fold near native
-    assert rmsd.max() < 5.0
+    assert max(kabsch_rmsd(f, ref) for f in traj.protein_frames(prot)) < 5.0
     assert np.isfinite(traj.potential_energies).all()

@@ -1,10 +1,10 @@
-"""Tests for integrators: energy conservation and thermostatting."""
+"""Tests for the Langevin integrator: thermostatting and determinism."""
 
 import numpy as np
 import pytest
 
 from repro.md.forcefield import ForceField
-from repro.md.integrator import Langevin, VelocityVerlet
+from repro.md.integrator import Langevin
 from repro.md.system import MDSystem, Topology
 from repro.util.rng import rng_stream
 
@@ -29,29 +29,6 @@ def _chain_system(n=20, seed=0):
     pos += rng.normal(scale=0.05, size=pos.shape)
     pos -= pos.mean(axis=0)
     return MDSystem(topology=topo, positions=pos)
-
-
-def test_velocity_verlet_conserves_energy():
-    system = _chain_system()
-    ff = ForceField(confine_radius=1e5)
-    system.initialize_velocities(100.0, rng_stream(1, "t/nve"))
-    e0 = ff.potential_energy(system).total + system.kinetic_energy()
-    VelocityVerlet(timestep=0.002).run(system, ff, 500)
-    e1 = ff.potential_energy(system).total + system.kinetic_energy()
-    assert abs(e1 - e0) < 0.05 * max(1.0, abs(e0))
-
-
-def test_velocity_verlet_reversible_shape():
-    """Reversing velocities must retrace the trajectory (symplecticity)."""
-    system = _chain_system(seed=2)
-    ff = ForceField(confine_radius=1e5)
-    system.initialize_velocities(50.0, rng_stream(3, "t/rev"))
-    start = system.positions.copy()
-    vv = VelocityVerlet(timestep=0.002)
-    vv.run(system, ff, 100)
-    system.velocities *= -1
-    vv.run(system, ff, 100)
-    np.testing.assert_allclose(system.positions, start, atol=1e-6)
 
 
 def test_langevin_reaches_target_temperature():
@@ -88,8 +65,6 @@ def test_langevin_different_streams_diverge():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        VelocityVerlet(timestep=0)
     with pytest.raises(ValueError):
         Langevin(temperature=-1)
     with pytest.raises(ValueError):

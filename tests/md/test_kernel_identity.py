@@ -21,7 +21,6 @@ from repro.md import (
     Langevin,
     MDSystem,
     Topology,
-    VelocityVerlet,
     build_lpc,
     minimize,
 )
@@ -177,16 +176,6 @@ def test_langevin_clamp_engages_identically(monkeypatch, lpc):
         system = _fresh(lpc, 4)
         system.velocities *= 60.0
         Langevin().run(system, ODD_FF, 10, rng_stream(4, "t/kernel/hot"))
-        return system.positions, system.velocities
-
-    (x, v), (want_x, want_v) = _both(monkeypatch, run)
-    assert np.array_equal(x, want_x) and np.array_equal(v, want_v)
-
-
-def test_velocity_verlet_trajectory_is_bit_identical(monkeypatch, lpc):
-    def run():
-        system = _fresh(lpc, 5)
-        VelocityVerlet(timestep=0.005).run(system, ForceField(), 50)
         return system.positions, system.velocities
 
     (x, v), (want_x, want_v) = _both(monkeypatch, run)

@@ -10,7 +10,6 @@ from repro.md.observables import (
     contact_count,
     kabsch_rmsd,
     radius_of_gyration,
-    trajectory_rmsd,
 )
 from repro.md.system import MDSystem, Topology
 from repro.md.trajectory import Trajectory, simulate
@@ -137,15 +136,6 @@ def test_kabsch_rmsd_detects_deformation():
 def test_kabsch_validates_shapes():
     with pytest.raises(ValueError):
         kabsch_rmsd(np.zeros((3, 3)), np.zeros((4, 3)))
-
-
-def test_trajectory_rmsd_shape():
-    rng = rng_stream(10, "t/trmsd")
-    ref = rng.normal(size=(10, 3))
-    frames = np.stack([ref + rng.normal(scale=s, size=ref.shape) for s in (0.1, 0.5)])
-    r = trajectory_rmsd(frames, ref)
-    assert r.shape == (2,)
-    assert r[0] < r[1]
 
 
 def test_radius_of_gyration():

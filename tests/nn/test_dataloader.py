@@ -1,7 +1,5 @@
 """Tests for the sharded, threaded data pipeline."""
 
-import gzip
-import pickle
 import threading
 import time
 from pathlib import Path
@@ -16,10 +14,7 @@ def _write_shards(tmp_path, n_shards=4, per_shard=10):
     paths = []
     for s in range(n_shards):
         records = [(f"ID{s}-{i}", f"C" * (i + 1)) for i in range(per_shard)]
-        p = tmp_path / f"shard-{s}.pkl.gz"
-        with gzip.open(p, "wb") as fh:
-            pickle.dump(records, fh)
-        paths.append(p)
+        paths.append(write_shard(shard_path(tmp_path, "lib", s), records))
     return paths
 
 
@@ -62,7 +57,7 @@ def test_reader_skips_corrupt_shard(tmp_path):
 
 def test_reader_skips_missing_shard(tmp_path):
     paths = _write_shards(tmp_path, n_shards=2)
-    paths.append(tmp_path / "missing.pkl.gz")
+    paths.append(tmp_path / "missing.ndjson.gz")
     reader = ShardReader(paths)
     assert len(list(reader)) == 20
     assert reader.stats.io_errors == 1
@@ -177,16 +172,6 @@ def test_staging_copies_shards_locally(tmp_path):
     assert reader.stats.shards_staged == 3
 
 
-def test_reader_mixes_ndjson_and_pickle_shards(tmp_path):
-    nd = shard_path(tmp_path, "m", 0, format="ndjson")
-    pk = shard_path(tmp_path, "m", 1, format="pickle")
-    write_shard(nd, [("N1", "CCO"), ("N2", "CCN")])
-    write_shard(pk, [("P1", "CCC")])
-    reader = ShardReader([nd, pk])
-    assert list(reader) == [("N1", "CCO"), ("N2", "CCN"), ("P1", "CCC")]
-    assert reader.stats.shards_read == 2
-
-
 def _no_prefetch_threads(timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -278,7 +263,7 @@ def test_staging_tolerates_missing_source(tmp_path):
     src = tmp_path / "gpfs"
     src.mkdir()
     paths = _write_shards(src, n_shards=2, per_shard=4)
-    paths.append(src / "gone.pkl.gz")
+    paths.append(src / "gone.ndjson.gz")
     reader = ShardReader(paths, staging_dir=tmp_path / "nvme")
     assert len(list(reader)) == 8
     assert reader.stats.io_errors == 1

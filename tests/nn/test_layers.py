@@ -203,8 +203,3 @@ def test_load_state_dict_shape_mismatch():
     b = Sequential(Dense(3, 5, rng))
     with pytest.raises(ValueError):
         b.load_state_dict(a.state_dict())
-
-
-def test_n_parameters():
-    net = Sequential(Dense(3, 4, _rng()))
-    assert net.n_parameters() == 3 * 4 + 4

@@ -32,7 +32,7 @@ from repro.nn.layers import (
     Tanh,
 )
 from repro.nn.losses import mse_loss
-from repro.nn.optim import SGD, Adam, RMSprop
+from repro.nn.optim import Adam, RMSprop
 from tests.nn.oracle import EagerStep
 
 
@@ -83,8 +83,6 @@ ZOO = {
 }
 
 OPTIMIZERS = {
-    "sgd": lambda ps: SGD(ps, lr=0.05),
-    "sgd_momentum": lambda ps: SGD(ps, lr=0.05, momentum=0.9),
     "adam": lambda ps: Adam(ps, lr=0.01),
     "rmsprop": lambda ps: RMSprop(ps, lr=0.01),
 }
@@ -135,18 +133,6 @@ def test_trajectory_bitwise_identical_fp64(arch, opt_name):
     m_g, o_g, l_g, _ = _run_graph(build, OPTIMIZERS[opt_name], batches)
     assert l_e == l_g
     _assert_same_state(m_e, m_g)
-
-
-@pytest.mark.parametrize("arch", ["mlp", "convnet", "pointnet"])
-def test_trajectory_bitwise_identical_fp32(arch):
-    build, feat = ZOO[arch]
-    with ag.default_dtype(np.float32):
-        batches = _batches(feat, n_steps=4, batch=8, dtype=np.float32)
-        m_e, o_e, l_e = _run_eager(build, OPTIMIZERS["adam"], batches)
-        m_g, o_g, l_g, _ = _run_graph(build, OPTIMIZERS["adam"], batches)
-    assert l_e == l_g
-    _assert_same_state(m_e, m_g)
-    assert all(p.data.dtype == np.float32 for p in m_g.parameters())
 
 
 def test_adam_moments_bitwise_identical():

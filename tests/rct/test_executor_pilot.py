@@ -170,7 +170,8 @@ def test_multiple_concurrent_pilots_share_cluster():
     cluster = Cluster(6, NodeSpec(cpus=4, gpus=2))
     a = Pilot(cluster.allocate(3, 0.0), SimExecutor(0.0))
     b = Pilot(cluster.allocate(3, 0.0), SimExecutor(0.0))
-    assert cluster.free_nodes == 0
+    with pytest.raises(RuntimeError):
+        cluster.allocate(1, 0.0)  # the two pilots hold every node
     assert set(a.allocation.node_ids).isdisjoint(b.allocation.node_ids)
     ra = a.run([TaskSpec(gpus=1, duration=1.0) for _ in range(6)])
     rb = b.run([TaskSpec(gpus=1, duration=2.0) for _ in range(6)])

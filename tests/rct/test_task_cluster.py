@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.rct.cluster import SUMMIT_NODE, BatchSystem, Cluster, NodeSpec
+from repro.rct.cluster import SUMMIT_NODE, Cluster, NodeSpec
 from repro.rct.task import TaskRecord, TaskSpec, TaskState
 
 
@@ -61,9 +61,10 @@ def test_allocate_and_release():
     a = c.allocate(4, now=0.0)
     assert a.n_nodes == 4
     assert a.total_gpus == 24
-    assert c.free_nodes == 6
+    with pytest.raises(RuntimeError):
+        c.allocate(7, now=0.0)  # only 6 nodes are free
     c.release(a)
-    assert c.free_nodes == 10
+    assert c.allocate(10, now=0.0).n_nodes == 10
 
 
 def test_over_allocation_rejected():
@@ -80,12 +81,3 @@ def test_allocation_validation():
         Cluster(3).allocate(0, now=0.0)
     with pytest.raises(ValueError):
         NodeSpec(cpus=0)
-
-
-def test_batch_system_charges_queue_wait():
-    c = Cluster(100)
-    batch = BatchSystem(c, queue_wait_base=60.0, queue_wait_per_node=0.1)
-    alloc, grant = batch.submit(50, now=100.0)
-    assert grant == pytest.approx(100.0 + 60.0 + 5.0)
-    assert alloc.granted_at == grant
-    assert c.free_nodes == 50

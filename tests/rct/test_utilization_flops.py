@@ -4,24 +4,26 @@ import numpy as np
 import pytest
 
 from repro.rct.flops import (
-    chamfer_flops,
     docking_eval_flops,
     md_step_flops,
     model_forward_flops,
 )
 from repro.rct.utilization import UtilizationTracker
+from repro.telemetry.tracer import TickClock, Tracer
 
 
 # --------------------------------------------------------------- utilization
+def _tracker(total_gpus, *tasks):
+    """Fig 7's view over one ``pilot.task`` span per (start, end, gpus, stage)."""
+    tracer = Tracer(clock=TickClock())
+    for start, end, gpus, stage in tasks:
+        attrs = {"gpus": gpus, "cpus": 0, "stage": stage}
+        tracer.record_span("task", start, end, category="pilot.task", attrs=attrs)
+    return UtilizationTracker.from_trace(tracer, total_gpus=total_gpus, total_cpus=0)
 
 
 def test_series_reconstructs_step_function():
-    t = UtilizationTracker(total_gpus=4, total_cpus=8)
-    t.record_start(0.0, 2, 0, "a")
-    t.record_start(1.0, 2, 0, "b")
-    t.record_end(3.0, 2, 0, "a")
-    t.record_end(5.0, 2, 0, "b")
-    s = t.series()
+    s = _tracker(4, (0.0, 3.0, 2, "a"), (1.0, 5.0, 2, "b")).series()
     np.testing.assert_array_equal(s.times, [0, 1, 3, 5])
     np.testing.assert_array_equal(s.busy_gpus, [2, 4, 2, 0])
     np.testing.assert_array_equal(s.per_stage["a"], [2, 2, 0, 0])
@@ -29,32 +31,25 @@ def test_series_reconstructs_step_function():
 
 
 def test_average_utilization():
-    t = UtilizationTracker(total_gpus=4, total_cpus=0)
-    t.record_start(0.0, 4, 0, "x")
-    t.record_end(2.0, 4, 0, "x")
+    t = _tracker(4, (0.0, 2.0, 4, "x"))
     # fully busy 0→2: but the last event closes the span, so weight is
     # over [0, 2] with busy=4 during [0,2)
     assert t.series().average_utilization() == pytest.approx(1.0)
 
 
 def test_average_utilization_half():
-    t = UtilizationTracker(total_gpus=4, total_cpus=0)
-    t.record_start(0.0, 2, 0, "x")
-    t.record_end(4.0, 2, 0, "x")
+    t = _tracker(4, (0.0, 4.0, 2, "x"))
     assert t.series().average_utilization() == pytest.approx(0.5)
 
 
 def test_empty_series():
-    t = UtilizationTracker(total_gpus=4, total_cpus=0)
-    s = t.series()
+    s = _tracker(4).series()
     assert s.average_utilization() == 0.0
     assert s.ascii_plot() == "(no utilization data)"
 
 
 def test_ascii_plot_renders():
-    t = UtilizationTracker(total_gpus=2, total_cpus=0)
-    t.record_start(0.0, 2, 0, "x")
-    t.record_end(10.0, 2, 0, "x")
+    t = _tracker(2, (0.0, 10.0, 2, "x"))
     plot = t.series().ascii_plot(width=40, height=5)
     assert "#" in plot
     assert len(plot.splitlines()) == 7
@@ -105,16 +100,3 @@ def test_smilesnet_flops_positive_and_stable():
     f = model_forward_flops(net, (7, 24, 24))
     assert f > 1e6
     assert model_forward_flops(net, (7, 24, 24)) == f
-
-
-def test_chamfer_flops():
-    assert chamfer_flops(100) == pytest.approx(80000.0)
-
-
-def test_aae_flops():
-    from repro.ddmd.aae import AAE, AAEConfig
-    from repro.rct.flops import aae_training_step_flops
-
-    model = AAE(AAEConfig(latent_dim=4, hidden=8), n_points=20, seed=0)
-    f = aae_training_step_flops(model, 20)
-    assert f > chamfer_flops(20)

@@ -54,7 +54,7 @@ def _has_headroom(self: CampaignManager, sub: Submission) -> bool:
     quota = sub.tenant.quota.max_concurrent_tasks
     if quota is None:
         return True
-    return self._tenant_inflight(sub.tenant.name) < quota
+    return _tenant_inflight(self, sub.tenant.name) < quota
 
 
 def place(self: CampaignManager, start: StartFn) -> None:
@@ -139,5 +139,5 @@ def _check_budget(self: CampaignManager, tenant_name: str) -> None:
 def install(monkeypatch) -> None:
     """Route every CampaignManager through the re-scan round."""
     monkeypatch.setattr(PendingQueue, "try_start_one", try_start_one)
-    for fn in (_tenant_inflight, _has_headroom, place, completed, _check_budget):
+    for fn in (_has_headroom, place, completed, _check_budget):
         monkeypatch.setattr(CampaignManager, fn.__name__, fn)

@@ -82,7 +82,7 @@ def test_max_concurrent_tasks_quota_is_enforced():
     peak = {"capped": 0, "free": 0}
     while manager._step():
         for name in peak:
-            peak[name] = max(peak[name], manager._tenant_inflight(name))
+            peak[name] = max(peak[name], manager._tenant_busy.get(name, 0))
     assert peak["capped"] <= 2
     assert peak["free"] > 2  # the cluster allowed more; only the quota bound us
 
@@ -254,7 +254,7 @@ def test_fail_fast_attempt_is_attributed_and_frees_its_quota_slot(seed):
         for i, name in enumerate(("one", "two"))
     ]
     manager.run_until_idle()
-    assert manager._tenant_inflight("a") == 0
+    assert manager._tenant_busy.get("a", 0) == 0
     failed = [manager._subs[sid] for sid in sids if manager._subs[sid].state == "failed"]
     assert failed  # 36 tasks at 30 %: some attempt did fail
     for sid in sids:

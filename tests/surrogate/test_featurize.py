@@ -8,19 +8,16 @@ from repro.surrogate.featurize import (
     IMAGE_SIZE,
     ScoreNormalizer,
     featurize_batch,
-    featurize_smiles,
 )
 
 
 def test_featurize_shapes():
-    img = featurize_smiles("c1ccccc1")
-    assert img.shape == (N_CHANNELS, IMAGE_SIZE, IMAGE_SIZE)
     batch = featurize_batch(["CCO", "c1ccccc1", "CC(=O)O"])
     assert batch.shape == (3, N_CHANNELS, IMAGE_SIZE, IMAGE_SIZE)
 
 
 def test_featurize_deterministic():
-    np.testing.assert_array_equal(featurize_smiles("CCO"), featurize_smiles("CCO"))
+    np.testing.assert_array_equal(featurize_batch(["CCO"]), featurize_batch(["CCO"]))
 
 
 def test_normalizer_maps_best_to_one():

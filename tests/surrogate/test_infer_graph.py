@@ -10,7 +10,7 @@ also makes scores independent of how records split into batches.
 import numpy as np
 import pytest
 
-from repro.chem.library import generate_library
+from repro.chem.library import CompoundLibrary, generate_library
 from repro.surrogate.featurize import featurize_batch
 from repro.surrogate.infer import InferenceEngine
 from repro.surrogate.train import TrainConfig, train_surrogate
@@ -70,7 +70,7 @@ def test_final_partial_batch_is_padded_not_truncated(dataset, surrogate):
 
 def test_shard_path_matches_in_memory_with_graph_engine(tmp_path, dataset, surrogate):
     lib, _ = dataset
-    sub = lib.subset(range(20), name="graphshards")
+    sub = CompoundLibrary(name="graphshards", entries=lib.entries[:20])
     paths = sub.to_shards(tmp_path, shard_size=7)
     engine = InferenceEngine(surrogate)
     from_shards = {o.compound_id: o.score for o in engine.score_shards(paths)}

@@ -79,13 +79,6 @@ def test_surface_better_model_dominates():
     assert s_good.mean() > s_bad.mean()
 
 
-def test_recall_at_nearest_grid_point():
-    rng = np.random.default_rng(6)
-    y = rng.normal(size=200)
-    res = res_surface(y, y.copy(), n_budget=4, n_top=3)
-    assert res.recall_at(0.01, 0.01) == 1.0
-
-
 def test_surface_requires_enough_compounds():
     with pytest.raises(ValueError):
         res_surface(np.zeros(5), np.zeros(5))

@@ -7,7 +7,7 @@ run fast; the full docking-trained path is exercised by the Fig 4 bench.
 import numpy as np
 import pytest
 
-from repro.chem.library import generate_library
+from repro.chem.library import CompoundLibrary, generate_library
 from repro.surrogate.infer import InferenceEngine
 from repro.surrogate.train import TrainConfig, train_surrogate
 
@@ -91,7 +91,7 @@ def test_inference_fp16_close_to_fp32(dataset, surrogate):
 
 def test_inference_shards_match_in_memory(tmp_path, dataset, surrogate):
     lib, _ = dataset
-    sub = lib.subset(range(20), name="shardtest")
+    sub = CompoundLibrary(name="shardtest", entries=lib.entries[:20])
     paths = sub.to_shards(tmp_path, shard_size=7)
     engine = InferenceEngine(surrogate, precision="fp32")
     from_shards = engine.score_shards(paths)
@@ -103,7 +103,7 @@ def test_inference_shards_match_in_memory(tmp_path, dataset, surrogate):
 
 def test_inference_world_partitioning_equivalent(tmp_path, dataset, surrogate):
     lib, _ = dataset
-    sub = lib.subset(range(16), name="worldtest")
+    sub = CompoundLibrary(name="worldtest", entries=lib.entries[:16])
     paths = sub.to_shards(tmp_path, shard_size=4)
     engine = InferenceEngine(surrogate, precision="fp32")
     w1 = engine.score_shards(paths, world=1)

@@ -131,18 +131,19 @@ def test_pilot_utilization_from_trace_matches_inline_recording():
 
     rebuilt = pilot.utilization
 
-    # replay every attempt record through the legacy inline API
-    manual = UtilizationTracker(
-        total_gpus=rebuilt.total_gpus, total_cpus=rebuilt.total_cpus
-    )
+    # the same view built straight from every attempt record
+    events = []
     for rec in pilot.records:
         spec = rec.spec
-        manual.record_start(rec.start_time, spec.gpus, spec.cpus, spec.stage)
-        manual.record_end(rec.end_time, spec.gpus, spec.cpus, spec.stage)
+        events.append((rec.start_time, spec.gpus, spec.cpus, spec.stage))
+        events.append((rec.end_time, -spec.gpus, -spec.cpus, spec.stage))
+    manual = UtilizationTracker(
+        total_gpus=rebuilt.total_gpus, total_cpus=rebuilt.total_cpus, _events=events
+    )
 
     series = rebuilt.series()
     manual_series = manual.series()
-    assert rebuilt.n_events == manual.n_events
+    assert len(rebuilt._events) == len(events)
     np.testing.assert_allclose(
         np.sort(series.times), np.sort(manual_series.times)
     )
@@ -154,6 +155,6 @@ def test_pilot_utilization_from_trace_matches_inline_recording():
         manual_series.average_utilization()
     )
     # backoff side of the view reconciles against the failure ledger
-    assert rebuilt.backoff_seconds == pytest.approx(
+    assert sum(rebuilt.backoff_by_stage().values()) == pytest.approx(
         pilot.failures.time_lost_backoff
     )

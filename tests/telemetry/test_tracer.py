@@ -114,7 +114,6 @@ def test_spans_ordered_by_start_then_program_order():
     names = [s.name for s in tracer.spans()]
     assert names == ["a", "tie1", "b"]  # start asc, seq breaks the 1.0 tie
     assert [s.name for s in tracer.spans(category="y")] == ["tie1"]
-    assert tracer.categories() == {"x", "y"}
 
 
 def test_active_spans_lists_open_spans_until_finished():
@@ -154,7 +153,6 @@ def test_null_tracer_is_disabled_and_inert():
     assert NULL_TRACER.finished == []
     assert NULL_TRACER.active_spans() == []
     assert list(NULL_TRACER.spans()) == []
-    assert NULL_TRACER.categories() == set()
     NULL_TRACER.metrics.counter("c").inc()
     assert NULL_TRACER.metrics.snapshot() == {}
 

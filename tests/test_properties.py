@@ -123,22 +123,6 @@ def test_raptor_invariants(durations, workers):
     assert res.n_items == len(durations)
 
 
-# --------------------------------------------------------------------- stats
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(min_value=0, max_value=999))
-def test_bootstrap_sem_shrinks_with_sample_size(seed):
-    from repro.esmacs.analysis import bootstrap_sem
-
-    rng = rng_stream(seed, "prop/boot")
-    small = rng.normal(size=20)
-    large = np.concatenate([small, rng.normal(size=380)])
-    sem_small = bootstrap_sem(small, rng_stream(seed, "prop/b1"), n_boot=300)
-    sem_large = bootstrap_sem(large, rng_stream(seed, "prop/b2"), n_boot=300)
-    assert sem_large < sem_small * 1.5  # usually much smaller; noise-tolerant
-
-
 # ----------------------------------------------------------------------- nn
 
 

@@ -29,10 +29,6 @@ def test_replace_revalidates():
         _Cfg().replace(replicas=0)
 
 
-def test_as_dict():
-    assert _Cfg().as_dict() == {"replicas": 6, "duration_ns": 4.0}
-
-
 def test_validate_positive_strict_and_lax():
     validate_positive("x", 1)
     validate_positive("x", 0, strict=False)

@@ -25,21 +25,3 @@ def test_timer_double_start_raises():
 def test_timer_stop_without_start_raises():
     with pytest.raises(RuntimeError):
         Timer().stop()
-
-
-def test_timer_reset():
-    t = Timer()
-    with t:
-        pass
-    t.reset()
-    assert t.elapsed == 0.0
-    assert not t.running
-
-
-def test_timer_running_flag():
-    t = Timer()
-    assert not t.running
-    t.start()
-    assert t.running
-    t.stop()
-    assert not t.running

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.util.units import node_hours, ns_to_steps, seconds_to_hours
-
-
-def test_seconds_to_hours():
-    assert seconds_to_hours(3600) == 1.0
-    assert seconds_to_hours(0) == 0.0
+from repro.util.units import node_hours
 
 
 def test_node_hours():
@@ -20,21 +15,3 @@ def test_node_hours_rejects_negative():
         node_hours(-1, 10)
     with pytest.raises(ValueError):
         node_hours(1, -10)
-
-
-def test_ns_to_steps_basic():
-    # 1 ns at 2 fs = 500,000 steps; here timestep is in ps
-    assert ns_to_steps(1.0, 0.002) == 500_000
-    assert ns_to_steps(0.0, 0.002) == 0
-
-
-def test_ns_to_steps_floor_of_one():
-    # scaled-down protocols must never lose all their work
-    assert ns_to_steps(1e-9, 1.0) == 1
-
-
-def test_ns_to_steps_validates():
-    with pytest.raises(ValueError):
-        ns_to_steps(1.0, 0.0)
-    with pytest.raises(ValueError):
-        ns_to_steps(-1.0, 0.002)
