@@ -56,7 +56,7 @@ def main() -> None:
     inference = InferenceEngine(surrogate, precision="fp16", batch_size=32)
     with tempfile.TemporaryDirectory() as tmp:
         shards = ord_.to_shards(Path(tmp), shard_size=25)
-        scored = inference.score_shards(shards, world=4)
+        scored = inference.score_shards(shards)
     print(f"  scored {len(scored)} compounds")
 
     # ground truth for ORD: dock it too, then measure enrichment

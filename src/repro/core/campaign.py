@@ -21,8 +21,6 @@ structures (docked poses seed CG; S2-selected frames seed FG).
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -47,10 +45,8 @@ from repro.esmacs.protocol import (
     run_replica,
 )
 from repro.md.builder import build_lpc
-from repro.rct.backends import ProcessExecutor
-from repro.rct.cluster import Allocation, NodeSpec
 from repro.rct.fault import FAILURE_POLICIES, FailureSummary, TaskFailedError
-from repro.rct.pilot import Pilot
+from repro.rct.pilot import Pilot, resident_pilot
 from repro.rct.task import TaskSpec, TaskState
 from repro.surrogate.infer import InferenceEngine
 from repro.surrogate.train import TrainConfig, TrainedSurrogate, train_surrogate
@@ -74,11 +70,6 @@ __all__ = [
     "ImpeccableCampaign",
     "StageUnit",
 ]
-
-
-def _worker_count() -> int:
-    """Resident worker processes for S3 replicas: one per usable cpu."""
-    return len(os.sched_getaffinity(0))
 
 
 class _ReplicaFailed(Exception):
@@ -350,24 +341,8 @@ class ImpeccableCampaign:
         Untraced: its wall clock must not enter a deterministic trace.
         """
         if self._pilot is None:
-            n = _worker_count()
-            executor = ProcessExecutor(
-                max_workers=n,
-                # fork, not spawn: a spawned worker re-imports numpy and
-                # repro before its first replica (~0.7 s, against a ~1 s
-                # stage); the campaign has no thread of its own left
-                # running by S3 (ML1's prefetch thread is joined), so the
-                # fork copies no lock such a thread could hold
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=install_receptors,
-                initargs=(self.receptors,),
-            )
-            self._pilot = Pilot(
-                Allocation(node_ids=[0], spec=NodeSpec(cpus=n, gpus=0), granted_at=0.0),
-                executor,
-                failure_policy="drop_and_continue",
-                tracer=NULL_TRACER,
-            )
+            # ML1's prefetch thread is joined by S3, so the fork is clean
+            self._pilot = resident_pilot(install_receptors, (self.receptors,))
         return self._pilot
 
     def _close_workers(self) -> None:

@@ -1,44 +1,68 @@
 """Streamed, checkpointed ML1 → S1 screen over an on-disk sharded library.
 
 This is §6.1.1 at campaign scale: the library lives on disk as gzip
-NDJSON shards, ML1 streams them through the compiled surrogate one
-shard at a time, the top predicted compounds go to S1
-docking in :class:`~repro.docking.ligand.LigandBeads` packs via the fused
-LGA, and every completed shard — scored or docked — is durably recorded
-in a checkpoint manifest.  Kill the process anywhere; rerunning the same
-command resumes from the last completed shard without rescoring or
-redocking, and the final output is byte-for-byte identical to an
-uninterrupted run.
+NDJSON shards, ML1 scores them through the compiled surrogate one shard
+at a time, and the top predicted compounds go to S1 docking in
+:class:`~repro.docking.ligand.LigandBeads` packs via the fused LGA.
+Every shard — scored or docked — is one task on the screen's resident
+worker processes: §6.1.1's inference ranks and §6.1.2's RAPTOR workers,
+many small function calls on long-lived workers.  The parent commits
+shards in shard order: it writes the shard's artifact, records it in a
+checkpoint manifest, then selects and accounts.  Kill the process
+anywhere; rerunning the same command resumes from the last committed
+shard without rescoring or redocking, and the final output is
+byte-for-byte identical to an uninterrupted run.
 
-Memory is bounded by construction: one shard of records, one padded
-feature batch, one packed docking shard, and a fixed-size top-K
-selection heap are the only per-run state that scales with anything —
-and none of it scales with library size.
+Workers.  The pool (:func:`~repro.rct.pilot.resident_pilot`, one worker
+per usable cpu) forks at the first shard that is not already
+checkpointed, so a fully resumed run forks nothing; both stages share
+it, and it is shut down on every way out.  Its initializer installs the
+surrogate and the docking engine once per worker; each worker compiles
+its own inference engine on its first ML1 shard.  Worker-side science is
+untraced: a traced screen records the parent's stage, shard and
+checkpoint spans and counters, not the workers' kernel spans.
+
+Memory is bounded by construction: at most 2 × workers shards are
+submitted but not yet committed; a worker holds one shard of records and
+one padded feature batch, or one packed docking shard; the parent holds a
+fixed-size top-K selection heap.  None of it scales with library size.
 
 Determinism ties the streamed path to the materialized one:
 
 * padded fixed-size ML1 batches make scores split-invariant (PR 4), so
-  per-shard scoring equals whole-library scoring bit-for-bit;
+  per-shard scoring equals whole-library scoring bit-for-bit, whichever
+  worker scores a shard;
 * per-compound docking RNG streams make the shard cut invisible (PR 3);
 * top-K selection uses the key ``(-score, arrival index)``, which is
   exactly a stable descending sort — the same compounds, in the same
-  order, as ``InferenceEngine.top_fraction`` over the full score table.
+  order, as ``InferenceEngine.top_fraction`` over the full score table —
+  and shards arrive in shard order, not completion order.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from repro.docking.batch import dock_stream
 from repro.docking.engine import DockingEngine, DockingResult
+from repro.rct.fault import TaskFailedError
+from repro.rct.pilot import Pilot, StartFn, TaskSource, resident_pilot
+from repro.rct.task import TaskRecord, TaskSpec, TaskState
 from repro.surrogate.infer import InferenceEngine, ScoredCompound
 from repro.surrogate.train import TrainedSurrogate
 from repro.telemetry import NULL_TRACER, Tracer
-from repro.util.checkpoint import CheckpointManifest
+from repro.util.checkpoint import (
+    CheckpointManifest,
+    load_artifact,
+    save_artifact,
+    shard_fingerprint,
+)
 from repro.util.log import get_logger
+from repro.util.shardio import read_shard
 
 __all__ = ["StreamedScreenResult", "run_streamed_screen"]
 
@@ -93,6 +117,167 @@ class _TopK:
         ]
 
 
+# ------------------------------------------------------------ worker side
+
+#: the science state :func:`_install_worker` puts in each worker process
+_WORKER: dict = {}
+
+
+def _install_worker(
+    surrogate: TrainedSurrogate, batch_size: int, engine: DockingEngine
+) -> None:
+    """Pool initializer: the screen's science state, once per worker."""
+    # the worker's forked copy of the engine: untracing it leaves the
+    # parent's tracer alone
+    engine.tracer = NULL_TRACER
+    _WORKER.update(
+        surrogate=surrogate, batch_size=batch_size, engine=engine, inference=None
+    )
+
+
+def score_shard(path: str) -> list[tuple[str, str, float]]:
+    """ML1 task: ``(id, smiles, score)`` for every record of one shard."""
+    inference = _WORKER["inference"]
+    if inference is None:  # compiled on the worker's first ML1 shard
+        inference = _WORKER["inference"] = InferenceEngine(
+            _WORKER["surrogate"], batch_size=_WORKER["batch_size"]
+        )
+    return [(s.compound_id, s.smiles, s.score) for s in inference.score_shard(Path(path))]
+
+
+def dock_shard_entries(entries: list[tuple[str, str]]) -> list[DockingResult]:
+    """S1 task: dock one shard of ``(smiles, compound_id)`` pairs."""
+    return _WORKER["engine"].dock_entries(entries)
+
+
+# ------------------------------------------------------------ parent side
+
+
+class _ShardTasks(TaskSource):
+    """One stage's not-yet-checkpointed shards as worker tasks.
+
+    A shard's uid is its index in the stage.  Shards are placed in order
+    while fewer than ``window`` are submitted but not yet taken, and each
+    final record waits here until :meth:`take` hands it to the commit.
+    """
+
+    def __init__(self, stage: str, fn: Callable, jobs: list[tuple[int, str, tuple]]):
+        self.stage = stage
+        self.fn = fn
+        self.todo = deque(jobs)  # (index, shard_id, args), in shard order
+        self.window = 0  # set from the pool's size by the first take
+        self.open = 0  # submitted, not yet taken
+        self.finished: dict[int, TaskRecord] = {}
+
+    def place(self, start: StartFn) -> None:
+        while self.todo and self.open < self.window:
+            index, shard_id, args = self.todo[0]
+            task = TaskSpec(
+                name=f"{self.stage}/{shard_id}",
+                fn=self.fn,
+                args=args,
+                cpus=1,
+                stage=self.stage,
+                uid=index,
+            )
+            if not start(task):
+                return
+            self.todo.popleft()
+            self.open += 1
+
+    def completed(self, record: TaskRecord) -> None:
+        self.finished[record.spec.uid] = record  # no retries: always final
+
+    def has_pending(self) -> bool:
+        return bool(self.todo)
+
+    def take(self, pilot: Pilot, index: int, shard_id: str):
+        """Step ``pilot`` until shard ``index`` is done; return its output.
+
+        A shard that failed in a worker raises :class:`TaskFailedError`
+        naming the stage, the shard and the worker's "Type: message".
+        """
+        self.window = 2 * pilot.spec.cpus
+        try:
+            while index not in self.finished:
+                pilot.step(self)
+        except BrokenProcessPool as exc:  # raised by a submit after a break
+            raise TaskFailedError(
+                f"{self.stage}: a worker process died before shard {shard_id}: {exc}"
+            ) from exc
+        self.open -= 1
+        record = self.finished.pop(index)
+        if record.state is not TaskState.DONE:
+            raise TaskFailedError(
+                f"{self.stage} shard {shard_id} failed in a worker: {record.error}",
+                record,
+            )
+        return record.result
+
+
+def _in_shard_order(
+    stage: str,
+    fn: Callable,
+    shards: list[tuple[str, tuple]],
+    checkpoint: CheckpointManifest | None,
+    workers: Callable[[], Pilot],
+) -> Iterator[tuple[int, str, object]]:
+    """Yield ``(index, shard_id, output)`` for ``(shard_id, args)`` shards.
+
+    ``output`` is ``fn(*args)``, run on a worker, or ``None`` for a shard
+    ``checkpoint`` already holds, which the caller reloads.  ``workers()``
+    is called (and may fork) only when a shard needs computing.
+    """
+    todo = [
+        (k, sid, args)
+        for k, (sid, args) in enumerate(shards)
+        if checkpoint is None or not checkpoint.is_done(sid)
+    ]
+    pending = {k for k, _sid, _args in todo}
+    tasks = _ShardTasks(stage, fn, todo)
+    for k, (shard_id, _args) in enumerate(shards):
+        yield k, shard_id, tasks.take(workers(), k, shard_id) if k in pending else None
+
+
+def _checkpoint(
+    tracer: Tracer, manifest: CheckpointManifest, artifact: Path, rows: list[dict],
+    shard_id: str, **payload,
+) -> None:
+    """Durably record one committed shard: its artifact, then its manifest line."""
+    save_artifact(artifact, rows)
+    with tracer.span(
+        f"checkpoint:{shard_id}", category="stream.checkpoint", shard=shard_id
+    ):
+        manifest.mark_done(shard_id, **payload)
+
+
+def _result_to_row(result: DockingResult) -> dict:
+    """DockingResult → JSON row (exact float round-trip via ``repr``)."""
+    return {
+        "id": result.compound_id,
+        "smiles": result.smiles,
+        "score": float(result.score),
+        "n_evals": int(result.n_evals),
+        "translation": [float(v) for v in result.pose_translation],
+        "quaternion": [float(v) for v in result.pose_quaternion],
+        "conformer": int(result.conformer),
+        "torsions": [float(v) for v in result.torsion_angles],
+    }
+
+
+def _row_to_result(row: dict) -> DockingResult:
+    return DockingResult(
+        compound_id=row["id"],
+        smiles=row["smiles"],
+        score=row["score"],
+        n_evals=row["n_evals"],
+        pose_translation=tuple(row["translation"]),
+        pose_quaternion=tuple(row["quaternion"]),
+        conformer=row["conformer"],
+        torsion_angles=tuple(row["torsions"]),
+    )
+
+
 def run_streamed_screen(
     engine: DockingEngine,
     surrogate: TrainedSurrogate,
@@ -122,19 +307,23 @@ def run_streamed_screen(
         completed shard.  ``None`` streams without checkpoints.
     on_shard:
         Optional ``callback(stage, shard_id)`` invoked after each shard
-        completes (``stage`` is ``"ml1"`` or ``"s1"``) — progress
+        is committed (``stage`` is ``"ml1"`` or ``"s1"``) — progress
         reporting, and the hook the kill/resume tests use to die
         mid-run.
 
     Scores and poses are bit-identical to the materialized path
     (``score_shards`` over everything, stable sort, one big
-    ``dock_entries``) and to any interrupted-and-resumed execution.
+    ``dock_entries``), to any worker count, and to any
+    interrupted-and-resumed execution.  A resumed shard whose content
+    fingerprint no longer matches its manifest line raises: a stale
+    checkpoint directory cannot silently corrupt a screen.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
+    counter = tracer.metrics.counter
     result = StreamedScreenResult(selected=[], docked=[])
 
     ml1_ckpt = s1_ckpt = None
-    ml1_art = s1_art = None
+    ml1_art = s1_art = Path()
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)
         ml1_art = checkpoint_dir / "ml1"
@@ -142,46 +331,123 @@ def run_streamed_screen(
         ml1_ckpt = CheckpointManifest(checkpoint_dir / "ml1-manifest.jsonl")
         s1_ckpt = CheckpointManifest(checkpoint_dir / "s1-manifest.jsonl")
 
-    # ---------------------------------------------------------------- ML1
-    inference = InferenceEngine(surrogate, batch_size=batch_size, tracer=tracer)
-    top = _TopK(keep_top)
-    with tracer.span("stage:ML1-stream", category="campaign.stage"):
-        for shard_id, scored in inference.iter_score_shards(
-            shard_paths, checkpoint=ml1_ckpt, artifact_dir=ml1_art
-        ):
-            for item in scored:
-                top.offer(item)
-            result.records_streamed += len(scored)
-            result.shards_total += 1
-            if on_shard is not None:
-                on_shard("ml1", shard_id)
-    result.shards_resumed = inference.shards_resumed
-    result.selected = top.ranked()
-    _log.info(
-        "ML1 stream: %d records in %d shards (%d resumed), keeping top %d",
-        result.records_streamed,
-        result.shards_total,
-        result.shards_resumed,
-        len(result.selected),
-    )
+    pilot: Pilot | None = None
 
-    # ----------------------------------------------------------------- S1
-    entries = [(s.smiles, s.compound_id) for s in result.selected]
-    shards = [
-        entries[start : start + dock_shard_size]
-        for start in range(0, len(entries), dock_shard_size)
-    ]
-    pre_done = set(s1_ckpt.completed()) if s1_ckpt is not None else set()
-    with tracer.span("stage:S1-stream", category="campaign.stage"):
-        for shard_id, docked in dock_stream(
-            engine, shards, checkpoint=s1_ckpt, artifact_dir=s1_art, tracer=tracer
-        ):
-            result.docked.extend(docked)
-            result.dock_shards_total += 1
-            if shard_id in pre_done:
-                result.dock_shards_resumed += 1
-            if on_shard is not None:
-                on_shard("s1", shard_id)
+    def workers() -> Pilot:
+        nonlocal pilot
+        if pilot is None:
+            pilot = resident_pilot(
+                _install_worker, (surrogate, batch_size, engine), keep_records=False
+            )
+        return pilot
+
+    try:
+        # ------------------------------------------------------------ ML1
+        paths = [Path(p) for p in shard_paths]
+        top = _TopK(keep_top)
+        ml1 = [(path.name, (str(path),)) for path in paths]
+        with tracer.span("stage:ML1-stream", category="campaign.stage"):
+            for k, shard_id, rows in _in_shard_order(
+                "ML1", score_shard, ml1, ml1_ckpt, workers
+            ):
+                artifact = ml1_art / f"{shard_id}.scores.jsonl.gz"
+                resumed = rows is None
+                if resumed:
+                    scored = [
+                        ScoredCompound(r["id"], r["smiles"], r["score"])
+                        for r in load_artifact(artifact)
+                    ]
+                    recorded = ml1_ckpt.payload(shard_id).get("fingerprint")
+                    if recorded is not None and recorded != shard_fingerprint(
+                        read_shard(paths[k])
+                    ):
+                        raise RuntimeError(
+                            f"checkpoint fingerprint mismatch for shard {shard_id}: "
+                            "stale checkpoint directory?"
+                        )
+                else:
+                    scored = [ScoredCompound(*row) for row in rows]
+                    if ml1_ckpt is not None:
+                        _checkpoint(
+                            tracer, ml1_ckpt, artifact,
+                            [{"id": s.compound_id, "smiles": s.smiles, "score": s.score}
+                             for s in scored],
+                            shard_id,
+                            n_records=len(scored),
+                            fingerprint=shard_fingerprint(
+                                (s.compound_id, s.smiles) for s in scored
+                            ),
+                        )
+                for item in scored:
+                    top.offer(item)
+                result.records_streamed += len(scored)
+                result.shards_total += 1
+                result.shards_resumed += resumed
+                if on_shard is not None:
+                    on_shard("ml1", shard_id)
+                with tracer.span(
+                    f"shard:{shard_id}", category="stream.shard",
+                    shard=shard_id, n_records=len(scored), resumed=resumed,
+                ):
+                    pass
+                if resumed:
+                    counter("stream.shards_resumed").inc()
+                else:
+                    counter("stream.shards_scored").inc()
+                    counter("stream.records_scored").inc(len(scored))
+        result.selected = top.ranked()
+        _log.info(
+            "ML1 stream: %d records in %d shards (%d resumed), keeping top %d",
+            result.records_streamed,
+            result.shards_total,
+            result.shards_resumed,
+            len(result.selected),
+        )
+
+        # ------------------------------------------------------------- S1
+        entries = [(s.smiles, s.compound_id) for s in result.selected]
+        s1 = [
+            (f"dock-{k:05d}", (entries[start : start + dock_shard_size],))
+            for k, start in enumerate(range(0, len(entries), dock_shard_size))
+        ]
+        with tracer.span("stage:S1-stream", category="campaign.stage"):
+            for k, shard_id, docked in _in_shard_order(
+                "S1", dock_shard_entries, s1, s1_ckpt, workers
+            ):
+                (shard,) = s1[k][1]
+                fingerprint = shard_fingerprint((cid, smiles) for smiles, cid in shard)
+                artifact = s1_art / f"{shard_id}.poses.jsonl.gz"
+                resumed = docked is None
+                if resumed:
+                    if s1_ckpt.payload(shard_id).get("fingerprint") != fingerprint:
+                        raise RuntimeError(
+                            f"checkpoint fingerprint mismatch for shard {shard_id}: "
+                            "the shard cut or selection changed since the checkpoint"
+                        )
+                    docked = [_row_to_result(r) for r in load_artifact(artifact)]
+                elif s1_ckpt is not None:
+                    _checkpoint(
+                        tracer, s1_ckpt, artifact, [_result_to_row(r) for r in docked],
+                        shard_id, n_ligands=len(docked), fingerprint=fingerprint,
+                    )
+                result.docked.extend(docked)
+                result.dock_shards_total += 1
+                result.dock_shards_resumed += resumed
+                if on_shard is not None:
+                    on_shard("s1", shard_id)
+                with tracer.span(
+                    f"shard:{shard_id}", category="stream.shard",
+                    shard=shard_id, n_ligands=len(docked), resumed=resumed,
+                ):
+                    pass
+                if resumed:
+                    counter("stream.dock_shards_resumed").inc()
+                else:
+                    engine._account(docked)
+                    counter("stream.dock_shards_scored").inc()
+    finally:
+        if pilot is not None:
+            pilot.shutdown()
     result.stats = {
         "records_streamed": result.records_streamed,
         "shards_total": result.shards_total,

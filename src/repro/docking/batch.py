@@ -42,14 +42,8 @@ from repro.docking.local_search import Adadelta, SolisWets, local_search_named
 from repro.docking.receptor import Receptor
 from repro.docking.scoring import packed_score_batch
 from repro.telemetry import NULL_TRACER, Tracer
-from repro.util.checkpoint import (
-    CheckpointManifest,
-    load_artifact,
-    save_artifact,
-    shard_fingerprint,
-)
 
-__all__ = ["dock_shard", "dock_stream"]
+__all__ = ["dock_shard"]
 
 #: smallest worthwhile fused bucket — below this, torsion-slot padding
 #: is cheaper than a separate LGA's kernel dispatch (measured)
@@ -319,108 +313,3 @@ def _dock_packed(
         )
     return runs
 
-
-# ------------------------------------------------------------- streaming
-
-
-def _result_to_row(result) -> dict:
-    """DockingResult → JSON row (exact float round-trip via ``repr``)."""
-    return {
-        "id": result.compound_id,
-        "smiles": result.smiles,
-        "score": float(result.score),
-        "n_evals": int(result.n_evals),
-        "translation": [float(v) for v in result.pose_translation],
-        "quaternion": [float(v) for v in result.pose_quaternion],
-        "conformer": int(result.conformer),
-        "torsions": [float(v) for v in result.torsion_angles],
-    }
-
-
-def _row_to_result(row: dict):
-    from repro.docking.engine import DockingResult
-
-    return DockingResult(
-        compound_id=row["id"],
-        smiles=row["smiles"],
-        score=row["score"],
-        n_evals=row["n_evals"],
-        pose_translation=tuple(row["translation"]),
-        pose_quaternion=tuple(row["quaternion"]),
-        conformer=row["conformer"],
-        torsion_angles=tuple(row["torsions"]),
-    )
-
-
-def dock_stream(
-    engine,
-    shards,
-    checkpoint: CheckpointManifest | None = None,
-    artifact_dir=None,
-    tracer: Tracer | None = None,
-):
-    """Dock a stream of entry shards through the fused LGA, checkpointed.
-
-    ``shards`` yields lists of ``(smiles, compound_id)`` pairs; each
-    shard runs as one :func:`dock_shard` call via
-    ``engine.dock_entries(shard)``, and the generator yields ``(shard_id, [DockingResult, ...])`` as
-    shards complete — so only one shard of ligands is ever packed in
-    memory.  Shard ids are positional (``dock-00000``, ``dock-00001``,
-    …).
-
-    With ``checkpoint``/``artifact_dir``, each completed shard's poses
-    are persisted (exact-float JSONL) and durably recorded before the
-    next shard starts; a resumed run reloads completed shards instead of
-    redocking — the mid-S1 kill/resume contract.  The manifest stores a
-    content fingerprint per shard and resume verifies it against the
-    incoming shard, so a changed shard cut or library fails loudly.
-    Per-compound RNG streams make the shard cut invisible in the
-    results: poses are bit-identical to any other cut, including the
-    materialized ``engine.dock_entries`` over all compounds at once.
-    """
-    if checkpoint is not None and artifact_dir is None:
-        raise ValueError("checkpointed docking needs an artifact_dir")
-    if tracer is None:
-        tracer = getattr(engine, "tracer", None) or NULL_TRACER
-    from pathlib import Path
-
-    for k, shard in enumerate(shards):
-        shard_id = f"dock-{k:05d}"
-        fingerprint = shard_fingerprint((cid, smiles) for smiles, cid in shard)
-        if checkpoint is not None and checkpoint.is_done(shard_id):
-            recorded = checkpoint.payload(shard_id).get("fingerprint")
-            if recorded != fingerprint:
-                raise RuntimeError(
-                    f"checkpoint fingerprint mismatch for shard {shard_id}: "
-                    "the shard cut or selection changed since the checkpoint"
-                )
-            rows = load_artifact(Path(artifact_dir) / f"{shard_id}.poses.jsonl.gz")
-            results = [_row_to_result(r) for r in rows]
-            tracer.metrics.counter("stream.dock_shards_resumed").inc()
-            with tracer.span(
-                f"shard:{shard_id}", category="stream.shard",
-                shard=shard_id, n_ligands=len(results), resumed=True,
-            ):
-                pass
-            yield shard_id, results
-            continue
-        with tracer.span(
-            f"shard:{shard_id}", category="stream.shard",
-            shard=shard_id, n_ligands=len(shard), resumed=False,
-        ):
-            results = engine.dock_entries(list(shard))
-        engine._account(results)
-        tracer.metrics.counter("stream.dock_shards_scored").inc()
-        if checkpoint is not None:
-            save_artifact(
-                Path(artifact_dir) / f"{shard_id}.poses.jsonl.gz",
-                [_result_to_row(r) for r in results],
-            )
-            with tracer.span(
-                f"checkpoint:{shard_id}", category="stream.checkpoint",
-                shard=shard_id,
-            ):
-                checkpoint.mark_done(
-                    shard_id, n_ligands=len(results), fingerprint=fingerprint
-                )
-        yield shard_id, results

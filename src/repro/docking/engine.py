@@ -145,10 +145,9 @@ class DockingEngine:
         """Dock ``(smiles, compound_id)`` pairs; pure, counters untouched.
 
         This is the worker-safe core shared by :meth:`dock_smiles`,
-        :meth:`dock_library` and the shard paths
-        (:func:`repro.docking.batch.dock_stream`, or
-        ``TaskSpec(fn=engine.dock_entries, args=(shard,))`` on a
-        :class:`~repro.rct.pilot.Pilot`): it never mutates engine
+        :meth:`dock_library` and the shard tasks (the streamed screen's
+        S1 workers, or ``TaskSpec(fn=engine.dock_entries, args=(shard,))``
+        on a :class:`~repro.rct.pilot.Pilot`): it never mutates engine
         counters, so shards may run concurrently and be merged by the
         caller (:meth:`_account` charges the merged results once).  The
         whole shard runs through one fused LGA

@@ -34,7 +34,6 @@ import numpy as np
 
 from repro.docking.ligand import (
     INTRA_K,
-    INTRA_SCALE,
     LigandBeads,
     PackedLigands,
     PackPlan,
@@ -63,10 +62,9 @@ __all__ = [
 #: penalty per angstrom^2 for atoms escaping the box
 _WALL_K = 10.0
 
-#: intra-ligand clash parameters (defined next to the pack that
+#: intra-ligand clash stiffness (defined next to the pack that
 #: precomputes the pair contact distances)
 _INTRA_K = INTRA_K
-_INTRA_SCALE = INTRA_SCALE
 
 
 @dataclass(frozen=True)

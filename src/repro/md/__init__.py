@@ -4,7 +4,7 @@ Gō-model protein + bead ligand, Langevin dynamics, minimization,
 trajectories and the observables ESMACS/DeepDriveMD consume.
 """
 
-from repro.md.builder import PLPRO_RESIDUES, build_lpc, build_protein_fold
+from repro.md.builder import build_lpc, build_protein_fold
 from repro.md.forcefield import EnergyBreakdown, ForceField
 from repro.md.integrator import Langevin
 from repro.md.minimize import MinimizationResult, minimize
@@ -22,7 +22,6 @@ __all__ = [
     "Langevin",
     "MDSystem",
     "MinimizationResult",
-    "PLPRO_RESIDUES",
     "Topology",
     "Trajectory",
     "build_lpc",

@@ -20,10 +20,7 @@ from repro.docking.receptor import Receptor
 from repro.md.system import MDSystem, Topology
 from repro.util.rng import RngFactory
 
-__all__ = ["build_protein_fold", "build_lpc", "PLPRO_RESIDUES"]
-
-#: Cα count of the paper's PLPro model (§7.1.3: "309 backbone Cα atoms")
-PLPRO_RESIDUES = 309
+__all__ = ["build_protein_fold", "build_lpc"]
 
 #: Cα–Cα virtual bond length (angstrom)
 CA_BOND = 3.8

@@ -9,7 +9,7 @@ data pipeline of §6.1.1.
 
 from repro.nn import autograd
 from repro.nn.autograd import Tensor, as_tensor, grad, no_grad
-from repro.nn.dataloader import PrefetchLoader, ShardReader, partition_shards
+from repro.nn.dataloader import PrefetchLoader, ShardReader
 from repro.nn.inference import CompiledModel, compile_model
 from repro.nn.layers import (
     BatchNorm,
@@ -67,6 +67,5 @@ __all__ = [
     "load_model",
     "mse_loss",
     "no_grad",
-    "partition_shards",
     "save_model",
 ]

@@ -389,14 +389,6 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     return out
 
 
-def absolute(a: Tensor) -> Tensor:
-    """Elementwise absolute value (sign subgradient)."""
-    sign = Tensor(np.sign(a.data))
-    _rec("sign", (a,), sign)
-    out = _make(np.abs(a.data), (a,), (lambda g: mul(g, sign),))
-    _rec("abs", (a,), out)
-    return out
-
 
 # -------------------------------------------------------------- structural
 

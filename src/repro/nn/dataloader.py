@@ -20,23 +20,12 @@ from typing import Callable, Iterator, Sequence
 
 from repro.util.shardio import SHARD_READ_ERRORS, read_shard
 
-__all__ = ["ShardReader", "PrefetchLoader", "partition_shards"]
+__all__ = ["ShardReader", "PrefetchLoader"]
 
 _END = object()
 
 #: how often a blocked producer re-checks the consumer's stop flag
 _PUT_POLL_SECONDS = 0.05
-
-
-def partition_shards(paths: Sequence[Path | str], rank: int, world: int) -> list[Path]:
-    """Distribute shard files evenly across ``world`` ranks (MPI-style).
-
-    Rank ``r`` takes files ``r, r+world, r+2·world, …`` — the same
-    round-robin distribution the paper uses to bind shards to GPUs.
-    """
-    if world <= 0 or not 0 <= rank < world:
-        raise ValueError(f"invalid rank/world: {rank}/{world}")
-    return [Path(p) for i, p in enumerate(paths) if i % world == rank]
 
 
 @dataclass

@@ -13,7 +13,7 @@ reproduces the eager step bit-for-bit *by construction*: same ufuncs,
 same operand order, same reduction axes, no reassociation anywhere.
 
 Data-dependent values the eager ops compute internally (ReLU masks,
-leaky-ReLU factors, max tie-splitting masks, signs) arrive on the tape
+leaky-ReLU factors, max tie-splitting masks) arrive on the tape
 as explicit aux ops, so a replay recomputes them for fresh inputs.
 
 Leaf classification
@@ -54,8 +54,8 @@ ALIAS_KINDS = frozenset({"reshape", "transpose", "getitem"})
 #: buffer (the in-place coalescing pass uses this; every kernel below
 #: either reads each element before writing it or stages through scratch)
 INPLACE_KINDS = frozenset(
-    {"add", "mul", "power", "exp", "log", "tanh", "sigmoid", "abs",
-     "sign", "relu_mask", "leaky_factor", "max_mask", "copy"}
+    {"add", "mul", "power", "exp", "log", "tanh", "sigmoid", "relu_mask",
+     "leaky_factor", "max_mask", "copy"}
 )
 
 

@@ -188,12 +188,6 @@ def _bind_kernel(i: int, op: TOp, b: _Binder) -> Callable[[], None] | None:
             np.divide(1.0, o, out=o)
 
         return run_sigmoid
-    if kind == "abs":
-        (a,) = ins
-        return lambda: np.absolute(a, out=o)
-    if kind == "sign":
-        (a,) = ins
-        return lambda: np.sign(a, out=o)
     if kind == "relu_mask":
         (a,) = ins
         boolbuf = np.empty(a.shape, dtype=bool)

@@ -38,18 +38,27 @@ silently.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 from typing import Callable
 
-from repro.rct.backends import ExecutorBackend
+from repro.rct.backends import ExecutorBackend, ProcessExecutor
 from repro.rct.cluster import Allocation, NodeSpec
 from repro.rct.fault import FAILURE_POLICIES, FailureSummary, RetryPolicy, TaskFailedError
 from repro.rct.sched import IndexedPlacer, PendingQueue, Placement
 from repro.rct.task import TaskRecord, TaskSpec, TaskState
 from repro.rct.tasklog import TaskLog
 from repro.rct.utilization import UtilizationTracker
-from repro.telemetry import ExecutorClock, Span, Tracer
+from repro.telemetry import NULL_TRACER, ExecutorClock, Span, Tracer
 
-__all__ = ["Pilot", "Placement", "QueueSource", "StartFn", "TaskSource"]
+__all__ = [
+    "Pilot",
+    "Placement",
+    "QueueSource",
+    "StartFn",
+    "TaskSource",
+    "resident_pilot",
+]
 
 #: ``start(task) -> bool``: place and launch one first attempt
 StartFn = Callable[[TaskSpec], bool]
@@ -426,3 +435,41 @@ class Pilot:
 
     def __exit__(self, *exc: object) -> None:
         self.shutdown()
+
+
+def _worker_count() -> int:
+    """Resident worker processes for science tasks: one per usable cpu."""
+    return len(os.sched_getaffinity(0))
+
+
+def resident_pilot(
+    initializer: Callable, initargs: tuple, keep_records: bool = True
+) -> Pilot:
+    """A one-node pilot over resident, forked science workers.
+
+    One cpu slot per worker (:func:`_worker_count`); each worker runs
+    ``initializer(*initargs)`` once, so large state (receptor grids, a
+    surrogate) is installed per worker, never pickled into a task.  Build
+    it lazily, at the first task that needs it, and shut it down in a
+    ``finally``.  Drops rather than raises (callers map failed records
+    back in their own order) and is untraced: its wall clock must not
+    enter a deterministic trace.
+    """
+    n = _worker_count()
+    executor = ProcessExecutor(
+        max_workers=n,
+        # fork, not spawn: a spawned worker re-imports numpy and repro
+        # before its first task (~0.7 s, against stages of about a
+        # second); callers fork with no thread of their own running, so
+        # the fork copies no lock such a thread could hold
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=initializer,
+        initargs=initargs,
+    )
+    return Pilot(
+        Allocation(node_ids=[0], spec=NodeSpec(cpus=n, gpus=0), granted_at=0.0),
+        executor,
+        failure_policy="drop_and_continue",
+        tracer=NULL_TRACER,
+        keep_records=keep_records,
+    )

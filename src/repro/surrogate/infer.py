@@ -1,14 +1,14 @@
-"""ML1 inference engine: streaming, compiled, rank-distributed scoring.
+"""ML1 inference engine: streaming, compiled shard scoring.
 
 §6.1.1's deployment path: the library arrives as gzip NDJSON shards,
-shards are distributed round-robin across ranks (one per GPU), each rank
-streams its shard set through a prefetch thread — which also featurizes,
-a whole batch at a time — into the FP16-compiled network, and rank 0
-gathers (id, SMILES, score) triples into a single ranked table that
-feeds S1.  This module reproduces that flow on one
-machine: "ranks" are loop iterations (or caller-managed workers), the
-compiled model is the TensorRT analogue, and the output is the same
-ranked table.
+shards are distributed across ranks (one per GPU), each rank streams its
+shards through a prefetch thread — which also featurizes, a whole batch
+at a time — into the FP16-compiled network, and rank 0 gathers (id,
+SMILES, score) triples into a single ranked table that feeds S1.  Here
+one engine scores one shard per :meth:`InferenceEngine.score_shard`
+call; the ranks are the streamed screen's resident worker processes
+(:mod:`repro.core.streaming`), each holding its own compiled engine, and
+the compiled model is the TensorRT analogue.
 """
 
 from __future__ import annotations
@@ -16,23 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import cycle
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.chem.depict import N_CHANNELS
-from repro.nn.dataloader import PrefetchLoader, ShardReader, partition_shards
+from repro.nn.dataloader import PrefetchLoader, ShardReader
 from repro.nn.inference import compile_model
 from repro.surrogate.featurize import featurize_batch
 from repro.surrogate.train import TrainedSurrogate
 from repro.telemetry import NULL_TRACER
-from repro.util.checkpoint import (
-    CheckpointManifest,
-    load_artifact,
-    save_artifact,
-    shard_fingerprint,
-)
-from repro.util.shardio import read_shard
 
 __all__ = ["InferenceEngine", "ScoredCompound"]
 
@@ -66,7 +59,6 @@ class InferenceEngine:
         )
         self.batch_size = batch_size
         self.records_scored = 0
-        self.shards_resumed = 0
         # persistent feature buffers: every batch — including the padded
         # final one — runs at exactly ``batch_size``, so the graph engine
         # binds a single arena plan and no per-batch stacking allocates.
@@ -98,7 +90,7 @@ class InferenceEngine:
         return self.compiled(feats).reshape(-1)[:filled]
 
     # ------------------------------------------------------------- shards
-    def _score_one_shard(self, path: Path) -> list[ScoredCompound]:
+    def score_shard(self, path: Path) -> list[ScoredCompound]:
         """Stream one shard file through prefetch + padded batches.
 
         §6.1.1's "prefetch threads → queue handoff → engine": the loader's
@@ -130,121 +122,16 @@ class InferenceEngine:
                 ScoredCompound(rec[0], rec[1], float(p))
                 for rec, p in zip(records, preds)
             )
+        self.records_scored += len(scored)
         return scored
 
-    def iter_score_shards(
-        self,
-        paths: Sequence[Path | str],
-        checkpoint: CheckpointManifest | None = None,
-        artifact_dir: Path | str | None = None,
-    ) -> Iterator[tuple[str, list[ScoredCompound]]]:
-        """Score shards one at a time, yielding ``(shard_id, scores)``.
+    def score_shards(self, paths: Sequence[Path | str]) -> list[ScoredCompound]:
+        """Score every compound in a shard set, in shard order.
 
-        The bounded-memory ML1 path: only one shard's records and one
-        padded feature batch are ever resident.  With ``checkpoint``
-        (and ``artifact_dir`` for the per-shard score files), completed
-        shards are durably recorded as they finish and *reloaded instead
-        of rescored* on a resumed run; reloaded scores are bit-identical
-        (exact-float JSONL artifacts).  A resumed shard whose content
-        fingerprint no longer matches the manifest raises — a stale
-        checkpoint directory cannot silently corrupt a screen.
-
-        Because every batch is zero-padded to ``batch_size``
-        (:meth:`_score_batch`), per-shard scoring is split-invariant:
-        scores are bit-identical to scoring the whole shard set in one
-        stream, whatever the shard boundaries.
+        Fixed-size padded batches make scores split-invariant, so the
+        table equals scoring the same records cut into any other shards.
         """
-        if checkpoint is not None and artifact_dir is None:
-            raise ValueError("checkpointed scoring needs an artifact_dir")
-        for path in paths:
-            path = Path(path)
-            shard_id = path.name
-            if checkpoint is not None and checkpoint.is_done(shard_id):
-                rows = load_artifact(Path(artifact_dir) / f"{shard_id}.scores.jsonl.gz")
-                scored = [
-                    ScoredCompound(r["id"], r["smiles"], r["score"]) for r in rows
-                ]
-                recorded = checkpoint.payload(shard_id).get("fingerprint")
-                actual = shard_fingerprint(read_shard(path))
-                if recorded is not None and recorded != actual:
-                    raise RuntimeError(
-                        f"checkpoint fingerprint mismatch for shard {shard_id}: "
-                        "stale checkpoint directory?"
-                    )
-                self.shards_resumed += 1
-                self.tracer.metrics.counter("stream.shards_resumed").inc()
-                with self.tracer.span(
-                    f"shard:{shard_id}", category="stream.shard",
-                    shard=shard_id, n_records=len(scored), resumed=True,
-                ):
-                    pass
-                yield shard_id, scored
-                continue
-            with self.tracer.span(
-                f"shard:{shard_id}", category="stream.shard", shard=shard_id
-            ) as span:
-                scored = self._score_one_shard(path)
-                span.set_attr("n_records", len(scored))
-                span.set_attr("resumed", False)
-            self.records_scored += len(scored)
-            self.tracer.metrics.counter("stream.shards_scored").inc()
-            self.tracer.metrics.counter("stream.records_scored").inc(len(scored))
-            if checkpoint is not None:
-                save_artifact(
-                    Path(artifact_dir) / f"{shard_id}.scores.jsonl.gz",
-                    [
-                        {"id": s.compound_id, "smiles": s.smiles, "score": s.score}
-                        for s in scored
-                    ],
-                )
-                with self.tracer.span(
-                    f"checkpoint:{shard_id}", category="stream.checkpoint",
-                    shard=shard_id,
-                ):
-                    checkpoint.mark_done(
-                        shard_id,
-                        n_records=len(scored),
-                        fingerprint=shard_fingerprint(
-                            (s.compound_id, s.smiles) for s in scored
-                        ),
-                    )
-            yield shard_id, scored
-
-    def score_shards(
-        self,
-        paths: Sequence[Path | str],
-        world: int = 1,
-        checkpoint: CheckpointManifest | None = None,
-        artifact_dir: Path | str | None = None,
-    ) -> list[ScoredCompound]:
-        """Score every compound in a shard set.
-
-        ``world`` splits the shard list into rank-partitions that are
-        processed independently and gathered at the end — the single-node
-        equivalent of the paper's MPI distribution; the returned table —
-        rows and their order — is identical for any ``world`` (fixed-size
-        padded batches make scores split-invariant, and rows are gathered
-        in shard order, not rank order).  ``checkpoint``/``artifact_dir``
-        enable per-shard resume via :meth:`iter_score_shards`.
-        """
-        per_rank = [
-            [
-                scored
-                for _shard_id, scored in self.iter_score_shards(
-                    partition_shards(paths, rank, world),
-                    checkpoint=checkpoint,
-                    artifact_dir=artifact_dir,
-                )
-            ]
-            for rank in range(world)
-        ]
-        # gather in library order: shard i was rank (i % world)'s
-        # (i // world)-th shard
-        return [
-            row
-            for i in range(len(paths))
-            for row in per_rank[i % world][i // world]
-        ]
+        return [row for path in paths for row in self.score_shard(Path(path))]
 
     # -------------------------------------------------------------- lists
     def score_smiles(

@@ -9,16 +9,10 @@ from repro.util.config import FrozenConfig, validate_positive, validate_range
 from repro.util.log import get_logger
 from repro.util.rng import RngFactory, rng_stream
 from repro.util.timer import Timer, WallClock
-from repro.util.units import (
-    KCAL_PER_MOL,
-    NS_PER_PS,
-    node_hours,
-)
+from repro.util.units import node_hours
 
 __all__ = [
     "FrozenConfig",
-    "KCAL_PER_MOL",
-    "NS_PER_PS",
     "RngFactory",
     "Timer",
     "WallClock",

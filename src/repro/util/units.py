@@ -11,21 +11,9 @@ Internal conventions:
 from __future__ import annotations
 
 __all__ = [
-    "KCAL_PER_MOL",
-    "NS_PER_PS",
-    "PS_PER_FS",
     "BOLTZMANN_KCAL",
     "node_hours",
 ]
-
-#: symbolic tag — energies in this library are already kcal/mol
-KCAL_PER_MOL = 1.0
-
-#: nanoseconds per picosecond
-NS_PER_PS = 1e-3
-
-#: picoseconds per femtosecond
-PS_PER_FS = 1e-3
 
 #: Boltzmann constant in kcal/(mol K)
 BOLTZMANN_KCAL = 0.0019872041

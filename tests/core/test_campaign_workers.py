@@ -12,9 +12,9 @@ import multiprocessing
 
 import pytest
 
-from repro.core import campaign as campaign_module
 from repro.core.campaign import CampaignConfig, ImpeccableCampaign
 from repro.esmacs.protocol import EsmacsConfig
+from repro.rct import pilot as pilot_module
 from repro.rct.fault import TaskFailedError
 from repro.service.work import campaign_result_digest
 
@@ -67,14 +67,14 @@ def clean_digest() -> str:
 def test_digest_does_not_depend_on_worker_count(
     monkeypatch, no_new_children, clean_digest, workers
 ):
-    monkeypatch.setattr(campaign_module, "_worker_count", lambda: workers)
+    monkeypatch.setattr(pilot_module, "_worker_count", lambda: workers)
     result = ImpeccableCampaign(_config()).run()
     assert result.iterations[0].fg_results
     assert campaign_result_digest(result) == clean_digest
 
 
 def test_workers_fork_at_first_s3_unit_and_are_reused(monkeypatch, no_new_children):
-    monkeypatch.setattr(campaign_module, "_worker_count", lambda: 2)
+    monkeypatch.setattr(pilot_module, "_worker_count", lambda: 2)
     campaign = ImpeccableCampaign(_config())
     pilots = {}
     for unit in campaign.iter_units():

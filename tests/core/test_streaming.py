@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 from repro.chem.library import generate_library, write_library_shards
-from repro.core.streaming import _TopK, run_streamed_screen
-from repro.docking.batch import _result_to_row
+from repro.core.streaming import _result_to_row, _TopK, run_streamed_screen
 from repro.docking.engine import DockingEngine
 from repro.docking.lga import LGAConfig
 from repro.docking.receptor import make_receptor

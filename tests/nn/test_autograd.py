@@ -35,7 +35,6 @@ def _numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
         (lambda t: ag.sqrt(t).sum(), (0.5, 3)),
         (lambda t: ag.power(t, 3.0).sum(), (-2, 2)),
         (lambda t: (t / (t + 5.0)).sum(), (0.5, 3)),
-        (lambda t: ag.absolute(t).sum(), (0.5, 3)),
         (lambda t: ag.leaky_relu(t).sum(), (0.5, 3)),
     ],
 )

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.nn.dataloader import PrefetchLoader, ShardReader, partition_shards
+from repro.nn.dataloader import PrefetchLoader, ShardReader
 from repro.util.shardio import shard_path, write_shard
 
 
@@ -16,23 +16,6 @@ def _write_shards(tmp_path, n_shards=4, per_shard=10):
         records = [(f"ID{s}-{i}", f"C" * (i + 1)) for i in range(per_shard)]
         paths.append(write_shard(shard_path(tmp_path, "lib", s), records))
     return paths
-
-
-def test_partition_round_robin():
-    paths = [f"s{i}" for i in range(7)]
-    p0 = partition_shards(paths, 0, 3)
-    p1 = partition_shards(paths, 1, 3)
-    p2 = partition_shards(paths, 2, 3)
-    assert [str(p) for p in p0] == ["s0", "s3", "s6"]
-    assert [str(p) for p in p1] == ["s1", "s4"]
-    assert len(p0) + len(p1) + len(p2) == 7
-
-
-def test_partition_validates():
-    with pytest.raises(ValueError):
-        partition_shards(["a"], 2, 2)
-    with pytest.raises(ValueError):
-        partition_shards(["a"], 0, 0)
 
 
 def test_reader_yields_all_records(tmp_path):

@@ -70,7 +70,6 @@ ELEMENTWISE = [
     ("sigmoid", ag.sigmoid, None),
     ("relu", ag.relu, "offset"),
     ("leaky_relu", lambda x: ag.leaky_relu(x, 0.2), "offset"),
-    ("abs", ag.absolute, "offset"),
 ]
 
 

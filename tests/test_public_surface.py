@@ -1,4 +1,5 @@
-"""Every function, class and method in ``src/repro`` has a caller that runs.
+"""Every function, class, method and module constant in ``src/repro`` has
+a caller that runs.
 
 A name counts as used when it is read somewhere in ``src/``, ``bench/``,
 ``benchmarks/`` or ``examples/``: as a bare name or as an attribute.
@@ -7,6 +8,8 @@ it, and a definition's own body (recursion, a class reading its own
 methods through ``self``) does not count either.  Tests do not count: a
 name only tests call is code that nothing the project runs needs.
 
+A module constant is a module-level assignment to an UPPER_CASE name
+(``_INTERNAL`` ones too); its own assignment does not count as a read.
 Dunders are called by the language and ``visit_*`` methods by
 ``ast.NodeVisitor``, so both are exempt.  Anything else without a caller
 must be listed in :data:`ALLOWED` with the reason it stays; a listed name
@@ -19,6 +22,7 @@ live one elsewhere is not caught; the check errs towards passing.
 from __future__ import annotations
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -77,9 +81,13 @@ def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
+_CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
 def _definitions(tree: ast.Module, module: str):
-    """Yield ``(qualname, name, node)`` for module-level functions and
-    classes and for the methods of classes (nested classes included)."""
+    """Yield ``(qualname, name, node)`` for module-level functions,
+    classes and constants and for the methods of classes (nested classes
+    included)."""
 
     def walk(body, prefix):
         for node in body:
@@ -89,6 +97,16 @@ def _definitions(tree: ast.Module, module: str):
                     yield from walk(node.body, f"{prefix}.{node.name}")
 
     yield from walk(tree.body, module)
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name) and _CONSTANT.fullmatch(target.id):
+                yield f"{module}.{target.id}", target.id, node
 
 
 def _is_all(node: ast.AST) -> bool:
