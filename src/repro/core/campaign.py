@@ -51,6 +51,7 @@ from repro.rct.task import TaskSpec, TaskState
 from repro.surrogate.infer import InferenceEngine
 from repro.surrogate.train import TrainConfig, TrainedSurrogate, train_surrogate
 from repro.telemetry import NULL_TRACER, Tracer
+from repro.util.blas import BLAS_UNPINNED, pin_blas_threads
 from repro.util.config import FrozenConfig, validate_positive, validate_range
 from repro.util.log import get_logger
 from repro.util.rng import RngFactory
@@ -191,6 +192,9 @@ class CampaignResult:
     #: ledger of stage-task failures (drops per stage, nothing silent);
     #: empty under fail_fast, which raises instead
     failure_summary: FailureSummary = field(default_factory=FailureSummary)
+    #: :data:`~repro.util.blas.BLAS_PINNED`, or ``BLAS_UNPINNED`` when the
+    #: floats may depend on the host's BLAS thread count
+    blas: str = ""
 
     def all_fg(self) -> list[EsmacsResult]:
         """Every FG result across iterations."""
@@ -244,6 +248,11 @@ class ImpeccableCampaign:
     ) -> None:
         self.config = config or CampaignConfig()
         cfg = self.config
+        # before any science: one BLAS thread, whatever the launcher set
+        self._blas = pin_blas_threads()
+        if self._blas == BLAS_UNPINNED:
+            _log.warning("%s: the campaign's floats follow the host default",
+                         BLAS_UNPINNED)
         #: telemetry sink shared with every engine the campaign drives;
         #: the default no-op tracer keeps untraced runs instrumentation-free
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -577,7 +586,7 @@ class ImpeccableCampaign:
 
     def _units(self) -> Iterator[StageUnit]:
         cfg = self.config
-        result = CampaignResult(config=cfg, library=self.library)
+        result = CampaignResult(config=cfg, library=self.library, blas=self._blas)
         self.result = result
         self._all_dock_results: list[DockingResult] = []
         state: dict = {}

@@ -55,6 +55,7 @@ from repro.rct.task import TaskRecord, TaskSpec, TaskState
 from repro.surrogate.infer import InferenceEngine, ScoredCompound
 from repro.surrogate.train import TrainedSurrogate
 from repro.telemetry import NULL_TRACER, Tracer
+from repro.util.blas import BLAS_UNPINNED, pin_blas_threads
 from repro.util.checkpoint import (
     CheckpointManifest,
     load_artifact,
@@ -81,6 +82,9 @@ class StreamedScreenResult:
     dock_shards_total: int = 0
     dock_shards_resumed: int = 0
     stats: dict = field(default_factory=dict)
+    #: :data:`~repro.util.blas.BLAS_PINNED`, or ``BLAS_UNPINNED`` when the
+    #: scores may depend on the host's BLAS thread count
+    blas: str = ""
 
 
 class _TopK:
@@ -320,7 +324,9 @@ def run_streamed_screen(
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     counter = tracer.metrics.counter
-    result = StreamedScreenResult(selected=[], docked=[])
+    result = StreamedScreenResult(selected=[], docked=[], blas=pin_blas_threads())
+    if result.blas == BLAS_UNPINNED:
+        _log.warning("%s: the screen's scores follow the host default", BLAS_UNPINNED)
 
     ml1_ckpt = s1_ckpt = None
     ml1_art = s1_art = Path()

@@ -275,6 +275,15 @@ class FailureSummary:
         key = stage or "(unlabelled)"
         self.dropped_by_stage[key] = self.dropped_by_stage.get(key, 0) + 1
 
+    def cancel_retry(self, stage: str = "") -> None:
+        """Turn one retry still in backoff into a drop: it will never run.
+
+        Its failure was counted as a retry when the backoff was drawn, so
+        moving it keeps ``n_failures == n_retries + n_dropped``.
+        """
+        self.n_retries -= 1
+        self.record_drop(stage)
+
     def record_success(self, attempt: int) -> None:
         """Log a task completing on its ``attempt``-th try (0-based)."""
         self.retry_histogram[attempt] = self.retry_histogram.get(attempt, 0) + 1

@@ -50,6 +50,7 @@ from repro.rct.task import TaskRecord, TaskSpec, TaskState
 from repro.rct.tasklog import TaskLog
 from repro.rct.utilization import UtilizationTracker
 from repro.telemetry import NULL_TRACER, ExecutorClock, Span, Tracer
+from repro.util.blas import pin_blas_threads
 
 __all__ = [
     "Pilot",
@@ -157,6 +158,14 @@ class Pilot:
         self.failures = FailureSummary()
         self.keep_records = keep_records
         self._placer = IndexedPlacer(allocation.n_nodes, allocation.spec)
+        #: ``fits_now(cpus, gpus, nodes)``: whether :meth:`start_task`
+        #: would place that shape right now — the placer's exact probe
+        #: (:meth:`IndexedPlacer.fits_now
+        #: <repro.rct.sched.IndexedPlacer.fits_now>`), which places
+        #: nothing and moves no later decision, so a source granting one
+        #: task at a time asks it first and calls ``start`` only for what
+        #: fits
+        self.fits_now = self._placer.fits_now
         #: slots held by each in-flight attempt, by task uid
         self._placements: dict[int, Placement] = {}
         # retry backlog: (eligible_time, task, attempt), unordered
@@ -228,8 +237,12 @@ class Pilot:
         placement = self._placer.try_place(task)
         if placement is None:
             return False
-        record = TaskRecord(spec=task, state=TaskState.SCHEDULED, attempt=attempt)
-        record.node_ids = placement.node_ids
+        record = TaskRecord(
+            spec=task,
+            state=TaskState.SCHEDULED,
+            node_ids=placement.node_ids,
+            attempt=attempt,
+        )
         self._placements[task.uid] = placement
         self.executor.start(
             record, timeout=self.retry.timeout if self.retry else None
@@ -265,8 +278,7 @@ class Pilot:
         for eligible, task, attempt in self._retry_queue:
             if pred(task):
                 cancelled.append(task)
-                self.failures.n_retries -= 1
-                self.failures.record_drop(task.stage)
+                self.failures.cancel_retry(task.stage)
             else:
                 kept.append((eligible, task, attempt))
         self._retry_queue = kept
@@ -299,7 +311,11 @@ class Pilot:
         rather than raised so :meth:`step` can report the attempt first."""
         record = self.executor.next_completion()
         error: TaskFailedError | None = None
-        span = self._task_spans.pop((record.spec.uid, record.attempt), None)
+        span = (
+            self._task_spans.pop((record.spec.uid, record.attempt), None)
+            if self.tracer.enabled
+            else None
+        )
         self._placer.release(self._placements.pop(record.spec.uid))
         if record.state is TaskState.FAILED:
             if span is not None:
@@ -367,7 +383,8 @@ class Pilot:
         it to the source's next wake-up, or report quiescence — which is
         a deadlock if the source still holds work.
         """
-        self._submit_retries()
+        if self._retry_queue:
+            self._submit_retries()
         source.place(self.start_task)
         if self._placements:
             record, error = self._complete_one()
@@ -442,18 +459,24 @@ def _worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _init_worker(initializer: Callable, *initargs: object) -> None:
+    """Worker start: one BLAS thread, then the caller's initializer."""
+    pin_blas_threads()
+    initializer(*initargs)
+
+
 def resident_pilot(
     initializer: Callable, initargs: tuple, keep_records: bool = True
 ) -> Pilot:
     """A one-node pilot over resident, forked science workers.
 
-    One cpu slot per worker (:func:`_worker_count`); each worker runs
-    ``initializer(*initargs)`` once, so large state (receptor grids, a
-    surrogate) is installed per worker, never pickled into a task.  Build
-    it lazily, at the first task that needs it, and shut it down in a
-    ``finally``.  Drops rather than raises (callers map failed records
-    back in their own order) and is untraced: its wall clock must not
-    enter a deterministic trace.
+    One cpu slot per worker (:func:`_worker_count`); each worker pins
+    BLAS to one thread and runs ``initializer(*initargs)`` once, so large
+    state (receptor grids, a surrogate) is installed per worker, never
+    pickled into a task.  Build it lazily, at the first task that needs
+    it, and shut it down in a ``finally``.  Drops rather than raises
+    (callers map failed records back in their own order) and is
+    untraced: its wall clock must not enter a deterministic trace.
     """
     n = _worker_count()
     executor = ProcessExecutor(
@@ -463,8 +486,8 @@ def resident_pilot(
         # second); callers fork with no thread of their own running, so
         # the fork copies no lock such a thread could hold
         mp_context=multiprocessing.get_context("fork"),
-        initializer=initializer,
-        initargs=initargs,
+        initializer=_init_worker,
+        initargs=(initializer, *initargs),
     )
     return Pilot(
         Allocation(node_ids=[0], spec=NodeSpec(cpus=n, gpus=0), granted_at=0.0),

@@ -18,15 +18,17 @@ idling and the deadlock rule.  The manager
    virtual times, or live asyncio submits/cancels in arrival order);
 2. ``place``: advances the submissions that just joined or whose
    current unit's tasks all finished — run its science, checkpoint,
-   build the next unit — then repeatedly picks the fair-share winner
-   among tenants with backlog and quota headroom, grants one placement
-   and charges its node-seconds to the tenant's stride pass; a tenant
-   whose head task doesn't fit is set aside for the rest of the pass,
-   and so is every shape that failed to start (resources only shrink
-   within a pass);
-3. ``completed``: attributes the finished attempt to its tenant —
-   per-tenant :class:`~repro.rct.tasklog.TaskLog`,
-   :class:`~repro.rct.fault.FailureSummary`, node-second accounting;
+   build the next unit — then, while the pilot's exact placement probe
+   (:attr:`Pilot.fits_now <repro.rct.pilot.Pilot.fits_now>`) says some
+   candidate's queued shape fits, picks the fair-share winner among
+   tenants with backlog and quota headroom, grants it one placement and
+   charges its node-seconds to the tenant's stride pass; a tenant none
+   of whose shapes fits is set aside for the rest of the pass
+   (resources only shrink within a pass).  ``start`` is called once per
+   grant and never fails;
+3. ``completed``: attributes the finished attempt to its submission —
+   :class:`~repro.rct.fault.FailureSummary`, node-seconds, the budget
+   check (the attempts themselves are in the pilot's log);
 4. ``next_wakeup``: names the next scripted event for an idle clock.
 
 **Determinism contract.**  A fixed submission script + seed yields
@@ -45,13 +47,12 @@ import hashlib
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.rct.fault import FailureSummary, TaskFailedError
 from repro.rct.pilot import Pilot, StartFn, TaskSource
 from repro.rct.sched import PendingQueue
 from repro.rct.task import TaskRecord, TaskSpec, TaskState
-from repro.rct.tasklog import TaskLog
 from repro.service.sched import StrideScheduler
 from repro.service.tenant import SUBMISSION_STATES, Tenant
 from repro.service.work import WorkContext, WorkSource, WorkUnit
@@ -86,8 +87,6 @@ class Submission:
     units_done: int = 0
     n_tasks_done: int = 0
     node_seconds: float = 0.0
-    #: per-submission accounting, same columnar form as the pilot's
-    tasklog: TaskLog = field(default_factory=TaskLog)
     failures: FailureSummary = field(default_factory=FailureSummary)
     # -- drive-loop internals --
     _units: Iterator[WorkUnit] | None = None
@@ -103,14 +102,35 @@ class Submission:
         return self.state in ("queued", "running")
 
 
+def _any_fits(
+    candidates: dict[str, list[Submission]], fits: Callable[[int, int, int], bool]
+) -> bool:
+    """Whether any candidate submission has a queued shape that fits.
+
+    Candidates mostly queue the same shapes, so a shape just rejected is
+    not probed again for the next one.
+    """
+    rejected = None
+    for subs in candidates.values():
+        for sub in subs:
+            for shape in sub._pending.shapes:
+                if shape != rejected:
+                    if fits(*shape):
+                        return True
+                    rejected = shape
+    return False
+
+
 class CampaignManager(TaskSource):
     """Drive many tenants' campaigns over one shared pilot."""
 
     def __init__(self, pilot: Pilot, preempt_bound: int = 8) -> None:
         self.pilot = pilot
+        #: the pilot's node shape, fixed for its lifetime
+        self._spec = pilot.spec
         self.sched = StrideScheduler(preempt_bound=preempt_bound)
         self._subs: dict[str, Submission] = {}
-        self._by_base: dict[int, str] = {}
+        self._by_base: dict[int, Submission] = {}
         self._join_seq = 0
         #: live commands (op, payload) drained at loop boundaries in
         #: arrival order — the asyncio submit/cancel entry point
@@ -126,6 +146,8 @@ class CampaignManager(TaskSource):
         #: placed-or-retrying tasks per tenant: the sum of its
         #: submissions' ``_inflight`` sizes, kept as they change
         self._tenant_busy: dict[str, int] = {}
+        #: ``max_concurrent_tasks`` per tenant (``None``: unlimited)
+        self._limit: dict[str, int | None] = {}
 
     # ----------------------------------------------------------- public API
     def submit(self, tenant: Tenant, name: str, work: WorkSource) -> str:
@@ -137,7 +159,7 @@ class CampaignManager(TaskSource):
         other = self._by_base.get(base)
         if other is not None:
             raise ValueError(
-                f"uid namespace collision between {sid!r} and {other!r}; "
+                f"uid namespace collision between {sid!r} and {other.sid!r}; "
                 "rename one submission"
             )
         for existing in self._subs.values():
@@ -156,9 +178,10 @@ class CampaignManager(TaskSource):
         sub._uid_base = base
         self._join_seq += 1
         self._subs[sid] = sub
-        self._by_base[base] = sid
+        self._by_base[base] = sub
         self._ready.append(sub)
         self._tenant_busy.setdefault(tenant.name, 0)
+        self._limit[tenant.name] = tenant.quota.max_concurrent_tasks
         if tenant.name not in self.sched:
             self.sched.add(tenant.name, weight=tenant.weight, priority=tenant.priority)
         _log.info("submission %s accepted (weight=%d)", sid, tenant.weight)
@@ -273,10 +296,12 @@ class CampaignManager(TaskSource):
 
     def _drop_unstarted(self, sub: Submission) -> None:
         """Drop a submission's backlog and its retries still in backoff
-        (those will never complete, so they stop counting as in flight);
-        running attempts drain on their own."""
+        (those will never complete, so they stop counting as in flight,
+        and their failures move from retries to drops, as on the pilot's
+        ledger); running attempts drain on their own."""
         sub._pending.drop_where(lambda _t: True)
         for task in self.pilot.cancel_pending(lambda t: self._owner(t.uid) is sub):
+            sub.failures.cancel_retry(task.stage)
             self._settle(sub, task.uid)
 
     def _fail(self, sub: Submission, exc: Exception) -> None:
@@ -336,7 +361,7 @@ class CampaignManager(TaskSource):
     # -- placement ---------------------------------------------------------
     def _task_cost(self, task: TaskSpec) -> float:
         """Node-seconds a task will occupy (the stride charge)."""
-        spec = self.pilot.spec
+        spec = self._spec
         duration = task.duration or 0.0
         if task.nodes > 1:
             return duration * task.nodes
@@ -345,10 +370,6 @@ class CampaignManager(TaskSource):
             task.cpus / spec.cpus if spec.cpus else 0.0,
         )
         return duration * fraction
-
-    def _has_headroom(self, sub: Submission) -> bool:
-        quota = sub.tenant.quota.max_concurrent_tasks
-        return quota is None or self._tenant_busy[sub.tenant.name] < quota
 
     def _settle(self, sub: Submission, uid: int) -> bool:
         """Take ``uid`` out of flight; ``False`` if it was not in flight."""
@@ -359,8 +380,8 @@ class CampaignManager(TaskSource):
         return True
 
     def place(self, start: StartFn) -> None:
-        """Advance ready submissions, then fair-share grants until
-        nothing eligible fits.
+        """Advance ready submissions, then fair-share grants while some
+        candidate's queued shape fits.
 
         The round costs what changed since the last one, and every
         shortcut below decides exactly as re-scanning everything would:
@@ -370,14 +391,18 @@ class CampaignManager(TaskSource):
         * the candidates (tenant → its submissions with backlog, in
           join order) are built once per pass: a grant changes only the
           winner's backlog and in-flight count, so only its entry is
-          redone, and a tenant whose try fails leaves the pass;
-        * a ``(cpus, gpus, nodes)`` shape that failed to start is not
-          offered again this pass — free slots only shrink while
-          ``place`` runs, so it would fail again;
-        * once every remaining candidate's queued shapes have failed,
-          the pass ends: no grant, hence no ``commit`` and no aging, can
-          follow.  A blocked tenant is not dropped earlier, because each
-          ``commit`` ages every eligible lower-priority tenant.
+          redone, and a picked tenant none of whose shapes fits leaves
+          the pass;
+        * before every pick the pilot's exact probe ``fits_now`` is
+          asked about the candidates' queued shapes, and the pass ends
+          when none fits: no grant, hence no ``commit`` and no aging,
+          could follow.  A tenant that does not fit is not dropped
+          before its own pick, because each ``commit`` ages every
+          eligible lower-priority tenant;
+        * a picked tenant's queue skips the shapes the probe rejects, so
+          ``start`` is called once per grant and always places.  The
+          probe pops only stale placer entries, and the placer's heaps
+          keep every fitting node, so no later decision moves.
 
         ``_subs`` is filled with strictly increasing ``join_seq`` and
         never shrinks, so dict order is join order; ``pick``'s key ends
@@ -392,61 +417,51 @@ class CampaignManager(TaskSource):
             ready, self._ready = self._ready, []
             for sub in sorted(ready, key=lambda s: s.join_seq):
                 self._advance(sub)
+        busy, limits = self._tenant_busy, self._limit
         candidates: dict[str, list[Submission]] = {}
         for sub in self._subs.values():
-            if len(sub._pending) and sub.active and self._has_headroom(sub):
-                candidates.setdefault(sub.tenant.name, []).append(sub)
-        failed: set[tuple[int, int, int]] = set()
-
-        def try_start(task: TaskSpec) -> bool:
-            if (task.cpus, task.gpus, task.nodes) in failed:
-                return False
-            if start(task):
-                return True
-            failed.add((task.cpus, task.gpus, task.nodes))
-            return False
-
-        while candidates:
+            if sub._pending.shapes and sub.active:  # queued work
+                name = sub.tenant.name
+                limit = limits[name]
+                if limit is None or busy[name] < limit:
+                    candidates.setdefault(name, []).append(sub)
+        fits = self.pilot.fits_now
+        while _any_fits(candidates, fits):
             eligible = list(candidates)
             winner = self.sched.pick(eligible)
             subs = candidates[winner]
             for sub in subs:
-                started = sub._pending.try_start_one(try_start)
+                started = sub._pending.try_start_one(start, fits)
                 if started is not None:
                     break
             else:
                 # nothing of this tenant's fits the free slots; within a
                 # pass resources only shrink, so set it aside
                 del candidates[winner]
-                if not any(
-                    not failed.issuperset(other._pending.shapes())
-                    for rest in candidates.values()
-                    for other in rest
-                ):
-                    return
                 continue
             sub._inflight.add(started.uid)
-            self._tenant_busy[winner] += 1
+            busy[winner] += 1
             self.sched.commit(winner, eligible, self._task_cost(started))
-            if not self._has_headroom(sub):
+            limit = limits[winner]
+            if limit is not None and busy[winner] >= limit:
                 del candidates[winner]
-            elif not len(sub._pending):
+            elif not sub._pending.shapes:
                 subs.remove(sub)
                 if not subs:
                     del candidates[winner]
 
     # -- completion --------------------------------------------------------
     def _owner(self, uid: int) -> Submission | None:
-        sid = self._by_base.get((uid // _UID_SPACE) * _UID_SPACE)
-        return self._subs.get(sid) if sid is not None else None
+        return self._by_base.get((uid // _UID_SPACE) * _UID_SPACE)
 
     def completed(self, record: TaskRecord) -> None:
         """Charge one finished attempt to its owning submission."""
-        sub = self._owner(record.spec.uid)
+        uid = record.spec.uid
+        # :meth:`_owner`, inlined: this runs once per finished attempt
+        sub = self._by_base.get((uid // _UID_SPACE) * _UID_SPACE)
         if sub is None:  # pragma: no cover - foreign task on shared pilot
             return
-        spec = self.pilot.spec
-        sub.tasklog.append(record)
+        spec = self._spec
         sub.node_seconds += record.node_seconds(spec.gpus, spec.cpus)
         if record.state is TaskState.RETRYING:
             # the pilot re-queued it after the backoff it drew
@@ -460,18 +475,17 @@ class CampaignManager(TaskSource):
                 sub.failures.record_drop(record.spec.stage)
             sub.n_tasks_done += 1
             if (
-                self._settle(sub, record.spec.uid)
+                self._settle(sub, uid)
                 and sub.active
                 and not sub._inflight
                 and not len(sub._pending)
             ):
                 self._ready.append(sub)  # its unit drained: advance it
-        self._check_budget(sub.tenant)
+        if sub.tenant.quota.node_seconds_budget is not None:
+            self._check_budget(sub.tenant)
 
     def _check_budget(self, tenant: Tenant) -> None:
         budget = tenant.quota.node_seconds_budget
-        if budget is None:
-            return
         # every submission's tenant is equal (``submit`` refuses a
         # changed one); the sum stays in join order, as a running total
         # would re-associate the floats and could move the cut-off

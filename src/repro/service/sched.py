@@ -55,6 +55,8 @@ class StrideScheduler:
             raise ValueError("preempt_bound must be >= 1")
         self.preempt_bound = preempt_bound
         self._entries: dict[str, ShareEntry] = {}
+        #: lowest priority class among the entries: a grant to it ages no one
+        self._lowest = 0
         #: served cost of tenants already retired from the ledger — kept
         #: so end-of-run share reports cover the whole campaign
         self._retired_cost: dict[str, float] = {}
@@ -83,6 +85,7 @@ class StrideScheduler:
             pass_value=floor,
         )
         self._join_seq += 1
+        self._lowest = min(e.priority for e in self._entries.values())
 
     def remove(self, name: str) -> None:
         """Drop a tenant from the ledger (done/cancelled submissions).
@@ -91,6 +94,7 @@ class StrideScheduler:
         re-:meth:`add` of the same name resumes accumulating onto it.
         """
         entry = self._entries.pop(name, None)
+        self._lowest = min((e.priority for e in self._entries.values()), default=0)
         if entry is not None:
             self._retired_cost[name] = (
                 self._retired_cost.get(name, 0.0) + entry.served_cost
@@ -128,17 +132,19 @@ class StrideScheduler:
         credit, so a stream of high-priority grants can jump the queue
         at most ``preempt_bound`` consecutive times per victim.
         """
-        entry = self._entries[name]
-        entry.pass_value += max(cost, 0.0) * self.STRIDE1 / entry.weight
-        entry.served_cost += max(cost, 0.0)
+        entries = self._entries
+        entry = entries[name]
+        cost = max(cost, 0.0)
+        entry.pass_value += cost * self.STRIDE1 / entry.weight
+        entry.served_cost += cost
         entry.n_grants += 1
         entry.starve_credits = 0
-        for other in eligible:
-            if other == name:
-                continue
-            victim = self._entries[other]
-            if victim.priority < entry.priority:
-                victim.starve_credits += 1
+        priority = entry.priority
+        if priority > self._lowest:
+            for other in eligible:
+                victim = entries[other]
+                if victim.priority < priority:  # never the winner itself
+                    victim.starve_credits += 1
 
     # ------------------------------------------------------------ inspection
     def shares(self) -> dict[str, float]:

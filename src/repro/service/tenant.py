@@ -17,8 +17,8 @@ Quota semantics (see DESIGN.md "Multi-tenant campaign service"):
 
 ``node_seconds_budget``
     Lifetime node-seconds across all the tenant's task attempts,
-    charged from the pilot's :class:`~repro.rct.tasklog.TaskLog`
-    accounting (:meth:`~repro.rct.task.TaskRecord.node_seconds`).  A
+    charged as each attempt finishes
+    (:meth:`~repro.rct.task.TaskRecord.node_seconds`).  A
     tenant crossing the budget stops receiving placements; queued work
     is dropped and the submission lands in ``quota_exhausted``.  Work
     already running is allowed to finish (and is charged).

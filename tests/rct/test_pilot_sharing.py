@@ -79,7 +79,7 @@ def test_pending_queue_drop_where_keeps_order():
     assert [t.uid for t in dropped] == [1, 3]
     started = []
     while True:
-        t = pending.try_start_one(lambda _t: True)
+        t = pending.try_start_one(lambda _t: True, lambda *_shape: True)
         if t is None:
             break
         started.append(t.uid)
@@ -92,11 +92,20 @@ def test_pending_queue_try_start_one_pops_only_what_starts():
     pending.push(task(uid=2, name="second", gpus=1))
 
     # only the small shape "fits": its head starts even though the big
-    # shape was submitted earlier
-    started = pending.try_start_one(lambda t: t.gpus == 1)
+    # shape was submitted earlier, and the big one is never offered
+    offered = []
+
+    def start(t):
+        offered.append(t.uid)
+        return True
+
+    started = pending.try_start_one(start, lambda cpus, gpus, nodes: gpus == 1)
     assert started is not None and started.uid == 2
+    assert offered == [2]
     assert len(pending) == 1
-    assert pending.try_start_one(lambda t: False) is None
+    assert pending.try_start_one(lambda t: False, lambda *_shape: True) is None
+    assert pending.try_start_one(start, lambda *_shape: False) is None
+    assert offered == [2]
     assert len(pending) == 1
 
 

@@ -63,6 +63,48 @@ def test_indexed_placer_matches_scan_placer_fuzz():
             np.testing.assert_array_equal(scan.free_gpus(), indexed.free_gpus())
 
 
+def _probe_shapes(rng) -> list[tuple[int, int, int]]:
+    return [(t.cpus, t.gpus, t.nodes) for t in (_random_task(rng) for _ in range(4))] + [
+        (SPEC.cpus, SPEC.gpus, 1), (1, SPEC.gpus + 1, 1), (SPEC.cpus + 1, 0, 2),
+    ]
+
+
+def test_fits_now_is_exact_and_moves_no_placement_fuzz():
+    """``fits_now`` says yes iff the scan reference would place the shape
+    now, and a placer probed before every step places exactly like one
+    never probed."""
+    rng = rng_stream(11, "test.placer-probe")
+    for n_nodes in (1, 3, 16):
+        scan = ScanPlacer(n_nodes, SPEC)
+        probed = IndexedPlacer(n_nodes, SPEC)
+        plain = IndexedPlacer(n_nodes, SPEC)
+        live: list = []
+        for _ in range(600):
+            for cpus, gpus, nodes in _probe_shapes(rng):
+                trial = ScanPlacer(n_nodes, SPEC)
+                trial._free_cpus = scan.free_cpus()
+                trial._free_gpus = scan.free_gpus()
+                task = TaskSpec(cpus=cpus, gpus=gpus, nodes=nodes, duration=1.0)
+                assert probed.fits_now(cpus, gpus, nodes) == (
+                    trial.try_place(task) is not None
+                )
+            if live and rng.random() < 0.4:
+                a, b, c = live.pop(int(rng.integers(len(live))))
+                scan.release(a)
+                probed.release(b)
+                plain.release(c)
+                continue
+            task = _random_task(rng)
+            placed = scan.try_place(task), probed.try_place(task), plain.try_place(task)
+            if None in placed:
+                assert placed == (None, None, None)
+            else:
+                assert placed[0].node_ids == placed[1].node_ids == placed[2].node_ids
+                live.append(placed)
+        np.testing.assert_array_equal(plain.free_cpus(), probed.free_cpus())
+        np.testing.assert_array_equal(plain.free_gpus(), probed.free_gpus())
+
+
 def test_indexed_placer_first_fit_lowest_index():
     placer = IndexedPlacer(4, SPEC)
     first = placer.try_place(TaskSpec(gpus=1, duration=1.0))

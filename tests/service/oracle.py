@@ -7,7 +7,9 @@ attempt, re-summed each tenant's in-flight work for the quota check and
 re-tried every queued shape of a picked tenant, already-failed ones
 included; :class:`~repro.rct.sched.PendingQueue` merged a tenant's shape
 heads through a fresh heap per attempt.  The bodies below are those
-methods verbatim.  They live here because their only job is to be the
+methods verbatim, save for keeping today's data structures (no
+per-submission task log; an emptied shape queue is removed).  They live
+here because their only job is to be the
 reference the incremental round is checked against
 (``tests/service/test_incremental.py``)::
 
@@ -37,6 +39,8 @@ def try_start_one(self: PendingQueue, try_start) -> TaskSpec | None:
         queue = self._queues[key]
         if try_start(queue[0][1]):
             task = queue.popleft()[1]
+            if not queue:  # the queue keeps only shapes with tasks
+                del self._queues[key]
             self._count -= 1
             return task
     return None
@@ -68,7 +72,7 @@ def place(self: CampaignManager, start: StartFn) -> None:
         for sub in sorted(self._subs.values(), key=lambda s: s.join_seq):
             if not sub.active or not len(sub._pending):
                 continue
-            if sub.tenant.name in blocked or not self._has_headroom(sub):
+            if sub.tenant.name in blocked or not _has_headroom(self, sub):
                 continue
             candidates.setdefault(sub.tenant.name, []).append(sub)
         eligible = sorted(candidates)
@@ -95,7 +99,6 @@ def completed(self: CampaignManager, record: TaskRecord) -> None:
     if sub is None:  # pragma: no cover - foreign task on shared pilot
         return
     spec = self.pilot.spec
-    sub.tasklog.append(record)
     sub.node_seconds += record.node_seconds(spec.gpus, spec.cpus)
     if record.state is TaskState.DONE:
         sub.failures.record_success(record.attempt)
@@ -139,5 +142,5 @@ def _check_budget(self: CampaignManager, tenant_name: str) -> None:
 def install(monkeypatch) -> None:
     """Route every CampaignManager through the re-scan round."""
     monkeypatch.setattr(PendingQueue, "try_start_one", try_start_one)
-    for fn in (_has_headroom, place, completed, _check_budget):
+    for fn in (place, completed, _check_budget):
         monkeypatch.setattr(CampaignManager, fn.__name__, fn)

@@ -5,8 +5,8 @@ incremental: advance every submission, rebuild the candidates before
 each grant attempt, re-sum in-flight work, re-try failed shapes.  Every
 generated script here runs twice — on the product and with the oracle
 installed — and every observable must be ``==``: the pilot's task log
-and clock, each submission's state, accounting and task log, and every
-share-ledger entry.
+and clock, each submission's state, accounting and attempt log, and
+every share-ledger entry.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from repro.rct.cluster import SUMMIT_NODE, Cluster
 from repro.rct.fault import FaultModel, RetryPolicy
 from repro.rct.pilot import Pilot
 from repro.rct.task import TaskSpec
-from repro.service.manager import CampaignManager
+from repro.rct.tasklog import TaskLog
+from repro.service.manager import _UID_SPACE, CampaignManager, Submission
 from repro.service.tenant import Quota, Tenant
-from repro.service.work import WorkContext, WorkUnit
+from repro.service.work import SyntheticWork, WorkContext, WorkUnit
 from repro.util.rng import rng_stream
 
 from tests.service import oracle
@@ -107,11 +108,22 @@ def ledger(manager: CampaignManager) -> dict:
     return {"entries": entries, "retired": dict(manager.sched._retired_cost)}
 
 
+def submission_log(manager: CampaignManager, sub: Submission) -> TaskLog:
+    """The submission's attempts, in start order, as a columnar log: the
+    pilot's records whose uid lies in the submission's namespace."""
+    log = TaskLog()
+    for record in manager.pilot.records:
+        if record.spec.uid // _UID_SPACE == sub._uid_base // _UID_SPACE:
+            log.append(record)
+    return log
+
+
 def observe(manager: CampaignManager) -> dict:
     """Everything the round decides at the end, as comparable values."""
     subs = {
         sid: (s.state, s.error, s.node_seconds, s.n_tasks_done, s.units_done,
-              s.failures.summary(), s.tasklog.digest(), s.work.result_digest())
+              s.failures.summary(), submission_log(manager, s).digest(),
+              s.work.result_digest())
         for sid, s in manager._subs.items()
     }
     return {
@@ -290,3 +302,27 @@ def test_one_backoff_draw_per_retry(monkeypatch):
     assert summaries == {
         sid: s.failures.summary() for sid, s in reference._subs.items()
     }
+
+
+def test_one_start_per_grant(monkeypatch):
+    """The placement probe leaves no failing try: on a fault-free pilot
+    every ``start_task`` call places an attempt that is later logged."""
+    calls = {"n": 0}
+    start_task = Pilot.start_task
+
+    def counted(self, task, attempt=0):
+        calls["n"] += 1
+        return start_task(self, task, attempt)
+
+    monkeypatch.setattr(Pilot, "start_task", counted)
+    executor = create_executor("sim", launch_overhead=0.5)
+    pilot = Pilot(Cluster(2, spec=SUMMIT_NODE).allocate(2, now=0.0), executor,
+                  failure_policy="drop_and_continue")
+    manager = CampaignManager(pilot)
+    for i, weight in enumerate((4, 2, 1)):
+        manager.submit(Tenant(name=f"t{i}", weight=weight), "job",
+                       SyntheticWork(n_units=3, tasks_per_unit=20, duration=60.0,
+                                     gpus=1, seed=i))
+    manager.run_until_idle()
+    assert len(pilot.log) == 3 * 3 * 20
+    assert calls["n"] == len(pilot.log)

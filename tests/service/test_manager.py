@@ -13,13 +13,14 @@ import pytest
 
 from repro.rct.backends import create_executor
 from repro.rct.cluster import Cluster, SUMMIT_NODE
-from repro.rct.fault import FaultModel
+from repro.rct.fault import FaultModel, RetryPolicy
 from repro.service.manager import CampaignManager
 from repro.service.tenant import Quota, Tenant
-from repro.service.work import CampaignWork, SyntheticWork
+from repro.service.work import CampaignWork, SyntheticWork, WorkUnit
 from repro.rct.pilot import Pilot
 
 from tests.core.test_stageunits import tiny_config
+from tests.service.test_incremental import submission_log
 
 
 def make_manager(n_nodes=2, **pilot_kwargs):
@@ -239,7 +240,7 @@ def test_fail_fast_attempt_is_attributed_and_frees_its_quota_slot(seed):
     """On a fail_fast pilot the failing attempt still reaches the owner's
     ledger: its uid leaves ``_inflight`` (else a one-task quota is held
     forever and the tenant's next submission deadlocks), and it shows in
-    the submission's tasklog, node-seconds and failure summary."""
+    the submission's attempts, node-seconds and failure summary."""
     executor = create_executor(
         "sim", launch_overhead=0.5,
         fault_model=FaultModel(seed=seed, failure_rate=0.3),
@@ -262,7 +263,10 @@ def test_fail_fast_attempt_is_attributed_and_frees_its_quota_slot(seed):
         assert sub.state in ("done", "failed")
         assert manager.status(sid)["n_inflight"] == 0
         assert sub.failures.reconciles()
-        assert sub.tasklog.state_counts().get("FAILED", 0) == sub.failures.n_dropped
+        assert (
+            submission_log(manager, sub).state_counts().get("FAILED", 0)
+            == sub.failures.n_dropped
+        )
     for sub in failed:
         assert "TaskFailedError" in sub.error
         assert sub.failures.n_dropped == 1
@@ -333,4 +337,63 @@ def test_per_tenant_accounting_totals_match_the_pilot():
     for sid in sids:
         sub = manager._subs[sid]
         assert sub.n_tasks_done == 3 * 6
-        assert len(sub.tasklog) > 0
+        assert len(submission_log(manager, sub)) > 0
+
+
+class _ScienceFails(SyntheticWork):
+    """Synthetic work whose second unit's science raises."""
+
+    def units(self, ctx):
+        for i, unit in enumerate(super().units(ctx)):
+            if i == 1:
+                unit = WorkUnit(unit.unit_id, unit.tasks, science=self._boom)
+            yield unit
+
+    @staticmethod
+    def _boom():
+        raise RuntimeError("science failed")
+
+
+def _ledger(summaries):
+    """The countable part of failure ledgers, summed."""
+    total = {"failures": 0, "retries": 0, "dropped": 0, "timeouts": 0,
+             "by_stage": {}, "histogram": {}}
+    for f in summaries:
+        total["failures"] += f.n_failures
+        total["retries"] += f.n_retries
+        total["dropped"] += f.n_dropped
+        total["timeouts"] += f.n_timeouts
+        for key, field_ in (("by_stage", f.dropped_by_stage),
+                            ("histogram", f.retry_histogram)):
+            for k, n in field_.items():
+                total[key][k] = total[key].get(k, 0) + n
+    return total
+
+
+@pytest.mark.parametrize("ending", ["cancel", "budget", "science"])
+def test_per_submission_failure_ledgers_sum_to_the_pilots(ending):
+    """A submission that ends early drops its retries still in backoff;
+    the pilot turns each into a drop, and so must the owner's ledger."""
+    executor = create_executor(
+        "sim", launch_overhead=0.5,
+        fault_model=FaultModel(seed=1, failure_rate=0.3),
+    )
+    allocation = Cluster(2, spec=SUMMIT_NODE).allocate(2, now=0.0)
+    pilot = Pilot(allocation, executor, failure_policy="drop_and_continue",
+                  retry=RetryPolicy(max_retries=3, backoff_base=50.0, seed=1))
+    manager = CampaignManager(pilot)
+    quota = Quota(node_seconds_budget=80.0) if ending == "budget" else Quota()
+    work = _ScienceFails if ending == "science" else SyntheticWork
+    manager.submit(Tenant(name="a", quota=quota), "job",
+                   work(n_units=3, tasks_per_unit=6, duration=60.0, gpus=1, seed=0))
+    manager.submit(Tenant(name="b"), "job", synthetic(seed=1))
+    if ending == "cancel":
+        manager.at(100.0, "cancel", sid="a/job")
+    manager.run_until_idle()
+    subs = list(manager._subs.values())
+    assert subs[0].state == {"cancel": "cancelled", "budget": "quota_exhausted",
+                             "science": "failed"}[ending]
+    assert pilot.failures.n_retries > 0
+    assert _ledger(s.failures for s in subs) == _ledger([pilot.failures])
+    for sub in subs:
+        assert sub.failures.reconciles()
