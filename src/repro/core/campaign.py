@@ -21,7 +21,6 @@ structures (docked poses seed CG; S2-selected frames seed FG).
 
 from __future__ import annotations
 
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -46,8 +45,8 @@ from repro.esmacs.protocol import (
 )
 from repro.md.builder import build_lpc
 from repro.rct.fault import FAILURE_POLICIES, FailureSummary, TaskFailedError
-from repro.rct.pilot import Pilot, resident_pilot
-from repro.rct.task import TaskSpec, TaskState
+from repro.rct.pilot import Pilot, resident_pilot, run_in_order
+from repro.rct.task import TaskState
 from repro.surrogate.infer import InferenceEngine
 from repro.surrogate.train import TrainConfig, TrainedSurrogate, train_surrogate
 from repro.telemetry import NULL_TRACER, Tracer
@@ -365,17 +364,16 @@ class ImpeccableCampaign:
 
         ``jobs`` holds one ``(unit, prepare)`` pair per compound, where
         ``prepare()`` returns ``(pdb, config, seed, smiles, coords,
-        keep_trajectories)``.  Every replica becomes one single-cpu task
-        whose uid is its index in the stage (the process-wide uid counter
-        stays untouched), and the stage drains before this returns.  Per
-        job, in job order: the replica outputs in replica order, or the
-        exception that replaces them — what ``prepare`` raised, or the
-        first failed replica's error — for the caller to raise inside the
-        unit's :meth:`_guard` turn, so drops keep compound order.  A worker
-        process that died breaks the pool: that raises
-        :class:`TaskFailedError` naming the stage.
+        keep_trajectories)``.  Every replica becomes one
+        :func:`~repro.rct.pilot.run_in_order` job, and the stage drains
+        before this returns.  Per job, in job order: the replica outputs in
+        replica order, or the exception that replaces them — what
+        ``prepare`` raised, or the first failed replica's error — for the
+        caller to raise inside the unit's :meth:`_guard` turn, so drops
+        keep compound order.  A worker process that died raises the
+        stage's :class:`TaskFailedError` from the runner.
         """
-        tasks: list[TaskSpec] = []
+        tasks: list[tuple[str, tuple]] = []
         outcomes: list = []
         for unit, prepare in jobs:
             try:
@@ -383,37 +381,18 @@ class ImpeccableCampaign:
             except Exception as exc:  # noqa: BLE001 - raised in the unit's turn
                 outcomes.append(exc)
                 continue
-            first = len(tasks)
-            outcomes.append(range(first, first + config.replicas))
+            outcomes.append(slice(len(tasks), len(tasks) + config.replicas))
             tasks.extend(
-                TaskSpec(
-                    name=f"{unit}/replica-{r}",
-                    fn=run_replica,
-                    args=(pdb, config, seed, smiles, coords, unit, r, keep),
-                    cpus=1,
-                    stage=stage,
-                    uid=first + r,
+                (
+                    f"{unit}/replica-{r}",
+                    (pdb, config, seed, smiles, coords, unit, r, keep),
                 )
                 for r in range(config.replicas)
             )
-        try:
-            records = self._science_pilot().run(tasks) if tasks else []
-        except BrokenProcessPool as exc:  # raised by a submit after the break
-            records, broken = [], [str(exc)]
-        else:  # attempts in flight when it broke fail with this error
-            broken = [
-                rec.error
-                for rec in records
-                if rec.state is TaskState.FAILED
-                and rec.error.startswith(BrokenProcessPool.__name__)
-            ]
-        if broken:
-            self._close_workers()
-            raise TaskFailedError(f"{stage}: a worker process died: {broken[0]}")
-        by_uid = {rec.spec.uid: rec for rec in records}
+        records = list(run_in_order(stage, run_replica, tasks, self._science_pilot))
         for k, outcome in enumerate(outcomes):
-            if isinstance(outcome, range):
-                recs = [by_uid[uid] for uid in outcome]
+            if isinstance(outcome, slice):
+                recs = records[outcome]
                 failed = [rec for rec in recs if rec.state is not TaskState.DONE]
                 outcomes[k] = (
                     _ReplicaFailed(failed[0].error)

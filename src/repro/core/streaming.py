@@ -13,17 +13,23 @@ anywhere; rerunning the same command resumes from the last committed
 shard without rescoring or redocking, and the final output is
 byte-for-byte identical to an uninterrupted run.
 
-Workers.  The pool (:func:`~repro.rct.pilot.resident_pilot`, one worker
-per usable cpu) forks at the first shard that is not already
-checkpointed, so a fully resumed run forks nothing; both stages share
-it, and it is shut down on every way out.  Its initializer installs the
-surrogate and the docking engine once per worker; each worker compiles
-its own inference engine on its first ML1 shard.  Worker-side science is
-untraced: a traced screen records the parent's stage, shard and
-checkpoint spans and counters, not the workers' kernel spans.
+Workers.  Each stage's not-yet-checkpointed shards are one
+:func:`~repro.rct.pilot.run_in_order` stream; the parent walks the
+stage's shards in order, reloading a checkpointed shard and taking the
+stream's next record for any other.  The pool
+(:func:`~repro.rct.pilot.resident_pilot`, one worker per usable cpu)
+forks at the first shard that is not already checkpointed, so a fully
+resumed run forks nothing; both stages share it, and it is shut down on
+every way out.  Its initializer installs the surrogate and the docking
+engine once per worker; each worker compiles its own inference engine on
+its first ML1 shard.  A shard that failed in a worker raises naming the
+shard; a worker that died raises the runner's one dead-worker error.
+Worker-side science is untraced: a traced screen records the parent's
+stage, shard and checkpoint spans and counters, not the workers' kernel
+spans.
 
 Memory is bounded by construction: at most 2 × workers shards are
-submitted but not yet committed; a worker holds one shard of records and
+placed but not yet committed; a worker holds one shard of records and
 one padded feature batch, or one packed docking shard; the parent holds a
 fixed-size top-K selection heap.  None of it scales with library size.
 
@@ -42,16 +48,14 @@ Determinism ties the streamed path to the materialized one:
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from repro.docking.engine import DockingEngine, DockingResult
 from repro.rct.fault import TaskFailedError
-from repro.rct.pilot import Pilot, StartFn, TaskSource, resident_pilot
-from repro.rct.task import TaskRecord, TaskSpec, TaskState
+from repro.rct.pilot import Pilot, resident_pilot, run_in_order
+from repro.rct.task import TaskRecord, TaskState
 from repro.surrogate.infer import InferenceEngine, ScoredCompound
 from repro.surrogate.train import TrainedSurrogate
 from repro.telemetry import NULL_TRACER, Tracer
@@ -157,90 +161,13 @@ def dock_shard_entries(entries: list[tuple[str, str]]) -> list[DockingResult]:
 # ------------------------------------------------------------ parent side
 
 
-class _ShardTasks(TaskSource):
-    """One stage's not-yet-checkpointed shards as worker tasks.
-
-    A shard's uid is its index in the stage.  Shards are placed in order
-    while fewer than ``window`` are submitted but not yet taken, and each
-    final record waits here until :meth:`take` hands it to the commit.
-    """
-
-    def __init__(self, stage: str, fn: Callable, jobs: list[tuple[int, str, tuple]]):
-        self.stage = stage
-        self.fn = fn
-        self.todo = deque(jobs)  # (index, shard_id, args), in shard order
-        self.window = 0  # set from the pool's size by the first take
-        self.open = 0  # submitted, not yet taken
-        self.finished: dict[int, TaskRecord] = {}
-
-    def place(self, start: StartFn) -> None:
-        while self.todo and self.open < self.window:
-            index, shard_id, args = self.todo[0]
-            task = TaskSpec(
-                name=f"{self.stage}/{shard_id}",
-                fn=self.fn,
-                args=args,
-                cpus=1,
-                stage=self.stage,
-                uid=index,
-            )
-            if not start(task):
-                return
-            self.todo.popleft()
-            self.open += 1
-
-    def completed(self, record: TaskRecord) -> None:
-        self.finished[record.spec.uid] = record  # no retries: always final
-
-    def has_pending(self) -> bool:
-        return bool(self.todo)
-
-    def take(self, pilot: Pilot, index: int, shard_id: str):
-        """Step ``pilot`` until shard ``index`` is done; return its output.
-
-        A shard that failed in a worker raises :class:`TaskFailedError`
-        naming the stage, the shard and the worker's "Type: message".
-        """
-        self.window = 2 * pilot.spec.cpus
-        try:
-            while index not in self.finished:
-                pilot.step(self)
-        except BrokenProcessPool as exc:  # raised by a submit after a break
-            raise TaskFailedError(
-                f"{self.stage}: a worker process died before shard {shard_id}: {exc}"
-            ) from exc
-        self.open -= 1
-        record = self.finished.pop(index)
-        if record.state is not TaskState.DONE:
-            raise TaskFailedError(
-                f"{self.stage} shard {shard_id} failed in a worker: {record.error}",
-                record,
-            )
-        return record.result
-
-
-def _in_shard_order(
-    stage: str,
-    fn: Callable,
-    shards: list[tuple[str, tuple]],
-    checkpoint: CheckpointManifest | None,
-    workers: Callable[[], Pilot],
-) -> Iterator[tuple[int, str, object]]:
-    """Yield ``(index, shard_id, output)`` for ``(shard_id, args)`` shards.
-
-    ``output`` is ``fn(*args)``, run on a worker, or ``None`` for a shard
-    ``checkpoint`` already holds, which the caller reloads.  ``workers()``
-    is called (and may fork) only when a shard needs computing.
-    """
-    todo = [
-        (k, sid, args)
-        for k, (sid, args) in enumerate(shards)
-        if checkpoint is None or not checkpoint.is_done(sid)
-    ]
-    pending = {k for k, _sid, _args in todo}
-    tasks = _ShardTasks(stage, fn, todo)
-    for k, (shard_id, _args) in enumerate(shards):
-        yield k, shard_id, tasks.take(workers(), k, shard_id) if k in pending else None
+def _shard_output(stage: str, shard_id: str, record: TaskRecord):
+    """A computed shard's output, or raise naming the shard that failed."""
+    if record.state is not TaskState.DONE:
+        raise TaskFailedError(
+            f"{stage} shard {shard_id} failed in a worker: {record.error}", record
+        )
+    return record.result
 
 
 def _checkpoint(
@@ -342,22 +269,23 @@ def run_streamed_screen(
     def workers() -> Pilot:
         nonlocal pilot
         if pilot is None:
-            pilot = resident_pilot(
-                _install_worker, (surrogate, batch_size, engine), keep_records=False
-            )
+            pilot = resident_pilot(_install_worker, (surrogate, batch_size, engine))
         return pilot
 
     try:
         # ------------------------------------------------------------ ML1
         paths = [Path(p) for p in shard_paths]
         top = _TopK(keep_top)
-        ml1 = [(path.name, (str(path),)) for path in paths]
+        reload = [ml1_ckpt is not None and ml1_ckpt.is_done(p.name) for p in paths]
+        computed = run_in_order(
+            "ML1", score_shard,
+            [(f"ML1/{p.name}", (str(p),)) for p, r in zip(paths, reload) if not r],
+            workers,
+        )
         with tracer.span("stage:ML1-stream", category="campaign.stage"):
-            for k, shard_id, rows in _in_shard_order(
-                "ML1", score_shard, ml1, ml1_ckpt, workers
-            ):
+            for path, resumed in zip(paths, reload):
+                shard_id = path.name
                 artifact = ml1_art / f"{shard_id}.scores.jsonl.gz"
-                resumed = rows is None
                 if resumed:
                     scored = [
                         ScoredCompound(r["id"], r["smiles"], r["score"])
@@ -365,13 +293,14 @@ def run_streamed_screen(
                     ]
                     recorded = ml1_ckpt.payload(shard_id).get("fingerprint")
                     if recorded is not None and recorded != shard_fingerprint(
-                        read_shard(paths[k])
+                        read_shard(path)
                     ):
                         raise RuntimeError(
                             f"checkpoint fingerprint mismatch for shard {shard_id}: "
                             "stale checkpoint directory?"
                         )
                 else:
+                    rows = _shard_output("ML1", shard_id, next(computed))
                     scored = [ScoredCompound(*row) for row in rows]
                     if ml1_ckpt is not None:
                         _checkpoint(
@@ -413,17 +342,19 @@ def run_streamed_screen(
         # ------------------------------------------------------------- S1
         entries = [(s.smiles, s.compound_id) for s in result.selected]
         s1 = [
-            (f"dock-{k:05d}", (entries[start : start + dock_shard_size],))
+            (f"dock-{k:05d}", entries[start : start + dock_shard_size])
             for k, start in enumerate(range(0, len(entries), dock_shard_size))
         ]
+        reload = [s1_ckpt is not None and s1_ckpt.is_done(sid) for sid, _ in s1]
+        computed = run_in_order(
+            "S1", dock_shard_entries,
+            [(f"S1/{sid}", (shard,)) for (sid, shard), r in zip(s1, reload) if not r],
+            workers,
+        )
         with tracer.span("stage:S1-stream", category="campaign.stage"):
-            for k, shard_id, docked in _in_shard_order(
-                "S1", dock_shard_entries, s1, s1_ckpt, workers
-            ):
-                (shard,) = s1[k][1]
+            for (shard_id, shard), resumed in zip(s1, reload):
                 fingerprint = shard_fingerprint((cid, smiles) for smiles, cid in shard)
                 artifact = s1_art / f"{shard_id}.poses.jsonl.gz"
-                resumed = docked is None
                 if resumed:
                     if s1_ckpt.payload(shard_id).get("fingerprint") != fingerprint:
                         raise RuntimeError(
@@ -431,11 +362,14 @@ def run_streamed_screen(
                             "the shard cut or selection changed since the checkpoint"
                         )
                     docked = [_row_to_result(r) for r in load_artifact(artifact)]
-                elif s1_ckpt is not None:
-                    _checkpoint(
-                        tracer, s1_ckpt, artifact, [_result_to_row(r) for r in docked],
-                        shard_id, n_ligands=len(docked), fingerprint=fingerprint,
-                    )
+                else:
+                    docked = _shard_output("S1", shard_id, next(computed))
+                    if s1_ckpt is not None:
+                        _checkpoint(
+                            tracer, s1_ckpt, artifact,
+                            [_result_to_row(r) for r in docked],
+                            shard_id, n_ligands=len(docked), fingerprint=fingerprint,
+                        )
                 result.docked.extend(docked)
                 result.dock_shards_total += 1
                 result.dock_shards_resumed += resumed

@@ -9,12 +9,12 @@ the allocation and slot bookkeeping, and :meth:`Pilot.step` is exactly
 that greedy backfilling round, over any registered executor backend.
 
 There is one drive loop.  What differs between a flat task list
-(:meth:`Pilot.run`), EnTK pipelines (:class:`~repro.rct.entk.AppManager`)
-and the multi-tenant service
-(:class:`~repro.service.manager.CampaignManager`) is only *where tasks
-come from*, so each is a :class:`TaskSource` handed to the same
-:meth:`Pilot.step`; the retry, idle and deadlock rules live here and
-nowhere else.
+(:meth:`Pilot.run`), EnTK pipelines (:class:`~repro.rct.entk.AppManager`),
+the multi-tenant service
+(:class:`~repro.service.manager.CampaignManager`) and a science stage on
+resident workers (:func:`run_in_order`) is only *where tasks come from*,
+so each is a :class:`TaskSource` handed to the same :meth:`Pilot.step`;
+the retry, idle and deadlock rules live here and nowhere else.
 
 Placement is first-fit-lowest-index from
 :class:`~repro.rct.sched.IndexedPlacer` (O(log nodes) amortized), and
@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from typing import Callable
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, Iterator, Sequence
 
 from repro.rct.backends import ExecutorBackend, ProcessExecutor
 from repro.rct.cluster import Allocation, NodeSpec
@@ -59,6 +60,7 @@ __all__ = [
     "StartFn",
     "TaskSource",
     "resident_pilot",
+    "run_in_order",
 ]
 
 #: ``start(task) -> bool``: place and launch one first attempt
@@ -243,10 +245,14 @@ class Pilot:
             node_ids=placement.node_ids,
             attempt=attempt,
         )
+        try:
+            self.executor.start(
+                record, timeout=self.retry.timeout if self.retry else None
+            )
+        except BaseException:  # e.g. a broken pool: the slots were never used
+            self._placer.release(placement)
+            raise
         self._placements[task.uid] = placement
-        self.executor.start(
-            record, timeout=self.retry.timeout if self.retry else None
-        )
         if self.keep_records:
             self.records.append(record)
         if self.tracer.enabled:
@@ -465,18 +471,17 @@ def _init_worker(initializer: Callable, *initargs: object) -> None:
     initializer(*initargs)
 
 
-def resident_pilot(
-    initializer: Callable, initargs: tuple, keep_records: bool = True
-) -> Pilot:
+def resident_pilot(initializer: Callable, initargs: tuple) -> Pilot:
     """A one-node pilot over resident, forked science workers.
 
     One cpu slot per worker (:func:`_worker_count`); each worker pins
     BLAS to one thread and runs ``initializer(*initargs)`` once, so large
     state (receptor grids, a surrogate) is installed per worker, never
-    pickled into a task.  Build it lazily, at the first task that needs
-    it, and shut it down in a ``finally``.  Drops rather than raises
-    (callers map failed records back in their own order) and is
-    untraced: its wall clock must not enter a deterministic trace.
+    pickled into a task.  Build it lazily, as the factory handed to
+    :func:`run_in_order`, and shut it down in a ``finally``.  Drops rather
+    than raises (:func:`run_in_order` hands every final record back in job
+    order), keeps no records and is untraced: its wall clock must not
+    enter a deterministic trace.
     """
     n = _worker_count()
     executor = ProcessExecutor(
@@ -494,5 +499,79 @@ def resident_pilot(
         executor,
         failure_policy="drop_and_continue",
         tracer=NULL_TRACER,
-        keep_records=keep_records,
+        keep_records=False,
     )
+
+
+class _OrderedJobs(TaskSource):
+    """:func:`run_in_order`'s jobs as single-cpu tasks, placed in job order
+    while fewer than ``window`` are placed but not yet handed back."""
+
+    def __init__(
+        self, stage: str, fn: Callable, jobs: Sequence[tuple[str, tuple]], window: int
+    ) -> None:
+        self.stage = stage
+        self.fn = fn
+        self.jobs = jobs
+        self.window = window
+        self.placed = 0  # jobs[:placed] have started
+        self.yielded = 0  # jobs[:yielded] were handed back
+        self.finished: dict[int, TaskRecord] = {}
+
+    def place(self, start: StartFn) -> None:
+        while self.placed < len(self.jobs) and self.placed - self.yielded < self.window:
+            name, args = self.jobs[self.placed]
+            task = TaskSpec(
+                name=name, fn=self.fn, args=args, cpus=1, stage=self.stage,
+                uid=self.placed,
+            )
+            if not start(task):
+                return
+            self.placed += 1
+
+    def completed(self, record: TaskRecord) -> None:
+        self.finished[record.spec.uid] = record  # no retries: always final
+
+    def has_pending(self) -> bool:
+        return self.placed < len(self.jobs)
+
+
+def run_in_order(
+    stage: str,
+    fn: Callable,
+    jobs: Sequence[tuple[str, tuple]],
+    workers: Callable[[], Pilot],
+) -> Iterator[TaskRecord]:
+    """Run ``fn(*args)`` per ``(name, args)`` job on workers; yield each
+    job's final record in job order.
+
+    The one way a stage runs on :func:`resident_pilot` workers.  A job's
+    task is a single-cpu ``TaskSpec`` named ``name`` whose uid is the job's
+    index (the process-wide uid counter never moves), so streams that
+    share a pilot must run one after the other.  ``workers()`` is called,
+    and may fork, only when the first job is placed: an empty job list,
+    or a stream nobody advances, starts nothing.  At most
+    2 × ``pilot.spec.cpus`` jobs are placed but not yet yielded, so
+    memory does not grow with the job count.  A task that failed in a
+    worker comes back as its ``FAILED`` record for the caller to judge;
+    a worker process that died breaks the pool, and that raises one
+    :class:`~repro.rct.fault.TaskFailedError` naming ``stage``, whether
+    the break surfaced as a failed record or at a later submit.
+    """
+    if not jobs:
+        return
+    pilot = workers()
+    source = _OrderedJobs(stage, fn, jobs, window=2 * pilot.spec.cpus)
+    for uid in range(len(jobs)):
+        try:
+            while uid not in source.finished:
+                pilot.step(source)  # a submit after the break raises
+            record = source.finished.pop(uid)
+            if record.state is TaskState.FAILED and record.error.startswith(
+                BrokenProcessPool.__name__  # in flight when the pool broke
+            ):
+                raise BrokenProcessPool(record.error)
+        except BrokenProcessPool as exc:
+            raise TaskFailedError(f"{stage}: a worker process died: {exc}") from exc
+        source.yielded += 1
+        yield record

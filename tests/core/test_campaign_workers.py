@@ -3,9 +3,10 @@
 S3-CG/S3-FG replicas run as pilot tasks on a fork-context process pool the
 campaign owns: forked at the first S3 unit (not at construction), reused
 by every later S3 unit, and shut down on every way out of
-``iter_units``.  The worker count never changes a result, and no worker
-outlives its campaign — after a clean run, a ``close()`` mid-stage, a
-``fail_fast`` raise, or a worker killed mid-stage.
+``iter_units``.  The worker count never changes a result, the pilot keeps
+no replica record, and no worker outlives its campaign — after a clean
+run, a ``close()`` mid-stage, a ``fail_fast`` raise, or a worker killed
+mid-stage.
 """
 
 import multiprocessing
@@ -88,6 +89,20 @@ def test_workers_fork_at_first_s3_unit_and_are_reused(monkeypatch, no_new_childr
     assert pilots["S3-CG"] is not None
     assert pilots["S3-FG"] is pilots["S3-CG"]  # one pool for the campaign
     assert campaign._pilot is None  # exhaustion shut it down
+
+
+def test_the_pilot_keeps_no_replica_records(monkeypatch, no_new_children):
+    """Replica outputs reach the campaign through the ordered stream, so
+    the resident pilot holds none of them between stages or iterations."""
+    monkeypatch.setattr(pilot_module, "_worker_count", lambda: 2)
+    campaign = ImpeccableCampaign(_config(iterations=2))
+    fg_units = 0
+    for unit in campaign.iter_units():
+        unit.complete()
+        if unit.stage == "S3-FG":
+            fg_units += 1
+            assert campaign._pilot.records == []
+    assert fg_units == 2
 
 
 def test_close_mid_s3_fg_reaps_workers(no_new_children):

@@ -4,18 +4,22 @@ ML1 and S1 shards run as tasks on a fork-context pool the screen owns:
 forked at the first shard that is not already checkpointed, shared by
 both stages, and shut down on every way out.  The worker count never
 changes a byte of the output or of the checkpoint, no worker outlives
-its screen (after a kill in either stage, or a shard that failed in a
-worker), and a fully resumed screen forks nothing.
+its screen (after a kill in either stage, a shard that failed in a
+worker, or a worker process that died), and a fully resumed screen
+forks nothing.
 
 Fault injection follows ``replica_faults.py``: the task functions below
 live at module level (the process backend pickles them by reference)
-and fail on a compound id set before the pool forks, never on a counter.
+and fail, or SIGKILL their worker, on a compound id set before the pool
+forks, never on a counter.
 """
 
 from __future__ import annotations
 
 import gzip
 import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -62,6 +66,21 @@ def failing_dock_shard(entries):
     """``dock_shard_entries`` that raises on the shard holding :data:`FAIL_ID`."""
     if any(cid == FAIL_ID for _smiles, cid in entries):
         raise RuntimeError(f"simulated node failure at {FAIL_ID}")
+    return dock_shard_entries(entries)
+
+
+def killing_score_shard(path: str):
+    """``score_shard`` whose worker SIGKILLs itself on :data:`FAIL_ID`'s shard."""
+    rows = score_shard(path)
+    if any(cid == FAIL_ID for cid, _smiles, _score in rows):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return rows
+
+
+def killing_dock_shard(entries):
+    """``dock_shard_entries`` whose worker SIGKILLs itself on :data:`FAIL_ID`'s shard."""
+    if any(cid == FAIL_ID for _smiles, cid in entries):
+        os.kill(os.getpid(), signal.SIGKILL)
     return dock_shard_entries(entries)
 
 
@@ -181,6 +200,22 @@ def test_full_resume_forks_nothing(monkeypatch, surrogate, shard_paths, tmp_path
     assert _rows(second) == _rows(first)
 
 
+def _fault_at(monkeypatch, shard_paths, reference, stage, task, fn, shard, workers):
+    """Route ``stage``'s tasks through ``fn``, faulting at shard ``shard``;
+    returns the stage's shard ids and the compound id it faults on."""
+    if stage == "ML1":
+        shard_ids = [p.name for p in shard_paths]
+        fail_id = read_shard(shard_paths[shard])[0][0]
+    else:
+        shard_ids = [f"dock-{k:05d}" for k in range(3)]
+        selected = reference[0][0]
+        fail_id = selected[shard * DOCK_SHARD][0]
+    monkeypatch.setattr(pilot_module, "_worker_count", lambda: workers)
+    monkeypatch.setattr(f"{__name__}.FAIL_ID", fail_id)
+    monkeypatch.setattr(streaming, task, fn)
+    return shard_ids, fail_id
+
+
 @pytest.mark.parametrize(
     "stage, task, fn, shard",
     [
@@ -193,16 +228,9 @@ def test_worker_fault_names_its_shard_after_committing_earlier_ones(
     stage, task, fn, shard,
 ):
     ckpt = tmp_path / "ck"
-    if stage == "ML1":
-        shard_ids = [p.name for p in shard_paths]
-        fail_id = read_shard(shard_paths[shard])[0][0]
-    else:
-        shard_ids = [f"dock-{k:05d}" for k in range(3)]
-        selected = reference[0][0]
-        fail_id = selected[shard * DOCK_SHARD][0]
-    monkeypatch.setattr(pilot_module, "_worker_count", lambda: 2)
-    monkeypatch.setattr(f"{__name__}.FAIL_ID", fail_id)
-    monkeypatch.setattr(streaming, task, fn)
+    shard_ids, fail_id = _fault_at(
+        monkeypatch, shard_paths, reference, stage, task, fn, shard, workers=2
+    )
 
     with pytest.raises(TaskFailedError) as info:
         _screen(surrogate, shard_paths, ckpt)
@@ -213,6 +241,36 @@ def test_worker_fault_names_its_shard_after_committing_earlier_ones(
     assert manifest.completed() == shard_ids[:shard]
 
     monkeypatch.undo()  # the fault is gone: the rerun resumes past it
+    resumed = _screen(surrogate, shard_paths, ckpt)
+    assert _rows(resumed) == reference[0]
+    assert _checkpoint_bytes(ckpt) == reference[1]
+
+
+@pytest.mark.parametrize(
+    "stage, task, fn, shard",
+    [
+        ("ML1", "score_shard", killing_score_shard, 2),
+        ("S1", "dock_shard_entries", killing_dock_shard, 1),
+    ],
+)
+def test_killed_worker_raises_naming_the_stage_after_committing_earlier_shards(
+    monkeypatch, no_new_children, surrogate, shard_paths, reference, tmp_path,
+    stage, task, fn, shard,
+):
+    # one worker runs the shards in order, so every shard before the
+    # killed one has finished when its worker dies
+    ckpt = tmp_path / "ck"
+    shard_ids, _ = _fault_at(
+        monkeypatch, shard_paths, reference, stage, task, fn, shard, workers=1
+    )
+    before = _children()
+    with pytest.raises(TaskFailedError, match=f"^{stage}: a worker process died: "):
+        _screen(surrogate, shard_paths, ckpt)
+    assert _children() == before  # the broken pool was reaped
+    manifest = CheckpointManifest(ckpt / f"{stage.lower()}-manifest.jsonl")
+    assert manifest.completed() == shard_ids[:shard]
+
+    monkeypatch.undo()
     resumed = _screen(surrogate, shard_paths, ckpt)
     assert _rows(resumed) == reference[0]
     assert _checkpoint_bytes(ckpt) == reference[1]

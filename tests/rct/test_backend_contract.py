@@ -19,7 +19,9 @@ from repro.rct.backends import (
     ThreadExecutor,
     create_executor,
 )
+from repro.rct.cluster import Cluster, NodeSpec
 from repro.rct.fault import FaultModel
+from repro.rct.pilot import Pilot
 from repro.rct.task import TaskRecord, TaskSpec, TaskState
 
 _KWARGS = {
@@ -313,3 +315,18 @@ def test_process_initializer_failure_fails_tasks_instead_of_hanging():
         with pytest.raises(BrokenProcessPool):
             ex.start(_task("process"))
         assert ex.n_running == 0
+
+
+def test_broken_pool_submit_releases_its_placement():
+    """A start that raises (here: submitting to a broken pool) must give
+    back the slots it was placed on, or the idle node reads as full."""
+    executor = ProcessExecutor(max_workers=2, initializer=_failing_init)
+    allocation = Cluster(1, NodeSpec(cpus=2, gpus=0)).allocate(1, 0.0)
+    with Pilot(allocation, executor) as pilot:
+        assert pilot.start_task(TaskSpec(cpus=1, fn=_double, args=(1,)))
+        assert pilot.wait_one().state is TaskState.FAILED  # the pool broke
+        task = TaskSpec(cpus=2, fn=_double, args=(2,))
+        with pytest.raises(BrokenProcessPool):
+            pilot.start_task(task)
+        assert task.uid not in pilot._placements
+        assert pilot.fits_now(2, 0, 1)
