@@ -47,26 +47,26 @@ class no_grad:
 
 
 class Tape:
-    """Recorder of primitive ops in execution order.
+    """Hands every primitive to a recorder, in execution order.
 
-    While a tape is active (``with Tape() as t:``), every primitive —
+    While a tape is active (``with Tape(recorder):``), every primitive —
     including the ops that vector–Jacobian products execute during
-    ``backward()`` — appends ``(op, inputs, out, attrs)`` to
-    ``t.records``.  Because VJPs are themselves tensor ops, recording one
-    eager training step captures the *entire* fwd+bwd computation in the
-    exact order the eager engine ran it; replaying the records therefore
-    reproduces the step bit-for-bit.  Records hold strong references to
-    their tensors so ``id()`` reuse can never alias two distinct nodes.
+    ``backward()`` — calls ``recorder(op, inputs, out, attrs)`` the
+    moment it has run.  Because VJPs are themselves tensor ops, one eager
+    training step under a tape is the *entire* fwd+bwd computation in the
+    exact order the eager engine ran it.  The tape keeps nothing, so a
+    traced step holds no tensor longer than the eager step would; a
+    recorder labels tensors through their ``_vid`` slot instead.
 
     Data-dependent values that eager ops compute internally (ReLU masks,
     max tie-splitting masks, signs) are recorded as explicit aux ops so a
     replay can recompute them for new inputs.
     """
 
-    __slots__ = ("records",)
+    __slots__ = ("recorder",)
 
-    def __init__(self) -> None:
-        self.records: list[tuple] = []
+    def __init__(self, recorder: Callable[[str, tuple, "Tensor | None", dict], None]):
+        self.recorder = recorder
 
     def __enter__(self):
         global _tape
@@ -86,7 +86,7 @@ _tape: Tape | None = None
 def _rec(op: str, inputs: tuple, out, **attrs) -> None:
     t = _tape
     if t is not None:
-        t.records.append((op, inputs, out, attrs))
+        t.recorder(op, inputs, out, attrs)
 
 
 def tape_side_effect(op: str, inputs: tuple, **attrs) -> None:
@@ -106,9 +106,11 @@ class Tensor:
     grad:
         Populated by :func:`grad` / :meth:`backward`; a ``Tensor`` (so
         higher-order differentiation can continue through it).
+    _vid:
+        ``(tag, value id)`` written by a :class:`Tape` recorder, or ``None``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_vjps", "_vid")
     __array_priority__ = 100  # numpy defers binary ops to us
 
     def __init__(
@@ -123,6 +125,7 @@ class Tensor:
         self.grad: Tensor | None = None
         self._parents = _parents if self.requires_grad else ()
         self._vjps = _vjps if self.requires_grad else ()
+        self._vid: tuple[object, int] | None = None
 
     # ------------------------------------------------------------- basics
     @property

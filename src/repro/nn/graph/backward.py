@@ -1,20 +1,23 @@
-"""Backward-graph builder: lower a recorded eager training step to IR.
+"""Backward-graph builder: lower an eager training step to IR as it runs.
 
 Reverse-mode autodiff over the op-graph IR works by *tracing the eager
 engine once*: the first step at each input shape runs the ordinary eager
-forward + ``loss.backward()`` (+ optimizer step) under an active
+forward + ``loss.backward()`` under an active
 :class:`repro.nn.autograd.Tape`.  Because every vector–Jacobian product
 in :mod:`repro.nn.autograd` is itself written in tensor primitives, the
-tape captures the **entire** fwd+bwd computation — including double
-backward through the WGAN gradient penalty — as a flat op list in the
-exact order the eager engine executed it.  Lowering that list to a
-:class:`TrainGraph` and replaying it with ``out=`` kernels therefore
-reproduces the eager step bit-for-bit *by construction*: same ufuncs,
-same operand order, same reduction axes, no reassociation anywhere.
+tape sees the **entire** fwd+bwd computation — including double
+backward through the WGAN gradient penalty — in the exact order the
+eager engine executed it, and its recorder lowers each primitive to the
+:class:`TrainGraph` the moment it has run, keeping no tensor alive.
+Replaying that graph with ``out=`` kernels therefore reproduces the eager
+step bit-for-bit *by construction*: same ufuncs, same operand order,
+same reduction axes, no reassociation anywhere.
 
 Data-dependent values the eager ops compute internally (ReLU masks,
 leaky-ReLU factors, max tie-splitting masks) arrive on the tape
-as explicit aux ops, so a replay recomputes them for fresh inputs.
+as explicit aux ops, so a replay recomputes them for fresh inputs; facts
+that need an op's arrays (view-or-copy, contiguity, the bincount probe)
+are read at record time, while those arrays live.
 
 Leaf classification
 -------------------
@@ -35,7 +38,7 @@ op are leaves:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -196,27 +199,33 @@ def _probe_bincount(indices: np.ndarray, g: np.ndarray, shape, ref: np.ndarray) 
 
 
 def build_train_graph(
-    tape: Tape,
+    fn: Callable[..., Tensor | tuple],
     inputs: Sequence[Tensor],
     params: Sequence[Parameter],
-    outputs: Sequence[Tensor],
-) -> TrainGraph:
-    """Lower a recorded training step to a :class:`TrainGraph`.
+) -> tuple[TrainGraph, tuple[Tensor, ...]]:
+    """Run ``fn(*inputs)`` and ``backward()`` on its loss (its first or
+    only output), lowering both to a :class:`TrainGraph` as they run;
+    returns the graph and the outputs.
 
-    ``inputs`` are the step's argument tensors, ``params`` the optimizer
-    parameters (their ``.grad`` tensors, where present, become the
-    graph's gradient outputs), ``outputs`` the loss plus aux scalars.
+    ``params`` are the optimizer parameters (their ``.grad`` tensors,
+    where present, become the graph's gradient outputs).  Value ids live
+    in each tensor's ``_vid`` slot, tagged with this call, never in a
+    table of tensors.
     """
     values: list[TValue] = []
-    vid_of: dict[int, int] = {}
+    tag = object()
 
     def new_value(t: Tensor, kind: str, **kw) -> int:
         vid = len(values)
         values.append(
             TValue(vid=vid, shape=t.data.shape, dtype=t.data.dtype, kind=kind, **kw)
         )
-        vid_of[id(t)] = vid
+        t._vid = (tag, vid)
         return vid
+
+    def vid_of(t: Tensor) -> int | None:
+        label = t._vid
+        return label[1] if label is not None and label[0] is tag else None
 
     param_vids: dict[int, int] = {}
     for t in inputs:
@@ -225,7 +234,7 @@ def build_train_graph(
         param_vids[pos] = new_value(p, "param", data=p.data, param=p)
 
     def leaf_vid(t: Tensor) -> int:
-        vid = vid_of.get(id(t))
+        vid = vid_of(t)
         if vid is not None:
             return vid
         if isinstance(t, Parameter):
@@ -233,12 +242,13 @@ def build_train_graph(
         return new_value(t, "const", data=t.data)
 
     ops: list[TOp] = []
-    for op_name, tin, tout, attrs in tape.records:
+
+    def record(op_name: str, tin: tuple, tout: Tensor | None, attrs: dict) -> None:
         in_vids = tuple(leaf_vid(t) for t in tin)
         if tout is None:  # side effect (bn_stats)
             ops.append(TOp(op_name, in_vids, None, dict(attrs)))
-            continue
-        if id(tout) in vid_of:
+            return
+        if vid_of(tout) is not None:
             raise AssertionError(f"tape op {op_name!r} re-produced a known tensor")
         a = tin[0]
         if op_name in ALIAS_KINDS:
@@ -260,13 +270,13 @@ def build_train_graph(
                     contiguous=bool(tout.data.flags.c_contiguous),
                 )
                 ops.append(TOp("alias", in_vids, out_vid, dict(attrs)))
-                continue
+                return
             # numpy had to copy (reshape of an incompatible strided view /
             # advanced indexing) — lower to an explicit copy kernel
             out_vid = new_value(tout, "temp")
             kind = "reshape_copy" if op_name == "reshape" else "getitem_copy"
             ops.append(TOp(kind, in_vids, out_vid, dict(attrs)))
-            continue
+            return
         out_vid = new_value(tout, "temp")
         top = TOp(op_name, in_vids, out_vid, dict(attrs))
         if op_name == "scatter_add_axis":
@@ -275,11 +285,16 @@ def build_train_graph(
             )
         ops.append(top)
 
+    with Tape(record):
+        outputs = fn(*inputs)
+        outputs = outputs if isinstance(outputs, tuple) else (outputs,)
+        outputs[0].backward()
+
     grad_vids: dict[int, int] = {}
     for pos, p in enumerate(params):  # repro: disable=vectorization -- id bookkeeping
         if p.grad is None:
             continue
-        vid = vid_of.get(id(p.grad))
+        vid = vid_of(p.grad)
         if vid is None:
             raise AssertionError(
                 "parameter gradient was not produced by a recorded op "
@@ -289,7 +304,7 @@ def build_train_graph(
 
     output_vids = []
     for t in outputs:
-        vid = vid_of.get(id(t))
+        vid = vid_of(t)
         if vid is None:
             raise AssertionError("step output was not produced by a recorded op")
         output_vids.append(vid)
@@ -302,4 +317,4 @@ def build_train_graph(
         grad_vids=grad_vids,
         output_vids=output_vids,
         dtype=outputs[0].data.dtype,
-    )
+    ), outputs

@@ -4,12 +4,14 @@
 :class:`TrainStep` wraps a loss function ``fn(*tensors) -> Tensor`` (or a
 tuple whose first element is the loss) plus an optimizer.  The first call
 at each input-shape signature **is** an ordinary eager training step —
-forward, ``backward()``, ``optimizer.step()`` — run under a recording
-:class:`~repro.nn.autograd.Tape`.  The recorded op list is lowered to a
-:class:`~repro.nn.graph.backward.TrainGraph`, scheduled by the training
-passes (dead-branch elimination, IEEE-identity simplification, in-place
-coalescing — no arithmetic is reassociated), arena-planned, and bound to
-a flat list of ``out=`` kernel closures.  Subsequent same-shape calls
+forward, ``backward()``, ``optimizer.step()`` — whose forward and
+backward run under a :class:`~repro.nn.autograd.Tape` that lowers each
+op to a :class:`~repro.nn.graph.backward.TrainGraph` as it records; the
+eager graph is released before anything is allocated.  The graph is
+scheduled by the training passes (dead-branch elimination,
+IEEE-identity simplification, in-place coalescing — no arithmetic is
+reassociated), arena-planned, and bound to a flat list of ``out=``
+kernel closures.  Subsequent same-shape calls
 replay the kernels against preallocated views and finish with the
 optimizer's :meth:`~repro.nn.optim._Optimizer.bind_compiled` closure:
 zero per-step array allocations, and — because every kernel runs the
@@ -28,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.nn.autograd import Tape, Tensor
+from repro.nn.autograd import Tensor
 from repro.nn.graph.backward import TrainGraph, TOp, build_train_graph
 from repro.nn.graph.passes import PassStats, optimize_train
 from repro.nn.graph.planner import MemoryPlan, plan_train_memory, validate_train_plan
@@ -386,12 +388,16 @@ class TrainStep:
         flags = self._flags or (False,) * len(arrays)
         xs = [Tensor(a, requires_grad=f) for a, f in zip(arrays, flags)]
         self.optimizer.zero_grad()
-        tape = Tape()
-        with tape:
-            outs = self.fn(*xs)
-            outs_t = outs if isinstance(outs, tuple) else (outs,)
-            outs_t[0].backward()
-        tg = build_train_graph(tape, xs, self.optimizer.params, outs_t)
+        params = self.optimizer.params
+        tg, outs_t = build_train_graph(self.fn, xs, params)
+        result = tuple(float(t.data) if t.data.ndim == 0 else t.data.copy() for t in outs_t)
+        # free the eager graph before the arena: the VJPs of exp, tanh and
+        # sigmoid close over their own output, so refcounting never would
+        stack = [*outs_t, *(p.grad for p in params if p.grad is not None)]
+        while stack:
+            t = stack.pop()
+            stack.extend(t._parents)
+            t._parents = t._vjps = ()
         self.optimizer.step()
 
         stats = optimize_train(tg)
@@ -422,12 +428,8 @@ class TrainStep:
             guards=guards,
             pass_stats=stats,
         )
-        self._last_grads = [
-            p.grad.data for p in self.optimizer.params if p.grad is not None
-        ]
-        return tuple(
-            float(t.data) if t.data.ndim == 0 else t.data.copy() for t in outs_t
-        )
+        self._last_grads = [p.grad.data for p in params if p.grad is not None]
+        return result
 
     # -------------------------------------------------------------- replay
     def __call__(self, *arrays: np.ndarray):

@@ -54,6 +54,7 @@ from repro.telemetry import NULL_TRACER, ExecutorClock, Span, Tracer
 from repro.util.blas import pin_blas_threads
 
 __all__ = [
+    "FitsFn",
     "Pilot",
     "Placement",
     "QueueSource",
@@ -65,6 +66,8 @@ __all__ = [
 
 #: ``start(task) -> bool``: place and launch one first attempt
 StartFn = Callable[[TaskSpec], bool]
+#: ``fits(cpus, gpus, nodes) -> bool``: the pilot's exact placement probe
+FitsFn = Callable[[int, int, int], bool]
 
 
 class TaskSource:
@@ -80,8 +83,9 @@ class TaskSource:
     ``fail_fast`` pilot is about to raise for.
     """
 
-    def place(self, start: StartFn) -> None:
-        """Start whatever fits: call ``start(task)`` per candidate."""
+    def place(self, start: StartFn, fits: FitsFn) -> None:
+        """Start whatever fits: ``start(task)`` per candidate whose shape
+        the exact probe ``fits`` (:attr:`Pilot.fits_now`) accepts."""
         raise NotImplementedError
 
     def completed(self, record: TaskRecord) -> None:
@@ -102,8 +106,8 @@ class QueueSource(TaskSource):
     def __init__(self) -> None:
         self.queue = PendingQueue()
 
-    def place(self, start: StartFn) -> None:
-        self.queue.submit_pass(start)
+    def place(self, start: StartFn, fits: FitsFn) -> None:
+        self.queue.submit_pass(start, fits)
 
     def has_pending(self) -> bool:
         return len(self.queue) > 0
@@ -164,9 +168,9 @@ class Pilot:
         #: would place that shape right now — the placer's exact probe
         #: (:meth:`IndexedPlacer.fits_now
         #: <repro.rct.sched.IndexedPlacer.fits_now>`), which places
-        #: nothing and moves no later decision, so a source granting one
-        #: task at a time asks it first and calls ``start`` only for what
-        #: fits
+        #: nothing and moves no later decision; :meth:`step` hands it to
+        #: every source's ``place`` and :meth:`_submit_retries` asks it,
+        #: so ``start_task`` is called only for what fits
         self.fits_now = self._placer.fits_now
         #: slots held by each in-flight attempt, by task uid
         self._placements: dict[int, Placement] = {}
@@ -293,9 +297,12 @@ class Pilot:
     def _submit_retries(self) -> None:
         """Re-drive backoff-expired retries, oldest first."""
         now = self.executor.now
+        fits = self.fits_now
         still_waiting: list[tuple[float, TaskSpec, int]] = []
         for eligible, task, attempt in self._retry_queue:
-            if eligible > now or not self.start_task(task, attempt):
+            if eligible > now or not (
+                fits(task.cpus, task.gpus, task.nodes) and self.start_task(task, attempt)
+            ):
                 still_waiting.append((eligible, task, attempt))
         self._retry_queue = still_waiting
 
@@ -391,7 +398,7 @@ class Pilot:
         """
         if self._retry_queue:
             self._submit_retries()
-        source.place(self.start_task)
+        source.place(self.start_task, self.fits_now)
         if self._placements:
             record, error = self._complete_one()
             source.completed(record)
@@ -518,15 +525,15 @@ class _OrderedJobs(TaskSource):
         self.yielded = 0  # jobs[:yielded] were handed back
         self.finished: dict[int, TaskRecord] = {}
 
-    def place(self, start: StartFn) -> None:
+    def place(self, start: StartFn, fits: FitsFn) -> None:
         while self.placed < len(self.jobs) and self.placed - self.yielded < self.window:
+            if not fits(1, 0, 1):
+                return
             name, args = self.jobs[self.placed]
-            task = TaskSpec(
+            start(TaskSpec(
                 name=name, fn=self.fn, args=args, cpus=1, stage=self.stage,
                 uid=self.placed,
-            )
-            if not start(task):
-                return
+            ))
             self.placed += 1
 
     def completed(self, record: TaskRecord) -> None:

@@ -305,11 +305,14 @@ class PendingQueue:
         self._count -= len(dropped)
         return dropped
 
-    def submit_pass(self, try_start: Callable[[TaskSpec], bool]) -> int:
+    def submit_pass(
+        self, try_start: Callable[[TaskSpec], bool], fits: Callable[[int, int, int], bool]
+    ) -> int:
         """Run one greedy submission pass; returns tasks started.
 
         ``try_start`` must attempt placement+launch and return whether
-        it succeeded (without consuming the task on failure).
+        it succeeded (without consuming the task on failure); shapes the
+        placement probe ``fits(cpus, gpus, nodes)`` rejects are skipped.
         """
         queues = self._queues
         heads = [(queue[0][0], key) for key, queue in queues.items()]
@@ -318,7 +321,7 @@ class PendingQueue:
         while heads:
             _, key = heapq.heappop(heads)
             queue = queues[key]
-            if not try_start(queue[0][1]):
+            if not (fits(*key) and try_start(queue[0][1])):
                 continue  # this shape no longer fits anywhere this pass
             queue.popleft()
             self._count -= 1

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro.rct.fault import FailureSummary, TaskFailedError
-from repro.rct.pilot import Pilot, StartFn, TaskSource
+from repro.rct.pilot import FitsFn, Pilot, StartFn, TaskSource
 from repro.rct.sched import PendingQueue
 from repro.rct.task import TaskRecord, TaskSpec, TaskState
 from repro.service.sched import StrideScheduler
@@ -379,7 +379,7 @@ class CampaignManager(TaskSource):
         self._tenant_busy[sub.tenant.name] -= 1
         return True
 
-    def place(self, start: StartFn) -> None:
+    def place(self, start: StartFn, fits: FitsFn) -> None:
         """Advance ready submissions, then fair-share grants while some
         candidate's queued shape fits.
 
@@ -425,7 +425,6 @@ class CampaignManager(TaskSource):
                 limit = limits[name]
                 if limit is None or busy[name] < limit:
                     candidates.setdefault(name, []).append(sub)
-        fits = self.pilot.fits_now
         while _any_fits(candidates, fits):
             eligible = list(candidates)
             winner = self.sched.pick(eligible)

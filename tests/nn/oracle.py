@@ -1,14 +1,20 @@
 """Test-side reference for ``repro.nn``: the closure-per-layer inference
-interpreter (:func:`_compile`, the parent's body verbatim) and the per-call
-autograd training step that shipped as ``engine="eager"`` up to PR 16.  The
-graph engine must match both bit for bit at equal precision and batch size.
+interpreter (:func:`_compile`, the parent's body verbatim), the per-call
+autograd training step that shipped as ``engine="eager"`` up to PR 16, and
+the record-then-lower training-graph builder (:func:`record_then_lower`,
+verbatim) that ran until lowering moved into the tape's recorder.  The
+graph engine must match each bit for bit at equal precision and batch size.
 """
+
+from typing import Sequence
 
 import numpy as np
 
-from repro.nn.autograd import Tensor
+from repro.nn.autograd import Tape, Tensor
+from repro.nn.graph.backward import ALIAS_KINDS, TOp, TrainGraph, TValue
+from repro.nn.graph.backward import _is_basic_key, _probe_bincount
 from repro.nn.graph.ir import resolve_precision
-from repro.nn.layers import BatchNorm, Conv2d, Dense, Flatten, GlobalAvgPool2d
+from repro.nn.layers import BatchNorm, Conv2d, Dense, Flatten, GlobalAvgPool2d, Parameter
 from repro.nn.layers import LeakyReLU, MaxPool2d, PointwiseDense, ReLU, ResidualBlock
 from repro.nn.layers import Sequential, Sigmoid, Tanh
 from repro.nn.optim import grad_norm
@@ -141,6 +147,145 @@ class EagerStep:
 
     def grad_norm(self):
         return grad_norm(self.optimizer.params)
+
+
+class RecordedTape:
+    """A tape recorder that keeps every ``(op, inputs, out, attrs)`` —
+    and so every tensor — in ``records``."""
+
+    def __init__(self) -> None:
+        self.records: list[tuple] = []
+
+    def __call__(self, op, inputs, out, attrs) -> None:
+        self.records.append((op, inputs, out, attrs))
+
+
+def build_train_graph(fn, inputs, params):
+    """``repro.nn.graph.backward.build_train_graph``'s contract: record the
+    whole step, then lower the records."""
+    tape = RecordedTape()
+    with Tape(tape):
+        outputs = fn(*inputs)
+        outputs = outputs if isinstance(outputs, tuple) else (outputs,)
+        outputs[0].backward()
+    return record_then_lower(tape, inputs, params, outputs), outputs
+
+
+def record_then_lower(
+    tape: Tape,
+    inputs: Sequence[Tensor],
+    params: Sequence[Parameter],
+    outputs: Sequence[Tensor],
+) -> TrainGraph:
+    """Lower a recorded training step to a :class:`TrainGraph`.
+
+    ``inputs`` are the step's argument tensors, ``params`` the optimizer
+    parameters (their ``.grad`` tensors, where present, become the
+    graph's gradient outputs), ``outputs`` the loss plus aux scalars.
+    """
+    values: list[TValue] = []
+    vid_of: dict[int, int] = {}
+
+    def new_value(t: Tensor, kind: str, **kw) -> int:
+        vid = len(values)
+        values.append(
+            TValue(vid=vid, shape=t.data.shape, dtype=t.data.dtype, kind=kind, **kw)
+        )
+        vid_of[id(t)] = vid
+        return vid
+
+    param_vids: dict[int, int] = {}
+    for t in inputs:
+        new_value(t, "input")
+    for pos, p in enumerate(params):  # repro: disable=vectorization -- id bookkeeping
+        param_vids[pos] = new_value(p, "param", data=p.data, param=p)
+
+    def leaf_vid(t: Tensor) -> int:
+        vid = vid_of.get(id(t))
+        if vid is not None:
+            return vid
+        if isinstance(t, Parameter):
+            return new_value(t, "extern", data=t.data, param=t)
+        return new_value(t, "const", data=t.data)
+
+    ops: list[TOp] = []
+    for op_name, tin, tout, attrs in tape.records:
+        in_vids = tuple(leaf_vid(t) for t in tin)
+        if tout is None:  # side effect (bn_stats)
+            ops.append(TOp(op_name, in_vids, None, dict(attrs)))
+            continue
+        if id(tout) in vid_of:
+            raise AssertionError(f"tape op {op_name!r} re-produced a known tensor")
+        a = tin[0]
+        if op_name in ALIAS_KINDS:
+            if op_name == "transpose":
+                view = ("transpose", attrs["axes"])
+                is_view = True
+            elif op_name == "reshape":
+                view = ("reshape", attrs["shape"])
+                is_view = np.may_share_memory(tout.data, a.data)
+            else:  # getitem
+                view = ("getitem", attrs["key"])
+                is_view = _is_basic_key(attrs["key"])
+            if is_view:
+                out_vid = new_value(
+                    tout,
+                    "temp",
+                    alias_of=in_vids[0],
+                    view=view,
+                    contiguous=bool(tout.data.flags.c_contiguous),
+                )
+                ops.append(TOp("alias", in_vids, out_vid, dict(attrs)))
+                continue
+            # numpy had to copy (reshape of an incompatible strided view /
+            # advanced indexing) — lower to an explicit copy kernel
+            out_vid = new_value(tout, "temp")
+            kind = "reshape_copy" if op_name == "reshape" else "getitem_copy"
+            ops.append(TOp(kind, in_vids, out_vid, dict(attrs)))
+            continue
+        out_vid = new_value(tout, "temp")
+        top = TOp(op_name, in_vids, out_vid, dict(attrs))
+        if op_name == "scatter_add_axis":
+            top.attrs["bincount_ok"] = _probe_bincount(
+                attrs["indices"], tin[0].data, attrs["shape"], tout.data
+            )
+        ops.append(top)
+
+    grad_vids: dict[int, int] = {}
+    for pos, p in enumerate(params):  # repro: disable=vectorization -- id bookkeeping
+        if p.grad is None:
+            continue
+        vid = vid_of.get(id(p.grad))
+        if vid is None:
+            raise AssertionError(
+                "parameter gradient was not produced by a recorded op "
+                "(was backward() run under the tape?)"
+            )
+        grad_vids[pos] = vid
+
+    output_vids = []
+    for t in outputs:
+        vid = vid_of.get(id(t))
+        if vid is None:
+            raise AssertionError("step output was not produced by a recorded op")
+        output_vids.append(vid)
+
+    return TrainGraph(
+        values=values,
+        ops=ops,
+        input_vids=list(range(len(inputs))),
+        param_vids=param_vids,
+        grad_vids=grad_vids,
+        output_vids=output_vids,
+        dtype=outputs[0].data.dtype,
+    )
+
+
+def install_lowering(monkeypatch) -> None:
+    """Swap the record-then-lower builder in under ``TrainStep``."""
+    from repro.nn.graph import train
+
+    monkeypatch.setattr(train, "build_train_graph", build_train_graph)
 
 
 def install(monkeypatch) -> None:

@@ -86,7 +86,7 @@ class RescanSource(TaskSource):
     def __init__(self, tasks: list[TaskSpec]) -> None:
         self.pending = list(tasks)
 
-    def place(self, start) -> None:
+    def place(self, start, fits) -> None:
         self.pending = [t for t in self.pending if not start(t)]
 
     def has_pending(self) -> bool:

@@ -145,3 +145,22 @@ def test_drive_conserves_slots_attempts_and_failures(drive, seed, rate):
     np.testing.assert_array_equal(pilot._placer.free_gpus(), [SPEC.gpus] * N_NODES)
     if rate == 0.0:
         assert pilot.failures.n_failures == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("drive", (_drive_flat, _drive_pst, _drive_tenants))
+def test_start_task_runs_once_per_attempt(drive, seed):
+    """Sources and the retry re-drive ask the pilot's exact probe before
+    ``start_task``, so on a faulty flood no start fails."""
+    pilot = _pilot(seed, 0.3)
+    started: list[bool] = []
+    inner = pilot.start_task
+
+    def start_task(task, attempt=0):
+        started.append(inner(task, attempt))
+        return started[-1]
+
+    pilot.start_task = start_task
+    drive(pilot, random.Random(f"{drive.__name__}/{seed}/once"))
+    assert pilot.failures.n_failures > 0
+    assert all(started) and len(started) == len(pilot.log)

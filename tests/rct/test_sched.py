@@ -143,7 +143,7 @@ def test_pending_queue_pops_in_global_submission_order():
     for t in tasks:
         queue.push(t)
     started: list[str] = []
-    queue.submit_pass(lambda t: started.append(t.name) or True)
+    queue.submit_pass(lambda t: started.append(t.name) or True, lambda *shape: True)
     assert started == [t.name for t in tasks]
     assert len(queue) == 0
 
@@ -163,7 +163,8 @@ def test_pending_queue_drops_failed_shape_for_the_pass():
 
     started: list[str] = []
     n = queue.submit_pass(
-        lambda t: (try_start(t) and (started.append(t.name) or True))
+        lambda t: (try_start(t) and (started.append(t.name) or True)),
+        lambda *shape: True,
     )
     assert n == 3
     assert started == ["slim0", "slim1", "slim2"]

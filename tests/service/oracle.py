@@ -61,7 +61,7 @@ def _has_headroom(self: CampaignManager, sub: Submission) -> bool:
     return _tenant_inflight(self, sub.tenant.name) < quota
 
 
-def place(self: CampaignManager, start: StartFn) -> None:
+def place(self: CampaignManager, start: StartFn, fits) -> None:
     """Advance every submission, then re-scan candidates per grant."""
     for sub in sorted(self._subs.values(), key=lambda s: s.join_seq):
         if sub.active:
