@@ -10,6 +10,7 @@ __all__ = [
     "iter_parents",
     "enclosing_function",
     "function_locals",
+    "qualname_of",
 ]
 
 
@@ -46,6 +47,13 @@ def enclosing_function(
         if isinstance(parent, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return parent
     return None
+
+
+def qualname_of(node: ast.AST, module: str) -> str:
+    """``module.Outer.inner``: a def or class under the defs and classes around it."""
+    scopes = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = [p.name for p in iter_parents(node) if isinstance(p, scopes)]
+    return ".".join([module, *reversed(names), node.name])
 
 
 def function_locals(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:

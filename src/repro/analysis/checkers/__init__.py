@@ -1,7 +1,7 @@
 """Checker registry: every rule, one list.
 
-The engine runs the selected checkers over the whole project in one
-pass; ``--rules`` on the CLI selects any subset by rule name.
+The engine runs the selected checkers over each file in one walk;
+``--rules`` on the CLI selects any subset by rule name.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 The resume contract (ROADMAP: a campaign killed mid-shard resumes
 without rescoring) survives crashes only because every durable file is
 produced by the tmp+``os.replace`` idiom — a reader never observes a
-half-written artifact.  This checker walks every function in the
-``durable-modules`` config *plus everything reachable from them* and
-flags:
+half-written artifact.  This checker walks every function of the
+modules listed in ``durable-modules``, names each callee through the
+file's import table, and flags:
 
 * a write-mode ``open`` / ``gzip.open`` / ``np.save*`` /
   ``Path.write_text`` whose target never feeds ``os.replace`` in the
@@ -17,28 +17,23 @@ flags:
   ``os.fsync`` in the same function — an un-fsynced append can be lost
   on power failure even though ``mark_done`` already returned.
 
-Read modes never flag, and functions outside the durable cone are not
-examined — scratch files elsewhere may legitimately be torn.
+Read modes never flag, and other modules are not examined — scratch
+files elsewhere may legitimately be torn.  A helper a durable module
+calls in another module is only checked if its own module is listed.
 """
 
 from __future__ import annotations
 
 import ast
 
+from repro.analysis.astutil import qualname_of
 from repro.analysis.checkers.base import Checker
-from repro.analysis.config import AnalysisConfig
-from repro.analysis.findings import Finding
-from repro.analysis.project import FunctionInfo, Project
+from repro.analysis.engine import FileContext
 
 __all__ = ["AtomicWriteChecker"]
 
-#: callees (suffix match on the dotted name) that write their first arg
-_WRITER_CALLEES = {
-    "numpy.save",
-    "numpy.savez",
-    "numpy.savez_compressed",
-    "pickle.dump",  # first arg is the object; handled via handle mode
-}
+#: numpy writers of their first argument
+_WRITER_CALLEES = {"numpy.save", "numpy.savez", "numpy.savez_compressed"}
 
 #: open-like callees whose mode argument decides read vs write
 _OPEN_CALLEES = {"open", "gzip.open", "bz2.open", "lzma.open", "io.open"}
@@ -88,106 +83,74 @@ class AtomicWriteChecker(Checker):
 
     rule = "atomic-write"
     description = (
-        "file writes reachable from durable modules must flow through "
+        "file writes in durable modules must flow through "
         "tmp+os.replace; append-mode journal writes must fsync"
     )
 
-    def check(self, project: Project, config: AnalysisConfig) -> list[Finding]:
-        roots = project.functions_in(config.durable_modules)
-        cone = project.reachable(roots)
-        findings: list[Finding] = []
-        for fq in sorted(cone):
-            findings.extend(self._check_function(project, project.functions[fq]))
-        return findings
+    def begin_file(self, ctx: FileContext) -> None:
+        self._durable = ctx.module_in(ctx.config.durable_modules)
 
-    # ------------------------------------------------------- per function
-    def _check_function(
-        self, project: Project, info: FunctionInfo
-    ) -> list[Finding]:
-        replace_src: set[str] = set()
-        replace_dst: set[str] = set()
-        has_replace = False
-        has_fsync = False
+    def visit_FunctionDef(self, node: ast.FunctionDef, ctx: FileContext) -> None:
+        if self._durable:
+            self._check_function(node, ctx)
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _check_function(self, fn: ast.AST, ctx: FileContext) -> None:
+        replace_src: set[str | None] = set()
+        replace_dst: set[str | None] = set()
+        has_replace = has_fsync = False
         writes: list[tuple[ast.Call, str | None, str]] = []  # node, root, kind
-
-        for node in ast.walk(info.node):
+        for node in ast.walk(fn):
             if not isinstance(node, ast.Call):
                 continue
-            callee = project.callee_of(node)
+            callee = ctx.resolve(node.func) or ""
+            first = _root_name(node.args[0]) if node.args else None
             if callee in ("os.replace", "os.rename"):
                 has_replace = True
-                if node.args:
-                    src = _root_name(node.args[0])
-                    if src is not None:
-                        replace_src.add(src)
+                replace_src.add(first)
                 if len(node.args) >= 2:
-                    dst = _root_name(node.args[1])
-                    if dst is not None:
-                        replace_dst.add(dst)
-                continue
-            if callee == "os.fsync":
+                    replace_dst.add(_root_name(node.args[1]))
+            elif callee == "os.fsync":
                 has_fsync = True
-                continue
-            if callee in _OPEN_CALLEES:
+            elif callee in _OPEN_CALLEES:
                 mode = _open_mode(node)
                 if any(c in mode for c in "wx"):
-                    writes.append((node, _root_name(node.args[0]) if node.args else None, "write"))
+                    writes.append((node, first, "write"))
                 elif "a" in mode:
-                    writes.append((node, _root_name(node.args[0]) if node.args else None, "append"))
-                continue
-            if callee in _WRITER_CALLEES and callee != "pickle.dump":
-                writes.append(
-                    (node, _root_name(node.args[0]) if node.args else None, "write")
-                )
-                continue
-            if callee is not None and callee.rsplit(".", 1)[-1] in _PATH_WRITE_ATTRS:
-                target = (
-                    node.func.value
-                    if isinstance(node.func, ast.Attribute)
-                    else None
-                )
+                    writes.append((node, first, "append"))
+            elif callee in _WRITER_CALLEES:
+                writes.append((node, first, "write"))
+            elif callee.rsplit(".", 1)[-1] in _PATH_WRITE_ATTRS:
+                target = node.func.value if isinstance(node.func, ast.Attribute) else None
                 writes.append((node, _root_name(target), "write"))
 
-        findings: list[Finding] = []
+        qualname = qualname_of(fn, ctx.module)
         for node, root, kind in writes:
-            line = getattr(node, "lineno", 0)
-            col = getattr(node, "col_offset", 0)
             if kind == "append":
                 if not has_fsync:
-                    findings.append(
-                        self.finding(
-                            f"append-mode write in durable function "
-                            f"{info.qualname} has no os.fsync in the same "
-                            "function; a journal append that is not fsync'd "
-                            "can be lost on power failure after returning",
-                            path=info.path,
-                            line=line,
-                            col=col,
-                        )
+                    self.report(
+                        ctx,
+                        node,
+                        f"append-mode write in durable function {qualname} has "
+                        "no os.fsync in the same function; a journal append "
+                        "that is not fsync'd can be lost on power failure "
+                        "after returning",
                     )
-                continue
-            if not has_replace:
-                findings.append(
-                    self.finding(
-                        f"bare write in durable function {info.qualname} "
-                        "never feeds os.replace; a crash mid-write leaves "
-                        "a torn file at the final path — write to a tmp "
-                        "sibling and os.replace it into place",
-                        path=info.path,
-                        line=line,
-                        col=col,
-                    )
+            elif not has_replace:
+                self.report(
+                    ctx,
+                    node,
+                    f"bare write in durable function {qualname} never feeds "
+                    "os.replace; a crash mid-write leaves a torn file at the "
+                    "final path — write to a tmp sibling and os.replace it "
+                    "into place",
                 )
-                continue
-            if root is not None and root in replace_dst and root not in replace_src:
-                findings.append(
-                    self.finding(
-                        f"write in {info.qualname} targets os.replace's "
-                        "destination directly, bypassing the tmp file; "
-                        "write to the tmp path instead",
-                        path=info.path,
-                        line=line,
-                        col=col,
-                    )
+            elif root is not None and root in replace_dst and root not in replace_src:
+                self.report(
+                    ctx,
+                    node,
+                    f"write in {qualname} targets os.replace's destination "
+                    "directly, bypassing the tmp file; write to the tmp path "
+                    "instead",
                 )
-        return findings

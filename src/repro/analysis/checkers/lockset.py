@@ -1,70 +1,71 @@
 """lockset: state shared with worker threads needs one lock.
 
-Every thread handoff in the project is a root: a callable handed to a
-pool (``pool.submit``/``pool.map``/``apply_async``…) or
-``threading.Thread(target=…)``.  Handoffs are found by walking every
-call in every file — module-level and class-body calls included, which
-the call graph has no edges for — and a handed-over name is looked up
-in the enclosing function scopes first, so a nested ``def run_bulk``
-passed to ``pool.map`` by its local name is found.
+A per-file rule.  Its roots are the file's thread handoffs: a callable
+handed to a pool (``submit``/``map``/``apply_async``…) or to
+``threading.Thread(target=…)``, at any call in the file, module level
+included.  A handed-over bare name is looked up in the enclosing
+function scopes first, so a nested ``def run_bulk`` passed to
+``pool.map`` is found.  From a root the rule follows the calls it can
+name in the file: a def by bare name (nested, then module level), a
+class's ``__init__`` through its constructor, and ``self.m()``.
 
-Two shapes of shared state are checked:
+* **Free functions and closures.**  In every function reached from a
+  handed-over function, an augmented assignment (``+=`` …) to state
+  rooted at a *non-local* name, or to a name declared
+  ``nonlocal``/``global``, must sit under a ``with`` whose context
+  names a lock/mutex/guard/semaphore, unless the root is thread-local
+  by name (``tls…``/``…local…``).  This is the RAPTOR busy-accounting
+  race once fixed in the project (``worker_busy[slot] += work`` on a
+  closed-over array).  Plain element stores (``results[i] = value``)
+  are the idiomatic lock-free pattern and pass.
 
-* **Free functions and closures.**  In every function reachable from a
-  handed-over function, an augmented assignment (``+=`` and friends)
-  to subscript/attribute state rooted at a *non-local* name — closure
-  or module globals shared across workers — or to a name declared
-  ``nonlocal``/``global`` must sit under a held lock (a ``with`` whose
-  context names a lock/mutex/guard/semaphore), unless the root is a
-  thread-local accumulator (``tls…``/``…local…`` naming).  This is the
-  RAPTOR busy-accounting race once fixed in the project:
-  ``worker_busy[slot] += work`` on a closed-over array loses updates
-  under concurrency.  Plain element stores (``results[i] = value``) are
-  not flagged: distinct-slot writes from distinct workers are the
-  idiomatic lock-free pattern.
-
-* **Instance attributes** (Eraser-style lockset inference) of classes
-  that hand one of their bound methods to a thread
-  (``threading.Thread(target=self._producer)``, ``pool.submit(self.run)``).
-  Methods split into *thread context* (the entry plus every class
-  method it transitively calls) and *caller context* (everything
-  else); every ``self.<attr>`` access in both is tracked with the set
-  of ``with self.<lock>:`` guards held at it.  An attribute is
-  reported when all of these hold:
-
-  - it is accessed in both contexts (that is what makes it shared — a
-    producer-only buffer is fine);
-  - at least one access outside ``__init__`` is a write (init-only
-    configuration published before ``Thread.start()`` is ordered by the
-    start's happens-before edge);
-  - the intersection of locksets over all non-init accesses is empty
-    (no single lock consistently guards it);
-  - it is not itself a synchronization object (``Lock``/``Queue``/
-    ``Event``/``deque`` constructors, lock-ish names) or thread-local.
+* **Instance attributes** (static Eraser) of a class that hands a bound
+  method to a thread: ``Thread(target=self._producer)``,
+  ``pool.submit(self.run)``, or ``w = Worker(...); Thread(target=w.run)``
+  for a class of the file.  The entry and the methods it reaches
+  through ``self`` are the *thread context*, the other methods bar
+  ``__init__`` the *caller context*.  An attribute is reported when it
+  is accessed in both contexts, written at least once outside
+  ``__init__``, and no one ``with self.<lock>:`` is held at every such
+  access — unless it is a synchronization object (``Lock``/``Queue``/
+  ``Event``/``deque`` constructors, lock-ish names) or thread-local.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from typing import NamedTuple
 
 from repro.analysis.astutil import (
     enclosing_function,
     function_locals,
     iter_parents,
+    qualname_of,
 )
 from repro.analysis.checkers.base import Checker
-from repro.analysis.config import AnalysisConfig
 from repro.analysis.engine import FileContext
-from repro.analysis.findings import Finding
-from repro.analysis.project import (
-    THREAD_SAFE_CTORS,
-    ClassInfo,
-    FunctionInfo,
-    Project,
-)
 
 __all__ = ["LocksetChecker"]
+
+#: constructors whose instances are safe to share across threads
+THREAD_SAFE_CTORS = frozenset(
+    {
+        "queue.Queue",
+        "queue.LifoQueue",
+        "queue.PriorityQueue",
+        "queue.SimpleQueue",
+        "threading.Event",
+        "threading.Lock",
+        "threading.RLock",
+        "threading.Condition",
+        "threading.Semaphore",
+        "threading.BoundedSemaphore",
+        "threading.Barrier",
+        "threading.local",
+        "collections.deque",
+    }
+)
 
 #: executor/pool methods whose callable argument runs on another thread
 _SUBMIT_METHODS = frozenset(
@@ -95,25 +96,55 @@ _MUTATOR_METHODS = frozenset(
     }
 )
 
-
-def _self_param(info: FunctionInfo) -> str | None:
-    params = info.positional_params()
-    return params[0] if info.is_method and params else None
+_FUNC = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-class _Access:
+class _Access(NamedTuple):
     """One ``self.<attr>`` touch: where, read/write, locks held."""
 
-    __slots__ = ("attr", "write", "locks", "path", "line", "col", "function")
+    attr: str
+    write: bool
+    locks: set[str]
+    node: ast.Attribute
+    function: str
 
-    def __init__(self, attr, write, locks, path, line, col, function):
-        self.attr = attr
-        self.write = write
-        self.locks = locks
-        self.path = path
-        self.line = line
-        self.col = col
-        self.function = function
+
+def _self_param(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> str | None:
+    params = [p.arg for p in (*fn.args.posonlyargs, *fn.args.args)]
+    return params[0] if params else None
+
+
+def _body_nodes(fn: ast.AST):
+    """Walk a function body, *excluding* nested function/class bodies."""
+    stack = list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (*_FUNC, ast.ClassDef, ast.Lambda)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _with_contexts(node: ast.AST, scope: ast.AST):
+    """Context expressions of the ``with`` blocks around ``node`` in ``scope``."""
+    for parent in iter_parents(node):
+        if isinstance(parent, (ast.With, ast.AsyncWith)):
+            for item in parent.items:
+                expr = item.context_expr
+                yield expr.func if isinstance(expr, ast.Call) else expr
+        if parent is scope:
+            break
+
+
+def _thread_safe_store(node: ast.Attribute, ctx: FileContext) -> bool:
+    """Whether ``node`` is assigned an instance of a thread-safe class."""
+    parent = getattr(node, "_repro_parent", None)
+    return (
+        isinstance(node.ctx, ast.Store)
+        and isinstance(parent, (ast.Assign, ast.AnnAssign))
+        and isinstance(parent.value, ast.Call)
+        and ctx.resolve(parent.value.func) in THREAD_SAFE_CTORS
+    )
 
 
 class LocksetChecker(Checker):
@@ -126,68 +157,114 @@ class LocksetChecker(Checker):
         "or be thread-local"
     )
 
-    def __init__(self) -> None:
-        #: free functions (nested defs included) handed to threads
-        self._function_entries: set[str] = set()
-        #: class qualname → bound methods handed to threads
-        self._class_entries: dict[str, set[str]] = {}
+    def begin_file(self, ctx: FileContext) -> None:
+        #: qualname → def, for every def in the file (first one wins)
+        self._defs: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
+        #: class qualname → method name → method qualname
+        self._methods: dict[str, dict[str, str]] = {}
+        #: class qualname → its bound methods handed to threads, and
+        #: None → the free functions (nested defs included) handed over
+        self._entries: dict[str | None, set[str]] = {}
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.ClassDef):
+                self._methods.setdefault(qualname_of(node, ctx.module), {})
+            elif isinstance(node, _FUNC):
+                self._defs.setdefault(qualname_of(node, ctx.module), node)
+        for fq in self._defs:
+            cls, _, name = fq.rpartition(".")
+            if cls in self._methods:
+                self._methods[cls].setdefault(name, fq)
+
+    # ------------------------------------------------ names in the file
+    def _class_of(self, fq: str | None) -> str | None:
+        """The class whose method ``fq`` is, if it is one."""
+        cls = fq.rpartition(".")[0] if fq else None
+        return cls if cls in self._methods else None
+
+    def _lookup(self, expr: ast.AST, scope: str | None, ctx: FileContext):
+        """Qualname a Name/Attribute chain names from inside ``scope``.
+
+        A bare name finds the defs nested in ``scope`` and in the
+        functions enclosing it first, as a closure would.
+        """
+        if isinstance(expr, ast.Name):
+            while scope in self._defs:
+                nested = f"{scope}.{expr.id}"
+                if nested in self._defs:
+                    return nested
+                scope = scope.rpartition(".")[0]
+        return ctx.resolve(expr)
+
+    def _callee(self, call: ast.Call, scope: str | None, ctx: FileContext):
+        """The function of this file a call runs, or ``None``."""
+        func, cls = call.func, self._class_of(scope)
+        if (
+            cls is not None
+            and isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id == _self_param(self._defs[scope])
+        ):
+            return self._methods[cls].get(func.attr)
+        fq = self._lookup(func, scope, ctx)
+        if fq in self._methods:  # a constructor runs the class's __init__
+            return self._methods[fq].get("__init__")
+        return fq if fq in self._defs else None
+
+    def _reach(self, roots, ctx: FileContext) -> set[str]:
+        """Functions of this file reachable from ``roots`` (roots included)."""
+        seen: set[str] = set()
+        frontier = [r for r in roots if r in self._defs]
+        while frontier:
+            fq = frontier.pop()
+            if fq in seen:
+                continue
+            seen.add(fq)
+            for node in _body_nodes(self._defs[fq]):
+                if isinstance(node, ast.Call):
+                    callee = self._callee(node, fq, ctx)
+                    if callee is not None:
+                        frontier.append(callee)
+        return seen
 
     # ------------------------------------------------------ thread entries
     def visit_Call(self, node: ast.Call, ctx: FileContext) -> None:
         """Record the callables this call hands to another thread."""
+        fn = enclosing_function(node)
+        scope = qualname_of(fn, ctx.module) if fn is not None else None
         targets: list[ast.AST] = []
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr in _SUBMIT_METHODS:
-            # a project method that happens to be called `submit`/`map`
-            # is not a pool
-            edge = ctx.project.edge_of(node)
-            if node.args and (edge is None or edge.external):
+            # a method of this file that happens to be called
+            # `submit`/`map` is not a pool
+            if node.args and self._callee(node, scope, ctx) is None:
                 targets.append(node.args[0])
         if ctx.resolve(func) == "threading.Thread":
             targets.extend(kw.value for kw in node.keywords if kw.arg == "target")
-        if not targets:
-            return
-        caller = ctx.project.function_of(enclosing_function(node))
-        scope = caller.qualname if caller is not None else None
         for target in targets:
-            fq = ctx.project.resolve(ctx.module, target, scope=scope)
-            info = ctx.project.functions.get(fq)
-            if info is not None and not info.is_method:
-                self._function_entries.add(fq)
-            elif caller is not None:
-                resolved = self._resolve_bound_method(
-                    ctx.project, caller, target
-                )
-                if resolved is not None:
-                    cls_q, method_q = resolved
-                    self._class_entries.setdefault(cls_q, set()).add(method_q)
+            fq = self._lookup(target, scope, ctx)
+            if fq in self._defs and self._class_of(fq) is None:
+                self._entries.setdefault(None, set()).add(fq)
+            elif scope is not None and (method := self._bound_method(target, scope, ctx)):
+                self._entries.setdefault(self._class_of(method), set()).add(method)
 
-    def check(self, project: Project, config: AnalysisConfig) -> list[Finding]:
-        findings: list[Finding] = []
+    def end_file(self, ctx: FileContext) -> None:
         seen: set[int] = set()
-        for fq in sorted(project.reachable(self._function_entries)):
-            for node in ast.walk(project.functions[fq].node):
+        for fq in sorted(self._reach(self._entries.pop(None, ()), ctx)):
+            for node in ast.walk(self._defs[fq]):
                 if isinstance(node, ast.AugAssign) and id(node) not in seen:
                     seen.add(id(node))
-                    finding = self._check_aug(node, project.functions[fq])
-                    if finding is not None:
-                        findings.append(finding)
-        for cls_q, entries in sorted(self._class_entries.items()):
-            cls = project.classes.get(cls_q)
-            if cls is not None:
-                findings.extend(self._check_class(project, cls, entries))
-        return findings
+                    self._check_aug(node, ctx)
+        for cls, entries in sorted(self._entries.items()):
+            self._check_class(cls, entries, ctx)
 
     # ------------------------------------------- free functions, closures
-    def _check_aug(
-        self, node: ast.AugAssign, info: FunctionInfo
-    ) -> Finding | None:
+    def _check_aug(self, node: ast.AugAssign, ctx: FileContext) -> None:
         root = node.target
         while isinstance(root, (ast.Subscript, ast.Attribute)):
             root = root.value
         containing = enclosing_function(node)
         if not isinstance(root, ast.Name) or containing is None:
-            return None
+            return
         if isinstance(node.target, ast.Name):
             # `x += 1` races only when x is declared nonlocal/global
             if not any(
@@ -195,40 +272,42 @@ class LocksetChecker(Checker):
                 and node.target.id in stmt.names
                 for stmt in ast.walk(containing)
             ):
-                return None
+                return
         elif root.id in function_locals(containing):
-            return None  # container created in this very call; not shared
+            return  # container created in this very call; not shared
         if _THREAD_LOCAL_NAME.search(root.id):
-            return None  # thread-local accumulator by naming convention
-        if _under_lock(node, containing):
-            return None
-        return self.finding(
+            return  # thread-local accumulator by naming convention
+        if any(
+            _LOCK_NAME.search(expr.attr if isinstance(expr, ast.Attribute) else expr.id)
+            for expr in _with_contexts(node, containing)
+            if isinstance(expr, (ast.Attribute, ast.Name))
+        ):
+            return
+        self.report(
+            ctx,
+            node,
             f"read-modify-write ({type(node.op).__name__}) on shared "
             f"'{root.id}' inside thread-submitted code without a held "
             "lock; guard it with `with <lock>:` or accumulate into "
             "thread-local state and merge after the pool drains",
-            path=info.path,
-            line=node.lineno,
-            col=node.col_offset,
         )
 
     # ------------------------------------------------ instance attributes
-    def _resolve_bound_method(
-        self, project: Project, caller: FunctionInfo, target: ast.AST
-    ) -> tuple[str, str] | None:
-        """``self.m`` (or ``obj.m`` with an inferable class) → (class, method)."""
+    def _bound_method(
+        self, target: ast.AST, scope: str, ctx: FileContext
+    ) -> str | None:
+        """The method ``self.m``, or ``obj.m`` for ``obj = Cls(...)``, names."""
         if not (
             isinstance(target, ast.Attribute)
             and isinstance(target.value, ast.Name)
         ):
             return None
         root = target.value.id
-        cls_q: str | None = None
-        if root == _self_param(caller):
-            cls_q = caller.class_qualname
-        else:
+        fn = self._defs[scope]
+        cls = self._class_of(scope) if root == _self_param(fn) else None
+        if cls is None:
             # `worker = Worker(...); Thread(target=worker.run)`
-            for node in ast.walk(caller.node):
+            for node in ast.walk(fn):
                 if (
                     isinstance(node, ast.Assign)
                     and isinstance(node.value, ast.Call)
@@ -237,40 +316,29 @@ class LocksetChecker(Checker):
                         for t in node.targets
                     )
                 ):
-                    ctor = project.edge_of(node.value)
-                    if ctor is not None and not ctor.external:
-                        fn = project.functions.get(ctor.callee)
-                        if fn is not None and fn.name == "__init__":
-                            cls_q = fn.class_qualname
-        if cls_q is None:
-            return None
-        method_q = project.method_resolution(cls_q, target.attr)
-        if method_q is None:
-            return None
-        return cls_q, method_q
+                    ctor = self._lookup(node.value.func, scope, ctx)
+                    if ctor in self._methods:
+                        cls = ctor
+        return self._methods[cls].get(target.attr) if cls else None
 
-    def _check_class(
-        self, project: Project, cls: ClassInfo, entries: set[str]
-    ) -> list[Finding]:
-        methods = set(cls.methods.values())
+    def _check_class(self, cls: str, entries: set[str], ctx: FileContext) -> None:
+        methods = set(self._methods[cls].values())
         # thread context: entries plus class methods they transitively call
-        thread_ctx = {
-            fq for fq in project.reachable(entries) if fq in methods
-        }
-        init_q = cls.methods.get("__init__")
-        caller_ctx = methods - thread_ctx - ({init_q} if init_q else set())
+        thread_ctx = self._reach(entries, ctx) & methods
+        init_q = self._methods[cls].get("__init__")
+        caller_ctx = methods - thread_ctx - {init_q}
 
         accesses: dict[str, list[_Access]] = {}
         for fq in sorted(methods):
-            info = project.functions.get(fq)
-            if info is None:
-                continue
-            for access in self._collect_accesses(info):
+            for access in self._collect_accesses(fq):
                 accesses.setdefault(access.attr, []).append(access)
 
-        findings: list[Finding] = []
         for attr, acc in sorted(accesses.items()):
-            if self._exempt_attr(cls, attr):
+            if (
+                _LOCK_NAME.search(attr)
+                or _THREAD_LOCAL_NAME.search(attr)
+                or any(a.function == init_q and _thread_safe_store(a.node, ctx) for a in acc)
+            ):
                 continue
             in_thread = [a for a in acc if a.function in thread_ctx]
             in_caller = [a for a in acc if a.function in caller_ctx]
@@ -279,8 +347,7 @@ class LocksetChecker(Checker):
             non_init = in_thread + in_caller
             if not any(a.write for a in non_init):
                 continue  # read-only after construction
-            common = set.intersection(*(a.locks for a in non_init))
-            if common:
+            if set.intersection(*(a.locks for a in non_init)):
                 continue  # one lock consistently guards every access
             witness = next(
                 (a for a in non_init if a.write and not a.locks),
@@ -292,109 +359,49 @@ class LocksetChecker(Checker):
                 if held
                 else "no access holds any lock"
             )
-            findings.append(
-                self.finding(
-                    f"attribute self.{attr} of {cls.qualname} is shared "
-                    f"between thread-target method(s) "
-                    f"{sorted(m.rsplit('.', 1)[-1] for m in thread_ctx)} and "
-                    "other methods without a consistent lock "
-                    f"({hint}); guard every access with one `with "
-                    "self.<lock>:` or make it thread-local",
-                    path=witness.path,
-                    line=witness.line,
-                    col=witness.col,
-                )
+            self.report(
+                ctx,
+                witness.node,
+                f"attribute self.{attr} of {cls} is shared "
+                f"between thread-target method(s) "
+                f"{sorted(m.rsplit('.', 1)[-1] for m in thread_ctx)} and "
+                "other methods without a consistent lock "
+                f"({hint}); guard every access with one `with "
+                "self.<lock>:` or make it thread-local",
             )
-        return findings
 
-    @staticmethod
-    def _exempt_attr(cls: ClassInfo, attr: str) -> bool:
-        if _LOCK_NAME.search(attr) or _THREAD_LOCAL_NAME.search(attr):
-            return True
-        ctor = cls.attr_ctors.get(attr)
-        if ctor in THREAD_SAFE_CTORS or ctor == "threading.local":
-            return True
-        return False
-
-    def _collect_accesses(self, info: FunctionInfo) -> list[_Access]:
-        self_name = _self_param(info)
-        if self_name is None:
-            return []
+    def _collect_accesses(self, fq: str) -> list[_Access]:
+        fn = self._defs[fq]
+        self_name = _self_param(fn)
         out: list[_Access] = []
-        for node in ast.walk(info.node):
+        for node in ast.walk(fn):
             if not (
                 isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
                 and node.value.id == self_name
             ):
                 continue
-            write = isinstance(node.ctx, (ast.Store, ast.Del))
             parent = getattr(node, "_repro_parent", None)
-            if not write:
+            write = (
+                isinstance(node.ctx, (ast.Store, ast.Del))
                 # self.items.append(x) / self.items[k] = v mutate the attr
-                if (
+                or (
                     isinstance(parent, ast.Attribute)
                     and parent.value is node
                     and parent.attr in _MUTATOR_METHODS
-                ):
-                    write = True
-                elif (
+                )
+                or (
                     isinstance(parent, ast.Subscript)
                     and parent.value is node
                     and isinstance(parent.ctx, (ast.Store, ast.Del))
-                ):
-                    write = True
-            out.append(
-                _Access(
-                    attr=node.attr,
-                    write=write,
-                    locks=self._held_locks(node, info),
-                    path=info.path,
-                    line=getattr(node, "lineno", 0),
-                    col=getattr(node, "col_offset", 0),
-                    function=info.qualname,
                 )
             )
+            locks = {
+                expr.attr
+                for expr in _with_contexts(node, fn)
+                if isinstance(expr, ast.Attribute)
+                and isinstance(expr.value, ast.Name)
+                and expr.value.id == self_name
+            }
+            out.append(_Access(node.attr, write, locks, node, fq))
         return out
-
-    @staticmethod
-    def _held_locks(node: ast.AST, info: FunctionInfo) -> set[str]:
-        """Names of ``with self.<lock>:`` guards enclosing ``node``."""
-        self_name = _self_param(info)
-        held: set[str] = set()
-        for parent in iter_parents(node):
-            if isinstance(parent, (ast.With, ast.AsyncWith)):
-                for item in parent.items:
-                    expr = item.context_expr
-                    if isinstance(expr, ast.Call):
-                        expr = expr.func
-                    if (
-                        isinstance(expr, ast.Attribute)
-                        and isinstance(expr.value, ast.Name)
-                        and expr.value.id == self_name
-                    ):
-                        held.add(expr.attr)
-            if parent is info.node:
-                break
-        return held
-
-
-def _under_lock(node: ast.AST, containing: ast.AST) -> bool:
-    """Whether ``node`` sits inside a ``with <lock-like>`` in scope."""
-    for parent in iter_parents(node):
-        if isinstance(parent, (ast.With, ast.AsyncWith)):
-            for item in parent.items:
-                expr = item.context_expr
-                if isinstance(expr, ast.Call):
-                    expr = expr.func
-                if isinstance(expr, ast.Attribute):
-                    name = expr.attr
-                elif isinstance(expr, ast.Name):
-                    name = expr.id
-                else:
-                    continue
-                if _LOCK_NAME.search(name):
-                    return True
-        if parent is containing:
-            break
-    return False

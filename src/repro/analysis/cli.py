@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "Whole-program domain lint for the repro codebase: clock "
+            "Per-file domain lint for the repro codebase: clock "
             "purity, vectorization pressure, thread-shared state and "
             "durable writes."
         ),

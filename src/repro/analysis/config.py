@@ -54,9 +54,9 @@ class AnalysisConfig:
         Module prefixes whose elementwise Python loops over ndarrays
         the vectorization rule flags.
     durable_modules:
-        Module prefixes whose file writes must follow the
-        tmp+``os.replace`` idiom (the atomic-write rule), including
-        everything reachable from them.
+        Module prefixes whose functions' file writes must follow the
+        tmp+``os.replace`` idiom (the atomic-write rule).  A helper in
+        another module is checked only if its own module is listed.
     """
 
     paths: list[str] = field(default_factory=lambda: ["src"])

@@ -1,15 +1,12 @@
-"""The analysis engine: build the project once, run every rule over it.
+"""The analysis engine: parse the tree once, walk each file once.
 
 A run reads and parses each file exactly once into a
-:class:`~repro.analysis.project.Project` (symbol table, import tables,
-call graph), then runs every selected checker from the one registry in
-:mod:`repro.analysis.checkers` over it:
-
-* per-file hooks — ``visit_<NodeType>`` methods, ``begin_file`` and
-  ``end_file`` — are driven during a single walk of each file's AST
-  (the pylint/ruff architecture, scaled to domain rules);
-* then each checker's ``check(project, config)`` sees the whole
-  program.
+:class:`~repro.analysis.project.Project` (trees and import tables),
+then drives every selected checker from the one registry in
+:mod:`repro.analysis.checkers` over each file: ``begin_file``, the
+``visit_<NodeType>`` methods during a single walk of the file's AST
+(the pylint/ruff architecture, scaled to domain rules), then
+``end_file``.
 
 Checkers never re-parse, never re-read, and never see suppressed
 findings — inline ``# repro: disable=<rule>`` comments and the config's
@@ -59,7 +56,6 @@ class FileContext:
     project: Project
     config: AnalysisConfig
     findings: list[Finding] = field(default_factory=list)
-    _resolved: dict[int, str | None] = field(default_factory=dict)
 
     @property
     def path(self) -> str:
@@ -81,10 +77,7 @@ class FileContext:
         ``t.time`` read ``time.time`` and a package re-exporting
         ``time.time`` cannot hide it.
         """
-        key = id(expr)
-        if key not in self._resolved:
-            self._resolved[key] = self.project.resolve(self.module, expr)
-        return self._resolved[key]
+        return self.project.resolve(self.module, expr)
 
     def report(
         self,
@@ -161,8 +154,6 @@ def analyze_project(
         for checker in checkers:
             checker.end_file(ctx)
         raw.extend(ctx.findings)
-    for checker in checkers:
-        raw.extend(checker.check(project, config))
 
     result = AnalysisResult(
         findings=list(project.parse_findings),

@@ -59,9 +59,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def snapshot(self) -> dict:
         return {"kind": self.kind, "value": self.value}
 
@@ -178,9 +175,6 @@ class _NullInstrument:
     sum = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
         pass
 
     def set(self, value: float) -> None:

@@ -1,24 +1,8 @@
-"""Classes for method-resolution tests: inheritance, attr types."""
+"""The class the package re-exports."""
 
 from proj_pkg.helpers import tick
 
 
-class Base:
-    def ping(self):
-        return tick()
-
-
-class Engine(Base):
-    def __init__(self, gear: "Gear"):
-        self.gear = gear
-        self.count = 0
-
+class Engine:
     def run(self):
-        self.count += 1
-        self.gear.spin()  # resolves via the annotated __init__ param
-        return self.ping()  # resolves through Base
-
-
-class Gear:
-    def spin(self):
         return tick()

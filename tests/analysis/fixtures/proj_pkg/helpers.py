@@ -1,18 +1,5 @@
-"""Leaf module of the diamond."""
-
-
-def trace(fn):
-    def wrapper(*args, **kwargs):
-        return fn(*args, **kwargs)
-
-    return wrapper
+"""The function the package re-exports."""
 
 
 def tick():
     return 1
-
-
-@trace
-def decorated_tick():
-    # decorator-wrapped: callers of decorated_tick still reach this body
-    return tick() + 1

@@ -1,4 +1,4 @@
-"""The whole-program checkers against their bad/good fixture packages."""
+"""lockset and atomic-write against their bad/good fixture packages."""
 
 from pathlib import Path
 
@@ -28,8 +28,20 @@ def test_atomic_bad_flags_all_three_patterns():
     assert "save_json" in messages  # bare open(..., "w")
     assert "save_array" in messages  # numpy writer, no replace
     assert "fsync" in messages  # append without fsync
-    # the helper reached *from* the durable module is in the cone too
-    assert any("write_report" in f.message for f in findings)
+    # a helper the durable module calls is not checked in its own,
+    # unlisted module
+    assert "write_report" not in messages
+
+
+def test_atomic_checks_a_helper_once_its_module_is_listed():
+    findings = check(
+        "atomic_bad_pkg",
+        AtomicWriteChecker(),
+        durable_modules=["atomic_bad_pkg.store", "atomic_bad_pkg.caller"],
+    )
+    assert [
+        f.line for f in findings if f.path == "atomic_bad_pkg/caller.py"
+    ] == [7]
 
 
 def test_atomic_good_is_clean():
@@ -65,17 +77,31 @@ def test_lockset_good_is_clean():
     assert check("lockset_good_pkg", LocksetChecker()) == []
 
 
+def test_lockset_follows_a_lane_thread_through_self_and_a_local_instance():
+    # the docking lane writes campaign state through self._record, and
+    # `lane = Lane(c); Thread(target=lane.run)` hands over a bound method
+    # of a local instance
+    project = build_project([FIXTURES / "lockset_lane.py"], root=FIXTURES)
+    findings = analyze_project(project, AnalysisConfig(), [LocksetChecker()]).findings
+    assert [(f.line, f.message.split(" is shared")[0]) for f in findings] == [
+        (30, "attribute self.scores of lockset_lane.Campaign"),
+        (31, "attribute self.iteration of lockset_lane.Campaign"),
+        (44, "attribute self.done of lockset_lane.Lane"),
+    ]
+    assert "['_docking_lane', '_record']" in findings[0].message
+
+
 # ------------------------------------------------------------------- runner
 def test_run_interprocedural_merges_both_layers(tmp_path):
-    # one run reports per-file and whole-program rules together
+    # one run reports every rule's findings together
     (tmp_path / "mod.py").write_text(
         "import threading\n"
         "import time\n"
         "totals = {}\n"
         "def stamp():\n"
-        "    return time.time()\n"  # per-file clock-purity finding
+        "    return time.time()\n"  # clock-purity finding
         "def work(key):\n"
-        "    totals[key] += 1\n"  # whole-program lockset finding
+        "    totals[key] += 1\n"  # lockset finding
         "threading.Thread(target=work, args=('a',)).start()\n"
     )
     result = run_analysis([tmp_path], AnalysisConfig(root=tmp_path))

@@ -2,7 +2,7 @@
 
 The checked-in ``[tool.repro-lint]`` table in pyproject.toml is the
 baseline; this test is the gate that keeps it honest, running every
-rule — per-file and whole-program — exactly as ``repro-lint`` does.
+rule exactly as ``repro-lint`` does.
 The regression cases re-create the one concurrency bug this lint engine
 has caught in the project's history: an unlocked ``+=`` inside a
 pool-mapped RAPTOR worker (the busy-accounting race once fixed in
@@ -57,8 +57,8 @@ def test_unlocked_add_in_nested_run_bulk_is_caught():
 
 
 def test_module_level_pool_map_is_a_thread_entry():
-    # the call graph has no edges for module-level calls, so the
-    # handoff must be found by walking every call in the file
+    # a module-level call has no enclosing function, so the handoff
+    # must be found by walking every call in the file
     src = (
         "from concurrent.futures import ThreadPoolExecutor\n"
         "\n"

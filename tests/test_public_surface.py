@@ -51,7 +51,7 @@ ALLOWED: dict[str, str] = {
     "repro.docking.scoring.score_and_gradient": "single-pose scoring under the packed kernels",
     "repro.docking.scoring.score_poses_batch": "single-pose scoring under the packed kernels",
     "repro.docking.scoring.apply_rigid_step": "single-pose scoring under the packed kernels",
-    # durable writers: the atomic-write rule's durable-modules cone
+    # durable writers in the atomic-write rule's durable-modules
     "repro.nn.serialization.save_model": "durable model writer (ROADMAP 6(c))",
     "repro.nn.serialization.load_model": "reads what save_model writes",
     "repro.surrogate.train.TrainedSurrogate.save": "persists a surrogate through save_model",
