@@ -9,8 +9,9 @@ function scopes first, so a nested ``def run_bulk`` passed to
 name in the file: a def by bare name (nested, then module level), a
 class's ``__init__`` through its constructor, and ``self.m()``.
 
-* **Free functions and closures.**  In every function reached from a
-  handed-over function, an augmented assignment (``+=`` …) to state
+* **Globals and closures.**  In every function reached from a
+  handed-over callable, free function or bound method alike, an
+  augmented assignment (``+=`` …) to state
   rooted at a *non-local* name, or to a name declared
   ``nonlocal``/``global``, must sit under a ``with`` whose context
   names a lock/mutex/guard/semaphore, unless the root is thread-local
@@ -249,7 +250,9 @@ class LocksetChecker(Checker):
 
     def end_file(self, ctx: FileContext) -> None:
         seen: set[int] = set()
-        for fq in sorted(self._reach(self._entries.pop(None, ()), ctx)):
+        every_entry = set().union(*self._entries.values())
+        self._entries.pop(None, None)
+        for fq in sorted(self._reach(every_entry, ctx)):
             for node in ast.walk(self._defs[fq]):
                 if isinstance(node, ast.AugAssign) and id(node) not in seen:
                     seen.add(id(node))

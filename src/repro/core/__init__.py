@@ -13,7 +13,6 @@ from repro.core.metrics import (
     CampaignMetrics,
     StageAccounting,
     enrichment_factor,
-    throughput,
 )
 from repro.core.simulate import (
     SimulatedCampaignConfig,
@@ -42,5 +41,4 @@ __all__ = [
     "run_streamed_screen",
     "run_traced_demo",
     "simulate_integrated_run",
-    "throughput",
 ]

@@ -22,6 +22,7 @@ structures (docked poses seed CG; S2-selected frames seed FG).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
@@ -76,12 +77,15 @@ class _ReplicaFailed(Exception):
     """A replica task failed in a worker; ``str()`` is its "Type: message"."""
 
 
-def _outputs(outcome):
-    """One unit's replica outputs from :meth:`_run_ensembles`, or raise
-    the failure that replaced them."""
-    if isinstance(outcome, BaseException):
-        raise outcome
-    return outcome
+def _checked(unit: "StageUnit") -> Iterator["StageUnit"]:
+    """Yield ``unit``; refuse to go on until it was completed."""
+    yield unit
+    if not unit.done:
+        raise RuntimeError(
+            f"stage unit {unit.unit_id!r} must be completed before "
+            "the next unit is requested"
+        )
+
 
 #: laptop-scale defaults for the heavy stages
 _FAST_LGA = LGAConfig(population=14, generations=6)
@@ -209,8 +213,9 @@ class StageUnit:
     iteration).  A unit's *size* (``n_items``) is fixed when the unit is
     built — which is only possible once the previous unit has run,
     because stage sizes depend on upstream science (how many compounds
-    ML1 selected, how many structures hold CG results).  The science
-    itself executes when :meth:`complete` is called, so an external
+    ML1 selected, how many structures hold CG results).  The science —
+    one stage method of :class:`ImpeccableCampaign` over the iteration's
+    record — executes when :meth:`complete` is called, so an external
     driver can schedule the unit's simulated cost on a shared pilot
     first and run the science once the tasks finish.
     """
@@ -234,6 +239,21 @@ class StageUnit:
             raise RuntimeError(f"stage unit {self.unit_id!r} already completed")
         self._science()
         self.done = True
+
+
+@dataclass
+class _Iteration:
+    """One iteration's record, which its stage units fill in order: the
+    :class:`IterationResult`, plus the hand-offs the result does not keep.
+    A new record per iteration, so the hand-offs die with the iteration."""
+
+    result: IterationResult
+    selected: list[int] = field(default_factory=list)  # ML1 → S1
+    #: S3-CG's diversity picks, grouped by the structure that docked each best
+    cg_inputs: dict[str, list[DockingResult]] = field(default_factory=dict)
+    cg_by_pdb: dict[str, list[EsmacsResult]] = field(default_factory=dict)  # → S2
+    ligand_atoms: dict[str, np.ndarray] = field(default_factory=dict)  # → S2, S3-FG
+    reference_by_pdb: dict[str, np.ndarray] = field(default_factory=dict)  # → S2
 
 
 class ImpeccableCampaign:
@@ -301,6 +321,7 @@ class ImpeccableCampaign:
         self.failures = FailureSummary()
         self._iter_drops: dict[str, int] = {}  # per-iteration, per-stage
         self._pilot: Pilot | None = None  # resident workers, forked lazily
+        self._surrogate: TrainedSurrogate | None = None  # latest trained
         #: populated by :meth:`iter_units` (and thus :meth:`run`)
         self.result: CampaignResult | None = None
 
@@ -359,23 +380,25 @@ class ImpeccableCampaign:
             pilot, self._pilot = self._pilot, None
             pilot.shutdown()
 
-    def _run_ensembles(self, stage: str, jobs: list) -> list:
+    def _run_ensembles(self, stage: str, jobs: list) -> Iterator:
         """Run every replica of a stage's ESMACS units as worker tasks.
 
-        ``jobs`` holds one ``(unit, prepare)`` pair per compound, where
-        ``prepare()`` returns ``(pdb, config, seed, smiles, coords,
-        keep_trajectories)``.  Every replica becomes one
-        :func:`~repro.rct.pilot.run_in_order` job, and the stage drains
-        before this returns.  Per job, in job order: the replica outputs in
-        replica order, or the exception that replaces them — what
-        ``prepare`` raised, or the first failed replica's error — for the
-        caller to raise inside the unit's :meth:`_guard` turn, so drops
-        keep compound order.  A worker process that died raises the
-        stage's :class:`TaskFailedError` from the runner.
+        ``jobs`` holds one ``(unit, prepare, finish)`` triple per compound,
+        where ``prepare()`` returns ``(pdb, config, seed, smiles, coords,
+        keep_trajectories)`` and ``finish`` (or ``None``) maps the unit's
+        assembled :class:`EsmacsResult` to what the caller keeps.  Every
+        replica becomes one :func:`~repro.rct.pilot.run_in_order` job, and
+        the stage drains before this returns.  The returned iterator then
+        gives, per job in job order, the kept value — or ``None`` where the
+        unit was dropped — from the unit's own :meth:`_guard` turn, which
+        raises what ``prepare`` raised or the first failed replica's error;
+        so drops keep compound order, and each turn runs only when the
+        caller asks for it.  A worker process that died raises the stage's
+        :class:`TaskFailedError` from the runner.
         """
         tasks: list[tuple[str, tuple]] = []
         outcomes: list = []
-        for unit, prepare in jobs:
+        for unit, prepare, _ in jobs:
             try:
                 pdb, config, seed, smiles, coords, keep = prepare()
             except Exception as exc:  # noqa: BLE001 - raised in the unit's turn
@@ -390,16 +413,20 @@ class ImpeccableCampaign:
                 for r in range(config.replicas)
             )
         records = list(run_in_order(stage, run_replica, tasks, self._science_pilot))
-        for k, outcome in enumerate(outcomes):
-            if isinstance(outcome, slice):
-                recs = records[outcome]
-                failed = [rec for rec in recs if rec.state is not TaskState.DONE]
-                outcomes[k] = (
-                    _ReplicaFailed(failed[0].error)
-                    if failed
-                    else [rec.result for rec in recs]
-                )
-        return outcomes
+
+        def turn(unit: str, outcome, finish):
+            if isinstance(outcome, BaseException):
+                raise outcome
+            failed = [rec for rec in records[outcome] if rec.state is not TaskState.DONE]
+            if failed:
+                raise _ReplicaFailed(failed[0].error)
+            res = assemble(unit, [rec.result for rec in records[outcome]])
+            return res if finish is None else finish(res)
+
+        return (
+            self._guard(stage, unit, partial(turn, unit, outcome, finish))
+            for (unit, _, finish), outcome in zip(jobs, outcomes)
+        )
 
     # ------------------------------------------------------------ pieces
     def _dock_batch(self, indices: list[int], unit_id: str) -> list[DockingResult]:
@@ -507,8 +534,10 @@ class ImpeccableCampaign:
             chosen.extend(rest[int(p)] for p in picks)
         return chosen
 
-    def _select_for_cg(self) -> list[DockingResult]:
-        """Diversity-pick among the best docked, not-yet-CG'd compounds."""
+    def _select_for_cg(self) -> dict[str, list[DockingResult]]:
+        """Diversity-pick among the best docked, not-yet-CG'd compounds,
+        grouped by the crystal structure that docked each one best: every
+        downstream stage runs against that structure."""
         cfg = self.config
         candidates = sorted(
             (
@@ -519,8 +548,6 @@ class ImpeccableCampaign:
             key=lambda t: t[1],
         )
         pool = [cid for cid, _ in candidates[: 3 * cfg.cg_compounds]]
-        if not pool:
-            return []
         if len(pool) > cfg.cg_compounds:
             from repro.chem.fingerprint import morgan_fingerprint
 
@@ -530,14 +557,195 @@ class ImpeccableCampaign:
                     for cid in pool
                 ]
             )
-            picked = [pool[i] for i in diversity_pick(fps, cfg.cg_compounds)]
-        else:
-            picked = pool
+            pool = [pool[i] for i in diversity_pick(fps, cfg.cg_compounds)]
+        _log.info("S3-CG: %d diversity-picked compounds", len(pool))
         by_id = {r.compound_id: r for r in self._all_dock_results}
-        return [by_id[cid] for cid in picked]
+        groups: dict[str, list[DockingResult]] = {}
+        for cid in pool:
+            pdb = self._best_structure.get(cid, cfg.pdb_id)
+            groups.setdefault(pdb, []).append(by_id[cid])
+        return groups
 
     def _score_by_id(self) -> dict[str, float]:
         return {r.compound_id: r.score for r in self._all_dock_results}
+
+    # ------------------------------------------------------------ the stages
+    def _stage(
+        self, name: str, rec: _Iteration, n_items: int,
+        science: Callable[[_Iteration], int | None],
+    ) -> StageUnit:
+        """The unit of one accounted stage: ``science(rec)`` inside its span.
+
+        The ``stage:{name}`` span is manual, on the tracer's own clock
+        (TickClock in deterministic runs).  ``science`` returns the
+        stage's ligand count, which the span and the stage's
+        :class:`StageAccounting` record; ``None`` means the stage produced
+        nothing to account (S2 when no structure gave a result): the span
+        reads 0 ligands and no accounting is kept.
+        """
+        metrics = rec.result.metrics
+
+        def run() -> None:
+            span = self.tracer.start_span(
+                f"stage:{name}", category="campaign.stage", iteration=metrics.iteration
+            )
+            t0 = _clock.now()
+            n = science(rec)
+            wall = _clock.now() - t0
+            span.set_attr("n_ligands", n or 0)
+            span.finish()
+            if n is None:
+                return
+            cost = self.cost_model
+            node_hours = (
+                cost.ml1_wall_seconds(n) / 3600.0 / cost.node.gpus
+                if name == "ML1"
+                else n * cost.node_hours_per_ligand(name)
+            )
+            metrics.stages[name] = StageAccounting(
+                stage=name, n_ligands=n, wall_seconds=wall, node_hours=node_hours
+            )
+
+        return StageUnit(name, metrics.iteration, n_items, run)
+
+    def _seed(self) -> None:
+        """Bootstrap: dock a random seed set, train the first surrogate."""
+        seed_rng = self.factory.stream("seed-set")
+        seed_idx = seed_rng.choice(
+            len(self.library), size=self.config.seed_train_size, replace=False
+        )
+        seed_docked = self._dock_batch([int(i) for i in seed_idx], "seed")
+        self._all_dock_results.extend(seed_docked)
+        self._surrogate = self._train_surrogate()
+
+    def _ml1(self, rec: _Iteration) -> int:
+        """ML1: the surrogate ranks the undocked library and selects."""
+        rec.selected = self._ml1_select(self._surrogate)
+        return len(self.library) - len(self._docked_ids) + len(rec.selected)
+
+    def _s1(self, rec: _Iteration) -> int:
+        """S1: dock ML1's selection; the scores join the training set."""
+        _log.info("S1: docking %d ML1-selected compounds", len(rec.selected))
+        docked = self._dock_batch(rec.selected, f"it{rec.result.iteration}/S1")
+        self._all_dock_results.extend(docked)
+        rec.result.docked = docked
+        return len(docked)
+
+    def _cg(self, rec: _Iteration) -> int:
+        """S3-CG: coarse ensemble free energies from the docked poses."""
+        cfg = self.config
+        it = rec.result.iteration
+        seeds = {pdb: self.factory.spawn_seed(f"cg/{it}/{pdb}") for pdb in rec.cg_inputs}
+        units = [(pdb, dock) for pdb, docks in rec.cg_inputs.items() for dock in docks]
+        poses: dict[str, np.ndarray] = {}
+
+        def prepare(pdb: str, dock: DockingResult) -> tuple:
+            poses[dock.compound_id] = self.engines[pdb].pose_coordinates(dock)
+            return pdb, cfg.cg, seeds[pdb], dock.smiles, poses[dock.compound_id], True
+
+        def with_system(pdb: str, dock: DockingResult, res: EsmacsResult) -> tuple:
+            system = build_lpc(
+                self.receptors[pdb], parse_smiles(dock.smiles),
+                poses[dock.compound_id], seed=cfg.seed, n_residues=cfg.cg.n_residues,
+            )
+            return res, system
+
+        kept = self._run_ensembles(
+            "S3-CG",
+            [
+                (dock.compound_id, partial(prepare, pdb, dock), partial(with_system, pdb, dock))
+                for pdb, dock in units
+            ],
+        )
+        for (pdb, dock), unit in zip(units, kept):
+            if unit is None:
+                continue
+            res, system = unit
+            rec.result.cg_results.append(res)
+            rec.cg_by_pdb.setdefault(pdb, []).append(res)
+            self._cg_done_ids.add(dock.compound_id)
+            rec.ligand_atoms[dock.compound_id] = system.topology.ligand_atoms
+            rec.reference_by_pdb[pdb] = system.positions[system.topology.protein_atoms]
+        return len(rec.result.cg_results)
+
+    def _s2(self, rec: _Iteration) -> int | None:
+        """S2: one AAE + LOF outlier pick per receptor structure, as §7.1.3
+        trains per PDB id; ``None`` when no structure gave a result."""
+        cfg = self.config
+        it = rec.result.iteration
+
+        def s2_one(pdb: str, pdb_cg: list[EsmacsResult]) -> S2Result:
+            return run_s2(
+                pdb_cg,
+                rec.reference_by_pdb[pdb],
+                rec.ligand_atoms,
+                AdaptiveConfig(
+                    top_compounds=min(cfg.s2_top_compounds, len(pdb_cg)),
+                    outliers_per_compound=cfg.s2_outliers_per_compound,
+                    lof_neighbors=8,
+                ),
+                seed=self.factory.spawn_seed(f"s2/{it}/{pdb}"),
+            )
+
+        by_structure = rec.result.s2_by_structure
+        for pdb, pdb_cg in rec.cg_by_pdb.items():
+            s2 = self._guard("S2", pdb, partial(s2_one, pdb, pdb_cg))
+            if s2 is not None:
+                by_structure[pdb] = s2
+        if not by_structure:
+            return None
+        rec.result.s2_result = max(by_structure.values(), key=lambda r: len(r.dataset))
+        return sum(len(r.top_compound_ids) for r in by_structure.values())
+
+    def _fg(self, rec: _Iteration) -> int:
+        """S3-FG: fine-grained ESMACS from the S2-selected conformations."""
+        cfg = self.config
+        it = rec.result.iteration
+        s2_by_structure = rec.result.s2_by_structure
+        seeds = {pdb: self.factory.spawn_seed(f"fg/{it}/{pdb}") for pdb in s2_by_structure}
+        units = [
+            (pdb, sel, f"{sel.compound_id}/r{sel.replica}f{sel.frame}")
+            for pdb, s2 in s2_by_structure.items()
+            for sel in s2.selections
+        ]
+
+        def prepare(pdb: str, sel) -> tuple:
+            smiles = self._entry_by_id[sel.compound_id].smiles
+            coords = sel.coordinates[rec.ligand_atoms[sel.compound_id]]
+            return pdb, cfg.fg, seeds[pdb], smiles, coords, False
+
+        kept = self._run_ensembles(
+            "S3-FG",
+            [(label, partial(prepare, pdb, sel), None) for pdb, sel, label in units],
+        )
+        for (_, sel, _), res in zip(units, kept):
+            if res is not None:
+                rec.result.fg_results.append(res)
+                rec.result.fg_parents.append(sel.compound_id)
+        return len(rec.result.fg_results)
+
+    def _retrain(self, rec: _Iteration) -> None:
+        """Score the campaign so far, then retrain the surrogate on
+        everything docked — the upstream feedback of the loop."""
+        metrics = rec.result.metrics
+        if self.oracle is not None:
+            # cumulative enrichment: how well has the campaign as a
+            # whole concentrated the true top compounds so far
+            true_top = self.oracle.true_top_ids(self.library, 0.10)
+            if self._docked_ids:
+                metrics.enrichment_s1 = enrichment_factor(
+                    set(self._docked_ids), true_top, len(self.library)
+                )
+            if self._cg_done_ids:
+                metrics.enrichment_cg = enrichment_factor(
+                    set(self._cg_done_ids), true_top, len(self.library)
+                )
+            metrics.effective_ligands = len(self._cg_done_ids & true_top)
+        self._surrogate = self._train_surrogate()
+        if self._surrogate.val_losses:
+            metrics.surrogate_val_loss = self._surrogate.val_losses[-1]
+        metrics.publish(self.tracer.metrics)
+        self.result.iterations.append(rec.result)
 
     # ------------------------------------------------------------- the loop
     def iter_units(self) -> Iterator[StageUnit]:
@@ -545,14 +753,19 @@ class ImpeccableCampaign:
 
         Yields :class:`StageUnit` objects in execution order: a ``seed``
         bootstrap unit, then ML1 → S1 → S3-CG → S2 → S3-FG → ``retrain``
-        per iteration (S3-FG is skipped when S2 selected nothing, exactly
-        as the monolithic loop skipped its span).  The next unit is built
-        only after the previous one's :meth:`StageUnit.complete` ran —
-        stage sizes depend on upstream science.  Driving every unit
-        back-to-back is :meth:`run`; an external driver (the multi-tenant
-        campaign service) instead schedules each unit's simulated cost on
-        a shared pilot, checkpoints between units, and fast-forwards
-        completed units on resume.
+        per iteration (S3-FG is skipped when S2 selected nothing).  Each
+        unit runs one stage method (``_seed``, ``_ml1``, ``_s1``, ``_cg``,
+        ``_s2``, ``_fg``, ``_retrain``) over the iteration's record: its
+        :class:`IterationResult` plus the hand-offs the result does not
+        keep, dropped with the iteration.  The five science stages run
+        inside a ``stage:{name}`` span and leave a :class:`StageAccounting`.
+        The next unit is built only after the previous one's
+        :meth:`StageUnit.complete` ran — stage sizes depend on upstream
+        science.  Driving every unit back-to-back is :meth:`run`; an
+        external driver (the multi-tenant campaign service) instead
+        schedules each unit's simulated cost on a shared pilot,
+        checkpoints between units, and fast-forwards completed units on
+        resume.
 
         S3 replicas run on resident worker processes, forked at the first
         S3 unit and shut down on every way out of this generator:
@@ -568,327 +781,31 @@ class ImpeccableCampaign:
         result = CampaignResult(config=cfg, library=self.library, blas=self._blas)
         self.result = result
         self._all_dock_results: list[DockingResult] = []
-        state: dict = {}
-
-        def checked(unit: StageUnit) -> Iterator[StageUnit]:
-            yield unit
-            if not unit.done:
-                raise RuntimeError(
-                    f"stage unit {unit.unit_id!r} must be completed before "
-                    "the next unit is requested"
-                )
-
-        def seed_science() -> None:
-            # bootstrap: random seed set docked, first surrogate trained
-            seed_rng = self.factory.stream("seed-set")
-            seed_idx = seed_rng.choice(
-                len(self.library), size=cfg.seed_train_size, replace=False
-            )
-            seed_docked = self._dock_batch([int(i) for i in seed_idx], "seed")
-            self._all_dock_results.extend(seed_docked)
-            state["surrogate"] = self._train_surrogate()
-
-        yield from checked(StageUnit("seed", -1, cfg.seed_train_size, seed_science))
-
+        yield from _checked(StageUnit("seed", -1, cfg.seed_train_size, self._seed))
         for it in range(cfg.iterations):
             _log.info("iteration %d starting", it)
             self._iter_drops = {}  # the failure budget is per iteration
-            metrics = CampaignMetrics(iteration=it)
-            ictx: dict = {}  # hand-offs between this iteration's units
-
-            # ---------------------------------------------------------- ML1
-            def ml1_science(it=it, metrics=metrics, ictx=ictx) -> None:
-                # stage boundaries are manual spans on the tracer's own clock
-                # (TickClock in deterministic runs), closed after accounting
-                stage_span = self.tracer.start_span(
-                    "stage:ML1", category="campaign.stage", iteration=it
+            rec = _Iteration(
+                IterationResult(
+                    iteration=it, docked=[], cg_results=[], s2_result=None,
+                    fg_results=[], fg_parents=[], metrics=CampaignMetrics(iteration=it),
                 )
-                t0 = _clock.now()
-                selected = self._ml1_select(state["surrogate"])
-                ml1_wall = _clock.now() - t0
-                n_ranked = len(self.library) - len(self._docked_ids) + len(selected)
-                stage_span.set_attr("n_ligands", n_ranked)
-                stage_span.finish()
-                metrics.stages["ML1"] = StageAccounting(
-                    stage="ML1",
-                    n_ligands=n_ranked,
-                    wall_seconds=ml1_wall,
-                    node_hours=self.cost_model.ml1_wall_seconds(n_ranked)
-                    / 3600.0
-                    / self.cost_model.node.gpus,
-                )
-                ictx["selected"] = selected
-
-            n_undocked = len(self.library) - len(self._docked_ids)
-            yield from checked(StageUnit("ML1", it, n_undocked, ml1_science))
-
-            # ----------------------------------------------------------- S1
-            def s1_science(it=it, metrics=metrics, ictx=ictx) -> None:
-                selected = ictx["selected"]
-                _log.info("S1: docking %d ML1-selected compounds", len(selected))
-                stage_span = self.tracer.start_span(
-                    "stage:S1", category="campaign.stage", iteration=it
-                )
-                t0 = _clock.now()
-                docked = self._dock_batch(selected, f"it{it}/S1")
-                self._all_dock_results.extend(docked)
-                s1_wall = _clock.now() - t0
-                stage_span.set_attr("n_ligands", len(docked))
-                stage_span.finish()
-                metrics.stages["S1"] = StageAccounting(
-                    stage="S1",
-                    n_ligands=len(docked),
-                    wall_seconds=s1_wall,
-                    node_hours=len(docked)
-                    * self.cost_model.node_hours_per_ligand("S1"),
-                )
-                ictx["docked"] = docked
-
-            yield from checked(
-                StageUnit("S1", it, len(ictx["selected"]), s1_science)
             )
-
-            # -------------------------------------------------------- S3-CG
+            n_undocked = len(self.library) - len(self._docked_ids)
+            yield from _checked(self._stage("ML1", rec, n_undocked, self._ml1))
+            yield from _checked(self._stage("S1", rec, len(rec.selected), self._s1))
             # the diversity pick is a cheap read-only selection, so it runs
             # at unit-build time and fixes the unit's size exactly
-            cg_inputs = self._select_for_cg()
-            _log.info("S3-CG: %d diversity-picked compounds", len(cg_inputs))
-            # group compounds by the crystal structure that docked them
-            # best; every downstream stage runs against that structure
-            groups: dict[str, list[DockingResult]] = {}
-            for dock in cg_inputs:
-                pdb = self._best_structure.get(dock.compound_id, cfg.pdb_id)
-                groups.setdefault(pdb, []).append(dock)
+            rec.cg_inputs = self._select_for_cg()
+            n_cg = sum(map(len, rec.cg_inputs.values()))
+            yield from _checked(self._stage("S3-CG", rec, n_cg, self._cg))
+            yield from _checked(self._stage("S2", rec, len(rec.cg_by_pdb), self._s2))
+            if rec.result.s2_by_structure:
+                n_fg = sum(len(s2.selections) for s2 in rec.result.s2_by_structure.values())
+                yield from _checked(self._stage("S3-FG", rec, n_fg, self._fg))
+            yield from _checked(StageUnit("retrain", it, 1, partial(self._retrain, rec)))
 
-            def cg_science(it=it, metrics=metrics, ictx=ictx, groups=groups) -> None:
-                stage_span = self.tracer.start_span(
-                    "stage:S3-CG", category="campaign.stage", iteration=it
-                )
-                t0 = _clock.now()
-                cg_results: list[EsmacsResult] = []
-                cg_by_pdb: dict[str, list[EsmacsResult]] = {}
-                ligand_atoms: dict[str, np.ndarray] = {}
-                reference_by_pdb: dict[str, np.ndarray] = {}
-                seeds = {pdb: self.factory.spawn_seed(f"cg/{it}/{pdb}") for pdb in groups}
-                units = [(pdb, dock) for pdb, docks in groups.items() for dock in docks]
-                poses: dict[str, np.ndarray] = {}
-
-                def prepare(pdb: str, dock: DockingResult) -> tuple:
-                    poses[dock.compound_id] = self.engines[pdb].pose_coordinates(dock)
-                    return pdb, cfg.cg, seeds[pdb], dock.smiles, poses[dock.compound_id], True
-
-                outcomes = self._run_ensembles(
-                    "S3-CG",
-                    [
-                        (dock.compound_id, lambda pdb=pdb, dock=dock: prepare(pdb, dock))
-                        for pdb, dock in units
-                    ],
-                )
-                for (pdb, dock), outcome in zip(units, outcomes):
-
-                    def cg_one(dock=dock, pdb=pdb, outcome=outcome):
-                        res = assemble(dock.compound_id, _outputs(outcome))
-                        system = build_lpc(
-                            self.receptors[pdb], parse_smiles(dock.smiles),
-                            poses[dock.compound_id], seed=cfg.seed,
-                            n_residues=cfg.cg.n_residues,
-                        )
-                        return res, system
-
-                    unit = self._guard("S3-CG", dock.compound_id, cg_one)
-                    if unit is None:
-                        continue
-                    res, system = unit
-                    cg_results.append(res)
-                    cg_by_pdb.setdefault(pdb, []).append(res)
-                    self._cg_done_ids.add(dock.compound_id)
-                    ligand_atoms[dock.compound_id] = system.topology.ligand_atoms
-                    reference_by_pdb[pdb] = system.positions[
-                        system.topology.protein_atoms
-                    ]
-                cg_wall = _clock.now() - t0
-                stage_span.set_attr("n_ligands", len(cg_results))
-                stage_span.finish()
-                metrics.stages["S3-CG"] = StageAccounting(
-                    stage="S3-CG",
-                    n_ligands=len(cg_results),
-                    wall_seconds=cg_wall,
-                    node_hours=len(cg_results)
-                    * self.cost_model.node_hours_per_ligand("S3-CG"),
-                )
-                ictx["cg_results"] = cg_results
-                ictx["cg_by_pdb"] = cg_by_pdb
-                ictx["ligand_atoms"] = ligand_atoms
-                ictx["reference_by_pdb"] = reference_by_pdb
-
-            yield from checked(StageUnit("S3-CG", it, len(cg_inputs), cg_science))
-
-            # ------------------------------------------------------------ S2
-            def s2_science(it=it, metrics=metrics, ictx=ictx) -> None:
-                cg_by_pdb = ictx["cg_by_pdb"]
-                ligand_atoms = ictx["ligand_atoms"]
-                reference_by_pdb = ictx["reference_by_pdb"]
-                # one AAE per receptor structure, as §7.1.3 trains per PDB id
-                s2_by_structure: dict[str, S2Result] = {}
-                ictx["fg_results"] = []
-                ictx["fg_parents"] = []
-                stage_span = self.tracer.start_span(
-                    "stage:S2", category="campaign.stage", iteration=it
-                )
-                t0 = _clock.now()
-                for pdb, pdb_cg in cg_by_pdb.items():
-                    if not pdb_cg:
-                        continue
-
-                    def s2_one(
-                        pdb=pdb,
-                        pdb_cg=pdb_cg,
-                        it=it,
-                        reference_by_pdb=reference_by_pdb,
-                        ligand_atoms=ligand_atoms,
-                    ):
-                        return run_s2(
-                            pdb_cg,
-                            reference_by_pdb[pdb],
-                            ligand_atoms,
-                            AdaptiveConfig(
-                                top_compounds=min(cfg.s2_top_compounds, len(pdb_cg)),
-                                outliers_per_compound=cfg.s2_outliers_per_compound,
-                                lof_neighbors=8,
-                            ),
-                            seed=self.factory.spawn_seed(f"s2/{it}/{pdb}"),
-                        )
-
-                    s2_unit = self._guard("S2", pdb, s2_one)
-                    if s2_unit is not None:
-                        s2_by_structure[pdb] = s2_unit
-                s2_wall = _clock.now() - t0
-                stage_span.set_attr(
-                    "n_ligands",
-                    sum(len(r.top_compound_ids) for r in s2_by_structure.values()),
-                )
-                stage_span.finish()
-                s2_result = None
-                if s2_by_structure:
-                    s2_result = max(
-                        s2_by_structure.values(), key=lambda r: len(r.dataset)
-                    )
-                    n_s2 = sum(
-                        len(r.top_compound_ids) for r in s2_by_structure.values()
-                    )
-                    metrics.stages["S2"] = StageAccounting(
-                        stage="S2",
-                        n_ligands=n_s2,
-                        wall_seconds=s2_wall,
-                        node_hours=n_s2 * self.cost_model.node_hours_per_ligand("S2"),
-                    )
-                ictx["s2_by_structure"] = s2_by_structure
-                ictx["s2_result"] = s2_result
-
-            yield from checked(
-                StageUnit("S2", it, len(ictx["cg_by_pdb"]), s2_science)
-            )
-
-            # -------------------------------------------------------- S3-FG
-            def fg_science(it=it, metrics=metrics, ictx=ictx) -> None:
-                s2_by_structure = ictx["s2_by_structure"]
-                ligand_atoms = ictx["ligand_atoms"]
-                fg_results = ictx["fg_results"]
-                fg_parents = ictx["fg_parents"]
-                stage_span = self.tracer.start_span(
-                    "stage:S3-FG", category="campaign.stage", iteration=it
-                )
-                t0 = _clock.now()
-                seeds = {
-                    pdb: self.factory.spawn_seed(f"fg/{it}/{pdb}")
-                    for pdb in s2_by_structure
-                }
-                units = [
-                    (pdb, sel, f"{sel.compound_id}/r{sel.replica}f{sel.frame}")
-                    for pdb, s2 in s2_by_structure.items()
-                    for sel in s2.selections
-                ]
-
-                def prepare(pdb: str, sel) -> tuple:
-                    smiles = self._entry_by_id[sel.compound_id].smiles
-                    coords = sel.coordinates[ligand_atoms[sel.compound_id]]
-                    return pdb, cfg.fg, seeds[pdb], smiles, coords, False
-
-                outcomes = self._run_ensembles(
-                    "S3-FG",
-                    [
-                        (label, lambda pdb=pdb, sel=sel: prepare(pdb, sel))
-                        for pdb, sel, label in units
-                    ],
-                )
-                for (_, sel, label), outcome in zip(units, outcomes):
-                    fg_unit = self._guard(
-                        "S3-FG",
-                        label,
-                        lambda label=label, outcome=outcome: assemble(
-                            label, _outputs(outcome)
-                        ),
-                    )
-                    if fg_unit is None:
-                        continue
-                    fg_results.append(fg_unit)
-                    fg_parents.append(sel.compound_id)
-                fg_wall = _clock.now() - t0
-                stage_span.set_attr("n_ligands", len(fg_results))
-                stage_span.finish()
-                metrics.stages["S3-FG"] = StageAccounting(
-                    stage="S3-FG",
-                    n_ligands=len(fg_results),
-                    wall_seconds=fg_wall,
-                    node_hours=len(fg_results)
-                    * self.cost_model.node_hours_per_ligand("S3-FG"),
-                )
-
-            if ictx["s2_by_structure"]:
-                n_fg = sum(
-                    len(s2.selections) for s2 in ictx["s2_by_structure"].values()
-                )
-                yield from checked(StageUnit("S3-FG", it, n_fg, fg_science))
-
-            # --------------------------------------------------- retrain
-            def retrain_science(it=it, metrics=metrics, ictx=ictx) -> None:
-                if self.oracle is not None:
-                    # cumulative enrichment: how well has the campaign as a
-                    # whole concentrated the true top compounds so far
-                    true_top = self.oracle.true_top_ids(self.library, 0.10)
-                    if self._docked_ids:
-                        metrics.enrichment_s1 = enrichment_factor(
-                            set(self._docked_ids), true_top, len(self.library)
-                        )
-                    if self._cg_done_ids:
-                        metrics.enrichment_cg = enrichment_factor(
-                            set(self._cg_done_ids), true_top, len(self.library)
-                        )
-                    metrics.effective_ligands = len(self._cg_done_ids & true_top)
-
-                # the upstream feedback: retrain on everything docked so far
-                surrogate = self._train_surrogate()
-                state["surrogate"] = surrogate
-                if surrogate.val_losses:
-                    metrics.surrogate_val_loss = surrogate.val_losses[-1]
-                metrics.publish(self.tracer.metrics)
-
-                result.iterations.append(
-                    IterationResult(
-                        iteration=it,
-                        docked=ictx["docked"],
-                        cg_results=ictx["cg_results"],
-                        s2_result=ictx["s2_result"],
-                        fg_results=ictx["fg_results"],
-                        fg_parents=ictx["fg_parents"],
-                        metrics=metrics,
-                        s2_by_structure=ictx["s2_by_structure"],
-                    )
-                )
-
-            yield from checked(StageUnit("retrain", it, 1, retrain_science))
-
-        result.surrogate = state["surrogate"]
+        result.surrogate = self._surrogate
         result.docked_scores = self._score_by_id()
         result.failure_summary = self.failures
         if self.failures.n_dropped:

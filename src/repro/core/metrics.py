@@ -4,8 +4,8 @@ The paper's three measures (§Abstract): (i) throughput — ligands per
 unit time; (ii) scientific performance — *effective* ligands sampled per
 unit time (ligands that are actually worth sampling, not just sampled);
 (iii) peak flop/s (handled by :mod:`repro.rct.flops` + the cost model).
-This module implements (i), (ii) and the enrichment bookkeeping both
-need.
+This module implements (i) as :attr:`StageAccounting.ligands_per_second`,
+(ii), and the enrichment bookkeeping both need.
 """
 
 from __future__ import annotations
@@ -13,16 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-__all__ = ["throughput", "enrichment_factor", "StageAccounting", "CampaignMetrics"]
-
-
-def throughput(n_ligands: int, seconds: float) -> float:
-    """Ligands per second."""
-    if seconds <= 0:
-        raise ValueError("seconds must be positive")
-    if n_ligands < 0:
-        raise ValueError("n_ligands must be non-negative")
-    return n_ligands / seconds
+__all__ = ["enrichment_factor", "StageAccounting", "CampaignMetrics"]
 
 
 def enrichment_factor(

@@ -220,13 +220,3 @@ class DockingEngine:
         """Results sorted best (lowest score) first."""
         return sorted(results, key=lambda r: r.score)
 
-    @staticmethod
-    def top_fraction(
-        results: list[DockingResult], fraction: float
-    ) -> list[DockingResult]:
-        """Best ``fraction`` of results — the S1→S3 filtering step."""
-        if not 0 < fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
-        ranked = DockingEngine.rank(results)
-        k = max(1, int(round(fraction * len(ranked))))
-        return ranked[:k]

@@ -30,10 +30,6 @@ class Trajectory:
     def __len__(self) -> int:
         return self.n_frames
 
-    def protein_frames(self, protein_atoms: np.ndarray) -> np.ndarray:
-        """(T, n_protein, 3) view of the protein beads."""
-        return self.frames[:, protein_atoms]
-
     def concatenate(self, other: "Trajectory") -> "Trajectory":
         """Join two trajectories end to end (times re-offset)."""
         offset = self.times[-1] if len(self.times) else 0.0

@@ -24,8 +24,6 @@ __all__ = [
     "as_tensor",
     "grad",
     "no_grad",
-    "concatenate",
-    "stack",
     "tape_side_effect",
 ]
 
@@ -146,10 +144,6 @@ class Tensor:
     def item(self) -> float:
         """The single scalar value as a float."""
         return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        """The underlying NumPy array (no copy)."""
-        return self.data
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -505,50 +499,6 @@ def pad2d(a: Tensor, pad: int) -> Tensor:
 
     out = _make(np.pad(a.data, width), (a,), (vjp,))
     _rec("pad2d", (a,), out, pad=pad)
-    return out
-
-
-def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Join tensors along ``axis``."""
-    tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
-    def make_vjp(i: int):
-        def vjp(g: Tensor) -> Tensor:
-            key = [slice(None)] * g.ndim
-            key[axis] = slice(int(offsets[i]), int(offsets[i + 1]))
-            return getitem(g, tuple(key))
-
-        return vjp
-
-    out = _make(
-        np.concatenate([t.data for t in tensors], axis=axis),
-        tuple(tensors),
-        tuple(make_vjp(i) for i in range(len(tensors))),
-    )
-    _rec("concat", tuple(tensors), out, axis=axis, sizes=tuple(sizes))
-    return out
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new ``axis``."""
-    tensors = [as_tensor(t) for t in tensors]
-
-    def make_vjp(i: int):
-        def vjp(g: Tensor) -> Tensor:
-            key = [slice(None)] * g.ndim
-            key[axis] = i
-            return getitem(g, tuple(key))
-
-        return vjp
-
-    out = _make(
-        np.stack([t.data for t in tensors], axis=axis),
-        tuple(tensors),
-        tuple(make_vjp(i) for i in range(len(tensors))),
-    )
-    _rec("stack", tuple(tensors), out, axis=axis)
     return out
 
 

@@ -302,33 +302,6 @@ def _bind_kernel(i: int, op: TOp, b: _Binder) -> Callable[[], None] | None:
             np.copyto(o_core, a)
 
         return run_pad
-    if kind == "concat":
-        axis, sizes = op.attrs["axis"], op.attrs["sizes"]
-        offsets = np.concatenate([[0], np.cumsum(sizes)])
-        slots = []
-        for j, a in enumerate(ins):  # repro: disable=vectorization -- slice bookkeeping
-            key = [slice(None)] * o.ndim
-            key[axis] = slice(int(offsets[j]), int(offsets[j + 1]))
-            slots.append((o[tuple(key)], a))
-
-        def run_concat() -> None:
-            for dst, src in slots:
-                np.copyto(dst, src)
-
-        return run_concat
-    if kind == "stack":
-        axis = op.attrs["axis"]
-        slots = []
-        for j, a in enumerate(ins):
-            key = [slice(None)] * o.ndim
-            key[axis] = j
-            slots.append((o[tuple(key)], a))
-
-        def run_stack() -> None:
-            for dst, src in slots:
-                np.copyto(dst, src)
-
-        return run_stack
     raise NotImplementedError(f"no kernel binder for traced op {kind!r}")
 
 
@@ -459,8 +432,8 @@ class TrainStep:
     # ----------------------------------------------------------- telemetry
     def grad_norm(self) -> float:
         """Global L2 norm of the last step's gradients (either path),
-        computed with the same per-parameter loop the eager trainers
-        use so telemetry values match across engines bitwise."""
+        computed with the same per-parameter loop as the eager reference's
+        ``grad_norm``, so telemetry values match across engines bitwise."""
         total = 0.0
         for g in self._last_grads:
             total += float((g**2).sum())

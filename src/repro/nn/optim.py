@@ -29,7 +29,7 @@ import numpy as np
 from repro.nn.graph.planner import plan_state_arena
 from repro.nn.layers import Parameter
 
-__all__ = ["Adam", "RMSprop", "grad_norm"]
+__all__ = ["Adam", "RMSprop"]
 
 
 class _Optimizer:
@@ -176,17 +176,3 @@ class RMSprop(_Optimizer):
         np.add(s2, self.eps, out=s2)  # sqrt(sq)+eps
         np.divide(s1, s2, out=s1)
         np.subtract(p.data, s1, out=p.data)
-
-
-def grad_norm(params: list[Parameter]) -> float:
-    """Global L2 norm of the accumulated gradients.
-
-    :meth:`repro.nn.graph.train.TrainStep.grad_norm` runs this exact
-    per-parameter loop over its arena gradient views, so telemetry values
-    match across engines bitwise.
-    """
-    total = 0.0
-    for p in params:
-        if p.grad is not None:
-            total += float((p.grad.data**2).sum())
-    return float(np.sqrt(total))

@@ -159,13 +159,3 @@ class InferenceEngine:
         self.records_scored += len(out)
         return out
 
-    @staticmethod
-    def top_fraction(
-        scored: list[ScoredCompound], fraction: float
-    ) -> list[ScoredCompound]:
-        """Best ``fraction`` by predicted score — the ML1→S1 filter."""
-        if not 0 < fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
-        ranked = sorted(scored, key=lambda r: r.score, reverse=True)
-        k = max(1, int(round(fraction * len(ranked))))
-        return ranked[:k]

@@ -180,11 +180,6 @@ class RngFactory:
         full = f"{self.prefix}/{key}" if self.prefix else key
         return rng_stream(self.seed, full)
 
-    def child(self, key: str) -> "RngFactory":
-        """Return a factory whose streams are scoped under ``key``."""
-        full = f"{self.prefix}/{key}" if self.prefix else key
-        return RngFactory(self.seed, full)
-
     def spawn_seed(self, key: str) -> int:
         """Derive a plain integer seed (for APIs that only accept ints)."""
         return int(self.stream(key).integers(0, 2**31 - 1))

@@ -1,4 +1,4 @@
-"""Unit constants and conversions used across the pipeline.
+"""Unit constants and conventions used across the pipeline.
 
 Internal conventions:
 
@@ -10,17 +10,7 @@ Internal conventions:
 
 from __future__ import annotations
 
-__all__ = [
-    "BOLTZMANN_KCAL",
-    "node_hours",
-]
+__all__ = ["BOLTZMANN_KCAL"]
 
 #: Boltzmann constant in kcal/(mol K)
 BOLTZMANN_KCAL = 0.0019872041
-
-
-def node_hours(nodes: float, seconds: float) -> float:
-    """Node-hours consumed by ``nodes`` nodes busy for ``seconds`` seconds."""
-    if nodes < 0 or seconds < 0:
-        raise ValueError("nodes and seconds must be non-negative")
-    return nodes * seconds / 3600.0

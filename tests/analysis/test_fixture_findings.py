@@ -44,6 +44,8 @@ BEFORE = [
     ("lockset", "lockset_lane.py", 30, "lockset"),
     ("lockset", "lockset_lane.py", 31, "lockset"),
     ("lockset", "lockset_lane.py", 44, "lockset"),
+    ("lockset", "lockset_bound_global.py", 18, "lockset"),
+    ("lockset", "lockset_bound_global.py", 22, "lockset"),
     ("clock-purity", "rng_bad_pkg/util.py", 14, "clock-purity"),
     ("clock-purity", "telemetry_bad.py", 10, "clock-purity"),
     ("telemetry-discipline", "telemetry_bad.py", 10, "clock-purity"),

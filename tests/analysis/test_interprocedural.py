@@ -91,6 +91,15 @@ def test_lockset_follows_a_lane_thread_through_self_and_a_local_instance():
     assert "['_docking_lane', '_record']" in findings[0].message
 
 
+def test_lockset_checks_globals_from_bound_method_and_free_entries_alike():
+    # `Thread(target=self._run)` and `Thread(target=_free)` both reach an
+    # unlocked `TOTALS["done"] += 1` on a module-level dict
+    project = build_project([FIXTURES / "lockset_bound_global.py"], root=FIXTURES)
+    findings = analyze_project(project, AnalysisConfig(), [LocksetChecker()]).findings
+    assert [f.line for f in findings] == [18, 22]
+    assert all("shared 'TOTALS'" in f.message for f in findings)
+
+
 # ------------------------------------------------------------------- runner
 def test_run_interprocedural_merges_both_layers(tmp_path):
     # one run reports every rule's findings together

@@ -8,21 +8,12 @@ from repro.core.metrics import (
     CampaignMetrics,
     StageAccounting,
     enrichment_factor,
-    throughput,
 )
 from repro.core.truth import ReferenceOracle
 from repro.docking.receptor import make_receptor
 
 
 # ------------------------------------------------------------------ metrics
-
-
-def test_throughput():
-    assert throughput(100, 50.0) == 2.0
-    with pytest.raises(ValueError):
-        throughput(10, 0.0)
-    with pytest.raises(ValueError):
-        throughput(-1, 1.0)
 
 
 def test_enrichment_factor_random_is_one():

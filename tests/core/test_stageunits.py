@@ -8,10 +8,13 @@ be completed before the next one is built, never completed twice).
 
 import pytest
 
+import repro.core.campaign as campaign_mod
 from repro.core.campaign import CampaignConfig, ImpeccableCampaign, StageUnit
+from repro.core.costs import CostModel
 from repro.docking.lga import LGAConfig
 from repro.esmacs.protocol import EsmacsConfig
 from repro.surrogate.train import TrainConfig
+from repro.telemetry import TickClock, Tracer
 
 from .test_campaign_determinism import _config, _fingerprint
 
@@ -99,3 +102,45 @@ def test_run_still_returns_result():
     result = ImpeccableCampaign(tiny_config()).run()
     assert result.iterations
     assert result.docked_scores
+
+
+def test_stage_spans_read_what_the_accounting_records(monkeypatch):
+    """Each accounted stage's span carries its StageAccounting's ligand
+    count; an S2 with no structure's result reads 0 and is not accounted,
+    and S3-FG, given nothing, neither runs nor opens a span."""
+
+    def s2_down(*args, **kwargs):
+        raise RuntimeError("S2 down")
+
+    monkeypatch.setattr(campaign_mod, "run_s2", s2_down)
+    tracer = Tracer(clock=TickClock())
+    campaign = ImpeccableCampaign(tiny_config(), tracer=tracer)
+    stages = []
+    for unit in campaign.iter_units():
+        stages.append(unit.stage)
+        unit.complete()
+    assert stages == ["seed", "ML1", "S1", "S3-CG", "S2", "retrain"]
+    assert campaign.failures.dropped_by_stage["S2"] >= 1
+    metrics = campaign.result.iterations[0].metrics
+    spans = {s.name: s for s in tracer.spans("campaign.stage")}
+    # seed and retrain have no stage span
+    assert sorted(spans) == ["stage:ML1", "stage:S1", "stage:S2", "stage:S3-CG"]
+    assert all(s.attrs["iteration"] == 0 for s in spans.values())
+    for name in ("ML1", "S1", "S3-CG"):
+        assert spans[f"stage:{name}"].attrs["n_ligands"] == metrics.stages[name].n_ligands
+    assert metrics.stages["S3-CG"].n_ligands > 0
+    assert spans["stage:S2"].attrs["n_ligands"] == 0
+    assert sorted(metrics.stages) == ["ML1", "S1", "S3-CG"]
+
+
+def test_stage_node_hours_follow_the_cost_model():
+    result = ImpeccableCampaign(tiny_config()).run()
+    cost = CostModel()
+    stages = result.iterations[0].metrics.stages
+    assert sorted(stages) == ["ML1", "S1", "S2", "S3-CG", "S3-FG"]
+    for name, acc in stages.items():
+        if name == "ML1":
+            expected = cost.ml1_wall_seconds(acc.n_ligands) / 3600.0 / cost.node.gpus
+        else:
+            expected = acc.n_ligands * cost.node_hours_per_ligand(name)
+        assert acc.node_hours == expected

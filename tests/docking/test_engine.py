@@ -63,25 +63,6 @@ def test_rank_sorted(results):
     assert scores == sorted(scores)
 
 
-def test_top_fraction(results):
-    top = DockingEngine.top_fraction(results, 0.25)
-    assert len(top) == 2
-    assert top[0].score <= top[1].score
-    all_scores = sorted(r.score for r in results)
-    assert top[-1].score <= all_scores[2]
-
-
-def test_top_fraction_validates():
-    with pytest.raises(ValueError):
-        DockingEngine.top_fraction([], 0.0)
-    with pytest.raises(ValueError):
-        DockingEngine.top_fraction([], 1.5)
-
-
-def test_top_fraction_minimum_one(results):
-    assert len(DockingEngine.top_fraction(results, 0.01)) == 1
-
-
 def test_different_receptor_variants_give_different_scores(library):
     a = DockingEngine(make_receptor("PLPro", "6W9C", seed=7), seed=0, config=FAST)
     b = DockingEngine(make_receptor("PLPro", "6WX4", seed=7), seed=0, config=FAST)

@@ -17,7 +17,6 @@ from repro.nn.graph.ir import resolve_precision
 from repro.nn.layers import BatchNorm, Conv2d, Dense, Flatten, GlobalAvgPool2d, Parameter
 from repro.nn.layers import LeakyReLU, MaxPool2d, PointwiseDense, ReLU, ResidualBlock
 from repro.nn.layers import Sequential, Sigmoid, Tanh
-from repro.nn.optim import grad_norm
 
 
 def compile_eager(model, precision="fp16"):
@@ -125,6 +124,20 @@ def _compile(module, prec):
         return bn
 
     raise TypeError(f"cannot compile module of type {type(module).__name__}")
+
+
+def grad_norm(params: list[Parameter]) -> float:
+    """Global L2 norm of the accumulated gradients.
+
+    :meth:`repro.nn.graph.train.TrainStep.grad_norm` runs this exact
+    per-parameter loop over its arena gradient views, so telemetry values
+    match across engines bitwise.
+    """
+    total = 0.0
+    for p in params:
+        if p.grad is not None:
+            total += float((p.grad.data**2).sum())
+    return float(np.sqrt(total))
 
 
 class EagerStep:

@@ -101,24 +101,6 @@ def test_take_gradient_accumulates_duplicates():
     np.testing.assert_allclose(g.data, [[1, 0, 2], [1, 0, 2]])
 
 
-def test_concatenate_gradient():
-    a = Tensor(np.ones(3), requires_grad=True)
-    b = Tensor(np.ones(2), requires_grad=True)
-    y = (ag.concatenate([a, b]) * Tensor(np.array([1, 2, 3, 4, 5.0]))).sum()
-    ga, gb = grad(y, [a, b])
-    np.testing.assert_allclose(ga.data, [1, 2, 3])
-    np.testing.assert_allclose(gb.data, [4, 5])
-
-
-def test_stack_gradient():
-    a = Tensor(np.ones(3), requires_grad=True)
-    b = Tensor(np.ones(3), requires_grad=True)
-    y = (ag.stack([a, b], axis=0) * Tensor(np.array([[1.0], [2.0]]))).sum()
-    ga, gb = grad(y, [a, b])
-    np.testing.assert_allclose(ga.data, 1.0)
-    np.testing.assert_allclose(gb.data, 2.0)
-
-
 def test_max_gradient_ties_split():
     x = Tensor(np.array([[1.0, 5.0, 5.0]]), requires_grad=True)
     (g,) = grad(x.max(axis=1).sum(), [x])

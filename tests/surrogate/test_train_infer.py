@@ -107,24 +107,9 @@ def test_score_shards_rows_in_library_order(tmp_path, dataset, surrogate):
     paths = sub.to_shards(tmp_path, shard_size=4)
     engine = InferenceEngine(surrogate, precision="fp32")
     # the table itself, rows in library order — not just the same scores
-    # under a shuffle, which would move top_fraction's ties
+    # under a shuffle, which would move ML1's ranking ties
     scored = engine.score_shards(paths)
     assert [o.compound_id for o in scored] == [e.compound_id for e in sub]
-
-
-def test_top_fraction_filter(dataset, surrogate):
-    lib, _ = dataset
-    engine = InferenceEngine(surrogate)
-    scored = engine.score_smiles(lib.smiles()[:40])
-    top = InferenceEngine.top_fraction(scored, 0.1)
-    assert len(top) == 4
-    floor = min(o.score for o in top)
-    assert sum(1 for o in scored if o.score > floor) <= 4
-
-
-def test_top_fraction_validates():
-    with pytest.raises(ValueError):
-        InferenceEngine.top_fraction([], 0)
 
 
 def test_ids_length_mismatch(dataset, surrogate):

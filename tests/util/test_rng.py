@@ -28,7 +28,7 @@ def test_different_seeds_differ():
 
 def test_factory_prefix_scopes_streams():
     f = RngFactory(7)
-    child = f.child("md")
+    child = RngFactory(7, prefix="md")
     direct = f.stream("md/replica-0").normal(size=4)
     scoped = child.stream("replica-0").normal(size=4)
     np.testing.assert_array_equal(direct, scoped)
