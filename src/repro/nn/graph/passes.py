@@ -378,8 +378,9 @@ def coalesce_inplace(tg: "TrainGraph") -> int:
     gradients fold onto the upstream gradient buffer and the ``add`` that
     accumulates dL/dW lands in place.  Safety conditions: the reused
     storage root must be arena-owned (never a parameter or captured
-    const), must not be read by any later op, and must not back another
-    operand of the same op.
+    const), must not be read by any later op, must not back another
+    operand of the same op, and must be C-contiguous like the fresh
+    array the eager op returned.
     """
     vid_last: dict[int, int] = {}
     for i, op in enumerate(tg.ops):
@@ -404,7 +405,9 @@ def coalesce_inplace(tg: "TrainGraph") -> int:
                 continue
             if root_last.get(root, -1) != i:
                 continue
-            if tg.values[vin].shape != out_v.shape:
+            # the eager output was a fresh C-contiguous array, and later
+            # reshapes of it were recorded as views on that layout
+            if tg.values[vin].shape != out_v.shape or not tg.values[vin].contiguous:
                 continue
             if any(
                 other != vin and tg.storage_root(other) == root

@@ -74,7 +74,11 @@ def _compile(module, prec):
                 )
             hp, wp = h + 2 * padding, w_in + 2 * padding
             idx = module._gather_indices(c, hp, wp)
-            cols = x.reshape(bsz, c * hp * wp)[:, idx]
+            # np.take, as Conv2d.forward gathers: fancy indexing
+            # (``[:, idx]``) lays the columns out batch-innermost, which
+            # sends matmul to numpy's non-BLAS loop, and for a one-channel
+            # output that loop rounds differently from BLAS gemv
+            cols = np.take(x.reshape(bsz, c * hp * wp), idx, axis=1)
             out = w @ cols + b
             oh = (hp - kernel) // stride + 1
             ow = (wp - kernel) // stride + 1

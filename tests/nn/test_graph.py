@@ -32,7 +32,7 @@ from repro.nn.layers import (
 from repro.surrogate.model import build_smilesnet
 from tests.nn.oracle import compile_eager
 
-PRECISIONS = ["fp16", "fp32"]
+PRECISIONS = ["fp16", "fp32", "fp64"]
 
 
 def _warm_batchnorm(model, sample_shape, seed=9):
@@ -101,6 +101,16 @@ def test_layer_bit_identical_to_eager(name, precision):
     factory, sample_shape = LAYER_ZOO[name]
     x = np.random.default_rng(3).normal(size=(4,) + sample_shape)
     _assert_engines_identical(factory(), x, precision)
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_sigmoid_saturates_like_the_interpreter(precision):
+    """Pre-activations far below -500: the interpreter's sigmoid has no
+    clip, so the compiled one must not clip either."""
+    factory, sample_shape = LAYER_ZOO["dense_sigmoid"]
+    x = 5000 * np.random.default_rng(3).normal(size=(4,) + sample_shape)
+    with np.errstate(over="ignore"):  # exp(-x) overflows to inf: sigmoid 0
+        _assert_engines_identical(factory(), x, precision)
 
 
 @pytest.fixture(scope="module")

@@ -123,33 +123,6 @@ def test_raptor_invariants(durations, workers):
     assert res.n_items == len(durations)
 
 
-# ----------------------------------------------------------------------- nn
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=8),
-    st.integers(min_value=1, max_value=12),
-    st.integers(min_value=0, max_value=999),
-)
-def test_compiled_fp32_matches_graph_for_random_mlps(n_in, n_hidden, seed):
-    from repro.nn.autograd import Tensor, no_grad
-    from repro.nn.inference import compile_model
-    from repro.nn.layers import Dense, ReLU, Sequential, Tanh
-
-    rng = np.random.default_rng(seed)
-    model = Sequential(
-        Dense(n_in, n_hidden, rng), Tanh(), Dense(n_hidden, n_hidden, rng),
-        ReLU(), Dense(n_hidden, 1, rng),
-    )
-    model.eval()
-    x = rng.normal(size=(4, n_in))
-    with no_grad():
-        ref = model(Tensor(x)).data
-    out = compile_model(model, "fp32")(x)
-    np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-6)
-
-
 # --------------------------------------------------------------- enrichment
 
 
