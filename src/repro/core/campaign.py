@@ -619,9 +619,10 @@ class ImpeccableCampaign:
         self._surrogate = self._train_surrogate()
 
     def _ml1(self, rec: _Iteration) -> int:
-        """ML1: the surrogate ranks the undocked library and selects."""
+        """ML1: the surrogate ranks the undocked library and selects;
+        the stage's count is the compounds ranked."""
         rec.selected = self._ml1_select(self._surrogate)
-        return len(self.library) - len(self._docked_ids) + len(rec.selected)
+        return len(self.library) - len(self._docked_ids)
 
     def _s1(self, rec: _Iteration) -> int:
         """S1: dock ML1's selection; the scores join the training set."""

@@ -133,6 +133,20 @@ def test_stage_spans_read_what_the_accounting_records(monkeypatch):
     assert sorted(metrics.stages) == ["ML1", "S1", "S3-CG"]
 
 
+def test_ml1_counts_the_compounds_it_ranked():
+    """ML1 ranks only the undocked library: its unit size, span and
+    accounting all read that count (16 compounds, 6 docked by the seed)."""
+    tracer = Tracer(clock=TickClock())
+    campaign = ImpeccableCampaign(tiny_config(), tracer=tracer)
+    sizes = {}
+    for unit in campaign.iter_units():
+        sizes[unit.stage] = unit.n_items
+        unit.complete()
+    (span,) = [s for s in tracer.spans("campaign.stage") if s.name == "stage:ML1"]
+    accounting = campaign.result.iterations[0].metrics.stages["ML1"]
+    assert sizes["ML1"] == span.attrs["n_ligands"] == accounting.n_ligands == 10
+
+
 def test_stage_node_hours_follow_the_cost_model():
     result = ImpeccableCampaign(tiny_config()).run()
     cost = CostModel()
