@@ -7,7 +7,7 @@ One small, seeded pass through every instrumented subsystem on a shared
 1. a tiny :class:`~repro.core.campaign.ImpeccableCampaign` iteration —
    stage boundaries (``campaign.stage``), one docking shard per stage
    and receptor (``docking``) with its per-kernel-phase spans
-   (``docking.kernel``) and graph-executor op profiles (``nn.op``);
+   (``docking.kernel``) and compiled-graph kernel profiles (``nn.op``);
 2. a fault-injected RAPTOR simulation — master dispatch, item attempts
    and retry backoffs (``raptor.dispatch`` / ``raptor.exec`` /
    ``raptor.backoff``);

@@ -1,68 +1,54 @@
-"""Graph-compiled inference: op IR, fusion passes, arena planning, execution.
+"""One graph compiler under training steps and inference alike.
 
-The TensorRT analogue of this codebase (§6.1.1): instead of interpreting
-a module tree closure-by-closure, :func:`trace_module` lowers it into an
-explicit op graph, :func:`optimize` runs fusion/folding passes over the
-graph (conv+BN folding, matmul-epilogue activation fusion, residual
-add+ReLU fusion, constant folding, dead-op elimination), a liveness-based
-planner packs every intermediate into one preallocated buffer arena, and
-:class:`GraphExecutor` runs the plan with ``out=`` kernels and in-place
-epilogues — zero steady-state allocations per batch.
+The TensorRT analogue of this codebase (§6.1.1) and the compiled trainer
+share one IR, one pass pipeline, one planner and one binder:
 
-Hard contract: for every supported layer and precision, the executed
-graph's predictions are **bit-identical** to the eager compiled path of
-:mod:`repro.nn.inference`.  Passes therefore never reassociate floating
-point — they fold at the *scheduling* level (same arithmetic, same
-order, fewer passes and no temporaries), and the one kernel substitution
-that could legally change rounding (batch-folded single-GEMM convs) is
-gated by a bitwise probe with automatic fallback.
+* the IR is :class:`TrainGraph` (:mod:`repro.nn.graph.backward`): SSA
+  values with absolute shapes and the ops that define them;
+* a training step reaches it through the tape: :func:`build_train_graph`
+  lowers one eager forward + ``backward()`` as it runs;
+* inference reaches it through its front end (:mod:`repro.nn.graph.lower`):
+  :func:`freeze_module` snapshots quantized weights and
+  :func:`~repro.nn.graph.lower.lower_frozen` emits the closure
+  interpreter's ops at one batched shape — a graph with no backward;
+* :func:`optimize_train` reschedules without reassociating (dead ops,
+  IEEE-identity aliases, in-place coalescing — conv → BatchNorm → ReLU
+  runs in place on the matmul's buffer);
+* :func:`plan_train_memory` packs every live value into one arena, with
+  :func:`validate_train_plan` asserting no live-range overlap;
+* :func:`~repro.nn.graph.executor.bind` turns each op into an ``out=``
+  kernel over arena views, with probe-gated substitutions (batch-folded
+  conv GEMM, ``bincount`` scatter) and ``nn.op`` spans.
 
-Training extends the same pipeline through the backward pass:
-:func:`build_train_graph` lowers one tape-recorded eager step (forward,
-``backward()``, optimizer) to a :class:`TrainGraph`,
-:func:`optimize_train` runs the training passes (dead-gradient pruning,
-identity simplification, in-place coalescing), :func:`plan_train_memory`
-arena-packs activations/gradients/scratch with
-:func:`validate_train_plan` asserting no live-range overlap, optimizer
-moments persist in :class:`StateArena` buffers, and :class:`TrainStep`
-replays it all as one compiled step — bitwise-identical weights, losses
-and optimizer state vs. the eager trainer at the same seed.
+:class:`TrainStep` replays a bound step with the optimizer's compiled
+update and optimizer moments in :class:`StateArena` buffers;
+:func:`repro.nn.inference.compile_model` replays a bound forward pass.
+Hard contract for both: bit-identical to their eager references (the
+eager trainer; the closure interpreter) at the same precision and batch.
 """
 
 from repro.nn.graph.backward import TrainGraph, build_train_graph
-from repro.nn.graph.executor import GraphExecutor
-from repro.nn.graph.ir import Graph, Node, Value, freeze_module, trace_module
-from repro.nn.graph.passes import PassStats, default_passes, optimize, optimize_train
+from repro.nn.graph.lower import freeze_module
+from repro.nn.graph.passes import PassStats, optimize_train
 from repro.nn.graph.planner import (
     MemoryPlan,
     StateArena,
-    plan_memory,
     plan_state_arena,
     plan_train_memory,
-    validate_plan,
     validate_train_plan,
 )
 from repro.nn.graph.train import TrainStep
 
 __all__ = [
-    "Graph",
-    "GraphExecutor",
     "MemoryPlan",
-    "Node",
     "PassStats",
     "StateArena",
     "TrainGraph",
     "TrainStep",
-    "Value",
     "build_train_graph",
-    "default_passes",
     "freeze_module",
-    "optimize",
     "optimize_train",
-    "plan_memory",
     "plan_state_arena",
     "plan_train_memory",
-    "trace_module",
-    "validate_plan",
     "validate_train_plan",
 ]

@@ -1,4 +1,9 @@
-"""Backward-graph builder: lower an eager training step to IR as it runs.
+"""The graph IR, and the tape front end that lowers a training step to it.
+
+:class:`TrainGraph` (values :class:`TValue`, ops :class:`TOp`) is the one
+IR of :mod:`repro.nn.graph`: training steps reach it through
+:func:`build_train_graph` below, inference through
+:func:`repro.nn.graph.lower.lower_frozen` (a graph with no backward).
 
 Reverse-mode autodiff over the op-graph IR works by *tracing the eager
 engine once*: the first step at each input shape runs the ordinary eager
@@ -57,8 +62,8 @@ ALIAS_KINDS = frozenset({"reshape", "transpose", "getitem"})
 #: buffer (the in-place coalescing pass uses this; every kernel below
 #: either reads each element before writing it or stages through scratch)
 INPLACE_KINDS = frozenset(
-    {"add", "mul", "power", "exp", "log", "tanh", "sigmoid", "relu_mask",
-     "leaky_factor", "max_mask", "copy"}
+    {"add", "mul", "power", "exp", "log", "tanh", "sigmoid", "relu",
+     "relu_mask", "leaky_factor", "max_mask", "copy"}
 )
 
 

@@ -1,484 +1,434 @@
-"""Arena-backed graph executor: out= kernels, in-place epilogues.
+"""Bind a graph to ``out=`` kernels over one planned arena.
 
-Binding happens once per (graph, batch): the planner's arena is
-allocated, every value becomes a preallocated view into it, and each
-node compiles to a closure over those views — ``np.take(..., out=)``
-gathers, ``np.matmul(..., out=)`` GEMMs, in-place epilogue ufuncs.
-Steady-state ``run`` calls perform zero array allocations.
+One binder serves both compilers: :class:`~repro.nn.graph.train.TrainStep`
+binds a traced training step, :func:`repro.nn.inference.compile_model` a
+lowered forward pass.  :func:`bind` plans the graph's arena
+(:func:`~repro.nn.graph.planner.plan_train_memory`), allocates it once,
+and turns every op into a closure over preallocated views — arena slices
+for activations and gradients, the live ``.data`` of parameters, the
+captured arrays of constants.  Each closure runs the very ufunc sequence
+the eager op ran (operand order included; only the destination changes),
+so a bound graph reproduces its eager origin bit for bit and a replay
+performs no array allocation.
 
-Convs get one extra trick.  The eager path runs the im2col matmul as a
-broadcast over the batch — ``(oc, ckk) @ (b, ckk, L)`` is ``b`` small
-GEMMs, each too thin to keep BLAS busy.  Folding the batch into the
-column axis — one ``(oc, ckk) @ (ckk, b*L)`` GEMM — is ~17x faster, but
-BLAS accumulation order inside a dot product can differ with column
-position, so the substitution is only *usually* bit-identical.  We
-therefore **probe** each conv at bind time: run both kernels on a
-deterministic ramp at the actual batch size and compare bitwise; the
-folded kernel is used only when the probe proves equality, otherwise the
-executor falls back to the broadcast form (still allocation-free).  The
-bit-identity contract is enforced, not assumed.
+Two kernels are substitutions, each gated by a bitwise probe:
 
-Padded convs never materialize a padded copy: activations consumed by a
-padded gather carry one trailing "zero slot" element per sample row
-(see :mod:`repro.nn.im2col`), pinned to 0 right before the gather.
+* ``scatter_add_axis`` runs per-sample ``np.bincount`` where the tape's
+  record-time probe proved it equal to ``np.add.at``
+  (:func:`~repro.nn.graph.backward._probe_bincount`);
+* a constant-weight conv GEMM — ``(oc, ckk) @ (b, ckk, L)``, ``b`` thin
+  GEMMs — runs as one batch-folded ``(oc, ckk) @ (ckk, b*L)`` GEMM where
+  :func:`_probe_folded` proves the two equal at the bound shape.  BLAS
+  accumulation order can differ with column position, so the fold is
+  only *usually* exact; the probe enforces it.  Training graphs hold
+  their weights as parameters, not constants, so their GEMMs never fold.
+
+With a tracer, :meth:`Bound.run` wraps each kernel in one ``nn.op`` span
+whose labels (op kind, output value id, arena offset) were fixed here.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
-from repro.nn.graph.ir import Graph, quantize
-from repro.nn.graph.planner import plan_memory
-from repro.nn.im2col import conv_index_plan, conv_zero_slot_plan
+from repro.nn.graph.backward import TOp, TrainGraph
+from repro.nn.graph.planner import MemoryPlan, plan_train_memory, validate_train_plan
 from repro.telemetry import NULL_TRACER, Tracer
 
-__all__ = ["GraphExecutor"]
+__all__ = ["Bound", "bind"]
 
 
-class _BoundPlan:
-    """One graph bound to an arena for a fixed batch size."""
+class _Binder:
+    """Resolves value ids to concrete numpy views for one compiled plan.
 
-    __slots__ = (
-        "input",
-        "output",
-        "steps",
-        "labels",
-        "arena",
-        "memory",
-        "strategies",
-    )
-
-    def __init__(
-        self, input_view, output_view, steps, labels, arena, memory, strategies
-    ):
-        self.input = input_view
-        self.output = output_view
-        self.steps = steps
-        #: per-step profiling labels, parallel to ``steps``:
-        #: (span name, attrs with node kind / output vid / arena offset)
-        self.labels = labels
-        self.arena = arena
-        self.memory = memory
-        self.strategies = strategies
-
-
-class GraphExecutor:
-    """Execute a (typically optimized) :class:`Graph` over batches.
-
-    The executor does not run passes itself — callers optimize first (or
-    not: an unoptimized trace executes correctly too, which the
-    bit-equivalence tests exploit).  Plans are cached per batch size;
-    :meth:`run` returns a live view into the arena, so callers must copy
-    (e.g. via ``astype``) before the next call.  Not thread-safe.
+    Arena roots become slices of the flat arena; aliases compose their
+    recorded view recipes on top; params/externs bind the parameter's
+    live ``.data`` (stable because the optimizers update in place);
+    consts bind the traced array by reference.
     """
 
-    def __init__(self, graph: Graph, tracer: Tracer | None = None) -> None:
-        self.graph = graph
-        self._tracer = tracer if tracer is not None else NULL_TRACER
-        self._plans: dict[int, _BoundPlan] = {}
-        self._probe_cache: dict[tuple, bool] = {}
+    def __init__(self, tg: TrainGraph, plan: MemoryPlan, arena: np.ndarray) -> None:
+        self._tg = tg
+        self._plan = plan
+        self._arena = arena
+        self._views: dict[int, np.ndarray] = {}
 
-    def run(self, xq: np.ndarray) -> np.ndarray:
-        """Run one quantized compute-dtype batch; returns an arena view.
+    def view(self, vid: int) -> np.ndarray:
+        got = self._views.get(vid)
+        if got is not None:
+            return got
+        v = self._tg.values[vid]
+        if v.alias_of is not None:
+            base = self.view(v.alias_of)
+            kind = v.view[0]
+            if kind == "same":
+                out = base
+            elif kind == "reshape":
+                out = base.reshape(v.view[1])
+                if not np.may_share_memory(out, base):
+                    raise AssertionError("reshape alias copied at bind time")
+            elif kind == "transpose":
+                out = base.transpose(v.view[1])
+            else:  # ("getitem", key)
+                out = base[v.view[1]]
+        elif v.kind in ("param", "extern", "const"):
+            out = v.data
+        else:  # temp/input arena root
+            off, _ = self._plan.slots[("value", vid)]
+            out = self._arena[off : off + v.size].reshape(v.shape)
+        self._views[vid] = out
+        return out
 
-        With tracing enabled, each bound step emits one ``nn.op`` span
-        (labels carry node kind, output vid and arena slot offset); the
-        enabled check happens once per batch, so the disabled path pays a
-        single branch, not one per op.
-        """
-        batch = int(xq.shape[0])
-        plan = self._plans.get(batch)
-        if plan is None:
-            plan = self._plans[batch] = self._bind(batch)
-        np.copyto(plan.input, xq)
-        if self._tracer.enabled:
-            tracer = self._tracer
-            for step, (name, attrs) in zip(plan.steps, plan.labels):
+    def scratch(self, op_idx: int, i: int, shape: tuple[int, ...]) -> np.ndarray:
+        off, _ = self._plan.slots[("scratch", op_idx, i)]
+        elems = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        return self._arena[off : off + elems].reshape(shape)
+
+
+def _is_conv_gemm(tg: TrainGraph, op: TOp) -> bool:
+    """A constant 2-D weight times a batch of column matrices."""
+    if op.kind != "matmul":
+        return False
+    w, cols = (tg.values[vid] for vid in op.inputs)
+    return w.kind == "const" and len(w.shape) == 2 and len(cols.shape) == 3
+
+
+def _probe_folded(wq: np.ndarray, cols_shape: tuple[int, ...]) -> bool:
+    """Bitwise-compare the batch-folded GEMM with the broadcast one on a
+    deterministic ramp at the bound shape."""
+    batch, ckk, length = cols_shape
+    ramp = (np.arange(batch * ckk * length, dtype=np.int64) % 251).astype(wq.dtype)
+    cols = (ramp * 0.01 - 1.0).reshape(batch, ckk, length)
+    folded = np.empty((wq.shape[0], batch * length), dtype=wq.dtype)
+    np.matmul(wq, np.ascontiguousarray(cols.transpose(1, 0, 2)).reshape(ckk, -1), out=folded)
+    return bool(np.array_equal(
+        folded.reshape(-1, batch, length).transpose(1, 0, 2), wq @ cols
+    ))
+
+
+def _keep_shape(shape: tuple[int, ...], axes: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(1 if ax in axes else s for ax, s in enumerate(shape))
+
+
+def _scratch_requests(tg: TrainGraph, folded: frozenset[int]) -> dict[int, tuple[int, ...]]:
+    """Arena-dtype scratch element counts per op (see the kernel binders)."""
+    req: dict[int, tuple[int, ...]] = {}
+    for i, op in enumerate(tg.ops):  # repro: disable=vectorization -- op bookkeeping
+        if op.kind == "power" and op.attrs.get("exponent", 0.0) < 0:
+            req[i] = (tg.values[op.inputs[0]].size,)
+        elif op.kind == "max_mask":
+            shape = tg.values[op.inputs[0]].shape
+            req[i] = (int(np.prod(_keep_shape(shape, op.attrs["axes"]), dtype=np.int64)),)
+        elif i in folded:
+            cols, out = tg.values[op.inputs[1]], tg.values[op.out]
+            req[i] = (cols.size, out.size)
+    return req
+
+
+def _bind_kernel(
+    i: int, op: TOp, b: _Binder, folded: frozenset[int]
+) -> Callable[[], None] | None:
+    """One ``out=``-style closure mirroring the eager op's exact ufunc
+    sequence (operand order included — only the destination changes)."""
+    kind = op.kind
+    if kind == "alias":
+        return None
+
+    if kind == "bn_stats":
+        layer = op.attrs["layer"]
+        m = float(layer.momentum)
+        rm, rv = layer.running_mean, layer.running_var
+        mean_v, var_v = b.view(op.inputs[0]), b.view(op.inputs[1])
+        mean_flat, var_flat = mean_v.reshape(-1), var_v.reshape(-1)
+        if not (
+            np.may_share_memory(mean_flat, mean_v)
+            and np.may_share_memory(var_flat, var_v)
+        ):
+            raise AssertionError("bn_stats flatten copied at bind time")
+        scr = np.empty_like(rm)
+
+        def run_bn() -> None:
+            np.multiply(rm, 1.0 - m, out=rm)
+            np.multiply(mean_flat, m, out=scr)
+            np.add(rm, scr, out=rm)
+            np.multiply(rv, 1.0 - m, out=rv)
+            np.multiply(var_flat, m, out=scr)
+            np.add(rv, scr, out=rv)
+
+        return run_bn
+
+    o = b.view(op.out)
+    ins = [b.view(vid) for vid in op.inputs]
+
+    if kind == "add":
+        a, c = ins
+        return lambda: np.add(a, c, out=o)
+    if kind == "mul":
+        a, c = ins
+        return lambda: np.multiply(a, c, out=o)
+    if kind == "power":
+        (a,) = ins
+        e = op.attrs["exponent"]
+        if e < 0:
+            tiny = np.finfo(a.dtype).tiny
+            boolbuf = np.empty(a.shape, dtype=bool)
+            scr = b.scratch(i, 0, a.shape)
+
+            def run_pow_neg() -> None:
+                np.equal(a, 0, out=boolbuf)
+                np.copyto(scr, a)
+                np.copyto(scr, tiny, where=boolbuf)
+                np.power(scr, e, out=o)
+
+            return run_pow_neg
+        return lambda: np.power(a, e, out=o)
+    if kind == "exp":
+        (a,) = ins
+
+        def run_exp() -> None:
+            np.clip(a, -500, 500, out=o)
+            np.exp(o, out=o)
+
+        return run_exp
+    if kind == "log":
+        (a,) = ins
+        tiny = np.finfo(a.dtype).tiny
+
+        def run_log() -> None:
+            np.maximum(a, tiny, out=o)
+            np.log(o, out=o)
+
+        return run_log
+    if kind == "tanh":
+        (a,) = ins
+        return lambda: np.tanh(a, out=o)
+    if kind == "sigmoid":
+        (a,) = ins
+        clip = op.attrs.get("clip", True)  # the inference lowering's has none
+
+        def run_sigmoid() -> None:
+            if clip:
+                np.clip(a, -500, 500, out=o)
+                np.negative(o, out=o)
+            else:
+                np.negative(a, out=o)
+            np.exp(o, out=o)
+            np.add(o, 1.0, out=o)
+            np.divide(1.0, o, out=o)
+
+        return run_sigmoid
+    if kind == "relu":
+        (a,) = ins
+        return lambda: np.maximum(a, 0, out=o)
+    if kind == "leaky":
+        (a,) = ins
+        slope = op.attrs["slope"]
+        boolbuf = np.empty(a.shape, dtype=bool)
+
+        def run_leaky_relu() -> None:
+            # np.where(a > 0, a, slope * a) without its temporaries
+            np.greater(a, 0, out=boolbuf)
+            np.multiply(a, slope, out=o)
+            np.copyto(o, a, where=boolbuf)
+
+        return run_leaky_relu
+    if kind == "relu_mask":
+        (a,) = ins
+        boolbuf = np.empty(a.shape, dtype=bool)
+
+        def run_relu_mask() -> None:
+            np.greater(a, 0, out=boolbuf)
+            np.copyto(o, boolbuf)
+
+        return run_relu_mask
+    if kind == "leaky_factor":
+        (a,) = ins
+        slope = op.attrs["slope"]
+        boolbuf = np.empty(a.shape, dtype=bool)
+
+        def run_leaky() -> None:
+            np.greater(a, 0, out=boolbuf)
+            o.fill(slope)
+            np.copyto(o, 1.0, where=boolbuf)
+
+        return run_leaky
+    if kind == "max_mask":
+        (a,) = ins
+        axes = op.attrs["axes"]
+        boolbuf = np.empty(a.shape, dtype=bool)
+        scr = b.scratch(i, 0, _keep_shape(a.shape, axes))
+
+        def run_max_mask() -> None:
+            np.amax(a, axis=axes, keepdims=True, out=scr)
+            np.equal(a, scr, out=boolbuf)
+            np.copyto(o, boolbuf)
+            np.sum(o, axis=axes, keepdims=True, out=scr)
+            np.divide(o, scr, out=o)
+
+        return run_max_mask
+    if kind == "max":
+        (a,) = ins
+        axes, keepdims = op.attrs["axes"], op.attrs["keepdims"]
+        return lambda: np.amax(a, axis=axes, keepdims=keepdims, out=o)
+    if kind == "sum":
+        (a,) = ins
+        axes, keepdims = op.attrs["axes"], op.attrs["keepdims"]
+        return lambda: np.sum(a, axis=axes, keepdims=keepdims, out=o)
+    if kind == "mean":
+        (a,) = ins
+        axes = op.attrs["axes"]
+        return lambda: np.mean(a, axis=axes, out=o)
+    if kind == "matmul" and i in folded:
+        w, cols = ins
+        batch, ckk, length = cols.shape
+        stage = b.scratch(i, 0, (ckk, batch, length))
+        acc = b.scratch(i, 1, (w.shape[0], batch, length))
+        stage2d, acc2d = stage.reshape(ckk, -1), acc.reshape(w.shape[0], -1)
+        cols_cm, acc_bm = cols.transpose(1, 0, 2), acc.transpose(1, 0, 2)
+
+        def run_folded() -> None:
+            np.copyto(stage, cols_cm)
+            np.matmul(w, stage2d, out=acc2d)
+            np.copyto(o, acc_bm)
+
+        return run_folded
+    if kind == "matmul":
+        a, c = ins
+        return lambda: np.matmul(a, c, out=o)
+    if kind == "copy":
+        (a,) = ins
+        return lambda: np.copyto(o, a)
+    if kind == "reshape_copy":
+        (a,) = ins
+        o_as_in = o.reshape(a.shape)
+        return lambda: np.copyto(o_as_in, a)
+    if kind == "getitem_copy":
+        (a,) = ins
+        key = op.attrs["key"]
+        return lambda: np.copyto(o, a[key])
+    if kind == "take":
+        (a,) = ins
+        indices, axis = op.attrs["indices"], op.attrs["axis"]
+        # mode="clip" skips numpy's buffered bounds-checking path (~3x
+        # faster) and selects the very same elements whenever every index
+        # is already in range — gated, since "clip" would silently remap
+        # negative/out-of-range indices that "raise" handles differently
+        if indices.size and 0 <= indices.min() and indices.max() < a.shape[axis]:
+            return lambda: np.take(a, indices, axis=axis, out=o, mode="clip")
+        return lambda: np.take(a, indices, axis=axis, out=o)
+    if kind == "scatter":
+        (g,) = ins
+        key = op.attrs["key"]
+
+        def run_scatter() -> None:
+            o.fill(0)
+            np.add.at(o, key, g)
+
+        return run_scatter
+    if kind == "scatter_add_axis":
+        (g,) = ins
+        indices, axis = op.attrs["indices"], op.attrs["axis"]
+        shape = op.attrs["shape"]
+        if op.attrs.get("bincount_ok") and g.flags.c_contiguous:
+            idx_flat = indices.ravel()
+            g2 = g.reshape(shape[0], -1)
+            minlength = shape[1]
+
+            def run_bincount() -> None:
+                for row in range(shape[0]):  # repro: disable=vectorization -- 1-D bincount
+                    o[row] = np.bincount(idx_flat, weights=g2[row], minlength=minlength)
+
+            return run_bincount
+        moved = np.moveaxis(o, axis, 0)
+        g_moved = np.moveaxis(
+            g, tuple(range(axis, axis + indices.ndim)), tuple(range(indices.ndim))
+        )
+
+        def run_scatter_axis() -> None:
+            o.fill(0)
+            np.add.at(moved, indices, g_moved)
+
+        return run_scatter_axis
+    if kind == "pad2d":
+        (a,) = ins
+        pad = op.attrs["pad"]
+        core = tuple(
+            [slice(None)] * (o.ndim - 2) + [slice(pad, -pad), slice(pad, -pad)]
+        )
+        o_core = o[core]
+
+        def run_pad() -> None:
+            o.fill(0)
+            np.copyto(o_core, a)
+
+        return run_pad
+    raise NotImplementedError(f"no kernel binder for traced op {kind!r}")
+
+
+@dataclass
+class Bound:
+    """A graph bound to its arena: kernels in op order, views by value id."""
+
+    tg: TrainGraph
+    plan: MemoryPlan
+    arena: np.ndarray
+    kernels: list[Callable[[], None]]
+    #: per-kernel ``nn.op`` span name and attrs, parallel to ``kernels``
+    labels: list[tuple[str, dict]]
+    folded: frozenset[int]
+    view: Callable[[int], np.ndarray]
+
+    def run(self, tracer: Tracer = NULL_TRACER) -> None:
+        """Run every kernel once; one ``nn.op`` span each when tracing
+        (the enabled check is one branch per call, not one per op)."""
+        if tracer.enabled:
+            for kernel, (name, attrs) in zip(self.kernels, self.labels):
                 with tracer.span(name, category="nn.op", attrs=attrs):
-                    step()
-            tracer.metrics.counter("nn.batches").inc()
-            tracer.metrics.counter("nn.samples").inc(batch)
+                    kernel()
         else:
-            for step in plan.steps:
-                step()
-        return plan.output
+            for kernel in self.kernels:
+                kernel()
 
-    def plan_info(self, batch: int) -> dict:
-        """Arena and kernel statistics for one batch size (binds if new)."""
-        plan = self._plans.get(batch)
-        if plan is None:
-            plan = self._plans[batch] = self._bind(batch)
-        strategies = list(plan.strategies.values())
+    def info(self) -> dict:
+        """Arena and kernel statistics (for benchmarks/diagnostics)."""
+        gemms = sum(1 for op in self.tg.ops if _is_conv_gemm(self.tg, op))
         return {
-            "arena_elems": plan.memory.total_elems,
-            "arena_bytes": plan.memory.total_bytes,
-            "n_buffers": plan.memory.n_buffers,
-            "naive_elems": plan.memory.naive_elems,
-            "n_steps": len(plan.steps),
-            "n_folded_gemm": strategies.count("folded"),
-            "n_broadcast_gemm": strategies.count("broadcast"),
+            "n_ops": len(self.tg.ops),
+            "n_kernels": self.tg.n_kernels,
+            "n_inplace": self.tg.n_inplace,
+            "n_folded_gemm": len(self.folded),
+            "n_broadcast_gemm": gemms - len(self.folded),
+            "n_buffers": self.plan.n_buffers,
+            "arena_bytes": self.plan.total_bytes,
+            "naive_elems": self.plan.naive_elems,
+            "arena_elems": self.plan.total_elems,
         }
 
-    # ----------------------------------------------------------- binding
-    def _probe_folded(self, w_vid: int, wq, ckk: int, length: int, batch: int) -> bool:
-        """Bitwise-compare folded vs broadcast GEMM on a deterministic ramp."""
-        key = (w_vid, length, batch)
-        hit = self._probe_cache.get(key)
-        if hit is not None:
-            return hit
-        oc = wq.shape[0]
-        compute = np.dtype(self.graph.compute)
-        ramp = (np.arange(batch * ckk * length, dtype=np.int64) % 251).astype(compute)
-        cols = quantize(ramp * 0.01 - 1.0, self.graph.store, compute)
-        cols = cols.reshape(batch, ckk, length)
-        ref = wq @ cols
-        cols_cm = np.ascontiguousarray(cols.transpose(1, 0, 2))
-        folded = np.empty((oc, batch * length), dtype=compute)
-        np.matmul(wq, cols_cm.reshape(ckk, batch * length), out=folded)
-        same = bool(
-            np.array_equal(folded.reshape(oc, batch, length).transpose(1, 0, 2), ref)
+
+def bind(tg: TrainGraph) -> Bound:
+    """Plan ``tg``'s arena, allocate it and bind every op's kernel."""
+    folded = frozenset(
+        i
+        for i, op in enumerate(tg.ops)
+        if _is_conv_gemm(tg, op)
+        and _probe_folded(tg.values[op.inputs[0]].data, tg.values[op.inputs[1]].shape)
+    )
+    plan = plan_train_memory(tg, _scratch_requests(tg, folded))
+    validate_train_plan(plan)
+    arena = np.empty(plan.total_elems, dtype=plan.dtype)
+    binder = _Binder(tg, plan, arena)
+    kernels, labels = [], []
+    for i, op in enumerate(tg.ops):  # repro: disable=vectorization -- kernel binding
+        kernel = _bind_kernel(i, op, binder, folded)
+        if kernel is None:
+            continue
+        kernels.append(kernel)
+        slot = plan.slots.get(("value", tg.storage_root(op.out))) if op.out is not None else None
+        name = f"{op.kind}.folded" if i in folded else op.kind
+        labels.append(
+            (name, {"kind": op.kind, "out": op.out, "arena_off": slot[0] if slot else -1})
         )
-        self._probe_cache[key] = same
-        return same
-
-    def _bind(self, batch: int) -> _BoundPlan:
-        g = self.graph
-        compute = np.dtype(g.compute)
-
-        strategies: dict[int, str] = {}
-        scratch_req: dict[int, tuple[int, ...]] = {}
-        for i, node in enumerate(g.nodes):  # repro: disable=vectorization — node bookkeeping
-            if node.kind != "matmul" or node.attrs["form"] != "wx":
-                continue
-            wq = g.const_array(node.inputs[0])
-            ckk, length = g.values[node.inputs[1]].ps_shape
-            if self._probe_folded(node.inputs[0], wq, ckk, length, batch):
-                strategies[i] = "folded"
-                scratch_req[i] = (ckk * batch * length, wq.shape[0] * batch * length)
-            else:
-                strategies[i] = "broadcast"
-
-        memory = plan_memory(g, batch, scratch_req)
-        arena = np.empty(memory.total_elems, dtype=compute)
-
-        def row_view(root: int, carve: bool):
-            off, _ = memory.slots[("value", root)]
-            elems = g.values[root].ps_elems
-            rowlen = elems + (1 if root in memory.slot_roots else 0)
-            base = arena[off : off + batch * rowlen].reshape(batch, rowlen)
-            return base[:, :elems] if carve and rowlen != elems else base
-
-        def view_at(vid: int, ps):
-            shaped = row_view(g.storage_root(vid), carve=True).reshape(
-                (batch,) + tuple(ps)
-            )
-            if not np.shares_memory(shaped, arena):  # pragma: no cover
-                raise RuntimeError("activation view is not arena-backed")
-            return shaped
-
-        views: dict[int, np.ndarray] = {}
-
-        def view(vid: int):
-            if vid not in views:
-                views[vid] = view_at(vid, g.values[vid].ps_shape)
-            return views[vid]
-
-        def scratch_view(node_idx: int, j: int, shape):
-            off, _ = memory.slots[("scratch", node_idx, j)]
-            return arena[off : off + int(np.prod(shape))].reshape(shape)
-
-        def operand_array(vid: int):
-            return view(vid) if g.values[vid].batched else g.const_array(vid)
-
-        def bind_epilogue(node, skip_first: bool = False):
-            fns = []
-            for step in node.epilogue[1 if skip_first else 0 :]:
-                target = view_at(node.out, step.view_ps)
-                if step.fn in ("add", "mul"):
-                    ufunc = np.add if step.fn == "add" else np.multiply
-                    fns.append(_inplace_binary(ufunc, target, operand_array(step.operand)))
-                elif step.fn == "max0":
-                    fns.append(_inplace_relu(target))
-                elif step.fn == "tanh":
-                    fns.append(_inplace_tanh(target))
-                elif step.fn == "sigmoid":
-                    fns.append(_inplace_sigmoid(target))
-                else:  # pragma: no cover - passes never absorb other fns
-                    raise ValueError(f"cannot apply epilogue fn {step.fn!r} in place")
-            return fns
-
-        steps: list = []
-        labels: list[tuple[str, dict]] = []
-
-        def emit(fn, name: str, node) -> None:
-            # label attrs are computed once at bind time; run() only
-            # reads them, so tracing adds no per-step bookkeeping
-            steps.append(fn)
-            slot = memory.slots.get(("value", g.storage_root(node.out)))
-            labels.append(
-                (
-                    name,
-                    {
-                        "kind": node.kind,
-                        "out": node.out,
-                        "arena_off": slot[0] if slot is not None else -1,
-                    },
-                )
-            )
-
-        def emit_epilogue(node, skip_first: bool = False) -> None:
-            for fn in bind_epilogue(node, skip_first=skip_first):
-                emit(fn, f"{node.kind}.epilogue", node)
-
-        for i, node in enumerate(g.nodes):  # repro: disable=vectorization — kernel binding
-            if node.kind == "reshape":
-                continue  # pure storage alias (or a lazily folded constant)
-
-            if node.kind == "gather":
-                k = node.attrs["kernel"]
-                stride = node.attrs["stride"]
-                pad = node.attrs["padding"]
-                c, h, w = node.attrs["in_ps"]
-                out_view = view(node.out)
-                src_root = g.storage_root(node.inputs[0])
-                if pad:
-                    idx = conv_zero_slot_plan(k, stride, pad, c, h, w)
-                    src = row_view(src_root, carve=False)
-                    emit(
-                        _gather_padded(src, g.values[src_root].ps_elems, idx, out_view),
-                        "gather.padded",
-                        node,
-                    )
-                else:
-                    idx = conv_index_plan(k, stride, c, h, w)
-                    emit(
-                        _gather(row_view(src_root, carve=True), idx, out_view),
-                        "gather",
-                        node,
-                    )
-
-            elif node.kind == "matmul":
-                out_view = view(node.out)
-                if node.attrs["form"] == "wx":
-                    wq = g.const_array(node.inputs[0])
-                    cols = view(node.inputs[1])
-                    if strategies[i] == "folded":
-                        ckk, length = g.values[node.inputs[1]].ps_shape
-                        oc = wq.shape[0]
-                        stage = scratch_view(i, 0, (ckk, batch, length))
-                        acc = scratch_view(i, 1, (oc, batch * length))
-                        # the transpose-back copy can carry the first
-                        # const epilogue (the conv bias) for free
-                        first = node.epilogue[0] if node.epilogue else None
-                        fuse_first = (
-                            first is not None
-                            and first.fn in ("add", "mul")
-                            and first.operand is not None
-                            and not g.values[first.operand].batched
-                            and tuple(first.view_ps) == g.values[node.out].ps_shape
-                        )
-                        if fuse_first:
-                            ufunc = np.add if first.fn == "add" else np.multiply
-                            fused = (ufunc, g.const_array(first.operand))
-                        else:
-                            fused = None
-                        emit(
-                            _conv_folded(wq, cols, stage, acc, out_view, fused),
-                            "matmul.folded",
-                            node,
-                        )
-                        emit_epilogue(node, skip_first=fuse_first)
-                    else:
-                        emit(_matmul_bcast(wq, cols, out_view), "matmul.bcast", node)
-                        emit_epilogue(node)
-                else:
-                    wq = g.const_array(node.inputs[1])
-                    emit(_matmul_xw(view(node.inputs[0]), wq, out_view), "matmul", node)
-                    emit_epilogue(node)
-
-            elif node.kind == "ewise":
-                fn = node.attrs["fn"]
-                xv = view(node.inputs[0])
-                out_view = view(node.out)
-                if fn in ("add", "mul"):
-                    ufunc = np.add if fn == "add" else np.multiply
-                    emit(
-                        _binary(ufunc, xv, operand_array(node.inputs[1]), out_view),
-                        f"ewise.{fn}",
-                        node,
-                    )
-                elif fn == "max0":
-                    emit(_relu(xv, out_view), "ewise.relu", node)
-                elif fn == "leaky":
-                    emit(_leaky(xv, node.attrs["slope"], out_view), "ewise.leaky", node)
-                elif fn == "tanh":
-                    emit(_tanh(xv, out_view), "ewise.tanh", node)
-                elif fn == "sigmoid":
-                    emit(_sigmoid(xv, out_view), "ewise.sigmoid", node)
-                else:  # pragma: no cover - trace emits no other fns
-                    raise ValueError(f"unknown ewise fn {fn!r}")
-                emit_epilogue(node)
-
-            elif node.kind == "reduce":
-                pre = node.attrs["pre_ps"]
-                axes = tuple(a + 1 for a in node.attrs["axes_ps"])
-                src = view_at(node.inputs[0], pre) if pre else view(node.inputs[0])
-                out_view = view(node.out)
-                if node.attrs["fn"] == "max":
-                    emit(_reduce_max(src, axes, out_view), "reduce.max", node)
-                else:
-                    emit(_reduce_mean(src, axes, out_view), "reduce.mean", node)
-                emit_epilogue(node)
-
-            else:  # pragma: no cover - trace emits no other kinds
-                raise ValueError(f"unknown node kind {node.kind!r}")
-
-        return _BoundPlan(
-            view(g.input_vid),
-            view(g.output_vid),
-            steps,
-            labels,
-            arena,
-            memory,
-            strategies,
-        )
-
-
-# ------------------------------------------------------------- kernels
-# Each binder returns a zero-argument closure over preallocated views.
-# The ufunc sequences mirror the eager interpreter's expressions exactly
-# (same ops, same operand order up to commutativity of IEEE add/mul).
-
-
-def _gather(src, idx, out_view):
-    def run():
-        np.take(src, idx, axis=1, out=out_view, mode="clip")
-
-    return run
-
-
-def _gather_padded(src, zero_slot, idx, out_view):
-    def run():
-        # the slot column may hold garbage from arena reuse; re-pin it
-        src[:, zero_slot] = 0
-        np.take(src, idx, axis=1, out=out_view, mode="clip")
-
-    return run
-
-
-def _matmul_bcast(wq, cols, out_view):
-    def run():
-        np.matmul(wq, cols, out=out_view)
-
-    return run
-
-
-def _conv_folded(wq, cols, stage, acc, out_view, fused):
-    oc, batch, length = acc.shape[0], cols.shape[0], cols.shape[2]
-    acc2d = acc.reshape(oc, batch * length)
-    acc_bm = acc.reshape(oc, batch, length)
-
-    def run():
-        np.copyto(stage, cols.transpose(1, 0, 2))
-        np.matmul(wq, stage.reshape(stage.shape[0], -1), out=acc2d)
-        if fused is not None:
-            ufunc, operand = fused
-            ufunc(acc_bm.transpose(1, 0, 2), operand, out=out_view)
-        else:
-            np.copyto(out_view, acc_bm.transpose(1, 0, 2))
-
-    return run
-
-
-def _matmul_xw(xv, wq, out_view):
-    def run():
-        np.matmul(xv, wq, out=out_view)
-
-    return run
-
-
-def _binary(ufunc, xv, arr, out_view):
-    def run():
-        ufunc(xv, arr, out=out_view)
-
-    return run
-
-
-def _relu(xv, out_view):
-    def run():
-        np.maximum(xv, 0, out=out_view)
-
-    return run
-
-
-def _leaky(xv, slope, out_view):
-    def run():
-        # mirrors eager np.where(x > 0, x, slope * x); the mask is the
-        # one unavoidable temporary (the negative branch needs pre-
-        # activation values, so a fully in-place form does not exist)
-        np.multiply(xv, slope, out=out_view)
-        np.copyto(out_view, xv, where=xv > 0)
-
-    return run
-
-
-def _tanh(xv, out_view):
-    def run():
-        np.tanh(xv, out=out_view)
-
-    return run
-
-
-def _sigmoid(xv, out_view):
-    def run():
-        np.negative(xv, out=out_view)
-        np.exp(out_view, out=out_view)
-        np.add(out_view, 1.0, out=out_view)
-        np.divide(1.0, out_view, out=out_view)
-
-    return run
-
-
-def _reduce_max(src, axes, out_view):
-    def run():
-        src.max(axis=axes, out=out_view)
-
-    return run
-
-
-def _reduce_mean(src, axes, out_view):
-    def run():
-        src.mean(axis=axes, out=out_view)
-
-    return run
-
-
-def _inplace_binary(ufunc, target, arr):
-    def run():
-        ufunc(target, arr, out=target)
-
-    return run
-
-
-def _inplace_relu(target):
-    def run():
-        np.maximum(target, 0, out=target)
-
-    return run
-
-
-def _inplace_tanh(target):
-    def run():
-        np.tanh(target, out=target)
-
-    return run
-
-
-def _inplace_sigmoid(target):
-    def run():
-        np.negative(target, out=target)
-        np.exp(target, out=target)
-        np.add(target, 1.0, out=target)
-        np.divide(1.0, target, out=target)
-
-    return run
+    return Bound(tg, plan, arena, kernels, labels, folded, binder.view)

@@ -1,56 +1,34 @@
-"""Graph optimization passes: folding and fusion without reassociation.
+"""Graph passes: scheduling rewrites that never reassociate.
 
-Every pass here is a *scheduling* rewrite.  The bit-identity contract
-with the eager interpreter forbids algebraic folding (e.g. multiplying
-BN scale into conv weights reassociates the FP32 accumulation), so
-instead of changing the arithmetic, the passes absorb elementwise
-follower ops into the **epilogue** of their producer: the executor
-applies the exact same ufuncs, in the exact same order, in place on the
-producer's output buffer — one op node where the eager path ran five
-closures and five temporaries.
+One pipeline, :func:`optimize_train`, runs over every
+:class:`~repro.nn.graph.backward.TrainGraph` — a traced training step or
+a lowered inference graph.  The bit-identity contract with the eager
+engine forbids algebraic folding (multiplying a BatchNorm scale into conv
+weights reassociates the accumulation), so a rewrite is admitted only if
+the replacement is bitwise-identical by an IEEE-754 identity (``x * 1 ==
+x``, ``pow(x, 1) == x``) or runs the very same ufunc sequence with only
+its destination changed:
 
-Absorption is legal only along single-consumer chains (an in-place
-epilogue destroys the pre-epilogue value, so nobody else may read it);
-``reshape`` nodes are pure storage aliases and are looked through.
-
-The default pipeline, in order:
-
-1. ``fold_constants`` — materialize const-only subgraphs (e.g. the
-   broadcast-reshape of a conv bias) at compile time.
-2. ``fuse_bias`` — matmul + const-add → matmul with bias epilogue.
-3. ``fold_batchnorm`` — const-mul + const-add pairs (inference-mode BN)
-   fold into the preceding matmul's epilogue — conv+BN becomes one op —
-   or into a single node when no matmul precedes.  The matmul node
-   records the analytic ``(scale, shift)`` constants in ``attrs["bn"]``.
-4. ``fuse_activations`` — ReLU/Tanh/Sigmoid absorb into the producer's
-   epilogue (conv-bn-relu and dense-bias-act become one op each).
-5. ``fuse_residual`` — the skip add (and its already-fused ReLU) absorb
-   into the body's last matmul: a whole ResidualBlock tail is one op.
-6. ``eliminate_dead`` — drop nodes and values that no longer feed the
-   output.
+1. ``eliminate_dead_train`` — drop ops that feed no output, gradient or
+   side effect;
+2. ``simplify_identities`` — multiplications by all-ones constants (and
+   ``pow(x, 1)``) become aliases or copies;
+3. ``coalesce_inplace`` — an elementwise op that is the last reader of
+   an input writes into that input's buffer.  In an inference graph this
+   is what makes conv → bias → BatchNorm → ReLU, and each residual tail
+   (skip add, ReLU), run in place on the matmul's output buffer.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.nn.graph.backward import INPLACE_KINDS, LAST_FOREVER, TrainGraph
-from repro.nn.graph.ir import EpStep, Graph, Node
 
 __all__ = [
     "PassStats",
     "coalesce_inplace",
-    "default_passes",
-    "eliminate_dead",
     "eliminate_dead_train",
-    "fold_batchnorm",
-    "fold_constants",
-    "fuse_activations",
-    "fuse_bias",
-    "fuse_residual",
-    "optimize",
     "optimize_train",
     "simplify_identities",
 ]
@@ -58,251 +36,8 @@ __all__ = [
 #: per-pass rewrite counts, in pipeline order
 PassStats = dict[str, int]
 
-#: unary activations an epilogue can apply in place (LeakyReLU is
-#: excluded: its negative branch needs the pre-activation value, which
-#: an in-place epilogue has already destroyed)
-_ACT_FNS = ("max0", "tanh", "sigmoid")
 
-
-def _sole_consumer(g: Graph, vid: int) -> Node | None:
-    consumers = g.consumers_of(vid)
-    return consumers[0] if len(consumers) == 1 else None
-
-
-def _chase(g: Graph, node: Node) -> tuple[int, Node | None]:
-    """Follow ``node.out`` through single-consumer reshape aliases.
-
-    Returns the final value id and its sole consumer (None if the value
-    fans out or terminates the graph).
-    """
-    vid = node.out
-    while True:
-        consumer = _sole_consumer(g, vid)
-        if (
-            consumer is not None
-            and consumer.kind == "reshape"
-            and g.values[consumer.out].batched
-        ):
-            vid = consumer.out
-            continue
-        return vid, consumer
-
-
-def _rewire(g: Graph, old: int, new: int) -> None:
-    """Replace every use of value ``old`` with ``new``."""
-    for node in g.nodes:
-        if old in node.inputs:
-            node.inputs = tuple(new if v == old else v for v in node.inputs)
-        for step in node.epilogue:
-            if step.operand == old:
-                step.operand = new
-    if g.output_vid == old:
-        g.output_vid = new
-
-
-def _absorb(g: Graph, target: Node, ewise: Node) -> None:
-    """Fold an ewise node into ``target``'s epilogue and remove it.
-
-    The step is recorded at the per-sample shape the op originally ran
-    at, so the executor re-applies it through a view of the target's
-    storage with identical broadcasting.  Any epilogue the absorbed node
-    itself carried rides along, preserving order.
-    """
-    x = ewise.inputs[0]
-    operand = ewise.inputs[1] if len(ewise.inputs) > 1 else None
-    target.epilogue.append(
-        EpStep(ewise.attrs["fn"], operand, g.values[x].ps_shape)
-    )
-    target.epilogue.extend(ewise.epilogue)
-    g.nodes.remove(ewise)
-    _rewire(g, ewise.out, x)
-
-
-def fold_constants(g: Graph) -> int:
-    """Materialize nodes whose inputs are all constants; returns count."""
-    count = 0
-    changed = True
-    while changed:
-        changed = False
-        for node in list(g.nodes):
-            if node.epilogue or g.values[node.out].batched:
-                continue
-            if any(g.values[v].batched for v in node.inputs):
-                continue
-            out_value = g.values[node.out]
-            if node.kind == "reshape":
-                out_value.data = g.const_array(node.inputs[0]).reshape(
-                    node.attrs["shape"]
-                )
-            elif node.kind == "ewise" and node.attrs["fn"] in ("add", "mul"):
-                a = g.const_array(node.inputs[0])
-                b = g.const_array(node.inputs[1])
-                out_value.data = a + b if node.attrs["fn"] == "add" else a * b
-            else:
-                continue
-            g.nodes.remove(node)
-            count += 1
-            changed = True
-    return count
-
-
-def _is_const_ewise(g: Graph, node: Node | None, fn: str, vid: int) -> bool:
-    """Is ``node`` an ``fn``-ewise applying a constant to value ``vid``?"""
-    return (
-        node is not None
-        and node.kind == "ewise"
-        and node.attrs["fn"] == fn
-        and len(node.inputs) == 2
-        and node.inputs[0] == vid
-        and not g.values[node.inputs[1]].batched
-    )
-
-
-def fuse_bias(g: Graph) -> int:
-    """Absorb const-add followers into matmul epilogues; returns count."""
-    count = 0
-    for node in list(g.nodes):
-        if node.kind != "matmul" or node not in g.nodes:
-            continue
-        vid, consumer = _chase(g, node)
-        if _is_const_ewise(g, consumer, "add", vid):
-            _absorb(g, node, consumer)
-            count += 1
-    return count
-
-
-def fold_batchnorm(g: Graph) -> int:
-    """Fold inference-mode BN (const mul + const add) pairs; returns count.
-
-    After a matmul, both steps join the matmul epilogue (conv+BN is one
-    op) and the analytic scale/shift value ids are recorded in
-    ``attrs["bn"]``.  Standalone pairs merge into a single two-step node.
-    """
-    count = 0
-    for node in list(g.nodes):
-        if node not in g.nodes:
-            continue
-        if node.kind == "matmul":
-            vid, mul_node = _chase(g, node)
-            if not _is_const_ewise(g, mul_node, "mul", vid):
-                continue
-            add_node = _sole_consumer(g, mul_node.out)
-            if not _is_const_ewise(g, add_node, "add", mul_node.out):
-                continue
-            node.attrs["bn"] = (mul_node.inputs[1], add_node.inputs[1])
-            _absorb(g, node, mul_node)
-            _absorb(g, node, add_node)
-            count += 1
-        elif node.kind == "ewise" and node.attrs["fn"] == "mul":
-            if len(node.inputs) != 2 or g.values[node.inputs[1]].batched:
-                continue
-            add_node = _sole_consumer(g, node.out)
-            if _is_const_ewise(g, add_node, "add", node.out):
-                _absorb(g, node, add_node)
-                count += 1
-    return count
-
-
-def fuse_activations(g: Graph) -> int:
-    """Absorb unary activations into their producer; returns count."""
-    count = 0
-    changed = True
-    while changed:
-        changed = False
-        for node in list(g.nodes):
-            if node.kind not in ("matmul", "ewise", "reduce") or node not in g.nodes:
-                continue
-            vid, consumer = _chase(g, node)
-            if (
-                consumer is not None
-                and consumer.kind == "ewise"
-                and consumer.attrs["fn"] in _ACT_FNS
-                and len(consumer.inputs) == 1
-            ):
-                _absorb(g, node, consumer)
-                count += 1
-                changed = True
-    return count
-
-
-def fuse_residual(g: Graph) -> int:
-    """Absorb skip-adds into the body's last matmul; returns count.
-
-    Only fires when the matmul chain feeds the add's *first* operand —
-    the body branch, traced after the projection — so the skip value is
-    always defined before the epilogue that reads it.
-    """
-    count = 0
-    for node in list(g.nodes):
-        if node.kind != "matmul" or node not in g.nodes:
-            continue
-        vid, consumer = _chase(g, node)
-        if (
-            consumer is not None
-            and consumer.kind == "ewise"
-            and consumer.attrs["fn"] == "add"
-            and len(consumer.inputs) == 2
-            and consumer.inputs[0] == vid
-            and g.values[consumer.inputs[1]].batched
-        ):
-            _absorb(g, node, consumer)
-            count += 1
-    return count
-
-
-def eliminate_dead(g: Graph) -> int:
-    """Drop nodes and values unreachable from the output; returns count."""
-    live = {g.output_vid}
-    changed = True
-    while changed:
-        changed = False
-        for node in g.nodes:
-            if node.out in live:
-                needed = set(node.inputs)
-                needed.update(
-                    s.operand for s in node.epilogue if s.operand is not None
-                )
-                if not needed <= live:
-                    live |= needed
-                    changed = True
-    removed = sum(1 for n in g.nodes if n.out not in live)
-    g.nodes = [n for n in g.nodes if n.out in live]
-    keep = live | {g.input_vid}
-    g.values = {vid: val for vid, val in g.values.items() if vid in keep}
-    return removed
-
-
-def default_passes() -> list[tuple[str, Callable[[Graph], int]]]:
-    """The standard pipeline, in order."""
-    return [
-        ("fold_constants", fold_constants),
-        ("fuse_bias", fuse_bias),
-        ("fold_batchnorm", fold_batchnorm),
-        ("fuse_activations", fuse_activations),
-        ("fuse_residual", fuse_residual),
-        ("eliminate_dead", eliminate_dead),
-    ]
-
-
-def optimize(
-    g: Graph, passes: list[tuple[str, Callable[[Graph], int]]] | None = None
-) -> tuple[Graph, PassStats]:
-    """Run a pass pipeline over ``g`` in place; returns (graph, stats)."""
-    stats: PassStats = {}
-    for name, fn in passes if passes is not None else default_passes():
-        stats[name] = fn(g)
-    return g, stats
-
-
-# ------------------------------------------------------------------ training
-# Passes over the TrainGraph IR (the traced fwd+bwd+side-effect step of
-# repro.nn.graph.backward).  Same contract as the inference passes: pure
-# scheduling rewrites, no reassociation — a rewrite is admitted only if
-# the replacement is bitwise-identical by IEEE-754 identity (x*1 == x,
-# pow(x, 1) == x) or executes the very same ufunc sequence in place.
-
-
-def eliminate_dead_train(tg: "TrainGraph") -> int:
+def eliminate_dead_train(tg: TrainGraph) -> int:
     """Drop ops whose results feed neither outputs, gradients nor side
     effects — e.g. the critic weight-gradient branch inside the
     autoencoder step, whose optimizer does not own the critic."""
@@ -318,7 +53,7 @@ def eliminate_dead_train(tg: "TrainGraph") -> int:
     return removed
 
 
-def _is_all_ones(tg: "TrainGraph", vid: int, cache: dict[int, bool]) -> bool:
+def _is_all_ones(tg: TrainGraph, vid: int, cache: dict[int, bool]) -> bool:
     got = cache.get(vid)
     if got is None:
         v = tg.values[vid]
@@ -327,7 +62,7 @@ def _is_all_ones(tg: "TrainGraph", vid: int, cache: dict[int, bool]) -> bool:
     return got
 
 
-def simplify_identities(tg: "TrainGraph") -> int:
+def simplify_identities(tg: TrainGraph) -> int:
     """Rewrite multiplications that are IEEE-754 identities.
 
     ``x * 1.0 == x`` holds bitwise for every operand (sign of zero
@@ -353,7 +88,9 @@ def simplify_identities(tg: "TrainGraph") -> int:
         else:
             continue
         out_v = tg.values[op.out]
-        if tg.values[other].shape == out_v.shape:
+        # an alias keeps ``other``'s layout; the eager product was a fresh
+        # C-contiguous array, which later reshapes were recorded against
+        if tg.values[other].shape == out_v.shape and tg.values[other].contiguous:
             op.kind = "alias"
             op.inputs = (other,)
             op.attrs = {}
@@ -368,13 +105,12 @@ def simplify_identities(tg: "TrainGraph") -> int:
     return changed
 
 
-def coalesce_inplace(tg: "TrainGraph") -> int:
+def coalesce_inplace(tg: TrainGraph) -> int:
     """Fuse elementwise kernels onto a dying input's buffer.
 
-    The training-graph analogue of the inference epilogues: when an
-    elementwise op is the *last* reader of one of its inputs and shapes
-    match, its kernel writes straight into that input's storage (same
-    ufunc, same operands — only the destination changes), so activation
+    When an elementwise op is the *last* reader of one of its inputs and
+    shapes match, its kernel writes straight into that input's storage
+    (same ufunc, same operands — only the destination changes), so activation
     gradients fold onto the upstream gradient buffer and the ``add`` that
     accumulates dL/dW lands in place.  Safety conditions: the reused
     storage root must be arena-owned (never a parameter or captured
@@ -426,8 +162,8 @@ def coalesce_inplace(tg: "TrainGraph") -> int:
     return fused
 
 
-def optimize_train(tg: "TrainGraph") -> PassStats:
-    """Run the training pass pipeline over ``tg`` in place."""
+def optimize_train(tg: TrainGraph) -> PassStats:
+    """Run the pass pipeline over ``tg`` in place; returns rewrite counts."""
     return {
         "eliminate_dead_train": eliminate_dead_train(tg),
         "simplify_identities": simplify_identities(tg),

@@ -1,26 +1,26 @@
 """Liveness-based arena planner: every activation in one buffer.
 
-The eager interpreter allocates a fresh temporary per layer per batch.
-Here, each storage root (a value plus its reshape aliases) gets a live
-interval — defined at its producing step, dead after its last reader —
-and a greedy best-fit allocator packs the intervals into offsets of a
-single flat arena.  The executor allocates that arena **once** per
-(graph, batch) and every kernel writes through preallocated views:
-steady-state inference performs zero array allocations.
+An eager step allocates a fresh temporary per op.  Here each arena root
+of a :class:`~repro.nn.graph.backward.TrainGraph` (an ``input`` or
+``temp`` value, plus every alias of it — reshapes, views, outputs
+coalesced in place) gets a live interval, defined at its producing op and
+dead after its last reader, and a greedy best-fit allocator packs the
+intervals into offsets of a single flat arena.  The binder
+(:func:`repro.nn.graph.executor.bind`) allocates that arena **once** per
+graph and every kernel writes through preallocated views, so a replay
+performs no array allocation — for a training step and a lowered
+inference graph alike.  Shapes are absolute, so a graph (and its plan)
+is per batch size.
 
-Two wrinkles the planner owns:
-
-* **pad slots** — a value consumed by a padded-conv gather is laid out
-  with one extra element per sample row (the "zero slot" of
-  :func:`repro.nn.im2col.conv_zero_slot_plan`); consumers of the value
-  itself read a carved ``[:, :n]`` view.
-* **scratch** — the executor may request per-node scratch buffers (the
-  column-major staging of the batch-folded GEMM); these live only for
-  their node's step.
+The binder may also request per-op **scratch** buffers (the negative-
+power staging, the max-mask reduction, the column-major staging and
+accumulator of the batch-folded conv GEMM); these live only for their
+op's step.
 
 Plans are deterministic: entries are packed in (definition step, kind,
-id) order with no hashing involved, so the same graph and batch always
-produce the same offsets — asserted by tests via :func:`validate_plan`.
+id) order with no hashing involved, so the same graph always produces the
+same offsets; :func:`validate_train_plan` asserts that no two slots
+overlap in both time and memory.
 """
 
 from __future__ import annotations
@@ -32,15 +32,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.nn.graph.backward import TrainGraph
-from repro.nn.graph.ir import Graph
 
 __all__ = [
     "MemoryPlan",
     "StateArena",
-    "plan_memory",
     "plan_state_arena",
     "plan_train_memory",
-    "validate_plan",
     "validate_train_plan",
 ]
 
@@ -55,19 +52,17 @@ def _align(n: int) -> int:
 
 @dataclass
 class MemoryPlan:
-    """Packed arena layout for one (graph, batch) pair.
+    """Packed arena layout for one graph.
 
-    ``slots`` maps ``("value", root_vid)`` and ``("scratch", node_idx, i)``
+    ``slots`` maps ``("value", root_vid)`` and ``("scratch", op_idx, i)``
     keys to ``(offset, elems)``; ``intervals`` holds the live range
     ``(def_step, last_step)`` each slot was packed under.
     """
 
-    batch: int
     total_elems: int
     dtype: np.dtype
     slots: dict[tuple, tuple[int, int]] = field(default_factory=dict)
     intervals: dict[tuple, tuple[int, int]] = field(default_factory=dict)
-    slot_roots: frozenset[int] = frozenset()
 
     @property
     def total_bytes(self) -> int:
@@ -85,78 +80,12 @@ class MemoryPlan:
         return len(self.slots)
 
 
-def _storage_intervals(g: Graph) -> tuple[dict[int, int], dict[int, int]]:
-    """Per-root (definition step, last use step); input defines at -1."""
-    defined: dict[int, int] = {g.storage_root(g.input_vid): -1}
-    last: dict[int, int] = {g.storage_root(g.input_vid): -1}
-    for i, node in enumerate(g.nodes):
-        for vid in node.inputs:
-            if g.values[vid].batched:
-                last[g.storage_root(vid)] = i
-        for step in node.epilogue:
-            if step.operand is not None and g.values[step.operand].batched:
-                last[g.storage_root(step.operand)] = i
-        root = g.storage_root(node.out)
-        if g.values[node.out].batched and root not in defined:
-            defined[root] = i
-            last.setdefault(root, i)
-    out_root = g.storage_root(g.output_vid)
-    last[out_root] = len(g.nodes)
-    return defined, last
-
-
-def plan_memory(
-    g: Graph, batch: int, scratch: dict[int, tuple[int, ...]] | None = None
-) -> MemoryPlan:
-    """Pack all activations and scratch for ``batch`` into one arena.
-
-    ``scratch`` maps node index → absolute element counts of per-node
-    scratch buffers (live only at that node's step).
-    """
-    scratch = scratch or {}
-    slot_roots = frozenset(
-        g.storage_root(node.inputs[0])
-        for node in g.nodes
-        if node.kind == "gather" and node.attrs["padding"] > 0
-    )
-    defined, last = _storage_intervals(g)
-
-    # (def_step, kind_rank, id...) → deterministic packing order
-    entries: list[tuple[tuple, tuple, int, tuple[int, int]]] = []
-    for root in sorted(defined):
-        rowlen = g.values[root].ps_elems + (1 if root in slot_roots else 0)
-        entries.append(
-            (
-                (defined[root], 0, root),
-                ("value", root),
-                _align(batch * rowlen),
-                (defined[root], last.get(root, defined[root])),
-            )
-        )
-    for node_idx in sorted(scratch):
-        for i, elems in enumerate(scratch[node_idx]):
-            entries.append(
-                (
-                    (node_idx, 1, node_idx, i),
-                    ("scratch", node_idx, i),
-                    _align(int(elems)),
-                    (node_idx, node_idx),
-                )
-            )
-
-    plan = MemoryPlan(
-        batch=batch, total_elems=0, dtype=np.dtype(g.compute), slot_roots=slot_roots
-    )
-    _pack_entries(plan, entries)
-    return plan
-
-
 def _pack_entries(
     plan: MemoryPlan,
     entries: list[tuple[tuple, tuple, int, tuple[int, int]]],
 ) -> None:
     """Greedy best-fit packing of ``(sort_key, key, size, interval)``
-    entries into ``plan`` (shared by the inference and training planners).
+    entries into ``plan``.
 
     Entries are packed in ``sort_key`` order; a buffer's hole is released
     once its interval's last step lies before the entry being placed.
@@ -202,40 +131,15 @@ def _pack_entries(
         active.append((interval[1], key, off, size))
 
 
-def _assert_no_overlap(plan: MemoryPlan) -> None:
-    items = list(plan.slots.items())
-    for key, (off, size) in items:
-        if off + size > plan.total_elems:
-            raise AssertionError(f"slot {key} exceeds arena")
-    for (key_a, (off_a, size_a)), (key_b, (off_b, size_b)) in combinations(items, 2):
-        def_a, last_a = plan.intervals[key_a]
-        def_b, last_b = plan.intervals[key_b]
-        overlap_time = def_a <= last_b and def_b <= last_a
-        overlap_mem = off_a < off_b + size_b and off_b < off_a + size_a
-        if overlap_time and overlap_mem:
-            raise AssertionError(
-                f"slots {key_a} and {key_b} overlap in time and memory"
-            )
-
-
-def validate_plan(g: Graph, plan: MemoryPlan) -> bool:
-    """Assert no two live-range-overlapping slots share arena elements."""
-    _assert_no_overlap(plan)
-    return True
-
-
-# --------------------------------------------------------------- training
 def plan_train_memory(
     tg: TrainGraph, scratch: dict[int, tuple[int, ...]] | None = None
 ) -> MemoryPlan:
-    """Pack a training step's activations and gradients into one arena.
+    """Pack a graph's activations (and gradients) into one arena.
 
-    Unlike the inference planner, training-graph shapes are absolute (the
-    batch dimension is baked in at trace time), so slot sizes come
-    straight from the root value's element count.  Only roots of kind
-    ``temp``/``input`` get arena storage — params/externs/consts live in
-    their own arrays.  Outputs and parameter gradients carry a
-    last-read of ``LAST_FOREVER`` (see
+    Slot sizes come straight from the root value's element count.  Only
+    roots of kind ``temp``/``input`` get arena storage — params/externs/
+    consts live in their own arrays.  Outputs and parameter gradients
+    carry a last-read of ``LAST_FOREVER`` (see
     :meth:`~repro.nn.graph.backward.TrainGraph.root_intervals`) so the
     optimizer and the caller read stable buffers every step.
 
@@ -266,14 +170,26 @@ def plan_train_memory(
                 )
             )
 
-    plan = MemoryPlan(batch=0, total_elems=0, dtype=np.dtype(tg.dtype))
+    plan = MemoryPlan(total_elems=0, dtype=np.dtype(tg.dtype))
     _pack_entries(plan, entries)
     return plan
 
 
 def validate_train_plan(plan: MemoryPlan) -> bool:
-    """Assert a training arena plan has no time×memory slot overlap."""
-    _assert_no_overlap(plan)
+    """Assert an arena plan has no time×memory slot overlap."""
+    items = list(plan.slots.items())
+    for key, (off, size) in items:
+        if off + size > plan.total_elems:
+            raise AssertionError(f"slot {key} exceeds arena")
+    for (key_a, (off_a, size_a)), (key_b, (off_b, size_b)) in combinations(items, 2):
+        def_a, last_a = plan.intervals[key_a]
+        def_b, last_b = plan.intervals[key_b]
+        overlap_time = def_a <= last_b and def_b <= last_a
+        overlap_mem = off_a < off_b + size_b and off_b < off_a + size_a
+        if overlap_time and overlap_mem:
+            raise AssertionError(
+                f"slots {key_a} and {key_b} overlap in time and memory"
+            )
     return True
 
 

@@ -1,25 +1,14 @@
 """Shared im2col index plans: one process-wide LRU for every conv.
 
 A convolution lowered to matmul needs a gather plan — the flat indices
-that pull each im2col patch column out of a ``(C, H, W)`` sample.  The
-plan depends only on ``(kernel, stride, C, H, W)``, yet the old design
-cached it per ``Conv2d`` *instance*: sixteen identical residual-block
-convs built sixteen copies of the same multi-megabyte index array, and
-nothing ever evicted them.  This module owns the plans instead — a
-bounded, module-level LRU shared by the training forward pass, the eager
-compiled path and the graph executor.
-
-Two plan flavours:
-
-:func:`conv_index_plan`
-    indices into an already *padded* ``(C, Hp, Wp)`` sample — what the
-    eager path uses after ``np.pad``.
-
-:func:`conv_zero_slot_plan`
-    indices into the *unpadded* sample plus one trailing "zero slot":
-    out-of-bounds taps map to index ``C*H*W``, whose value the executor
-    pins to 0.  The graph engine gathers padding without ever
-    materializing a padded copy of the activation.
+that pull each im2col patch column out of a (padded) ``(C, H, W)``
+sample.  The plan depends only on ``(kernel, stride, C, H, W)``, yet the
+old design cached it per ``Conv2d`` *instance*: sixteen identical
+residual-block convs built sixteen copies of the same multi-megabyte
+index array, and nothing ever evicted them.  This module owns the plans
+instead — a bounded, module-level LRU shared by the training forward
+pass (``Conv2d.forward``'s ``take``) and the compiled inference graph,
+which lowers a conv to that very op.
 """
 
 from __future__ import annotations
@@ -28,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["conv_index_plan", "conv_zero_slot_plan", "conv_out_hw", "plan_cache_info"]
+__all__ = ["conv_index_plan", "conv_out_hw", "plan_cache_info"]
 
 #: bound on distinct (kernel, stride, C, H, W) geometries kept alive;
 #: generous for real models (the surrogate needs 5) while stopping a
@@ -66,37 +55,6 @@ def conv_index_plan(kernel: int, stride: int, c: int, h: int, w: int) -> np.ndar
     return idx
 
 
-@lru_cache(maxsize=_MAX_PLANS)
-def conv_zero_slot_plan(
-    kernel: int, stride: int, padding: int, c: int, h: int, w: int
-) -> np.ndarray:
-    """Padded-conv gather plan over an unpadded sample with a zero slot.
-
-    Derives the plan a padded conv would use over ``(c, h+2p, w+2p)``,
-    then maps every in-bounds tap back to its unpadded flat index and
-    every border tap to the sentinel ``c*h*w`` — the "zero slot" the
-    executor appends to each sample row and pins to 0.  Gathering with
-    this plan yields bit-identical im2col columns to pad-then-gather.
-    """
-    if padding == 0:
-        return conv_index_plan(kernel, stride, c, h, w)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    padded = conv_index_plan(kernel, stride, c, hp, wp)
-    ch, rem = np.divmod(padded, hp * wp)
-    y, x = np.divmod(rem, wp)
-    inside = (
-        (y >= padding) & (y < padding + h) & (x >= padding) & (x < padding + w)
-    )
-    idx = np.where(
-        inside, ch * (h * w) + (y - padding) * w + (x - padding), c * h * w
-    )
-    idx.setflags(write=False)
-    return idx
-
-
 def plan_cache_info():
-    """Combined ``lru_cache`` statistics for both plan flavours."""
-    return {
-        "index": conv_index_plan.cache_info(),
-        "zero_slot": conv_zero_slot_plan.cache_info(),
-    }
+    """``lru_cache`` statistics of the plan cache."""
+    return conv_index_plan.cache_info()

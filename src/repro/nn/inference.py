@@ -6,10 +6,14 @@ frozen into plain arrays) and run the whole forward pass in half
 precision.  :class:`CompiledModel` plays the role of the torch2trt export
 — same predictions (to FP16 tolerance), a fraction of the cost.
 
-There is one engine, the :mod:`repro.nn.graph` path — trace to an op
-graph, fuse, plan a buffer arena, execute with ``out=`` kernels: the
+The export is not a second compiler.  :func:`compile_model` freezes the
+module tree; each input shape is then lowered to the
+:class:`~repro.nn.graph.backward.TrainGraph` IR that training steps use
+(a graph with no parameters and no backward), scheduled by the same
+passes, arena-planned by the same planner and bound to ``out=`` kernels
+by the same binder as :class:`~repro.nn.graph.train.TrainStep` — the
 TensorRT-style build.  Its reference, the closure-per-layer interpreter
-it replaced, lives in ``tests/nn/oracle.py``; graph execution is
+it replaced, lives in ``tests/nn/oracle.py``; compiled execution is
 bit-identical to it at the same batch size and precision — enforced by
 probe-gated kernel selection and asserted by the test suite.
 """
@@ -18,16 +22,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.graph.executor import GraphExecutor
-from repro.nn.graph.ir import freeze_module, resolve_precision, trace_frozen
-from repro.nn.graph.passes import optimize
+from repro.nn.graph.executor import Bound, bind
+from repro.nn.graph.lower import freeze_module, lower_frozen, resolve_precision
+from repro.nn.graph.passes import optimize_train
 from repro.nn.layers import Module
+from repro.telemetry import NULL_TRACER
 
 __all__ = ["CompiledModel", "compile_model"]
 
 
 class CompiledModel:
-    """Graph-free forward pass of a compiled module tree."""
+    """Graph-free forward pass of a compiled module tree.
+
+    One graph is lowered and bound per input shape (batch included, since
+    BLAS accumulation order may vary with it) on first use.  Not
+    thread-safe.
+    """
 
     def __init__(
         self,
@@ -39,28 +49,29 @@ class CompiledModel:
         self.store_dtype = store_dtype
         self.compute_dtype = compute_dtype
         self._frozen = frozen
-        self._tracer = tracer
-        self._executors: dict[tuple[int, ...], GraphExecutor] = {}
+        self._tracer = tracer if tracer is not None else NULL_TRACER
+        self._plans: dict[tuple[int, ...], Bound] = {}
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         # quantize the input to the storage precision, compute wider —
         # the tensor-core model (FP16 operands, FP32 accumulate)
         x = np.asarray(x).astype(self.store_dtype).astype(self.compute_dtype)
-        return self.executor_for(x.shape[1:]).run(x).astype(np.float64)
+        bound = self._bound(x.shape)
+        np.copyto(bound.view(bound.tg.input_vids[0]), x)
+        bound.run(self._tracer)
+        if self._tracer.enabled:
+            self._tracer.metrics.counter("nn.batches").inc()
+            self._tracer.metrics.counter("nn.samples").inc(len(x))
+        return bound.view(bound.tg.output_vids[0]).astype(np.float64)
 
-    def executor_for(self, sample_shape: tuple[int, ...]) -> GraphExecutor:
-        """The (lazily traced and optimized) executor for one input shape."""
-        key = tuple(int(d) for d in sample_shape)
-        executor = self._executors.get(key)
-        if executor is None:
-            graph = trace_frozen(
-                self._frozen, key, self.store_dtype, self.compute_dtype
-            )
-            graph, _ = optimize(graph)
-            executor = self._executors[key] = GraphExecutor(
-                graph, tracer=self._tracer
-            )
-        return executor
+    def _bound(self, shape: tuple[int, ...]) -> Bound:
+        key = tuple(int(d) for d in shape)
+        bound = self._plans.get(key)
+        if bound is None:
+            tg = lower_frozen(self._frozen, key, self.compute_dtype)
+            optimize_train(tg)
+            bound = self._plans[key] = bind(tg)
+        return bound
 
 
 def compile_model(
@@ -78,9 +89,9 @@ def compile_model(
         ``"fp16"`` (default) quantizes weights and inputs to half
         precision and accumulates in FP32 — the V100 tensor-core
         behaviour the paper exploits via TensorRT.  ``"fp32"`` keeps full
-        single precision.  (NumPy has no hardware FP16 arithmetic, so
-        computing *in* float16 would be both slower and less faithful
-        than quantize-then-accumulate.)
+        single precision, ``"fp64"`` full double.  (NumPy has no hardware
+        FP16 arithmetic, so computing *in* float16 would be both slower
+        and less faithful than quantize-then-accumulate.)
     tracer:
         Optional :class:`repro.telemetry.Tracer` for per-op ``nn.op`` spans.
     """

@@ -13,7 +13,7 @@ import numpy as np
 from repro.nn.autograd import Tape, Tensor
 from repro.nn.graph.backward import ALIAS_KINDS, TOp, TrainGraph, TValue
 from repro.nn.graph.backward import _is_basic_key, _probe_bincount
-from repro.nn.graph.ir import resolve_precision
+from repro.nn.graph.lower import resolve_precision
 from repro.nn.layers import BatchNorm, Conv2d, Dense, Flatten, GlobalAvgPool2d, Parameter
 from repro.nn.layers import LeakyReLU, MaxPool2d, PointwiseDense, ReLU, ResidualBlock
 from repro.nn.layers import Sequential, Sigmoid, Tanh

@@ -13,7 +13,7 @@ batch:
   at fp16, fp32 and fp64;
 * compiled ``TrainStep`` steps ``==`` the interpreted ``EagerStep``
   (weights, BatchNorm statistics, losses and optimizer moments) under
-  Adam and RMSprop;
+  Adam and RMSprop, in fp32 and fp64;
 * ``build_train_graph`` ``==`` ``oracle.record_then_lower`` on the same
   tape.
 
@@ -178,13 +178,13 @@ def _layer(spec, rng):
     return ResidualBlock(body, Dense(f, out, rng) if out else None)
 
 
-def build(stack: Stack) -> Sequential:
+def build(stack: Stack, dtype=np.float64) -> Sequential:
     """The drawn model, with every parameter moved off its initial value
     so that biases and BatchNorm shifts are not zero."""
     rng = np.random.default_rng(stack.seed)
     model = Sequential(*(_layer(spec, rng) for spec in stack.layers))
     for p in model.parameters():
-        p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+        p.data = (p.data + rng.normal(scale=0.3, size=p.shape)).astype(dtype)
     return model
 
 
@@ -232,7 +232,7 @@ def _steps(stack: Stack, dtype):
 
 
 def _train(step_cls, stack, make_opt, steps):
-    model = build(stack)
+    model = build(stack, steps[0][0].dtype)
     opt = make_opt(model.parameters())
     step = step_cls(lambda xb, yb: mse_loss(_head(model(xb)), yb), opt)
     return model, opt, [step(x, y) for x, y in steps]

@@ -1,9 +1,10 @@
-"""Bit-equivalence of the graph engine against the eager oracle.
+"""Bit-equivalence of compiled inference against the eager oracle.
 
 The contract under test: for every supported layer type and for the full
-surrogate network, graph execution produces **bit-identical** float64
-output to the eager closure interpreter (``tests/nn/oracle.py``) at the
-same precision and batch size.  (Equivalence across *different* batch
+surrogate network, the compiled forward pass (lowered to the shared graph
+IR, scheduled, planned and bound like a training step) produces
+**bit-identical** float64 output to the eager closure interpreter
+(``tests/nn/oracle.py``) at the same precision and batch size.  (Equivalence across *different* batch
 sizes is explicitly not claimed — BLAS accumulation order varies with
 batch, for the eager path too.)
 """
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 from repro.nn.autograd import Tensor
-from repro.nn.graph import GraphExecutor, optimize, trace_module
+from repro.nn.graph.executor import bind
+from repro.nn.graph.lower import freeze_module, lower_frozen
+from repro.nn.graph.passes import optimize_train
 from repro.nn.inference import compile_model
 from repro.nn.layers import (
     BatchNorm,
@@ -136,30 +139,44 @@ def test_repeated_runs_reuse_arena_correctly(surrogate_net):
     out2 = compiled(x2)
     np.testing.assert_array_equal(out1, eager(x1))
     np.testing.assert_array_equal(out2, eager(x2))
-    executor = compiled.executor_for((7, 24, 24))
-    assert len(executor._plans) == 1  # one bound plan serves both calls
+    assert len(compiled._plans) == 1  # one bound plan serves both calls
+
+
+def _lowered(model, shape, precision="fp16"):
+    store, compute = {"fp16": (np.float16, np.float32)}[precision]
+    return lower_frozen(freeze_module(model, store, compute), shape, compute)
 
 
 def test_unoptimized_trace_also_bit_identical(surrogate_net):
-    """The raw trace (no passes) must execute identically too."""
-    graph = trace_module(surrogate_net, (7, 24, 24), "fp16")
+    """The lowered graph with no pass run — no in-place coalescing, no
+    identity aliases — must execute identically too."""
     x = np.random.default_rng(7).normal(size=(3, 7, 24, 24))
-    xq = x.astype(np.float16).astype(np.float32)
-    out = GraphExecutor(graph).run(xq).astype(np.float64)
-    eager = compile_eager(surrogate_net, "fp16")(x)
-    np.testing.assert_array_equal(out, eager)
+    bound = bind(_lowered(surrogate_net, x.shape))
+    assert bound.tg.n_inplace == 0
+    np.copyto(bound.view(bound.tg.input_vids[0]), x.astype(np.float16))
+    bound.run()
+    out = bound.view(bound.tg.output_vids[0]).astype(np.float64)
+    np.testing.assert_array_equal(out, compile_eager(surrogate_net, "fp16")(x))
 
 
-def test_optimization_shrinks_node_count(surrogate_net):
-    graph = trace_module(surrogate_net, (7, 24, 24), "fp16")
-    n_traced = len(graph.nodes)
-    optimize(graph)
-    assert len(graph.nodes) < n_traced / 2
+def test_coalescing_halves_the_activation_buffers(surrogate_net):
+    """In-place coalescing folds whole conv-BN-ReLU chains onto one buffer."""
+    shape = (16, 7, 24, 24)
+    raw = bind(_lowered(surrogate_net, shape))
+    tg = _lowered(surrogate_net, shape)
+    optimize_train(tg)
+    coalesced = bind(tg)
+
+    def n_roots(bound):
+        return sum(1 for key in bound.plan.slots if key[0] == "value")
+
+    assert tg.n_inplace > 0
+    assert n_roots(coalesced) < n_roots(raw) / 2
 
 
 def test_plan_info_accounts_every_conv(surrogate_net):
     compiled = compile_model(surrogate_net, "fp16")
-    info = compiled.executor_for((7, 24, 24)).plan_info(16)
+    info = compiled._bound((16, 7, 24, 24)).info()
     assert info["n_folded_gemm"] + info["n_broadcast_gemm"] == 6  # 6 convs
     assert info["arena_elems"] < info["naive_elems"]
     assert info["arena_bytes"] == info["arena_elems"] * 4  # fp32 compute

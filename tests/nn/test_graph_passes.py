@@ -1,142 +1,165 @@
-"""Unit tests for the graph optimization passes."""
+"""The pass pipeline over lowered inference graphs.
+
+Inference lowers to the graph IR training steps use, and one pipeline
+(``optimize_train``) schedules both.  Constants arrive reshaped from the
+lowering, and ``coalesce_inplace`` does what bias, BatchNorm, activation
+and residual epilogues did: every elementwise follower of a matmul runs
+in place on its output buffer, in the eager order, with the same ufuncs.
+"""
 
 import numpy as np
 import pytest
 
 from repro.nn.autograd import Tensor
-from repro.nn.graph import GraphExecutor, optimize, trace_module
-from repro.nn.graph.ir import Graph, Node, quantize
+from repro.nn.graph.backward import TOp, TValue
+from repro.nn.graph.executor import bind
+from repro.nn.graph.lower import freeze_module, lower_frozen, quantize
 from repro.nn.graph.passes import (
-    default_passes,
-    eliminate_dead,
-    fold_batchnorm,
-    fold_constants,
-    fuse_activations,
-    fuse_bias,
-    fuse_residual,
+    coalesce_inplace,
+    eliminate_dead_train,
+    optimize_train,
+    simplify_identities,
 )
 from repro.nn.layers import BatchNorm, Conv2d, ReLU, ResidualBlock, Sequential
 from repro.surrogate.model import build_smilesnet
 from tests.nn.oracle import compile_eager
 
+PIPELINE = (eliminate_dead_train, simplify_identities, coalesce_inplace)
+
+
+def _warm(model, sample_shape):
+    warm = np.random.default_rng(1)
+    for _ in range(3):
+        model(Tensor(warm.normal(size=(8,) + sample_shape)))
+    return model.eval()
+
 
 def _conv_bn_relu():
     rng = np.random.default_rng(0)
     model = Sequential(Conv2d(2, 4, 3, rng, padding=1), BatchNorm(4), ReLU())
-    warm = np.random.default_rng(1)
-    for _ in range(3):
-        model(Tensor(warm.normal(size=(8, 2, 6, 6))))
-    model.eval()
-    return model
+    return _warm(model, (2, 6, 6))
+
+
+def _lower(model, shape):
+    return lower_frozen(freeze_module(model, np.float16, np.float32), shape, np.float32)
+
+
+def _kernels(tg):
+    return [op for op in tg.ops if not op.is_alias]
+
+
+def _run(tg, x):
+    bound = bind(tg)
+    np.copyto(bound.view(tg.input_vids[0]), x.astype(np.float16))
+    bound.run()
+    return bound.view(tg.output_vids[0]).astype(np.float64)
 
 
 def test_fold_constants_materializes_bias_broadcast():
-    model = _conv_bn_relu()
-    g = trace_module(model, (2, 6, 6), "fp16")
-    # traced: the (oc,) bias is reshaped to (oc, 1) by a const reshape node
-    n_before = len(g.nodes)
-    folded = fold_constants(g)
-    assert folded >= 3  # conv bias + bn scale + bn shift broadcasts
-    assert len(g.nodes) == n_before - folded
-    for node in g.nodes:
-        assert not (node.kind == "reshape" and not g.values[node.out].batched)
+    """Constants are reshaped by the lowering, so no op reads constants
+    only: the conv bias arrives as one (1, oc, 1) constant."""
+    tg = _lower(_conv_bn_relu(), (3, 2, 6, 6))
+    for op in tg.ops:
+        assert any(tg.values[v].kind != "const" for v in op.inputs)
+    (mm_idx,) = [i for i, op in enumerate(tg.ops) if op.kind == "matmul"]
+    bias_add = tg.ops[mm_idx + 1]
+    assert bias_add.kind == "add"
+    assert tg.values[bias_add.inputs[1]].data.shape == (1, 4, 1)
 
 
 def test_fuse_bias_moves_const_add_into_epilogue():
-    g = trace_module(_conv_bn_relu(), (2, 6, 6), "fp16")
-    fold_constants(g)
-    assert fuse_bias(g) == 1
-    (mm,) = [n for n in g.nodes if n.kind == "matmul"]
-    assert mm.epilogue[0].fn == "add"
-    bias = g.const_array(mm.epilogue[0].operand)
-    assert bias.shape == (4, 1)
+    """The conv bias add runs in place on the matmul's output buffer."""
+    tg = _lower(_conv_bn_relu(), (3, 2, 6, 6))
+    optimize_train(tg)
+    (mm_idx,) = [i for i, op in enumerate(tg.ops) if op.kind == "matmul"]
+    mm, bias_add = tg.ops[mm_idx], tg.ops[mm_idx + 1]
+    assert bias_add.inplace_on == 0
+    assert tg.storage_root(bias_add.out) == mm.out
 
 
 def test_fold_batchnorm_records_analytic_scale_shift():
+    """BatchNorm lowers to a multiply and an add by its analytic scale and
+    shift, folded in fp64 and quantized once."""
     model = _conv_bn_relu()
-    g = trace_module(model, (2, 6, 6), "fp16")
-    fold_constants(g)
-    fuse_bias(g)
-    assert fold_batchnorm(g) == 1
-    (mm,) = [n for n in g.nodes if n.kind == "matmul"]
-    scale_vid, shift_vid = mm.attrs["bn"]
+    tg = _lower(model, (3, 2, 6, 6))
+    mul = next(op for op in tg.ops if op.kind == "mul")
+    add = tg.ops[tg.ops.index(mul) + 1]
     bn = model.layers[1]
     scale64 = bn.gamma.data / np.sqrt(bn.running_var + bn.eps)
     shift64 = bn.beta.data - bn.running_mean * scale64
     np.testing.assert_array_equal(
-        g.const_array(scale_vid).reshape(-1),
-        quantize(scale64, np.float16, np.float32),
+        tg.values[mul.inputs[1]].data.reshape(-1), quantize(scale64, np.float16, np.float32)
     )
     np.testing.assert_array_equal(
-        g.const_array(shift_vid).reshape(-1),
-        quantize(shift64, np.float16, np.float32),
+        tg.values[add.inputs[1]].data.reshape(-1), quantize(shift64, np.float16, np.float32)
     )
 
 
 def test_conv_bn_relu_collapses_to_one_op_with_ordered_epilogue():
-    g, _ = optimize(trace_module(_conv_bn_relu(), (2, 6, 6), "fp16"))
-    compute = [n for n in g.nodes if n.kind != "reshape"]
-    assert [n.kind for n in compute] == ["gather", "matmul"]
-    (mm,) = [n for n in compute if n.kind == "matmul"]
-    # exact eager order: +bias, *bn_scale, +bn_shift, relu
-    assert [s.fn for s in mm.epilogue] == ["add", "mul", "add", "max0"]
+    """Conv → BN → ReLU: after the matmul, bias, scale, shift and ReLU
+    run in the eager order, each in place on the matmul's buffer."""
+    tg = _lower(_conv_bn_relu(), (3, 2, 6, 6))
+    optimize_train(tg)
+    kernels = _kernels(tg)
+    assert [op.kind for op in kernels] == [
+        "pad2d", "take", "matmul", "add", "mul", "add", "relu"
+    ]
+    mm = kernels[2]
+    assert all(tg.storage_root(op.out) == mm.out for op in kernels[3:])
+    assert all(op.inplace_on == 0 for op in kernels[3:])
 
 
 def test_fuse_residual_absorbs_skip_add():
+    """A residual tail — the skip add, then the block ReLU — runs in place
+    on the body's last matmul buffer."""
     rng = np.random.default_rng(2)
-    model = ResidualBlock(
-        Sequential(Conv2d(3, 3, 3, rng, padding=1), BatchNorm(3)),
+    model = _warm(
+        ResidualBlock(Sequential(Conv2d(3, 3, 3, rng, padding=1), BatchNorm(3))),
+        (3, 6, 6),
     )
-    warm = np.random.default_rng(3)
-    for _ in range(3):
-        model(Tensor(warm.normal(size=(4, 3, 6, 6))))
-    model.eval()
-    g = trace_module(model, (3, 6, 6), "fp16")
-    fold_constants(g)
-    fuse_bias(g)
-    fold_batchnorm(g)
-    fuse_activations(g)
-    assert fuse_residual(g) == 1
-    (mm,) = [n for n in g.nodes if n.kind == "matmul"]
-    # tail of the epilogue: skip add (batched operand) then the block ReLU
-    assert [s.fn for s in mm.epilogue[-2:]] == ["add", "max0"]
-    assert g.values[mm.epilogue[-2].operand].batched
+    tg = _lower(model, (4, 3, 6, 6))
+    optimize_train(tg)
+    kernels = _kernels(tg)
+    assert [op.kind for op in kernels[-2:]] == ["add", "relu"]
+    skip_add = kernels[-2]
+    assert tg.values[skip_add.inputs[1]].kind == "input"  # the identity skip
+    (mm,) = [op for op in kernels if op.kind == "matmul"]
+    assert all(tg.storage_root(op.out) == mm.out for op in kernels[-2:])
 
 
 def test_eliminate_dead_drops_unreachable_nodes():
-    g = Graph(store=np.float32, compute=np.float32)
-    g.input_vid = g.new_value((4,), name="input")
-    live = g.new_value((4,), name="live")
-    g.nodes.append(Node("ewise", (g.input_vid,), live, {"fn": "max0"}))
-    dead = g.new_value((4,), name="dead")
-    g.nodes.append(Node("ewise", (g.input_vid,), dead, {"fn": "tanh"}))
-    g.output_vid = live
-    assert eliminate_dead(g) == 1
-    assert [n.out for n in g.nodes] == [live]
-    assert dead not in g.values
+    tg = _lower(_conv_bn_relu(), (3, 2, 6, 6))
+    x = tg.input_vids[0]
+    dead = len(tg.values)
+    tg.values.append(TValue(dead, tg.values[x].shape, tg.dtype, "temp"))
+    tg.ops.append(TOp("tanh", (x,), dead))
+    n_ops = len(tg.ops)
+    assert eliminate_dead_train(tg) == 1
+    assert len(tg.ops) == n_ops - 1
+    assert all(op.out != dead for op in tg.ops)
 
 
 def test_smilesnet_pass_stats():
     model = build_smilesnet(seed=0, width=6)
     model.eval()
-    g = trace_module(model, (7, 24, 24), "fp16")
-    _, stats = optimize(g)
-    assert stats["fuse_bias"] == 7  # 6 convs + 1 dense
-    assert stats["fold_batchnorm"] == 5  # one per BatchNorm layer
-    assert stats["fuse_residual"] == 2  # one per ResidualBlock
-    assert stats["fuse_activations"] == 6  # 3 inner ReLU + 2 block ReLU + sigmoid
-    assert stats["eliminate_dead"] == 0  # fusion leaves no orphans
+    tg = _lower(model, (4, 7, 24, 24))
+    stats = optimize_train(tg)
+    assert stats["eliminate_dead_train"] == 0  # the lowering emits no orphans
+    # untrained BatchNorm's scale 1/sqrt(1 + eps) rounds to 1.0 at fp16,
+    # so each of the five multiplies is an IEEE identity and aliases
+    assert stats["simplify_identities"] == 5
+    # 6 conv + 1 dense bias adds, 5 BN shifts, 5 ReLUs (3 inner, 2 block),
+    # 2 skip adds and the sigmoid, each in place on its producer's buffer
+    assert stats["coalesce_inplace"] == 20
 
 
-@pytest.mark.parametrize("n_passes", range(len(default_passes()) + 1))
+@pytest.mark.parametrize("n_passes", range(len(PIPELINE) + 1))
 def test_every_pass_prefix_preserves_bit_identity(n_passes):
     """Each pass is a pure rescheduling: any prefix of the pipeline must
     leave the numerics untouched."""
     model = _conv_bn_relu()
     x = np.random.default_rng(4).normal(size=(3, 2, 6, 6))
-    eager = compile_eager(model, "fp16")(x)
-    g = trace_module(model, (2, 6, 6), "fp16")
-    optimize(g, default_passes()[:n_passes])
-    xq = x.astype(np.float16).astype(np.float32)
-    out = GraphExecutor(g).run(xq).astype(np.float64)
-    np.testing.assert_array_equal(out, eager)
+    tg = _lower(model, x.shape)
+    for run_pass in PIPELINE[:n_passes]:
+        run_pass(tg)
+    np.testing.assert_array_equal(_run(tg, x), compile_eager(model, "fp16")(x))

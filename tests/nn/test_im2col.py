@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn.im2col import (
-    conv_index_plan,
-    conv_out_hw,
-    conv_zero_slot_plan,
-    plan_cache_info,
-)
+from repro.nn.im2col import conv_index_plan, conv_out_hw, plan_cache_info
 from repro.nn.layers import Conv2d
 
 
@@ -46,33 +41,10 @@ def test_conv2d_instances_share_one_plan():
     assert conv_a._gather_indices(3, 10, 10) is conv_b._gather_indices(3, 10, 10)
 
 
-@pytest.mark.parametrize("kernel,stride,padding,c,h,w", [(3, 1, 1, 2, 8, 8), (3, 2, 1, 3, 9, 7), (5, 1, 2, 1, 6, 6)])
-def test_zero_slot_plan_matches_pad_then_gather(kernel, stride, padding, c, h, w):
-    x = np.random.default_rng(2).normal(size=(c, h, w)).astype(np.float32)
-    padded = np.pad(x, [(0, 0), (padding, padding), (padding, padding)])
-    ref = padded.reshape(-1)[
-        conv_index_plan(kernel, stride, c, h + 2 * padding, w + 2 * padding)
-    ]
-    # unpadded sample + one trailing zero slot, gathered via the slot plan
-    flat = np.concatenate([x.reshape(-1), np.zeros(1, dtype=x.dtype)])
-    idx = conv_zero_slot_plan(kernel, stride, padding, c, h, w)
-    np.testing.assert_array_equal(flat[idx], ref)
-
-
-def test_zero_slot_plan_without_padding_is_plain_plan():
-    assert conv_zero_slot_plan(3, 1, 0, 2, 6, 6) is conv_index_plan(3, 1, 2, 6, 6)
-
-
-def test_zero_slot_sentinel_is_one_past_sample():
-    idx = conv_zero_slot_plan(3, 1, 1, 2, 4, 4)
-    assert idx.max() == 2 * 4 * 4  # the zero slot
-    assert (idx >= 0).all()
-
-
 def test_plan_cache_reports_hits():
     conv_index_plan.cache_clear()
     conv_index_plan(3, 1, 2, 12, 12)
     conv_index_plan(3, 1, 2, 12, 12)
     info = plan_cache_info()
-    assert info["index"].hits >= 1
-    assert info["index"].misses >= 1
+    assert info.hits >= 1
+    assert info.misses >= 1

@@ -41,10 +41,7 @@ CALLER_TREES = ("src", "bench", "benchmarks", "examples")
 ALLOWED: dict[str, str] = {
     # hooks that tests drive or inspect a subsystem through
     "repro.analysis.engine.analyze_source": "lints one source string for the rule tests",
-    "repro.nn.graph.executor.GraphExecutor.plan_info": "the activation plan the tests check",
     "repro.nn.graph.train.TrainStep.plan_info": "the training plan the planner tests check",
-    "repro.nn.graph.planner.validate_plan": "proves no two live values share arena space",
-    "repro.nn.graph.ir.trace_module": "traces a module to the IR the pass tests rewrite",
     "repro.nn.im2col.plan_cache_info": "hit/miss counters of the im2col plan cache",
     "repro.rct.backends.base.ExecutorBackend.n_running": "executor protocol: the in-flight "
     "count the backend-contract tests settle after timeouts and aborts",
