@@ -26,6 +26,7 @@ the compiler, never a tolerance question.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -39,6 +40,26 @@ from repro.nn.graph.planner import MemoryPlan
 from repro.nn.layers import Parameter
 
 __all__ = ["TrainStep"]
+
+
+def _trim_heap() -> None:
+    """Hand the pages of freed heap memory back to the OS (glibc).
+
+    glibc serves an allocation below its mmap threshold from the heap and
+    keeps the pages after ``free``; the threshold rises to the size of
+    the largest mmapped block freed so far (up to 32 MiB), so whether the
+    eager step's activations land there depends on what the process freed
+    earlier.  Where they do, the arena allocated next would sit on top of
+    their pages and the step's peak RSS would be their sum, not their
+    maximum.  A no-op where the C library has no ``malloc_trim``.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim.argtypes = [ctypes.c_size_t]
+    trim.restype = ctypes.c_int
+    trim(0)
 
 
 @dataclass
@@ -110,6 +131,7 @@ class TrainStep:
             stack.extend(t._parents)
             t._parents = t._vjps = ()
         self.optimizer.step()
+        _trim_heap()
 
         stats = optimize_train(tg)
         bound = bind(tg)
