@@ -421,7 +421,7 @@ def bind(tg: TrainGraph) -> Bound:
     arena = np.empty(plan.total_elems, dtype=plan.dtype)
     binder = _Binder(tg, plan, arena)
     kernels, labels = [], []
-    for i, op in enumerate(tg.ops):  # repro: disable=vectorization -- kernel binding
+    for i, op in enumerate(tg.ops):
         kernel = _bind_kernel(i, op, binder, folded)
         if kernel is None:
             continue
