@@ -10,6 +10,10 @@ backpropagation — which the 3D-AAE's WGAN gradient penalty (∂/∂θ of
 The engine is small but complete for this library's models: dense and
 convolutional networks (via pad/take/matmul), PointNet-style max pooling,
 and the Chamfer/Wasserstein losses.
+
+A backward frees what it has walked (PyTorch's default): each node's
+gradient and, unless ``create_graph=True``, its edges and the activations
+they closed over; a second backward through a freed node raises ``RuntimeError``.
 """
 
 from __future__ import annotations
@@ -225,15 +229,9 @@ class Tensor:
 
     # ----------------------------------------------------------- backward
     def backward(self, gradient: "Tensor | None" = None, create_graph: bool = False):
-        """Accumulate gradients of ``self`` into every reachable leaf."""
-        grads = grad(
-            self,
-            leaves=None,
-            gradient=gradient,
-            create_graph=create_graph,
-            _accumulate=True,
-        )
-        return grads
+        """Accumulate gradients of ``self`` into every reachable leaf, freeing
+        the graph as it goes; a second backward through it raises ``RuntimeError``."""
+        return grad(self, gradient=gradient, create_graph=create_graph, _accumulate=True)
 
 
 def as_tensor(x) -> Tensor:
@@ -578,6 +576,9 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
+        if node._parents is None:
+            raise RuntimeError("backward through a graph that an earlier backward "
+                               "already freed (create_graph=True keeps its edges)")
         for p in node._parents:
             if id(p) not in seen:
                 stack.append((p, False))
@@ -596,17 +597,24 @@ def grad(
     With ``create_graph=True`` the returned gradients carry their own
     graph, enabling higher-order differentiation (used by WGAN-GP).
     With ``_accumulate=True`` (the ``backward()`` path), gradients are
-    stored on every reachable ``requires_grad`` tensor's ``.grad``.
+    stored on every reachable ``requires_grad`` leaf's ``.grad`` as the walk
+    reaches it.  Once a node's VJPs have run, its gradient (unless in
+    ``leaves``) and, without ``create_graph``, its edges are freed; a later
+    backward through a freed node raises ``RuntimeError``.
     """
     if gradient is None:
         gradient = Tensor(np.ones_like(output.data))
     table: dict[int, Tensor] = {id(output): gradient}
+    kept = {id(leaf) for leaf in leaves or ()}
 
     order = _topo_order(output)
-    for node in reversed(order):
-        g = table.get(id(node))
+    while order:
+        node = order.pop()
+        g = table.get(id(node)) if id(node) in kept else table.pop(id(node), None)
         if g is None:
             continue
+        if _accumulate and not node._parents and node.requires_grad:
+            node.grad = g if node.grad is None else Tensor(node.grad.data + g.data)
         for parent, vjp in zip(node._parents, node._vjps):
             if create_graph:
                 contrib = vjp(g)
@@ -622,12 +630,10 @@ def grad(
                 else:
                     with no_grad():
                         table[id(parent)] = add(prev, contrib)
+        if not create_graph and node._parents:
+            node._parents = node._vjps = None  # freed: see _topo_order
 
     if _accumulate:
-        for node in order:
-            if node.requires_grad and id(node) in table and not node._parents:
-                g = table[id(node)]
-                node.grad = g if node.grad is None else Tensor(node.grad.data + g.data)
         return None
 
     assert leaves is not None, "grad() requires leaves unless accumulating"

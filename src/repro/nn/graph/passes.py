@@ -163,9 +163,15 @@ def coalesce_inplace(tg: TrainGraph) -> int:
 
 
 def optimize_train(tg: TrainGraph) -> PassStats:
-    """Run the pass pipeline over ``tg`` in place; returns rewrite counts."""
-    return {
+    """Run the pass pipeline over ``tg`` in place; returns rewrite counts.
+    Drops the constants no op reads any more (e.g. rewritten all-ones)."""
+    stats = {
         "eliminate_dead_train": eliminate_dead_train(tg),
         "simplify_identities": simplify_identities(tg),
         "coalesce_inplace": coalesce_inplace(tg),
     }
+    read = {vid for op in tg.ops for vid in op.inputs}
+    for v in tg.values:
+        if v.kind == "const" and v.vid not in read:
+            v.data = None
+    return stats

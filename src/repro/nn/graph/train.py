@@ -6,8 +6,11 @@ tuple whose first element is the loss) plus an optimizer.  The first call
 at each input-shape signature **is** an ordinary eager training step —
 forward, ``backward()``, ``optimizer.step()`` — whose forward and
 backward run under a :class:`~repro.nn.autograd.Tape` that lowers each
-op to a :class:`~repro.nn.graph.backward.TrainGraph` as it records; the
-eager graph is released before anything is allocated.  The graph is
+op to a :class:`~repro.nn.graph.backward.TrainGraph` as it records;
+``backward()`` frees the eager graph as it walks it (the cycles through
+the ``exp``/``tanh``/``sigmoid`` VJPs too, and a second backward through
+it raises ``RuntimeError``), so the step peaks at about its forward and
+nothing of it is left when the arena is allocated.  The graph is
 scheduled by the shared passes (dead-branch elimination,
 IEEE-identity simplification, in-place coalescing — no arithmetic is
 reassociated), then arena-planned and bound to a flat list of ``out=``
@@ -123,13 +126,6 @@ class TrainStep:
         params = self.optimizer.params
         tg, outs_t = build_train_graph(self.fn, xs, params)
         result = tuple(float(t.data) if t.data.ndim == 0 else t.data.copy() for t in outs_t)
-        # free the eager graph before the arena: the VJPs of exp, tanh and
-        # sigmoid close over their own output, so refcounting never would
-        stack = [*outs_t, *(p.grad for p in params if p.grad is not None)]
-        while stack:
-            t = stack.pop()
-            stack.extend(t._parents)
-            t._parents = t._vjps = ()
         self.optimizer.step()
         _trim_heap()
 

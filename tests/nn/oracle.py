@@ -1,16 +1,19 @@
 """Test-side reference for ``repro.nn``: the closure-per-layer inference
 interpreter (:func:`_compile`, the parent's body verbatim), the per-call
-autograd training step that shipped as ``engine="eager"`` up to PR 16, and
+autograd training step that shipped as ``engine="eager"`` up to PR 16,
 the record-then-lower training-graph builder (:func:`record_then_lower`,
-verbatim) that ran until lowering moved into the tape's recorder.  The
-graph engine must match each bit for bit at equal precision and batch size.
+verbatim) that ran until lowering moved into the tape's recorder, and the
+backward walk (:func:`grad`, verbatim) that kept every gradient and node
+until it returned.  The graph engine must match each bit for bit at equal
+precision and batch size.
 """
 
 from typing import Sequence
 
 import numpy as np
 
-from repro.nn.autograd import Tape, Tensor
+from repro.nn import autograd
+from repro.nn.autograd import Tape, Tensor, _topo_order, add, no_grad
 from repro.nn.graph.backward import ALIAS_KINDS, TOp, TrainGraph, TValue
 from repro.nn.graph.backward import _is_basic_key, _probe_bincount
 from repro.nn.graph.lower import resolve_precision
@@ -312,3 +315,65 @@ def install(monkeypatch) -> None:
 
     for module in (aae, train):
         monkeypatch.setattr(module, "TrainStep", EagerStep)
+
+
+def grad(
+    output: Tensor,
+    leaves: Sequence[Tensor] | None = None,
+    gradient: Tensor | None = None,
+    create_graph: bool = False,
+    _accumulate: bool = False,
+) -> list[Tensor] | None:
+    """Gradients of ``output`` w.r.t. ``leaves``.
+
+    With ``create_graph=True`` the returned gradients carry their own
+    graph, enabling higher-order differentiation (used by WGAN-GP).
+    With ``_accumulate=True`` (the ``backward()`` path), gradients are
+    stored on every reachable ``requires_grad`` tensor's ``.grad``.
+    """
+    if gradient is None:
+        gradient = Tensor(np.ones_like(output.data))
+    table: dict[int, Tensor] = {id(output): gradient}
+
+    order = _topo_order(output)
+    for node in reversed(order):
+        g = table.get(id(node))
+        if g is None:
+            continue
+        for parent, vjp in zip(node._parents, node._vjps):
+            if create_graph:
+                contrib = vjp(g)
+            else:
+                with no_grad():
+                    contrib = vjp(g)
+            prev = table.get(id(parent))
+            if prev is None:
+                table[id(parent)] = contrib
+            else:
+                if create_graph:
+                    table[id(parent)] = add(prev, contrib)
+                else:
+                    with no_grad():
+                        table[id(parent)] = add(prev, contrib)
+
+    if _accumulate:
+        for node in order:
+            if node.requires_grad and id(node) in table and not node._parents:
+                g = table[id(node)]
+                node.grad = g if node.grad is None else Tensor(node.grad.data + g.data)
+        return None
+
+    assert leaves is not None, "grad() requires leaves unless accumulating"
+    result = []
+    for leaf in leaves:
+        g = table.get(id(leaf))
+        if g is None:
+            g = Tensor(np.zeros_like(leaf.data))
+        result.append(g)
+    return result
+
+
+def install_grad(monkeypatch) -> None:
+    """Swap the keep-everything backward walk in for ``autograd.grad``
+    (``Tensor.backward`` and the gradient penalty both call it)."""
+    monkeypatch.setattr(autograd, "grad", grad)

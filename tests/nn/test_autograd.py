@@ -1,5 +1,8 @@
 """Tests for the autograd engine, including higher-order gradients."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -164,6 +167,69 @@ def test_grad_zero_for_unused_leaf():
     z = Tensor(np.ones(3), requires_grad=True)
     (g,) = grad((x * 2).sum(), [z])
     np.testing.assert_allclose(g.data, 0.0)
+
+
+def test_grad_returns_an_interior_tensors_gradient():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    h = x * x
+    y = ag.tensor_sum(h * 3.0 + h)
+    gh, gx = grad(y, [h, x])
+    np.testing.assert_allclose(gh.data, [4.0, 4.0])
+    np.testing.assert_allclose(gx.data, 8.0 * x.data)
+
+
+def test_a_second_backward_through_a_freed_graph_raises():
+    x = Tensor(np.array([0.5, 1.5]), requires_grad=True)
+    y = ag.tensor_sum(ag.tanh(x) * x)
+    y.backward()
+    with pytest.raises(RuntimeError, match="already freed"):
+        y.backward()
+    with pytest.raises(RuntimeError, match="already freed"):
+        grad(y * 2.0, [x])
+    ag.tensor_sum(x * 2.0).backward()  # the leaf itself is never freed
+    t = np.tanh(x.data)
+    np.testing.assert_allclose(x.grad.data, (1.0 - t * t) * x.data + t + 2.0)
+
+
+def test_create_graph_keeps_the_graph_for_a_later_backward():
+    x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    y = ag.tensor_sum(ag.exp(x) * x)
+    (g1,) = grad(y, [x], create_graph=True)  # (x + 1) e^x
+    (again,) = grad(y, [x], create_graph=True)  # y's edges survived the walk
+    np.testing.assert_array_equal(again.data, g1.data)
+    ag.tensor_sum(g1).backward()  # d/dx (x + 1) e^x = (x + 2) e^x
+    np.testing.assert_allclose(x.grad.data, (x.data + 2.0) * np.exp(x.data))
+
+
+@pytest.fixture
+def no_other_tracing():
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing this interpreter")
+    yield
+    tracemalloc.stop()
+
+
+def test_backward_peaks_at_about_what_the_forward_retained(no_other_tracing):
+    """SmilesNet at the screen's bootstrap shape (width 8, batch 19): the
+    walk frees each activation once the VJPs that closed over it have run,
+    so backward adds little on top of the forward's activations."""
+    from repro.chem.library import generate_library
+    from repro.nn.losses import mse_loss
+    from repro.surrogate.featurize import featurize_batch
+    from repro.surrogate.model import build_smilesnet
+
+    x = featurize_batch(generate_library(40, seed=2).smiles()[:19])
+    y = np.random.default_rng(0).random((19, 1))
+    model = build_smilesnet(seed=1, width=8)
+    gc.collect()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    loss = mse_loss(model(Tensor(x)), Tensor(y))
+    retained = tracemalloc.get_traced_memory()[0] - base
+    tracemalloc.reset_peak()
+    loss.backward()
+    peak = tracemalloc.get_traced_memory()[1] - base
+    assert peak <= 1.10 * retained, (peak / 2**20, retained / 2**20)
 
 
 def test_shared_subexpression_gradient():

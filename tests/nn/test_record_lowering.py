@@ -176,3 +176,55 @@ def test_aae_trajectory_equal_with_the_oracle_installed():
     assert history.train_adversarial == history_o.train_adversarial
     for p, q in zip(params, params_o):
         assert np.array_equal(p, q)
+
+
+# The bincount probe's rejecting branches.  The shipped layers never reach
+# them (every Tensor is float64, and take's gradient is C-contiguous), so
+# each is driven directly here.  The gradients hold small integers, which
+# every dtype and summation order adds exactly: where a test expects a
+# rejection, only the branch under test stands between it and ``True``.
+_IDX = np.array([[0, 2, 5], [2, 2, 1], [4, 0, 5]])
+
+
+def _scatter_ref(g, indices, shape):
+    """``autograd._scatter_add_axis``'s ``np.add.at`` along axis 1."""
+    out = np.zeros(shape, dtype=g.dtype)
+    g_moved = np.moveaxis(g, tuple(range(1, 1 + indices.ndim)), tuple(range(indices.ndim)))
+    np.add.at(np.moveaxis(out, 1, 0), indices, g_moved)
+    return out
+
+
+def _probe_case(indices=_IDX, tail=(), dtype=np.float64):
+    g = np.random.default_rng(4).integers(-4, 5, size=(2, *indices.shape, *tail))
+    g = g.astype(dtype)
+    shape = (2, 6, *tail)
+    return indices, g, shape, _scatter_ref(g, indices, shape)
+
+
+def test_bincount_probe_accepts_the_conv_backward_pattern():
+    assert backward._probe_bincount(*_probe_case()) is True
+
+
+def test_bincount_probe_rejects_a_float32_gradient():
+    indices, g, shape, ref = _probe_case(dtype=np.float32)
+    assert backward._probe_bincount(indices, g, shape, ref) is False
+
+
+def test_bincount_probe_rejects_a_non_contiguous_gradient():
+    indices, g, shape, ref = _probe_case()
+    g = np.asfortranarray(g)
+    assert not g.flags.c_contiguous
+    assert backward._probe_bincount(indices, g, shape, ref) is False
+
+
+@pytest.mark.parametrize(
+    "case", [{"tail": (1,)}, {"indices": _IDX[0]}], ids=["3d_target", "1d_index_map"]
+)
+def test_bincount_probe_rejects_a_target_or_index_map_that_is_not_2d(case):
+    assert backward._probe_bincount(*_probe_case(**case)) is False
+
+
+def test_bincount_probe_rejects_a_reference_that_does_not_match():
+    indices, g, shape, ref = _probe_case()
+    ref[1, 2] += 1.0
+    assert backward._probe_bincount(indices, g, shape, ref) is False
