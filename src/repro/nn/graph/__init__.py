@@ -17,8 +17,8 @@ share one IR, one pass pipeline, one planner and one binder:
 * :func:`plan_train_memory` packs every live value into one arena, with
   :func:`validate_train_plan` asserting no live-range overlap;
 * :func:`~repro.nn.graph.executor.bind` turns each op into an ``out=``
-  kernel over arena views, with probe-gated substitutions (batch-folded
-  conv GEMM, ``bincount`` scatter) and ``nn.op`` spans.
+  kernel over arena views, with one probe-gated substitution (the
+  ``bincount`` scatter) and ``nn.op`` spans.
 
 :class:`TrainStep` replays a bound step with the optimizer's compiled
 update and optimizer moments in :class:`StateArena` buffers;

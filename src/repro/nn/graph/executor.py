@@ -11,17 +11,10 @@ the eager op ran (operand order included; only the destination changes),
 so a bound graph reproduces its eager origin bit for bit and a replay
 performs no array allocation.
 
-Two kernels are substitutions, each gated by a bitwise probe:
-
-* ``scatter_add_axis`` runs per-sample ``np.bincount`` where the tape's
-  record-time probe proved it equal to ``np.add.at``
-  (:func:`~repro.nn.graph.backward._probe_bincount`);
-* a constant-weight conv GEMM — ``(oc, ckk) @ (b, ckk, L)``, ``b`` thin
-  GEMMs — runs as one batch-folded ``(oc, ckk) @ (ckk, b*L)`` GEMM where
-  :func:`_probe_folded` proves the two equal at the bound shape.  BLAS
-  accumulation order can differ with column position, so the fold is
-  only *usually* exact; the probe enforces it.  Training graphs hold
-  their weights as parameters, not constants, so their GEMMs never fold.
+One kernel is a substitution, gated by a bitwise probe:
+``scatter_add_axis`` runs per-sample ``np.bincount`` where the tape's
+record-time probe proved it equal to ``np.add.at``
+(:func:`~repro.nn.graph.backward._probe_bincount`).
 
 With a tracer, :meth:`Bound.run` wraps each kernel in one ``nn.op`` span
 whose labels (op kind, output value id, arena offset) were fixed here.
@@ -88,32 +81,11 @@ class _Binder:
         return self._arena[off : off + elems].reshape(shape)
 
 
-def _is_conv_gemm(tg: TrainGraph, op: TOp) -> bool:
-    """A constant 2-D weight times a batch of column matrices."""
-    if op.kind != "matmul":
-        return False
-    w, cols = (tg.values[vid] for vid in op.inputs)
-    return w.kind == "const" and len(w.shape) == 2 and len(cols.shape) == 3
-
-
-def _probe_folded(wq: np.ndarray, cols_shape: tuple[int, ...]) -> bool:
-    """Bitwise-compare the batch-folded GEMM with the broadcast one on a
-    deterministic ramp at the bound shape."""
-    batch, ckk, length = cols_shape
-    ramp = (np.arange(batch * ckk * length, dtype=np.int64) % 251).astype(wq.dtype)
-    cols = (ramp * 0.01 - 1.0).reshape(batch, ckk, length)
-    folded = np.empty((wq.shape[0], batch * length), dtype=wq.dtype)
-    np.matmul(wq, np.ascontiguousarray(cols.transpose(1, 0, 2)).reshape(ckk, -1), out=folded)
-    return bool(np.array_equal(
-        folded.reshape(-1, batch, length).transpose(1, 0, 2), wq @ cols
-    ))
-
-
 def _keep_shape(shape: tuple[int, ...], axes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(1 if ax in axes else s for ax, s in enumerate(shape))
 
 
-def _scratch_requests(tg: TrainGraph, folded: frozenset[int]) -> dict[int, tuple[int, ...]]:
+def _scratch_requests(tg: TrainGraph) -> dict[int, tuple[int, ...]]:
     """Arena-dtype scratch element counts per op (see the kernel binders)."""
     req: dict[int, tuple[int, ...]] = {}
     for i, op in enumerate(tg.ops):  # repro: disable=vectorization -- op bookkeeping
@@ -122,15 +94,10 @@ def _scratch_requests(tg: TrainGraph, folded: frozenset[int]) -> dict[int, tuple
         elif op.kind == "max_mask":
             shape = tg.values[op.inputs[0]].shape
             req[i] = (int(np.prod(_keep_shape(shape, op.attrs["axes"]), dtype=np.int64)),)
-        elif i in folded:
-            cols, out = tg.values[op.inputs[1]], tg.values[op.out]
-            req[i] = (cols.size, out.size)
     return req
 
 
-def _bind_kernel(
-    i: int, op: TOp, b: _Binder, folded: frozenset[int]
-) -> Callable[[], None] | None:
+def _bind_kernel(i: int, op: TOp, b: _Binder) -> Callable[[], None] | None:
     """One ``out=``-style closure mirroring the eager op's exact ufunc
     sequence (operand order included — only the destination changes)."""
     kind = op.kind
@@ -281,20 +248,6 @@ def _bind_kernel(
         (a,) = ins
         axes = op.attrs["axes"]
         return lambda: np.mean(a, axis=axes, out=o)
-    if kind == "matmul" and i in folded:
-        w, cols = ins
-        batch, ckk, length = cols.shape
-        stage = b.scratch(i, 0, (ckk, batch, length))
-        acc = b.scratch(i, 1, (w.shape[0], batch, length))
-        stage2d, acc2d = stage.reshape(ckk, -1), acc.reshape(w.shape[0], -1)
-        cols_cm, acc_bm = cols.transpose(1, 0, 2), acc.transpose(1, 0, 2)
-
-        def run_folded() -> None:
-            np.copyto(stage, cols_cm)
-            np.matmul(w, stage2d, out=acc2d)
-            np.copyto(o, acc_bm)
-
-        return run_folded
     if kind == "matmul":
         a, c = ins
         return lambda: np.matmul(a, c, out=o)
@@ -378,7 +331,6 @@ class Bound:
     kernels: list[Callable[[], None]]
     #: per-kernel ``nn.op`` span name and attrs, parallel to ``kernels``
     labels: list[tuple[str, dict]]
-    folded: frozenset[int]
     view: Callable[[int], np.ndarray]
 
     def run(self, tracer: Tracer = NULL_TRACER) -> None:
@@ -394,13 +346,10 @@ class Bound:
 
     def info(self) -> dict:
         """Arena and kernel statistics (for benchmarks/diagnostics)."""
-        gemms = sum(1 for op in self.tg.ops if _is_conv_gemm(self.tg, op))
         return {
             "n_ops": len(self.tg.ops),
             "n_kernels": self.tg.n_kernels,
             "n_inplace": self.tg.n_inplace,
-            "n_folded_gemm": len(self.folded),
-            "n_broadcast_gemm": gemms - len(self.folded),
             "n_buffers": self.plan.n_buffers,
             "arena_bytes": self.plan.total_bytes,
             "naive_elems": self.plan.naive_elems,
@@ -410,25 +359,18 @@ class Bound:
 
 def bind(tg: TrainGraph) -> Bound:
     """Plan ``tg``'s arena, allocate it and bind every op's kernel."""
-    folded = frozenset(
-        i
-        for i, op in enumerate(tg.ops)
-        if _is_conv_gemm(tg, op)
-        and _probe_folded(tg.values[op.inputs[0]].data, tg.values[op.inputs[1]].shape)
-    )
-    plan = plan_train_memory(tg, _scratch_requests(tg, folded))
+    plan = plan_train_memory(tg, _scratch_requests(tg))
     validate_train_plan(plan)
     arena = np.empty(plan.total_elems, dtype=plan.dtype)
     binder = _Binder(tg, plan, arena)
     kernels, labels = [], []
     for i, op in enumerate(tg.ops):
-        kernel = _bind_kernel(i, op, binder, folded)
+        kernel = _bind_kernel(i, op, binder)
         if kernel is None:
             continue
         kernels.append(kernel)
         slot = plan.slots.get(("value", tg.storage_root(op.out))) if op.out is not None else None
-        name = f"{op.kind}.folded" if i in folded else op.kind
         labels.append(
-            (name, {"kind": op.kind, "out": op.out, "arena_off": slot[0] if slot else -1})
+            (op.kind, {"kind": op.kind, "out": op.out, "arena_off": slot[0] if slot else -1})
         )
-    return Bound(tg, plan, arena, kernels, labels, folded, binder.view)
+    return Bound(tg, plan, arena, kernels, labels, binder.view)

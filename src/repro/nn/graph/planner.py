@@ -13,8 +13,7 @@ inference graph alike.  Shapes are absolute, so a graph (and its plan)
 is per batch size.
 
 The binder may also request per-op **scratch** buffers (the negative-
-power staging, the max-mask reduction, the column-major staging and
-accumulator of the batch-folded conv GEMM); these live only for their
+power staging and the max-mask reduction); these live only for their
 op's step.
 
 Plans are deterministic: entries are packed in (definition step, kind,

@@ -226,7 +226,7 @@ GOLDEN = {
     # their own kernels, and spans are named by op kind), and the 96 other
     # spans are equal as (category, name, attributes) multisets
     "tracedemo": {
-        "trace": "2f53ab7b455b6d08cbf623c1b29e1f0e3538b5e1f463c95984376e443a6af695",
+        "trace": "dbe0142ecd33f02a7962e609bb6ec63eba5ed6dd993c6c82b8de4176dad0d7b9",
     },
 }
 
