@@ -22,6 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.nn.im2col import conv_windows
+
 __all__ = [
     "Tensor",
     "Tape",
@@ -467,6 +469,23 @@ def take(a: Tensor, indices: np.ndarray, axis: int = 0) -> Tensor:
     return out
 
 
+def conv_gather(a: Tensor, indices: np.ndarray, kernel: int, stride: int) -> Tensor:
+    """``take(reshape(a, (B, C*H*W)), indices, axis=1)`` for a conv's
+    ``indices = conv_index_plan(kernel, stride, C, H, W)``, copied from
+    :func:`~repro.nn.im2col.conv_windows`; the recorded ``take`` carries
+    ``window=(kernel, stride, (C, H, W))`` so bound graphs copy too."""
+    b, c, h, w = a.shape
+    flat = reshape(a, (b, c * h * w))
+    data = np.ascontiguousarray(conv_windows(a.data, kernel, stride)).reshape(b, *indices.shape)
+
+    def vjp(g: Tensor) -> Tensor:
+        return _scatter_add_axis(g, indices, 1, flat.shape)
+
+    out = _make(data, (flat,), (vjp,))
+    _rec("take", (flat,), out, indices=indices, axis=1, window=(kernel, stride, (c, h, w)))
+    return out
+
+
 def _scatter_add_axis(
     g: Tensor, indices: np.ndarray, axis: int, shape: tuple[int, ...]
 ) -> Tensor:
@@ -536,10 +555,36 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(tensor_sum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / count))
 
 
+def reduce_max(a: np.ndarray, axes: tuple[int, ...]) -> Callable[..., np.ndarray]:
+    """``np.amax(a, axis=axes, keepdims=True, out=out)`` as a function of ``out``.
+
+    Over two length-2 axes (2×2 pooling) it runs three ``np.maximum`` over
+    the window corners in the order (0,0), (0,1), (1,0), (1,1).  Exactness
+    fact: ``np.maximum`` keeps its first operand on ties and propagates
+    NaN, and ``amax`` reduces a window in that order, so the two agree bit
+    for bit (all 625 windows over {−0.0, +0.0, NaN, ±1} are tested).
+    """
+    if len(axes) != 2 or any(a.shape[ax] != 2 for ax in axes):
+        return lambda out=None: np.amax(a, axis=axes, keepdims=True, out=out)
+    key = [slice(None)] * a.ndim
+    corners = []
+    for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        key[axes[0]], key[axes[1]] = slice(i, i + 1), slice(j, j + 1)
+        corners.append(a[tuple(key)])
+    c00, c01, c10, c11 = corners
+
+    def run(out: np.ndarray | None = None) -> np.ndarray:
+        out = np.maximum(c00, c01, out=out)
+        np.maximum(out, c10, out=out)
+        return np.maximum(out, c11, out=out)
+
+    return run
+
+
 def tensor_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     """Max reduction; tied maxima split the gradient."""
     axes = _normalize_axis(axis, a.ndim)
-    out_data = a.data.max(axis=axes, keepdims=True)
+    out_data = reduce_max(a.data, axes)()
     # subgradient mask, ties split evenly (constant w.r.t. the graph)
     mask = (a.data == out_data).astype(a.data.dtype)
     mask /= mask.sum(axis=axes, keepdims=True)

@@ -27,8 +27,10 @@ from typing import Callable
 
 import numpy as np
 
+from repro.nn.autograd import reduce_max
 from repro.nn.graph.backward import TOp, TrainGraph
 from repro.nn.graph.planner import MemoryPlan, plan_train_memory, validate_train_plan
+from repro.nn.im2col import conv_windows
 from repro.telemetry import NULL_TRACER, Tracer
 
 __all__ = ["Bound", "bind"]
@@ -227,9 +229,10 @@ def _bind_kernel(i: int, op: TOp, b: _Binder) -> Callable[[], None] | None:
         axes = op.attrs["axes"]
         boolbuf = np.empty(a.shape, dtype=bool)
         scr = b.scratch(i, 0, _keep_shape(a.shape, axes))
+        reduce = reduce_max(a, axes)
 
         def run_max_mask() -> None:
-            np.amax(a, axis=axes, keepdims=True, out=scr)
+            reduce(scr)
             np.equal(a, scr, out=boolbuf)
             np.copyto(o, boolbuf)
             np.sum(o, axis=axes, keepdims=True, out=scr)
@@ -238,8 +241,9 @@ def _bind_kernel(i: int, op: TOp, b: _Binder) -> Callable[[], None] | None:
         return run_max_mask
     if kind == "max":
         (a,) = ins
-        axes, keepdims = op.attrs["axes"], op.attrs["keepdims"]
-        return lambda: np.amax(a, axis=axes, keepdims=keepdims, out=o)
+        axes = op.attrs["axes"]
+        reduce, o_kept = reduce_max(a, axes), o.reshape(_keep_shape(a.shape, axes))
+        return lambda: reduce(o_kept)
     if kind == "sum":
         (a,) = ins
         axes, keepdims = op.attrs["axes"], op.attrs["keepdims"]
@@ -262,15 +266,16 @@ def _bind_kernel(i: int, op: TOp, b: _Binder) -> Callable[[], None] | None:
         (a,) = ins
         key = op.attrs["key"]
         return lambda: np.copyto(o, a[key])
+    if kind == "take" and "window" in op.attrs:  # a conv gather
+        (a,) = ins
+        kernel, stride, chw = op.attrs["window"]
+        # splitting one axis is always a view, so the windows see ``a``
+        windows = conv_windows(a.reshape(a.shape[0], *chw), kernel, stride)
+        cols = o.reshape(windows.shape)
+        return lambda: np.copyto(cols, windows)
     if kind == "take":
         (a,) = ins
         indices, axis = op.attrs["indices"], op.attrs["axis"]
-        # mode="clip" skips numpy's buffered bounds-checking path (~3x
-        # faster) and selects the very same elements whenever every index
-        # is already in range — gated, since "clip" would silently remap
-        # negative/out-of-range indices that "raise" handles differently
-        if indices.size and 0 <= indices.min() and indices.max() < a.shape[axis]:
-            return lambda: np.take(a, indices, axis=axis, out=o, mode="clip")
         return lambda: np.take(a, indices, axis=axis, out=o)
     if kind == "scatter":
         (g,) = ins
@@ -329,16 +334,17 @@ class Bound:
     plan: MemoryPlan
     arena: np.ndarray
     kernels: list[Callable[[], None]]
-    #: per-kernel ``nn.op`` span name and attrs, parallel to ``kernels``
-    labels: list[tuple[str, dict]]
+    #: per-kernel ``nn.op`` span attrs (named by their op kind), parallel
+    #: to ``kernels``
+    labels: list[dict]
     view: Callable[[int], np.ndarray]
 
     def run(self, tracer: Tracer = NULL_TRACER) -> None:
         """Run every kernel once; one ``nn.op`` span each when tracing
         (the enabled check is one branch per call, not one per op)."""
         if tracer.enabled:
-            for kernel, (name, attrs) in zip(self.kernels, self.labels):
-                with tracer.span(name, category="nn.op", attrs=attrs):
+            for kernel, attrs in zip(self.kernels, self.labels):
+                with tracer.span(attrs["kind"], category="nn.op", attrs=attrs):
                     kernel()
         else:
             for kernel in self.kernels:
@@ -370,7 +376,5 @@ def bind(tg: TrainGraph) -> Bound:
             continue
         kernels.append(kernel)
         slot = plan.slots.get(("value", tg.storage_root(op.out))) if op.out is not None else None
-        labels.append(
-            (op.kind, {"kind": op.kind, "out": op.out, "arena_off": slot[0] if slot else -1})
-        )
+        labels.append({"kind": op.kind, "out": op.out, "arena_off": slot[0] if slot else -1})
     return Bound(tg, plan, arena, kernels, labels, binder.view)

@@ -16,7 +16,7 @@ The TensorRT parse step (§6.1.1), in two parts:
     in the closure interpreter's evaluation order, one per NumPy
     expression it evaluates, with constants reshaped here; a conv is the
     op sequence ``Conv2d.forward`` records (``pad2d``, a reshape alias,
-    ``take``, ``matmul``, the bias ``add``, a reshape alias).  The
+    the window ``take``, ``matmul``, the bias ``add``, a reshape alias).  The
     shared passes, planner and binder then compile it like any other
     graph, so the arithmetic stays the interpreter's, bit for bit.
 """
@@ -29,7 +29,7 @@ from typing import Union
 import numpy as np
 
 from repro.nn.graph.backward import TOp, TrainGraph, TValue
-from repro.nn.im2col import conv_index_plan, conv_out_hw
+from repro.nn.im2col import conv_out_hw
 from repro.nn.layers import (
     BatchNorm,
     Conv2d,
@@ -277,8 +277,8 @@ def _lower(g: _Lowering, layer: FrozenLayer, x: int) -> int:
         oh, ow = conv_out_hw(k, s, hp, wp)
         oc = layer.weight.shape[0]
         flat = g.reshape(x, (b, c * hp * wp))
-        cols = g.op("take", (flat,), (b, c * k * k, oh * ow),
-                    indices=conv_index_plan(k, s, c, hp, wp), axis=1)
+        cols = g.op("take", (flat,), (b, c * k * k, oh * ow), axis=1,
+                    window=(k, s, (c, hp, wp)))
         mm = g.op("matmul", (g.const(layer.weight), cols), (b, oc, oh * ow))
         biased = g.op("add", (mm, g.const(layer.bias.reshape(1, -1, 1))), g.shape(mm))
         return g.reshape(biased, (b, oc, oh, ow))

@@ -1,14 +1,12 @@
-"""Shared im2col index plans: one process-wide LRU for every conv.
+"""im2col for every conv: the window view and the index plan.
 
-A convolution lowered to matmul needs a gather plan — the flat indices
-that pull each im2col patch column out of a (padded) ``(C, H, W)``
-sample.  The plan depends only on ``(kernel, stride, C, H, W)``, yet the
-old design cached it per ``Conv2d`` *instance*: sixteen identical
-residual-block convs built sixteen copies of the same multi-megabyte
-index array, and nothing ever evicted them.  This module owns the plans
-instead — a bounded, module-level LRU shared by the training forward
-pass (``Conv2d.forward``'s ``take``) and the compiled inference graph,
-which lowers a conv to that very op.
+The forward of the eager ``Conv2d``, of ``TrainStep`` and of compiled
+inference copies each patch column out of a (padded) ``(C, H, W)``
+sample through :func:`conv_windows`; the adjoint scatter-adds through
+the flat indices of :func:`conv_index_plan`.  A plan depends only on
+``(kernel, stride, C, H, W)``, so plans live in one bounded,
+module-level LRU: sixteen identical residual-block convs share one
+multi-megabyte index array instead of building one per layer instance.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["conv_index_plan", "conv_out_hw", "plan_cache_info"]
+__all__ = ["conv_index_plan", "conv_out_hw", "conv_windows", "plan_cache_info"]
 
 #: bound on distinct (kernel, stride, C, H, W) geometries kept alive;
 #: generous for real models (the surrogate needs 5) while stopping a
@@ -28,6 +26,17 @@ _MAX_PLANS = 128
 def conv_out_hw(kernel: int, stride: int, h: int, w: int) -> tuple[int, int]:
     """Output spatial dims of a VALID conv over an ``(h, w)`` input."""
     return (h - kernel) // stride + 1, (w - kernel) // stride + 1
+
+
+def conv_windows(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
+    """A ``(B, C, H, W)`` batch's im2col columns as a strided
+    ``(B, C, k, k, oh, ow)`` view, ``[b, c, ky, kx, oy, ox]`` being
+    ``x[b, c, oy*stride + ky, ox*stride + kx]``.  Exactness fact: copied
+    into ``(B, C*k*k, oh*ow)``, it moves the elements, in the order, that
+    ``np.take`` over :func:`conv_index_plan` selects, and reads no index.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+    return windows[:, :, ::stride, ::stride].transpose(0, 1, 4, 5, 2, 3)
 
 
 @lru_cache(maxsize=_MAX_PLANS)

@@ -14,8 +14,8 @@ passes, arena-planned by the same planner and bound to ``out=`` kernels
 by the same binder as :class:`~repro.nn.graph.train.TrainStep` — the
 TensorRT-style build.  Its reference, the closure-per-layer interpreter
 it replaced, lives in ``tests/nn/oracle.py``; compiled execution is
-bit-identical to it at the same batch size and precision — enforced by
-probe-gated kernel selection and asserted by the test suite.
+bit-identical to it at the same batch size and precision, input
+quantization included, as the test suite asserts.
 """
 
 from __future__ import annotations
@@ -29,6 +29,31 @@ from repro.nn.layers import Module
 from repro.telemetry import NULL_TRACER
 
 __all__ = ["CompiledModel", "compile_model"]
+
+def _round_to_fp16(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> bool:
+    """Write ``x.astype(float16).astype(float32)`` into the float32 ``out``
+    (uint32 ``scratch``); False unless ``x`` is float32, all |x| ≤ 65504.
+
+    Exactness fact (all 2,399,125,506 such patterns swept): with ``2**e``
+    the binade of ``|x|``, raised to fp16's smallest normal ``2**-14``,
+    float32's spacing on ``[c, 2c)``, ``c = 2**(e + 13)``, is fp16's at
+    ``e``, so ``|x| + c`` rounds ``|x|`` to fp16, ties to even (``c`` is an
+    even multiple of it), and subtracting ``c`` is exact (Sterbenz).
+    """
+    if x.dtype != np.float32:
+        return False
+    xu, u, c = x.view(np.uint32), out.view(np.uint32), scratch.view(np.float32)
+    np.bitwise_and(xu, 0x7FFFFFFF, out=u)  # |x|
+    if u.max() > 0x477FE000:  # inf, NaN or |x| > 65504
+        return False
+    np.bitwise_and(xu, 0x7F800000, out=scratch)
+    np.maximum(scratch, 0x38800000, out=scratch)  # 2**-14
+    np.add(scratch, 13 << 23, out=scratch)  # c
+    np.add(out, c, out=out)
+    np.subtract(out, c, out=out)
+    np.bitwise_and(xu, 0x80000000, out=scratch)
+    np.bitwise_or(u, scratch, out=u)  # x's sign
+    return True
 
 
 class CompiledModel:
@@ -51,13 +76,17 @@ class CompiledModel:
         self._frozen = frozen
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._plans: dict[tuple[int, ...], Bound] = {}
+        self._scratch: dict[tuple[int, ...], np.ndarray] = {}
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         # quantize the input to the storage precision, compute wider —
         # the tensor-core model (FP16 operands, FP32 accumulate)
-        x = np.asarray(x).astype(self.store_dtype).astype(self.compute_dtype)
+        x = np.asarray(x)
         bound = self._bound(x.shape)
-        np.copyto(bound.view(bound.tg.input_vids[0]), x)
+        inp = bound.view(bound.tg.input_vids[0])
+        if self.store_dtype != np.float16 or not _round_to_fp16(x, inp, self._scratch[x.shape]):
+            # the round trip: a float64 input rounds once, not via float32
+            np.copyto(inp, x.astype(self.store_dtype, copy=False))
         bound.run(self._tracer)
         if self._tracer.enabled:
             self._tracer.metrics.counter("nn.batches").inc()
@@ -71,6 +100,7 @@ class CompiledModel:
             tg = lower_frozen(self._frozen, key, self.compute_dtype)
             optimize_train(tg)
             bound = self._plans[key] = bind(tg)
+            self._scratch[key] = np.empty(key, dtype=np.uint32)
         return bound
 
 

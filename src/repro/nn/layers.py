@@ -193,8 +193,7 @@ class Conv2d(Module):
         oh = (hp - k) // s + 1
         ow = (wp - k) // s + 1
         idx = self._gather_indices(c, hp, wp)
-        flat = ag.reshape(x, (b, c * hp * wp))
-        cols = ag.take(flat, idx, axis=1)  # (b, c*k*k, oh*ow)
+        cols = ag.conv_gather(x, idx, k, s)  # (b, c*k*k, oh*ow)
         out = ag.matmul(self.weight, cols)  # (b, out_c, oh*ow) via broadcasting
         out = out + ag.reshape(self.bias, (1, -1, 1))
         return ag.reshape(out, (b, self.weight.shape[0], oh, ow))

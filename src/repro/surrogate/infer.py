@@ -81,9 +81,10 @@ class InferenceEngine:
 
         Padding to a fixed batch size keeps one compiled plan hot *and*
         keeps scores reproducible regardless of how records split into
-        batches: BLAS accumulation depends on batch size, so a variable
-        final batch would score the same compound differently depending
-        on its shard's length.
+        batches: the conv GEMMs run per sample, but the dense head's one
+        ``(batch, 2w) @ (2w, 1)`` GEMM may round differently with its row
+        count (seen at batch 19 against 64), so a variable final batch
+        would score a compound differently depending on its shard's length.
         """
         if filled < self.batch_size:
             feats[filled:] = 0.0

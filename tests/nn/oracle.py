@@ -4,8 +4,10 @@ autograd training step that shipped as ``engine="eager"`` up to PR 16,
 the record-then-lower training-graph builder (:func:`record_then_lower`,
 verbatim) that ran until lowering moved into the tape's recorder, and the
 backward walk (:func:`grad`, verbatim) that kept every gradient and node
-until it returned.  The graph engine must match each bit for bit at equal
-precision and batch size.
+until it returned, and the conv gather and max reduction as they ran
+before window copies and elementwise pooling (:func:`install_gather`).
+The graph engine must match each bit for bit at equal precision and
+batch size.
 """
 
 from typing import Sequence
@@ -315,6 +317,37 @@ def install(monkeypatch) -> None:
 
     for module in (aae, train):
         monkeypatch.setattr(module, "TrainStep", EagerStep)
+
+
+def conv_forward(self, x):
+    """``Conv2d.forward`` gathering through ``ag.take`` (verbatim)."""
+    b, c, h, w = x.shape
+    x = autograd.pad2d(x, self.padding)
+    hp, wp = h + 2 * self.padding, w + 2 * self.padding
+    k, s = self.kernel, self.stride
+    oh = (hp - k) // s + 1
+    ow = (wp - k) // s + 1
+    idx = self._gather_indices(c, hp, wp)
+    flat = autograd.reshape(x, (b, c * hp * wp))
+    cols = autograd.take(flat, idx, axis=1)  # (b, c*k*k, oh*ow)
+    out = autograd.matmul(self.weight, cols)  # (b, out_c, oh*ow) via broadcasting
+    out = out + autograd.reshape(self.bias, (1, -1, 1))
+    return autograd.reshape(out, (b, self.weight.shape[0], oh, ow))
+
+
+def reduce_max(a, axes):
+    """Every max reduction through ``np.amax``, 2×2 pooling included."""
+    return lambda out=None: np.amax(a, axis=axes, keepdims=True, out=out)
+
+
+def install_gather(monkeypatch) -> None:
+    """Swap ``np.take`` back in for the conv gather (eager and bound) and
+    ``np.amax`` for every max reduction."""
+    from repro.nn.graph import executor
+
+    monkeypatch.setattr(Conv2d, "forward", conv_forward)
+    monkeypatch.setattr(autograd, "reduce_max", reduce_max)
+    monkeypatch.setattr(executor, "reduce_max", reduce_max)
 
 
 def grad(

@@ -122,3 +122,23 @@ def test_compiled_is_faster_than_graph(trained_model):
         compiled(x)
     compiled_time = time.perf_counter() - t0
     assert compiled_time < graph_time
+
+
+def test_first_call_peaks_at_its_arena():
+    """Binding a batch-64 plan of the width-8 surrogate allocates its
+    arena and little else: no bind-time probe, no per-call copy of the
+    input (tracemalloc)."""
+    import tracemalloc
+
+    from repro.surrogate.model import build_smilesnet
+
+    compiled = compile_model(build_smilesnet(seed=0, width=8).eval(), "fp16")
+    x = np.random.default_rng(6).random((64, 7, 24, 24)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        compiled(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arena = compiled._bound(x.shape).plan.total_bytes
+    assert peak <= arena + 2 * 2**20
