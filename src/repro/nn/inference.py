@@ -100,7 +100,8 @@ class CompiledModel:
             tg = lower_frozen(self._frozen, key, self.compute_dtype)
             optimize_train(tg)
             bound = self._plans[key] = bind(tg)
-            self._scratch[key] = np.empty(key, dtype=np.uint32)
+            if self.store_dtype == np.float16:
+                self._scratch[key] = np.empty(key, dtype=np.uint32)
         return bound
 
 
