@@ -320,7 +320,8 @@ def install(monkeypatch) -> None:
 
 
 def conv_forward(self, x):
-    """``Conv2d.forward`` gathering through ``ag.take`` (verbatim)."""
+    """``Conv2d.forward`` gathering through ``take`` (verbatim but for the
+    module alias)."""
     b, c, h, w = x.shape
     x = autograd.pad2d(x, self.padding)
     hp, wp = h + 2 * self.padding, w + 2 * self.padding
