@@ -370,7 +370,9 @@ class ImpeccableCampaign:
         Untraced: its wall clock must not enter a deterministic trace.
         """
         if self._pilot is None:
-            # ML1's prefetch thread is joined by S3, so the fork is clean
+            # the campaign starts no thread to fork under: ML1 featurizes
+            # and scores through ``score_smiles`` on the calling thread,
+            # with no prefetch loader
             self._pilot = resident_pilot(install_receptors, (self.receptors,))
         return self._pilot
 

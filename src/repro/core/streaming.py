@@ -41,8 +41,9 @@ Determinism ties the streamed path to the materialized one:
 * per-compound docking RNG streams make the shard cut invisible (PR 3);
 * top-K selection uses the key ``(-score, arrival index)``, which is
   exactly a stable descending sort — the same compounds, in the same
-  order, as ``InferenceEngine.top_fraction`` over the full score table —
-  and shards arrive in shard order, not completion order.
+  order, as the first K of ``sorted(table, key=score, reverse=True)``
+  over the full score table, the ranking the campaign's ML1 stage
+  applies — and shards arrive in shard order, not completion order.
 """
 
 from __future__ import annotations

@@ -14,6 +14,19 @@ and the Chamfer/Wasserstein losses.
 A backward frees what it has walked (PyTorch's default): each node's
 gradient and, unless ``create_graph=True``, its edges and the activations
 they closed over; a second backward through a freed node raises ``RuntimeError``.
+
+Kernels
+-------
+Every primitive kind a :class:`Tape` records has one ``kernel_<kind>``
+function below, found by that name (as ``ast.NodeVisitor`` finds
+``visit_<name>``).  ``kernel_<kind>(ins, out, attrs)`` resolves its views
+and boolean buffers once and returns the thunk that runs the op's ufunc
+sequence from the arrays ``ins`` into ``out``.  A primitive whose forward
+takes more than one NumPy call runs its kernel into a fresh float64 array
+(float64 being the engine's one dtype, :class:`Tensor` casts to it); the
+compiled graphs of :mod:`repro.nn.graph` run the very same kernels on
+arena views, so a replay and the eager op agree bit for bit by
+construction, whatever the dtype of a leaf.
 """
 
 from __future__ import annotations
@@ -28,9 +41,9 @@ __all__ = [
     "Tensor",
     "Tape",
     "as_tensor",
+    "bn_stats",
     "grad",
     "no_grad",
-    "tape_side_effect",
 ]
 
 _grad_enabled = True
@@ -93,9 +106,18 @@ def _rec(op: str, inputs: tuple, out, **attrs) -> None:
         t.recorder(op, inputs, out, attrs)
 
 
-def tape_side_effect(op: str, inputs: tuple, **attrs) -> None:
-    """Record a non-tensor side effect (e.g. BatchNorm running stats)."""
-    _rec(op, inputs, None, **attrs)
+def _run(kernel: Callable, ins: tuple, shape: tuple[int, ...], **attrs) -> np.ndarray:
+    """Run ``kernel`` from the arrays ``ins`` into a fresh float64 array."""
+    out = np.empty(shape)
+    kernel(ins, out, attrs)()
+    return out
+
+
+def bn_stats(mean: Tensor, var: Tensor, layer) -> None:
+    """Update ``layer``'s running statistics in place (a side effect the
+    tape records as ``bn_stats``, so a replay updates the same arrays)."""
+    kernel_bn_stats((mean.data, var.data), None, {"layer": layer})()
+    _rec("bn_stats", (mean, var), None, layer=layer)
 
 
 class Tensor:
@@ -274,6 +296,25 @@ def _sum_to_shape(g: Tensor, shape: tuple[int, ...]) -> Tensor:
     return reshape(g, shape)
 
 
+def _keep_shape(shape: tuple[int, ...], axes: tuple[int, ...]) -> tuple[int, ...]:
+    """``shape`` with the reduced ``axes`` kept as length 1."""
+    return tuple(1 if ax in axes else s for ax, s in enumerate(shape))
+
+
+def _pad_core(ndim: int, pad: int) -> tuple[slice, ...]:
+    """The key of the unpadded interior of a :func:`pad2d` output."""
+    return tuple([slice(None)] * (ndim - 2) + [slice(pad, -pad), slice(pad, -pad)])
+
+
+def _view(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """``a.reshape(shape)``, which must not copy: a kernel resolves its
+    views once, so a copy would go stale."""
+    out = a.reshape(shape)
+    if not np.may_share_memory(out, a):
+        raise AssertionError("a kernel's reshape copied at bind time")
+    return out
+
+
 # --------------------------------------------------------------- elementwise
 
 
@@ -306,25 +347,21 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
-    """Elementwise power with a constant exponent."""
-    if exponent < 0:
-        tiny = np.finfo(a.data.dtype).tiny
-        data = np.power(np.where(a.data == 0, tiny, a.data), exponent)
-    else:
-        data = np.power(a.data, exponent)
-    out = _make(
-        data,
-        (a,),
-        (lambda g: mul(g, mul(Tensor(exponent), power(a, exponent - 1.0))),),
-    )
+    """Elementwise power with a constant exponent (zeros raised to a
+    negative one read as the smallest normal)."""
+    def vjp(g: Tensor) -> Tensor:
+        # a squared term's derivative reads ``a``: pow(a, 1.0) == a bitwise
+        base = a if exponent == 2.0 else power(a, exponent - 1.0)
+        return mul(g, mul(Tensor(exponent), base))
+
+    out = _make(_run(kernel_power, (a.data,), a.shape, exponent=exponent), (a,), (vjp,))
     _rec("power", (a,), out, exponent=exponent)
     return out
 
 
 def exp(a: Tensor) -> Tensor:
     """Elementwise exponential (input clipped for stability)."""
-    out_data = np.exp(np.clip(a.data, -500, 500))
-    out = _make(out_data, (a,), ())
+    out = _make(_run(kernel_exp, (a.data,), a.shape), (a,), ())
     if out.requires_grad:
         out._parents = (a,)
         out._vjps = (lambda g: mul(g, out),)
@@ -335,9 +372,7 @@ def exp(a: Tensor) -> Tensor:
 def log(a: Tensor) -> Tensor:
     """Elementwise natural log (clamped away from zero)."""
     out = _make(
-        np.log(np.maximum(a.data, np.finfo(a.data.dtype).tiny)),
-        (a,),
-        (lambda g: mul(g, power(a, -1.0)),),
+        _run(kernel_log, (a.data,), a.shape), (a,), (lambda g: mul(g, power(a, -1.0)),)
     )
     _rec("log", (a,), out)
     return out
@@ -360,7 +395,7 @@ def tanh(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     """Elementwise logistic sigmoid."""
-    out = _make(1.0 / (1.0 + np.exp(-np.clip(a.data, -500, 500))), (a,), ())
+    out = _make(_run(kernel_sigmoid, (a.data,), a.shape), (a,), ())
     if out.requires_grad:
         out._parents = (a,)
         out._vjps = (lambda g: mul(g, mul(out, add(Tensor(1.0), -out))),)
@@ -370,7 +405,7 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     """Elementwise max(x, 0)."""
-    mask = Tensor((a.data > 0).astype(a.data.dtype))
+    mask = Tensor(_run(kernel_relu_mask, (a.data,), a.shape))
     _rec("relu_mask", (a,), mask)
     out = _make(a.data * mask.data, (a,), (lambda g: mul(g, mask),))
     _rec("mul", (a, mask), out)
@@ -379,12 +414,11 @@ def relu(a: Tensor) -> Tensor:
 
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     """Elementwise leaky ReLU with the given negative slope."""
-    factor = Tensor(np.where(a.data > 0, 1.0, slope))
+    factor = Tensor(_run(kernel_leaky_factor, (a.data,), a.shape, slope=slope))
     _rec("leaky_factor", (a,), factor, slope=slope)
     out = _make(a.data * factor.data, (a,), (lambda g: mul(g, factor),))
     _rec("mul", (a, factor), out)
     return out
-
 
 
 # -------------------------------------------------------------- structural
@@ -449,9 +483,7 @@ def scatter(g: Tensor, key, shape: tuple[int, ...]) -> Tensor:
     def vjp(gg: Tensor) -> Tensor:
         return getitem(gg, key)
 
-    data = np.zeros(shape, dtype=g.data.dtype)
-    np.add.at(data, key, g.data)
-    out = _make(data, (g,), (vjp,))
+    out = _make(_run(kernel_scatter, (g.data,), shape, key=key), (g,), (vjp,))
     _rec("scatter", (g,), out, key=key, shape=tuple(shape))
     return out
 
@@ -473,16 +505,17 @@ def conv_gather(a: Tensor, indices: np.ndarray, kernel: int, stride: int) -> Ten
     """``take(reshape(a, (B, C*H*W)), indices, axis=1)`` for a conv's
     ``indices = conv_index_plan(kernel, stride, C, H, W)``, copied from
     :func:`~repro.nn.im2col.conv_windows`; the recorded ``take`` carries
-    ``window=(kernel, stride, (C, H, W))`` so bound graphs copy too."""
+    ``window=(kernel, stride, (C, H, W))``, which :func:`kernel_take` reads."""
     b, c, h, w = a.shape
     flat = reshape(a, (b, c * h * w))
-    data = np.ascontiguousarray(conv_windows(a.data, kernel, stride)).reshape(b, *indices.shape)
+    attrs = {"indices": indices, "axis": 1, "window": (kernel, stride, (c, h, w))}
+    data = _run(kernel_take, (flat.data,), (b, *indices.shape), **attrs)
 
     def vjp(g: Tensor) -> Tensor:
         return _scatter_add_axis(g, indices, 1, flat.shape)
 
     out = _make(data, (flat,), (vjp,))
-    _rec("take", (flat,), out, indices=indices, axis=1, window=(kernel, stride, (c, h, w)))
+    _rec("take", (flat,), out, **attrs)
     return out
 
 
@@ -492,13 +525,7 @@ def _scatter_add_axis(
     def vjp(gg: Tensor) -> Tensor:
         return take(gg, indices, axis=axis)
 
-    data = np.zeros(shape, dtype=g.data.dtype)
-    # move target axis first for np.add.at, mirroring take's output layout
-    moved = np.moveaxis(data, axis, 0)
-    g_moved = np.moveaxis(
-        g.data, tuple(range(axis, axis + indices.ndim)), tuple(range(indices.ndim))
-    )
-    np.add.at(moved, indices, g_moved)
+    data = _run(kernel_scatter_add_axis, (g.data,), shape, indices=indices, axis=axis)
     out = _make(data, (g,), (vjp,))
     _rec("scatter_add_axis", (g,), out, indices=indices, axis=axis, shape=tuple(shape))
     return out
@@ -508,13 +535,13 @@ def pad2d(a: Tensor, pad: int) -> Tensor:
     """Zero-pad the last two axes of a (B, C, H, W) tensor."""
     if pad == 0:
         return a
-    width = [(0, 0)] * (a.ndim - 2) + [(pad, pad), (pad, pad)]
-    key = tuple([slice(None)] * (a.ndim - 2) + [slice(pad, -pad), slice(pad, -pad)])
+    key = _pad_core(a.ndim, pad)
+    shape = a.shape[:-2] + (a.shape[-2] + 2 * pad, a.shape[-1] + 2 * pad)
 
     def vjp(g: Tensor) -> Tensor:
         return getitem(g, key)
 
-    out = _make(np.pad(a.data, width), (a,), (vjp,))
+    out = _make(_run(kernel_pad2d, (a.data,), shape, pad=pad), (a,), (vjp,))
     _rec("pad2d", (a,), out, pad=pad)
     return out
 
@@ -537,14 +564,22 @@ def tensor_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     def vjp(g: Tensor) -> Tensor:
         if not keepdims:
-            expand = list(g.shape)
-            for ax in sorted(axes):
-                expand.insert(ax, 1)
-            g = reshape(g, tuple(expand))
-        return mul(g, Tensor(np.ones(shape)))
+            g = reshape(g, _keep_shape(shape, axes))
+        return g if g.shape == shape else _broadcast(g, shape)
 
     out = _make(a.data.sum(axis=axes, keepdims=keepdims), (a,), (vjp,))
     _rec("sum", (a,), out, axes=axes, keepdims=keepdims)
+    return out
+
+
+def _broadcast(g: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """``g`` broadcast to ``shape`` as a fresh array: a recorded ``copy``
+    whose adjoint sums back to ``g``'s shape."""
+    gshape = g.shape
+    out = _make(
+        _run(kernel_copy, (g.data,), shape), (g,), (lambda gg: _sum_to_shape(gg, gshape),)
+    )
+    _rec("copy", (g,), out)
     return out
 
 
@@ -555,7 +590,7 @@ def tensor_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return mul(tensor_sum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / count))
 
 
-def reduce_max(a: np.ndarray, axes: tuple[int, ...]) -> Callable[..., np.ndarray]:
+def reduce_max(a: np.ndarray, axes: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
     """``np.amax(a, axis=axes, keepdims=True, out=out)`` as a function of ``out``.
 
     Over two length-2 axes (2×2 pooling) it runs three ``np.maximum`` over
@@ -565,7 +600,7 @@ def reduce_max(a: np.ndarray, axes: tuple[int, ...]) -> Callable[..., np.ndarray
     for bit (all 625 windows over {−0.0, +0.0, NaN, ±1} are tested).
     """
     if len(axes) != 2 or any(a.shape[ax] != 2 for ax in axes):
-        return lambda out=None: np.amax(a, axis=axes, keepdims=True, out=out)
+        return lambda out: np.amax(a, axis=axes, keepdims=True, out=out)
     key = [slice(None)] * a.ndim
     corners = []
     for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -573,8 +608,8 @@ def reduce_max(a: np.ndarray, axes: tuple[int, ...]) -> Callable[..., np.ndarray
         corners.append(a[tuple(key)])
     c00, c01, c10, c11 = corners
 
-    def run(out: np.ndarray | None = None) -> np.ndarray:
-        out = np.maximum(c00, c01, out=out)
+    def run(out: np.ndarray) -> np.ndarray:
+        np.maximum(c00, c01, out=out)
         np.maximum(out, c10, out=out)
         return np.maximum(out, c11, out=out)
 
@@ -584,25 +619,302 @@ def reduce_max(a: np.ndarray, axes: tuple[int, ...]) -> Callable[..., np.ndarray
 def tensor_max(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     """Max reduction; tied maxima split the gradient."""
     axes = _normalize_axis(axis, a.ndim)
-    out_data = reduce_max(a.data, axes)()
-    # subgradient mask, ties split evenly (constant w.r.t. the graph)
-    mask = (a.data == out_data).astype(a.data.dtype)
-    mask /= mask.sum(axis=axes, keepdims=True)
-    mask_t = Tensor(mask)
-    _rec("max_mask", (a,), mask_t, axes=axes)
+    kept = _keep_shape(a.shape, axes)
+    dropped = tuple(s for ax, s in enumerate(a.shape) if ax not in axes)
+    out_shape = kept if keepdims else dropped
+    out_data = _run(kernel_max, (a.data,), out_shape, axes=axes, keepdims=keepdims)
+    # subgradient mask, ties split evenly (constant w.r.t. the graph),
+    # read off the max rather than reduced again
+    mask_t = Tensor(_run(kernel_max_mask, (a.data, out_data), a.shape, axes=axes))
 
     def vjp(g: Tensor) -> Tensor:
         if not keepdims:
-            expand = list(g.shape)
-            for ax in sorted(axes):
-                expand.insert(ax, 1)
-            g = reshape(g, tuple(expand))
+            g = reshape(g, kept)
         return mul(g, mask_t)
 
-    final = out_data if keepdims else out_data.squeeze(axes)
-    out = _make(final, (a,), (vjp,))
+    out = _make(out_data, (a,), (vjp,))
     _rec("max", (a,), out, axes=axes, keepdims=keepdims)
+    _rec("max_mask", (a, out), mask_t, axes=axes)
     return out
+
+
+# ------------------------------------------------------------------ kernels
+# ``kernel_<kind>(ins, out, attrs)`` for every recorded op kind (see the
+# module docstring).  Each exactness fact below relates the kernel to the
+# single NumPy expression it stands for; the tests check each at float64
+# against that expression.
+
+
+def kernel_add(ins, out, attrs):
+    a, b = ins
+    return lambda: np.add(a, b, out=out)
+
+
+def kernel_mul(ins, out, attrs):
+    a, b = ins
+    return lambda: np.multiply(a, b, out=out)
+
+
+def kernel_matmul(ins, out, attrs):
+    a, b = ins
+    return lambda: np.matmul(a, b, out=out)
+
+
+def kernel_tanh(ins, out, attrs):
+    (a,) = ins
+    return lambda: np.tanh(a, out=out)
+
+
+def kernel_power(ins, out, attrs):
+    """``power(where(a == 0, tiny, a), e)`` for ``e < 0``, staged in
+    ``out``: copying ``a`` and overwriting its zeros moves the same values
+    the ``where`` selects, so in place (``out`` is ``a``) works too."""
+    (a,) = ins
+    e = attrs["exponent"]
+    if e >= 0:
+        return lambda: np.power(a, e, out=out)
+    tiny = np.finfo(out.dtype).tiny
+    zero = np.empty(out.shape, dtype=bool)
+
+    def run() -> None:
+        np.copyto(out, a)
+        np.equal(out, 0, out=zero)
+        np.copyto(out, tiny, where=zero)
+        np.power(out, e, out=out)
+
+    return run
+
+
+def kernel_exp(ins, out, attrs):
+    """``exp(clip(a, -500, 500))``, clipped into ``out`` first."""
+    (a,) = ins
+
+    def run() -> None:
+        np.clip(a, -500, 500, out=out)
+        np.exp(out, out=out)
+
+    return run
+
+
+def kernel_log(ins, out, attrs):
+    """``log(maximum(a, tiny))``, the maximum into ``out`` first."""
+    (a,) = ins
+    tiny = np.finfo(out.dtype).tiny
+
+    def run() -> None:
+        np.maximum(a, tiny, out=out)
+        np.log(out, out=out)
+
+    return run
+
+
+def kernel_sigmoid(ins, out, attrs):
+    """``1.0 / (1.0 + exp(-clip(a, -500, 500)))`` one ufunc at a time;
+    ``x + 1.0`` rounds as ``1.0 + x`` does (IEEE addition commutes).  The
+    inference lowering's sigmoid (``clip=False``) has no clip."""
+    (a,) = ins
+    clip = attrs.get("clip", True)
+
+    def run() -> None:
+        if clip:
+            np.clip(a, -500, 500, out=out)
+            np.negative(out, out=out)
+        else:
+            np.negative(a, out=out)
+        np.exp(out, out=out)
+        np.add(out, 1.0, out=out)
+        np.divide(1.0, out, out=out)
+
+    return run
+
+
+def kernel_relu(ins, out, attrs):
+    """The inference ReLU, ``maximum(a, 0)``."""
+    (a,) = ins
+    return lambda: np.maximum(a, 0, out=out)
+
+
+def kernel_leaky(ins, out, attrs):
+    """The inference leaky ReLU, ``where(a > 0, a, slope * a)``: the
+    product everywhere, then ``a`` where positive.  It reads ``a`` after
+    writing ``out``, so it never runs in place."""
+    (a,) = ins
+    slope = attrs["slope"]
+    pos = np.empty(a.shape, dtype=bool)
+
+    def run() -> None:
+        np.greater(a, 0, out=pos)
+        np.multiply(a, slope, out=out)
+        np.copyto(out, a, where=pos)
+
+    return run
+
+
+def kernel_relu_mask(ins, out, attrs):
+    """``(a > 0).astype(float)``: booleans cast to 1.0 and 0.0."""
+    (a,) = ins
+    pos = np.empty(a.shape, dtype=bool)
+
+    def run() -> None:
+        np.greater(a, 0, out=pos)
+        np.copyto(out, pos)
+
+    return run
+
+
+def kernel_leaky_factor(ins, out, attrs):
+    """``where(a > 0, 1.0, slope)``: the slope everywhere, then 1.0."""
+    (a,) = ins
+    slope = attrs["slope"]
+    pos = np.empty(a.shape, dtype=bool)
+
+    def run() -> None:
+        np.greater(a, 0, out=pos)
+        out.fill(slope)
+        np.copyto(out, 1.0, where=pos)
+
+    return run
+
+
+def kernel_max(ins, out, attrs):
+    """:func:`reduce_max` into ``out`` viewed with the reduced axes kept."""
+    (a,) = ins
+    axes = attrs["axes"]
+    reduce, kept = reduce_max(a, axes), _view(out, _keep_shape(a.shape, axes))
+    return lambda: reduce(kept)
+
+
+def kernel_max_mask(ins, out, attrs):
+    """``mask = (a == m).astype(float); mask /= mask.sum(axes, keepdims)``
+    from ``a`` and its max ``m``; the tie count sits in a small buffer of
+    the kept shape next to the boolean one."""
+    a, m = ins
+    axes = attrs["axes"]
+    kept = _keep_shape(a.shape, axes)
+    m_kept = _view(m, kept)
+    hit = np.empty(a.shape, dtype=bool)
+    count = np.empty(kept, dtype=out.dtype)
+
+    def run() -> None:
+        np.equal(a, m_kept, out=hit)
+        np.copyto(out, hit)
+        np.sum(out, axis=axes, keepdims=True, out=count)
+        np.divide(out, count, out=out)
+
+    return run
+
+
+def kernel_sum(ins, out, attrs):
+    (a,) = ins
+    axes, keepdims = attrs["axes"], attrs["keepdims"]
+    return lambda: np.sum(a, axis=axes, keepdims=keepdims, out=out)
+
+
+def kernel_mean(ins, out, attrs):
+    """The inference global average pool, ``a.mean(axes)``."""
+    (a,) = ins
+    axes = attrs["axes"]
+    return lambda: np.mean(a, axis=axes, out=out)
+
+
+def kernel_copy(ins, out, attrs):
+    """A (broadcast) copy: ``x * 1.0 == x`` bitwise, so it stands for a
+    multiply by ones."""
+    (a,) = ins
+    return lambda: np.copyto(out, a)
+
+
+def kernel_reshape_copy(ins, out, attrs):
+    """A reshape NumPy had to copy (of a strided view)."""
+    (a,) = ins
+    out_as_in = _view(out, a.shape)
+    return lambda: np.copyto(out_as_in, a)
+
+
+def kernel_getitem_copy(ins, out, attrs):
+    """Advanced indexing, which copies."""
+    (a,) = ins
+    key = attrs["key"]
+    return lambda: np.copyto(out, a[key])
+
+
+def kernel_take(ins, out, attrs):
+    """``np.take`` along an axis, or, for a conv gather (``window`` in
+    ``attrs``), the copy of :func:`~repro.nn.im2col.conv_windows`, which
+    moves the same elements in the same order (see there)."""
+    (a,) = ins
+    if "window" not in attrs:
+        indices, axis = attrs["indices"], attrs["axis"]
+        return lambda: np.take(a, indices, axis=axis, out=out)
+    kernel, stride, chw = attrs["window"]
+    # splitting one axis is always a view, so the windows see ``a``
+    windows = conv_windows(_view(a, (a.shape[0], *chw)), kernel, stride)
+    cols = _view(out, windows.shape)
+    return lambda: np.copyto(cols, windows)
+
+
+def kernel_scatter(ins, out, attrs):
+    """``zeros`` then ``np.add.at(out, key, g)``."""
+    (g,) = ins
+    key = attrs["key"]
+
+    def run() -> None:
+        out.fill(0)
+        np.add.at(out, key, g)
+
+    return run
+
+
+def kernel_scatter_add_axis(ins, out, attrs):
+    """The adjoint of ``take``: ``zeros``, then ``np.add.at`` with the
+    target axis moved first, mirroring ``take``'s output layout."""
+    (g,) = ins
+    indices, axis = attrs["indices"], attrs["axis"]
+    moved = np.moveaxis(out, axis, 0)
+    g_moved = np.moveaxis(
+        g, tuple(range(axis, axis + indices.ndim)), tuple(range(indices.ndim))
+    )
+
+    def run() -> None:
+        out.fill(0)
+        np.add.at(moved, indices, g_moved)
+
+    return run
+
+
+def kernel_pad2d(ins, out, attrs):
+    """``np.pad`` of the last two axes with zeros: ``+0.0`` around, ``a``
+    copied (signed zeros, NaN and all) into the interior."""
+    (a,) = ins
+    core = out[_pad_core(out.ndim, attrs["pad"])]
+
+    def run() -> None:
+        out.fill(0)
+        np.copyto(core, a)
+
+    return run
+
+
+def kernel_bn_stats(ins, out, attrs):
+    """``rm *= 1 - m; rm += m * mean`` (and the same for the variance) on
+    the layer's running statistics, in place; ``m * x`` rounds as
+    ``x * m`` does.  No output."""
+    mean, var = ins
+    layer = attrs["layer"]
+    m = float(layer.momentum)
+    rm, rv = layer.running_mean, layer.running_var
+    mean_flat, var_flat = _view(mean, (-1,)), _view(var, (-1,))
+    scr = np.empty_like(rm)
+
+    def run() -> None:
+        np.multiply(rm, 1.0 - m, out=rm)
+        np.multiply(mean_flat, m, out=scr)
+        np.add(rm, scr, out=rm)
+        np.multiply(rv, 1.0 - m, out=rv)
+        np.multiply(var_flat, m, out=scr)
+        np.add(rv, scr, out=rv)
+
+    return run
 
 
 # ----------------------------------------------------------------- backward

@@ -8,17 +8,19 @@ share one IR, one pass pipeline, one planner and one binder:
 * a training step reaches it through the tape: :func:`build_train_graph`
   lowers one eager forward + ``backward()`` as it runs;
 * inference reaches it through its front end (:mod:`repro.nn.graph.lower`):
-  :func:`freeze_module` snapshots quantized weights and
+  :func:`freeze_module` checks and copies the module tree and
   :func:`~repro.nn.graph.lower.lower_frozen` emits the closure
-  interpreter's ops at one batched shape — a graph with no backward;
+  interpreter's ops from its layers at one batched shape, weights rounded
+  to the storage precision — a graph with no backward;
 * :func:`optimize_train` reschedules without reassociating (dead ops,
-  IEEE-identity aliases, in-place coalescing — conv → BatchNorm → ReLU
-  runs in place on the matmul's buffer);
+  in-place coalescing — conv → BatchNorm → ReLU runs in place on the
+  matmul's buffer);
 * :func:`plan_train_memory` packs every live value into one arena, with
   :func:`validate_train_plan` asserting no live-range overlap;
-* :func:`~repro.nn.graph.executor.bind` turns each op into an ``out=``
-  kernel over arena views, with one probe-gated substitution (the
-  ``bincount`` scatter) and ``nn.op`` spans.
+* :func:`~repro.nn.graph.executor.bind` runs each op's one kernel,
+  ``repro.nn.autograd.kernel_<kind>`` — the eager op's own — over arena
+  views, with one probe-gated substitution (the ``bincount`` scatter)
+  and ``nn.op`` spans.
 
 :class:`TrainStep` replays a bound step with the optimizer's compiled
 update and optimizer moments in :class:`StateArena` buffers;

@@ -59,8 +59,8 @@ LAST_FOREVER = 1 << 30
 ALIAS_KINDS = frozenset({"reshape", "transpose", "getitem"})
 
 #: elementwise ops whose kernel may legally write into a dying input's
-#: buffer (the in-place coalescing pass uses this; every kernel below
-#: either reads each element before writing it or stages through scratch)
+#: buffer (the in-place coalescing pass uses this; each of their kernels
+#: in :mod:`repro.nn.autograd` reads an element before writing it)
 INPLACE_KINDS = frozenset(
     {"add", "mul", "power", "exp", "log", "tanh", "sigmoid", "relu",
      "relu_mask", "leaky_factor", "max_mask", "copy"}

@@ -4,24 +4,22 @@ One pipeline, :func:`optimize_train`, runs over every
 :class:`~repro.nn.graph.backward.TrainGraph` — a traced training step or
 a lowered inference graph.  The bit-identity contract with the eager
 engine forbids algebraic folding (multiplying a BatchNorm scale into conv
-weights reassociates the accumulation), so a rewrite is admitted only if
-the replacement is bitwise-identical by an IEEE-754 identity (``x * 1 ==
-x``, ``pow(x, 1) == x``) or runs the very same ufunc sequence with only
-its destination changed:
+weights reassociates the accumulation), so a pass only reschedules: it
+drops ops or changes a kernel's destination, never the ufunc sequence.
+Nothing is left to rewrite by IEEE-754 identities either: the eager VJPs
+emit no multiply by ones or ``pow(x, 1)`` in the first place
+(``tensor_sum`` broadcasts with a ``copy``, ``power`` differentiates a
+square through ``a``).
 
 1. ``eliminate_dead_train`` — drop ops that feed no output, gradient or
    side effect;
-2. ``simplify_identities`` — multiplications by all-ones constants (and
-   ``pow(x, 1)``) become aliases or copies;
-3. ``coalesce_inplace`` — an elementwise op that is the last reader of
+2. ``coalesce_inplace`` — an elementwise op that is the last reader of
    an input writes into that input's buffer.  In an inference graph this
    is what makes conv → bias → BatchNorm → ReLU, and each residual tail
    (skip add, ReLU), run in place on the matmul's output buffer.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.nn.graph.backward import INPLACE_KINDS, LAST_FOREVER, TrainGraph
 
@@ -30,7 +28,6 @@ __all__ = [
     "coalesce_inplace",
     "eliminate_dead_train",
     "optimize_train",
-    "simplify_identities",
 ]
 
 #: per-pass rewrite counts, in pipeline order
@@ -51,58 +48,6 @@ def eliminate_dead_train(tg: TrainGraph) -> int:
     removed = keep.count(False)
     tg.ops = [op for i, op in enumerate(tg.ops) if keep[i]]
     return removed
-
-
-def _is_all_ones(tg: TrainGraph, vid: int, cache: dict[int, bool]) -> bool:
-    got = cache.get(vid)
-    if got is None:
-        v = tg.values[vid]
-        got = v.kind == "const" and bool(np.all(v.data == 1.0))
-        cache[vid] = got
-    return got
-
-
-def simplify_identities(tg: TrainGraph) -> int:
-    """Rewrite multiplications that are IEEE-754 identities.
-
-    ``x * 1.0 == x`` holds bitwise for every operand (sign of zero
-    included), so the broadcast-by-ones multiplies that ``tensor_sum``'s
-    VJP emits degrade to broadcast *copies* — and to pure aliases when no
-    broadcast happens.  Likewise ``pow(x, 1.0) == x`` exactly, so the
-    ``power(a, exponent-1)`` chain of a squared term's VJP aliases its
-    input.  Values are untouched; only the schedule changes.
-    """
-    ones_cache: dict[int, bool] = {}
-    changed = 0
-    for op in tg.ops:
-        if op.kind == "mul":
-            a, b = op.inputs
-            if _is_all_ones(tg, b, ones_cache):
-                other = a
-            elif _is_all_ones(tg, a, ones_cache):
-                other = b
-            else:
-                continue
-        elif op.kind == "power" and op.attrs.get("exponent") == 1.0:
-            other = op.inputs[0]
-        else:
-            continue
-        out_v = tg.values[op.out]
-        # an alias keeps ``other``'s layout; the eager product was a fresh
-        # C-contiguous array, which later reshapes were recorded against
-        if tg.values[other].shape == out_v.shape and tg.values[other].contiguous:
-            op.kind = "alias"
-            op.inputs = (other,)
-            op.attrs = {}
-            out_v.alias_of = other
-            out_v.view = ("same",)
-            out_v.contiguous = tg.values[other].contiguous
-        else:
-            op.kind = "copy"
-            op.inputs = (other,)
-            op.attrs = {}
-        changed += 1
-    return changed
 
 
 def coalesce_inplace(tg: TrainGraph) -> int:
@@ -164,10 +109,9 @@ def coalesce_inplace(tg: TrainGraph) -> int:
 
 def optimize_train(tg: TrainGraph) -> PassStats:
     """Run the pass pipeline over ``tg`` in place; returns rewrite counts.
-    Drops the constants no op reads any more (e.g. rewritten all-ones)."""
+    Drops the constants no op reads any more (those of dead ops)."""
     stats = {
         "eliminate_dead_train": eliminate_dead_train(tg),
-        "simplify_identities": simplify_identities(tg),
         "coalesce_inplace": coalesce_inplace(tg),
     }
     read = {vid for op in tg.ops for vid in op.inputs}

@@ -10,16 +10,14 @@ intervals into offsets of a single flat arena.  The binder
 graph and every kernel writes through preallocated views, so a replay
 performs no array allocation — for a training step and a lowered
 inference graph alike.  Shapes are absolute, so a graph (and its plan)
-is per batch size.
+is per batch size.  The arena holds values only: a kernel that stages an
+intermediate does so in its own output, and the few boolean and
+kept-shape buffers a kernel needs are its own, allocated at bind time.
 
-The binder may also request per-op **scratch** buffers (the negative-
-power staging and the max-mask reduction); these live only for their
-op's step.
-
-Plans are deterministic: entries are packed in (definition step, kind,
-id) order with no hashing involved, so the same graph always produces the
-same offsets; :func:`validate_train_plan` asserts that no two slots
-overlap in both time and memory.
+Plans are deterministic: roots are packed in (definition step, id) order
+with no hashing involved, so the same graph always produces the same
+offsets; :func:`validate_train_plan` asserts that no two slots overlap in
+both time and memory.
 """
 
 from __future__ import annotations
@@ -53,9 +51,9 @@ def _align(n: int) -> int:
 class MemoryPlan:
     """Packed arena layout for one graph.
 
-    ``slots`` maps ``("value", root_vid)`` and ``("scratch", op_idx, i)``
-    keys to ``(offset, elems)``; ``intervals`` holds the live range
-    ``(def_step, last_step)`` each slot was packed under.
+    ``slots`` maps ``("value", root_vid)`` keys to ``(offset, elems)``;
+    ``intervals`` holds the live range ``(def_step, last_step)`` each slot
+    was packed under.
     """
 
     total_elems: int
@@ -130,9 +128,7 @@ def _pack_entries(
         active.append((interval[1], key, off, size))
 
 
-def plan_train_memory(
-    tg: TrainGraph, scratch: dict[int, tuple[int, ...]] | None = None
-) -> MemoryPlan:
+def plan_train_memory(tg: TrainGraph) -> MemoryPlan:
     """Pack a graph's activations (and gradients) into one arena.
 
     Slot sizes come straight from the root value's element count.  Only
@@ -141,33 +137,17 @@ def plan_train_memory(
     carry a last-read of ``LAST_FOREVER`` (see
     :meth:`~repro.nn.graph.backward.TrainGraph.root_intervals`) so the
     optimizer and the caller read stable buffers every step.
-
-    ``scratch`` maps op index → absolute element counts of per-op
-    scratch buffers in the arena dtype (live only at that op's step).
     """
-    scratch = scratch or {}
     defined, last = tg.root_intervals()
-
-    entries: list[tuple[tuple, tuple, int, tuple[int, int]]] = []
-    for root in sorted(defined):
-        entries.append(
-            (
-                (defined[root], 0, root),
-                ("value", root),
-                _align(tg.values[root].size),
-                (defined[root], last.get(root, defined[root])),
-            )
+    entries = [
+        (
+            (defined[root], root),
+            ("value", root),
+            _align(tg.values[root].size),
+            (defined[root], last.get(root, defined[root])),
         )
-    for op_idx in sorted(scratch):
-        for i, elems in enumerate(scratch[op_idx]):
-            entries.append(
-                (
-                    (op_idx, 1, op_idx, i),
-                    ("scratch", op_idx, i),
-                    _align(int(elems)),
-                    (op_idx, op_idx),
-                )
-            )
+        for root in sorted(defined)
+    ]
 
     plan = MemoryPlan(total_elems=0, dtype=np.dtype(tg.dtype))
     _pack_entries(plan, entries)

@@ -11,17 +11,17 @@ op to a :class:`~repro.nn.graph.backward.TrainGraph` as it records;
 the ``exp``/``tanh``/``sigmoid`` VJPs too, and a second backward through
 it raises ``RuntimeError``), so the step peaks at about its forward and
 nothing of it is left when the arena is allocated.  The graph is
-scheduled by the shared passes (dead-branch elimination,
-IEEE-identity simplification, in-place coalescing — no arithmetic is
-reassociated), then arena-planned and bound to a flat list of ``out=``
-kernel closures by :func:`~repro.nn.graph.executor.bind`, the binder
-compiled inference uses too.  Subsequent same-shape calls
-replay the kernels against preallocated views and finish with the
-optimizer's :meth:`~repro.nn.optim._Optimizer.bind_compiled` closure:
-zero per-step array allocations, and — because every kernel runs the
-very same ufunc sequence on identically-laid-out operands — weights,
-losses and optimizer state stay **bitwise-identical** to the eager
-trainer at every step.
+scheduled by the shared passes (dead-branch elimination, in-place
+coalescing — no arithmetic is reassociated), then arena-planned and
+bound to a flat list of kernel thunks by
+:func:`~repro.nn.graph.executor.bind`, the binder compiled inference
+uses too.  Subsequent same-shape calls replay the kernels against
+preallocated views and finish with the optimizer's
+:meth:`~repro.nn.optim._Optimizer.bind_compiled` closure: zero
+per-step array allocations, and — because every op runs the very kernel its eager
+op ran, on identically-laid-out operands — weights, losses and
+optimizer state stay **bitwise-identical** to the eager trainer at every
+step.
 
 The eager path therefore remains the oracle: any divergence is a bug in
 the compiler, never a tolerance question.

@@ -6,11 +6,13 @@ frozen into plain arrays) and run the whole forward pass in half
 precision.  :class:`CompiledModel` plays the role of the torch2trt export
 — same predictions (to FP16 tolerance), a fraction of the cost.
 
-The export is not a second compiler.  :func:`compile_model` freezes the
-module tree; each input shape is then lowered to the
+The export is not a second compiler.  :func:`compile_model` checks the
+module tree and keeps a private copy of it; each input shape is then
+lowered from that copy's own layers, weights rounded through the storage
+precision as they are emitted, to the
 :class:`~repro.nn.graph.backward.TrainGraph` IR that training steps use
 (a graph with no parameters and no backward), scheduled by the same
-passes, arena-planned by the same planner and bound to ``out=`` kernels
+passes, arena-planned by the same planner and bound to the eager kernels
 by the same binder as :class:`~repro.nn.graph.train.TrainStep` — the
 TensorRT-style build.  Its reference, the closure-per-layer interpreter
 it replaced, lives in ``tests/nn/oracle.py``; compiled execution is
@@ -68,7 +70,7 @@ class CompiledModel:
         self,
         store_dtype: np.dtype,
         compute_dtype: np.dtype,
-        frozen,
+        frozen: Module,
         tracer=None,
     ) -> None:
         self.store_dtype = store_dtype
@@ -97,7 +99,7 @@ class CompiledModel:
         key = tuple(int(d) for d in shape)
         bound = self._plans.get(key)
         if bound is None:
-            tg = lower_frozen(self._frozen, key, self.compute_dtype)
+            tg = lower_frozen(self._frozen, key, self.store_dtype, self.compute_dtype)
             optimize_train(tg)
             bound = self._plans[key] = bind(tg)
             if self.store_dtype == np.float16:
@@ -127,6 +129,4 @@ def compile_model(
         Optional :class:`repro.telemetry.Tracer` for per-op ``nn.op`` spans.
     """
     store, compute = resolve_precision(precision)
-    return CompiledModel(
-        store, compute, freeze_module(model, store, compute), tracer=tracer
-    )
+    return CompiledModel(store, compute, freeze_module(model), tracer=tracer)

@@ -295,11 +295,7 @@ class BatchNorm(Module):
             # in-place EMA (same values as `(1-m)*rm + m*mean`), so the
             # arrays keep their identity — the compiled TrainStep replays
             # this update into the very same buffers
-            np.multiply(self.running_mean, 1 - self.momentum, out=self.running_mean)
-            self.running_mean += self.momentum * mean.data.reshape(-1)
-            np.multiply(self.running_var, 1 - self.momentum, out=self.running_var)
-            self.running_var += self.momentum * var.data.reshape(-1)
-            ag.tape_side_effect("bn_stats", (mean, var), layer=self)
+            ag.bn_stats(mean, var, self)
         else:
             mean = Tensor(self.running_mean.reshape(shape))
             var = Tensor(self.running_var.reshape(shape))

@@ -4,10 +4,12 @@ autograd training step that shipped as ``engine="eager"`` up to PR 16,
 the record-then-lower training-graph builder (:func:`record_then_lower`,
 verbatim) that ran until lowering moved into the tape's recorder, and the
 backward walk (:func:`grad`, verbatim) that kept every gradient and node
-until it returned, and the conv gather and max reduction as they ran
-before window copies and elementwise pooling (:func:`install_gather`).
-The graph engine must match each bit for bit at equal precision and
-batch size.
+until it returned, the conv gather and max reduction as they ran
+before window copies and elementwise pooling (:func:`install_gather`), and
+the eager forward expressions of the primitives that now run one
+``kernel_<kind>`` each (the "parent's eager forwards" section).  The
+graph engine and the eager ops must match each bit for bit at equal
+precision and batch size.
 """
 
 from typing import Sequence
@@ -19,6 +21,7 @@ from repro.nn.autograd import Tape, Tensor, _topo_order, add, no_grad
 from repro.nn.graph.backward import ALIAS_KINDS, TOp, TrainGraph, TValue
 from repro.nn.graph.backward import _is_basic_key, _probe_bincount
 from repro.nn.graph.lower import resolve_precision
+from repro.nn.im2col import conv_windows
 from repro.nn.layers import BatchNorm, Conv2d, Dense, Flatten, GlobalAvgPool2d, Parameter
 from repro.nn.layers import LeakyReLU, MaxPool2d, PointwiseDense, ReLU, ResidualBlock
 from repro.nn.layers import Sequential, Sigmoid, Tanh
@@ -343,12 +346,9 @@ def reduce_max(a, axes):
 
 def install_gather(monkeypatch) -> None:
     """Swap ``np.take`` back in for the conv gather (eager and bound) and
-    ``np.amax`` for every max reduction."""
-    from repro.nn.graph import executor
-
+    ``np.amax`` for every max reduction (``kernel_max`` serves both)."""
     monkeypatch.setattr(Conv2d, "forward", conv_forward)
     monkeypatch.setattr(autograd, "reduce_max", reduce_max)
-    monkeypatch.setattr(executor, "reduce_max", reduce_max)
 
 
 def grad(
@@ -411,3 +411,95 @@ def install_grad(monkeypatch) -> None:
     """Swap the keep-everything backward walk in for ``autograd.grad``
     (``Tensor.backward`` and the gradient penalty both call it)."""
     monkeypatch.setattr(autograd, "grad", grad)
+
+
+# ------------------------------------------- the parent's eager forwards
+# Each primitive's forward as the eager op computed it before every
+# multi-call primitive ran one kernel, on arrays (``a.data`` → ``a``).
+
+
+def power(a, exponent):
+    if exponent < 0:
+        tiny = np.finfo(a.dtype).tiny
+        return np.power(np.where(a == 0, tiny, a), exponent)
+    return np.power(a, exponent)
+
+
+def exp(a):
+    return np.exp(np.clip(a, -500, 500))
+
+
+def log(a):
+    return np.log(np.maximum(a, np.finfo(a.dtype).tiny))
+
+
+def sigmoid(a):
+    return 1.0 / (1.0 + np.exp(-np.clip(a, -500, 500)))
+
+
+def relu_mask(a):
+    return (a > 0).astype(a.dtype)
+
+
+def leaky_factor(a, slope):
+    return np.where(a > 0, 1.0, slope)
+
+
+def tensor_max(a, axes, keepdims):
+    """The max and its tie-splitting mask."""
+    out_data = reduce_max(a, axes)()
+    mask = (a == out_data).astype(a.dtype)
+    mask /= mask.sum(axis=axes, keepdims=True)
+    final = out_data if keepdims else out_data.squeeze(axes)
+    return final, mask
+
+
+def pad2d(a, pad):
+    width = [(0, 0)] * (a.ndim - 2) + [(pad, pad), (pad, pad)]
+    return np.pad(a, width)
+
+
+def scatter(g, key, shape):
+    data = np.zeros(shape, dtype=g.dtype)
+    np.add.at(data, key, g)
+    return data
+
+
+def scatter_add_axis(g, indices, axis, shape):
+    data = np.zeros(shape, dtype=g.dtype)
+    # move target axis first for np.add.at, mirroring take's output layout
+    moved = np.moveaxis(data, axis, 0)
+    g_moved = np.moveaxis(
+        g, tuple(range(axis, axis + indices.ndim)), tuple(range(indices.ndim))
+    )
+    np.add.at(moved, indices, g_moved)
+    return data
+
+
+def conv_take(a, indices, kernel, stride):
+    """``conv_gather``'s columns of a ``(B, C, H, W)`` batch."""
+    b = a.shape[0]
+    return np.ascontiguousarray(conv_windows(a, kernel, stride)).reshape(b, *indices.shape)
+
+
+def bn_stats(layer, mean, var):
+    """BatchNorm's in-place running-statistics update."""
+    np.multiply(layer.running_mean, 1 - layer.momentum, out=layer.running_mean)
+    layer.running_mean += layer.momentum * mean.reshape(-1)
+    np.multiply(layer.running_var, 1 - layer.momentum, out=layer.running_var)
+    layer.running_var += layer.momentum * var.reshape(-1)
+
+
+def sum_vjp(g, shape, axes, keepdims):
+    """``tensor_sum``'s VJP: ``g`` with the summed axes restored, times ones."""
+    if not keepdims:
+        expand = list(g.shape)
+        for ax in sorted(axes):
+            expand.insert(ax, 1)
+        g = g.reshape(tuple(expand))
+    return g * np.ones(shape)
+
+
+def square_vjp(g, a):
+    """``power(a, 2.0)``'s VJP."""
+    return g * (2.0 * power(a, 1.0))

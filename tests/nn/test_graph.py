@@ -144,7 +144,7 @@ def test_repeated_runs_reuse_arena_correctly(surrogate_net):
 
 def _lowered(model, shape, precision="fp16"):
     store, compute = {"fp16": (np.float16, np.float32)}[precision]
-    return lower_frozen(freeze_module(model, store, compute), shape, compute)
+    return lower_frozen(freeze_module(model), shape, store, compute)
 
 
 def test_unoptimized_trace_also_bit_identical(surrogate_net):

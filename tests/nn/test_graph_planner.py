@@ -11,7 +11,7 @@ import pytest
 from repro.nn.graph.executor import bind
 from repro.nn.graph.lower import freeze_module, lower_frozen
 from repro.nn.graph.passes import optimize_train
-from repro.nn.graph.planner import _ALIGN, _align, plan_train_memory, validate_train_plan
+from repro.nn.graph.planner import _ALIGN, plan_train_memory, validate_train_plan
 from repro.surrogate.model import build_smilesnet
 
 
@@ -19,12 +19,12 @@ from repro.surrogate.model import build_smilesnet
 def lowered():
     model = build_smilesnet(seed=1, width=6)
     model.eval()
-    frozen = freeze_module(model, np.float16, np.float32)
+    frozen = freeze_module(model)
     graphs = {}
 
     def at(batch):
         if batch not in graphs:
-            tg = lower_frozen(frozen, (batch, 7, 24, 24), np.float32)
+            tg = lower_frozen(frozen, (batch, 7, 24, 24), np.float16, np.float32)
             optimize_train(tg)
             graphs[batch] = tg
         return graphs[batch]
@@ -35,7 +35,7 @@ def lowered():
 @pytest.mark.parametrize("batch", [1, 5, 7, 64])
 def test_plan_has_no_live_range_overlap(lowered, batch):
     assert validate_train_plan(plan_train_memory(lowered(batch)))
-    assert validate_train_plan(bind(lowered(batch)).plan)  # with GEMM scratch
+    assert validate_train_plan(bind(lowered(batch)).plan)
 
 
 def test_plan_is_deterministic(lowered):
@@ -57,18 +57,6 @@ def test_offsets_are_aligned(lowered):
     for off, size in plan.slots.values():
         assert off % _ALIGN == 0
         assert size % _ALIGN == 0
-
-
-def test_scratch_slots_live_only_at_their_step(lowered):
-    tg = lowered(4)
-    mm_steps = [i for i, op in enumerate(tg.ops) if op.kind == "matmul"]
-    scratch = {mm_steps[0]: (1024, 2048)}
-    plan = plan_train_memory(tg, scratch)
-    assert validate_train_plan(plan)
-    for j, elems in enumerate((1024, 2048)):
-        key = ("scratch", mm_steps[0], j)
-        assert plan.slots[key][1] == _align(elems)
-        assert plan.intervals[key] == (mm_steps[0], mm_steps[0])
 
 
 def test_validate_plan_detects_corruption(lowered):

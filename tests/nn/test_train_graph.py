@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.nn import autograd as ag
+from repro.nn.autograd import Tensor
 from repro.nn.graph.planner import plan_state_arena, validate_train_plan
 from repro.nn.graph.train import TrainStep
 from repro.nn.layers import (
@@ -24,6 +25,7 @@ from repro.nn.layers import (
     LeakyReLU,
     MaxPool2d,
     Module,
+    Parameter,
     PointwiseDense,
     ReLU,
     ResidualBlock,
@@ -220,6 +222,51 @@ def test_multiple_outputs_returned_as_floats():
         out = step(x, y)
         assert isinstance(out, tuple) and len(out) == 2
         assert all(isinstance(v, float) for v in out)
+
+
+def _positive(rng):
+    return rng.uniform(0.5, 2.0, size=(4, 3))
+
+
+#: op on a float32 leaf ``w`` → initial values of ``w``
+F32_LEAF_OPS = {
+    "exp": (ag.exp, lambda rng: rng.uniform(-2.0, 2.0, size=(4, 3))),
+    "log": (ag.log, _positive),
+    "sigmoid": (ag.sigmoid, lambda rng: rng.uniform(-2.0, 2.0, size=(4, 3))),
+    "pow_-1": (lambda w: w**-1.0, _positive),
+    "pow_-0.5": (lambda w: w**-0.5, _positive),
+    # each row a three-way tie; tied weights get equal updates, so the
+    # ties hold at every step
+    "tied_max": (
+        lambda w: ag.tensor_max(w, axis=1),
+        lambda rng: np.repeat(_positive(rng)[:, :1], 3, axis=1),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(F32_LEAF_OPS))
+def test_float32_leaf_replays_equal_eager_steps(name):
+    """A float32 Parameter's multi-call ops compute in the float64 the
+    eager op writes, on the trace and on every replay alike: losses,
+    weights and the last step's gradient agree bit for bit."""
+    op, init = F32_LEAF_OPS[name]
+    w0 = init(np.random.default_rng(0)).astype(np.float32)
+    xs = np.random.default_rng(1).normal(size=(3, *op(Tensor(w0)).shape))
+
+    def run(step_cls):
+        w = Parameter(np.zeros(w0.shape))
+        w.data = w0.copy()  # a float32 leaf: Tensor() itself casts to float64
+        step = step_cls(lambda x: ag.tensor_sum(op(w) * x), Adam([w], lr=0.05))
+        losses = [step(x) for x in xs]
+        grad = step._last_grads[0] if step_cls is TrainStep else w.grad.data
+        return losses, w.data, grad
+
+    losses_e, w_e, g_e = run(EagerStep)
+    losses_g, w_g, g_g = run(TrainStep)
+    assert losses_g == losses_e
+    assert w_g.dtype == np.float32
+    np.testing.assert_array_equal(w_g.view(np.uint32), w_e.view(np.uint32))
+    np.testing.assert_array_equal(g_g.view(np.uint64), g_e.view(np.uint64))
 
 
 # --------------------------------------------------------------- StateArena

@@ -17,10 +17,12 @@ runs needs.
 
 A module constant is a module-level assignment to an UPPER_CASE name
 (``_INTERNAL`` ones too); its own assignment does not count as a read.
-Dunders are called by the language and ``visit_*`` methods by
-``ast.NodeVisitor``, so both are exempt.  Anything else without a caller
-must be listed in :data:`ALLOWED` with the reason it stays; a listed name
-that does have a caller fails too, so the table cannot go stale.
+Dunders are called by the language, ``visit_*`` methods by
+``ast.NodeVisitor`` and ``kernel_*`` functions by the graph binder, which
+finds an op's kernel by its kind the same way, so all three are exempt.
+Anything else without a caller must be listed in :data:`ALLOWED` with
+the reason it stays; a listed name that does have a caller fails too, so
+the table cannot go stale.
 
 Matching is still by simple name within each kind, so a dead method that
 shares its name with a live attribute read elsewhere is not caught; the
@@ -328,7 +330,8 @@ class _Reads(ast.NodeVisitor):
 
 
 def _exempt(name: str) -> bool:
-    return (name.startswith("__") and name.endswith("__")) or name.startswith("visit_")
+    dunder = name.startswith("__") and name.endswith("__")
+    return dunder or name.startswith(("visit_", "kernel_"))
 
 
 def _surface() -> dict[str, bool]:
